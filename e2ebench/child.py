@@ -5,6 +5,8 @@ file. It imports ``repro.cli``, hooks the two work entry points
 (``repro.exp.runner.run_experiment`` and ``LifetimeSimulator.run``) so
 set-up and work time can be told apart, calls ``repro.cli.main`` with
 the given arguments and writes a small JSON record of clock stamps.
+With ``--setup-only`` it leaves at the first work entry, so the harness
+can repeat a cold start without repeating the work.
 All stamps are ``time.monotonic()``, which on Linux is one clock for
 every process, so the harness can subtract its own spawn stamp.
 
@@ -17,7 +19,7 @@ to ``DIR/agg-<pid>.json`` after every shard, because they leave through
 
 Usage, from the checkout root with ``PYTHONPATH=src``::
 
-    python child.py RECORD [--layers DIR] [--require-exact] -- ARGS...
+    python child.py RECORD [--layers DIR] [--require-exact] [--setup-only] -- ARGS...
     python child.py RECORD --fingerprint
 """
 
@@ -148,13 +150,19 @@ def install_layers(table):
     os.register_at_fork(after_in_child=table.reset_after_fork)
 
 
-def install_entry_hooks(record):
-    """Stamp the first entry into the work and sum the time inside it."""
+def install_entry_hooks(record, record_path, setup_only=False):
+    """Stamp the first entry into the work and sum the time inside it;
+    with ``setup_only`` the process ends right at that first entry."""
     def entry(fn):
         def timed(*args, **kwargs):
             start = time.monotonic()
             if record["ready"] is None:
                 record["ready"] = start
+                if setup_only:
+                    record["rc"] = 0
+                    _write(record_path, record)
+                    sys.stdout.flush()
+                    os._exit(0)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -238,7 +246,7 @@ def main(argv):
         install_layers(table)
     if "--require-exact" in options:
         install_exactness_check()
-    install_entry_hooks(record)
+    install_entry_hooks(record, record_path, "--setup-only" in options)
     try:
         record["rc"] = repro.cli.main(args)
     finally:

@@ -2,19 +2,20 @@
 
 Run from the root of a checkout::
 
-    python3 e2ebench/run.py --workload catalog --seed 1 --seconds 25 --trace 0
+    python3 e2ebench/run.py --workload catalog --seed 1 --seconds 30 --trace 0
 
 Each workload is a fixed list of cold ``repro run`` / ``repro simulate``
 processes, started one at a time (a closed loop with one client). Every
 process goes through ``child.py``, which stamps when the work starts
 and how long it runs, so nothing under ``src/`` is touched.
 
-Workloads:
+Workloads (their size is fixed; ``--seconds`` is accepted for the
+benchmark interface and not used):
 
 * ``catalog``  — every figure of ``repro run --list`` as one
   ``repro run <fig> --workers 1`` with a fresh store, in a seeded order;
-  each figure's tables must match ``benchmarks/output/<fig>.txt``. It is
-  always the whole catalog, whatever ``--seconds`` says.
+  each figure must print exactly the tables of
+  ``benchmarks/output/<fig>.txt``.
 * ``certify``  — exact (branch-and-bound) certification sweeps at
   ``--workers 2``: the Fig. 2 kernel over Simple placements plus Fig. 7
   sweeps over seeded Random placements; every attack must come back
@@ -23,20 +24,20 @@ Workloads:
   failures, repair policies lazy/eager/none and strike periods 4 and 16,
   seeded; each report must cover every event with no Lemma-3 violation.
 
-``certify`` and ``lifetime`` repeat their list in rounds (fresh seeds)
-until the rounds' nominal length reaches ``--seconds``; the round count
-depends on ``--seconds`` only, never on the host's speed.
-
 ``--trace 0`` reports the end-to-end metrics, summed over the
 workload's invocations: ``wall_s`` (spawn to exit), ``setup_s`` (spawn
-to the first call into the experiment runner or the simulator, counted
-for every invocation at the run's median), ``work_s`` (time inside
-those calls) and ``peak_rss_mb`` (largest RSS of any process, pool
-workers included). ``--trace 1`` runs the invocations once plainly and
-once more with ``--stats``, ``--trace`` and ``child.py``'s layer
-wrappers, replays one traced invocation to check that outputs and
-deterministic counters repeat, and reports the per-layer breakdown.
-The last line of standard output is the JSON result.
+to the first call into the experiment runner or the simulator; every
+invocation is started ``SETUP_REPEATS`` times, the extra starts ending
+there, and counts with its median), ``work_s`` (time inside those
+calls) and ``peak_rss_mb`` (largest RSS of any process, pool workers
+included). Times are host-calibrated: the raw sums, printed on the
+``raw`` line, times ``PROBE_REF_S`` over the run's median ``probe.py``
+reading, so that a shared host's slow and fast spells, which last
+minutes, move them less. ``--trace 1`` runs the invocations once
+plainly and once more with ``--stats``, ``--trace`` and ``child.py``'s
+layer wrappers, replays one traced invocation to check that outputs
+and deterministic counters repeat, and reports the per-layer
+breakdown. The last line of standard output is the JSON result.
 """
 
 import argparse
@@ -63,6 +64,7 @@ REFERENCES = os.path.join(ROOT, "benchmarks", "output")
 NATIVE_CACHE = os.path.join(ROOT, ".bench_build", "repro-native")
 WORK_ROOT = os.path.join(ROOT, ".bench_work")
 CHILD = os.path.join(HERE, "child.py")
+PROBE = os.path.join(HERE, "probe.py")
 
 #: Wall-clock budget of one benchmark process after the warm-up.
 RUN_BUDGET_S = 165.0
@@ -85,18 +87,20 @@ FIG7_EXACT = {
     "constants": {"b_cap": 9600, "effort": "exact", "reps": 1,
                   "configs": [[31, 5, 3, [3, 4, 5]], [71, 5, 2, [2, 3, 4]]]},
 }
-FIG7_SEEDS_PER_ROUND = 3
-CERTIFY_ROUND_S = 22.0
+FIG7_SEEDS = 2
 
-LIFETIME_EVENTS = 5000
+LIFETIME_EVENTS = 6000
 LIFETIME_BASE = ["simulate", "--n", "71", "--k", "4",
                  "--rack-failure-rate", "0.005",
                  "--events", str(LIFETIME_EVENTS)]
-LIFETIME_ROUND_S = 8.5
 #: Report fields that carry wall-clock readings (excluded from replays).
 CLOCK_FIELDS = ("wall_seconds", "events_per_sec")
 
-E2E_UNITS = {"wall_s": "s", "setup_s": "s", "work_s": "s", "peak_rss_mb": "MB"}
+#: Cold starts per invocation: the full run plus set-up-only repeats.
+SETUP_REPEATS = 2
+#: ``probe.py`` time at which calibrated seconds equal raw seconds:
+#: about its median on the 2-vCPU Xeon host the bounds were set on.
+PROBE_REF_S = 0.01
 
 
 @dataclass
@@ -140,9 +144,13 @@ def _blocks(text):
     return [b for b in re.split(r"\n\s*\n", text.strip("\n")) if b.strip()]
 
 
+#: The x axis of an ascii plot; references hold plots ``repro run`` omits.
+PLOT_AXIS = re.compile(r"^\s*\+-{8,}\s*$", re.MULTILINE)
+
+
 def check_figure(figure):
-    """Every table the run prints must appear, in order, in the checked-in
-    reference (references also hold ascii plots ``repro run`` omits)."""
+    """The run must print exactly the table blocks of the checked-in
+    reference, whole and in order (its ascii-plot blocks excepted)."""
     def check(outcome):
         reference_path = os.path.join(REFERENCES, f"{figure}.txt")
         try:
@@ -150,15 +158,14 @@ def check_figure(figure):
                 reference = handle.read()
         except OSError as exc:
             return f"no reference: {exc}"
-        blocks = _blocks(outcome.read("stdout").decode("utf-8"))
-        if not blocks:
-            return "empty output"
-        position = 0
-        for block in blocks:
-            found = reference.find(block, position)
-            if found < 0:
-                return f"output differs from {reference_path}"
-            position = found + len(block)
+        expected = [b for b in _blocks(reference) if not PLOT_AXIS.search(b)]
+        printed = _blocks(outcome.read("stdout").decode("utf-8"))
+        for index, (got, want) in enumerate(zip(printed, expected)):
+            if got != want:
+                return f"table {index + 1} differs from {reference_path}"
+        if len(printed) != len(expected):
+            return (f"{len(printed)} tables printed, {reference_path} "
+                    f"has {len(expected)}")
         return None
     return check
 
@@ -229,7 +236,7 @@ def stdout_output(outcome):
 # ------------------------------------------------------------- workloads
 
 
-def catalog(seed, seconds, figures):
+def catalog(seed, figures):
     order = list(figures)
     random.Random(f"catalog:{seed}").shuffle(order)
     return [
@@ -239,47 +246,40 @@ def catalog(seed, seconds, figures):
     ]
 
 
-def certify(seed, seconds, figures):
+def certify(seed, figures):
     rng = random.Random(f"certify:{seed}")
-    rounds = max(1, round(seconds / CERTIFY_ROUND_S))
-    invocations = []
-    for round_index in range(rounds):
-        specs = []
-        for s in FIG2_EXACT["axes"]["s"]:
-            spec = json.loads(json.dumps(FIG2_EXACT))
-            spec["axes"]["s"] = [s]
-            specs.append((f"fig2-exact-s{s}", spec))
-        for part in range(FIG7_SEEDS_PER_ROUND):
-            spec = json.loads(json.dumps(FIG7_EXACT))
-            spec["constants"]["seed"] = rng.randrange(1, 2 ** 31)
-            specs.append((f"fig7-exact-{part}", spec))
-        for name, spec in specs:
-            invocations.append(Invocation(
-                f"{name}.{round_index}",
-                ["run", "spec.json", "--workers", "2", "--store", "store"],
-                check_certified, store_output,
-                files={"spec.json": json.dumps(spec)}, exact=True,
-            ))
-    return invocations
+    specs = []
+    for s in FIG2_EXACT["axes"]["s"]:
+        spec = json.loads(json.dumps(FIG2_EXACT))
+        spec["axes"]["s"] = [s]
+        specs.append((f"fig2-exact-s{s}", spec))
+    for part in range(FIG7_SEEDS):
+        spec = json.loads(json.dumps(FIG7_EXACT))
+        spec["constants"]["seed"] = rng.randrange(1, 2 ** 31)
+        specs.append((f"fig7-exact-{part}", spec))
+    return [
+        Invocation(name, ["run", "spec.json", "--workers", "2", "--store", "store"],
+                   check_certified, store_output,
+                   files={"spec.json": json.dumps(spec)}, exact=True)
+        for name, spec in specs
+    ]
 
 
-def lifetime(seed, seconds, figures):
+def lifetime(seed, figures):
     rng = random.Random(f"lifetime:{seed}")
-    rounds = max(1, round(seconds / LIFETIME_ROUND_S))
-    invocations = []
-    for round_index in range(rounds):
-        for period in ("4", "16"):
-            for repair in ("lazy", "eager", "none"):
-                invocations.append(Invocation(
-                    f"sim-{repair}-p{period}.{round_index}",
-                    LIFETIME_BASE + [
-                        "--repair", repair, "--strike-period", period,
-                        "--seed", str(rng.randrange(1, 2 ** 31)),
-                        "--json", "report.json",
-                    ],
-                    check_lifetime(LIFETIME_EVENTS), lifetime_output,
-                ))
-    return invocations
+    return [
+        Invocation(
+            f"sim-{repair}-p{period}",
+            LIFETIME_BASE + [
+                "--repair", repair, "--strike-period", period,
+                "--seed", str(rng.randrange(1, 2 ** 31)),
+                "--json", "report.json",
+            ],
+            check_lifetime(LIFETIME_EVENTS), lifetime_output,
+        )
+        for period in ("4", "16")
+        for repair in ("lazy", "eager", "none")
+    ]
 
 
 WORKLOADS = {"catalog": catalog, "certify": certify, "lifetime": lifetime}
@@ -288,16 +288,22 @@ WORKLOADS = {"catalog": catalog, "certify": certify, "lifetime": lifetime}
 # ------------------------------------------------------------- processes
 
 
-def host_probe():
-    """Fastest of five runs of a fixed pure-Python loop (host drift gauge)."""
-    best = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        total = 0
-        for i in range(100_000):
-            total += i * i
-        best = min(best, time.perf_counter() - start)
-    return best
+class HostProbe:
+    """Readings of ``probe.py`` (host speed), served by one process."""
+
+    def __init__(self):
+        self.proc = subprocess.Popen([sys.executable, "-S", PROBE],
+                                     stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+
+    def __call__(self):
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def _become_subreaper():
@@ -316,11 +322,11 @@ def _kill_group(pgid):
         pass
 
 
-def _reap_orphans(deadline_s=10.0):
+def _reap_orphans(pgid, deadline_s=10.0):
     end = time.monotonic() + deadline_s
     while time.monotonic() < end:
         try:
-            pid, _ = os.waitpid(-1, os.WNOHANG)
+            pid, _ = os.waitpid(-pgid, os.WNOHANG)
         except ChildProcessError:
             return
         if pid == 0:
@@ -340,16 +346,17 @@ def child_env():
 
 
 class Harness:
-    def __init__(self, workdir, deadline):
+    def __init__(self, workdir, deadline, probe):
         self.workdir = workdir
         self.deadline = deadline
+        self.probe = probe
         self.env = child_env()
         self.count = 0
 
     def launch(self, invocation, child_options=(), extra_args=(),
-               timeout=None, directory=None):
+               timeout=None, directory=None, setup_only=False):
         """Run one cold child process; returns its Outcome (never raises
-        for a failing child)."""
+        for a failing child). ``setup_only`` ends it at the work entry."""
         self.count += 1
         directory = directory or os.path.join(
             self.workdir, f"{self.count:03d}-{invocation.name}")
@@ -361,6 +368,8 @@ class Harness:
         options = list(child_options)
         if invocation.exact:
             options.append("--require-exact")
+        if setup_only:
+            options.append("--setup-only")
         command = [sys.executable, CHILD, outcome.path("record.json"), *options,
                    "--", *invocation.args, *extra_args]
         if timeout is None:
@@ -368,7 +377,7 @@ class Harness:
         if timeout <= 0:
             outcome.error = "run budget exhausted"
             return outcome
-        outcome.probe = host_probe()
+        outcome.probe = self.probe()
         with open(outcome.path("stdout"), "wb") as out, \
                 open(outcome.path("stderr"), "wb") as err:
             start = time.monotonic()
@@ -384,7 +393,7 @@ class Harness:
                 # Also on the way out of an interrupted run: no process
                 # of the group may outlive the harness.
                 _kill_group(proc.pid)
-                _reap_orphans()
+                _reap_orphans(proc.pid)
             end = time.monotonic()
         proc.returncode = outcome.rc = os.waitstatus_to_exitcode(status)
         outcome.wall = end - start
@@ -404,7 +413,7 @@ class Harness:
                              + (" (timed out)" if end - start >= timeout else ""))
         elif outcome.setup is None and invocation.args:
             outcome.error = "the work entry point was never called"
-        else:
+        elif not setup_only:
             outcome.error = invocation.check(outcome)
         return outcome
 
@@ -446,16 +455,20 @@ def code_identity():
 # -------------------------------------------------------------- metrics
 
 
-def e2e_metrics(outcomes):
-    """Sums over the invocations; set-up counts every cold start at the
-    run's median cold start, so one slow start cannot swing it."""
-    setups = [o.setup for o in outcomes if o.setup is not None]
-    return {
+def e2e_metrics(outcomes, setups, probes):
+    """Sums over the invocations, in host-calibrated seconds (see
+    ``probe.py``); ``setups`` holds every cold start's set-up per
+    invocation and each invocation counts with its median. Returns the
+    metrics and the uncalibrated sums."""
+    raw = {
         "wall_s": sum(o.wall for o in outcomes),
-        "setup_s": len(outcomes) * statistics.median(setups) if setups else 0.0,
+        "setup_s": sum(statistics.median(s) for s in setups if s),
         "work_s": sum(o.work for o in outcomes),
-        "peak_rss_mb": max((o.rss_mb for o in outcomes), default=0.0),
     }
+    scale = PROBE_REF_S / statistics.median(probes)
+    metrics = {name: (value * scale, "s") for name, value in raw.items()}
+    metrics["peak_rss_mb"] = (max(o.rss_mb for o in outcomes), "MB")
+    return metrics, raw
 
 
 def _load_tables(outcome):
@@ -473,6 +486,10 @@ OUTPUT_NAMES = {
     "batch.engine_build": ("batch.engine_builds", "batch.engine_build.self_share"),
     "native.load": ("native.load.calls", None),
 }
+
+
+#: Layers whose self time is not attributed to a named layer.
+UNATTRIBUTED = ("runner.wait", "runner.shard", "runner.run")
 
 
 def layer_metrics(traced, untraced):
@@ -507,8 +524,10 @@ def layer_metrics(traced, untraced):
         for name, value in outcome.record.get("counters", {}).items():
             counters[name] += value
     busy += worker_busy
+    # Waiting is not busy time, and the self time of a shard or of the
+    # runner is whatever no finer layer caught: both stay in other_s.
     named = imports + sum(row[1] for name, row in total.items()
-                          if name != "runner.wait")
+                          if name not in UNATTRIBUTED)
     # Self times are reported as shares of busy_s: a layer that a workload
     # never enters would otherwise read exactly 0 s on every run.
     metrics = {}
@@ -569,13 +588,31 @@ def run_pass(harness, invocations, traced=False):
             options, extra = ["--layers", directory], _traced_args(directory)
         outcome = harness.launch(invocation, options, extra, directory=directory)
         outcomes.append(outcome)
-        setup = f"{outcome.setup:8.3f}" if outcome.setup is not None else "       -"
-        print(f"{label:6s} {invocation.name:22s} wall {outcome.wall:8.3f} s  "
-              f"setup {setup} s  work {outcome.work:8.3f} s  "
-              f"rss {outcome.rss_mb:7.1f} MB  probe {outcome.probe * 1e3:6.2f} ms  "
-              f"{'ok' if outcome.error is None else 'FAIL: ' + outcome.error}",
-              flush=True)
+        _log(label, outcome)
     return outcomes
+
+
+def _log(label, outcome):
+    setup = f"{outcome.setup:8.3f}" if outcome.setup is not None else "       -"
+    print(f"{label:6s} {outcome.invocation.name:22s} wall {outcome.wall:8.3f} s  "
+          f"setup {setup} s  work {outcome.work:8.3f} s  "
+          f"rss {outcome.rss_mb:7.1f} MB  probe {outcome.probe * 1e3:6.2f} ms  "
+          f"{'ok' if outcome.error is None else 'FAIL: ' + outcome.error}",
+          flush=True)
+
+
+def run_setup_repeats(harness, invocations):
+    """SETUP_REPEATS - 1 more passes of set-up-only cold starts, so each
+    invocation's set-up is a median of readings spread over the run."""
+    passes = []
+    for _ in range(SETUP_REPEATS - 1):
+        outcomes = []
+        for invocation in invocations:
+            outcome = harness.launch(invocation, setup_only=True)
+            outcomes.append(outcome)
+            _log("setup", outcome)
+        passes.append(outcomes)
+    return passes
 
 
 def traced_checks(harness, untraced, traced):
@@ -637,28 +674,37 @@ def main(argv=None):
     _become_subreaper()
     # A terminated harness unwinds through ``finally``, killing its child.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    probe = HostProbe()
     try:
-        harness = Harness(workdir, deadline=float("inf"))
+        harness = Harness(workdir, float("inf"), probe)
         fingerprint = warm_up(harness)
         fingerprint.update(code_identity())
         figures = fingerprint.pop("figures")
         print("fingerprint " + json.dumps(fingerprint, sort_keys=True), flush=True)
         harness.deadline = time.monotonic() + RUN_BUDGET_S
-        invocations = WORKLOADS[args.workload](args.seed, args.seconds, figures)
+        invocations = WORKLOADS[args.workload](args.seed, figures)
         untraced = run_pass(harness, invocations)
-        failed = sum(o.error is not None for o in untraced)
-        attempted = len(untraced)
+        broken = [o.error is not None for o in untraced]
+        probes = [o.probe for o in untraced]
+        problems = []
         if args.trace == 0:
-            metrics = {name: (value, E2E_UNITS[name])
-                       for name, value in e2e_metrics(untraced).items()}
-            problems = []
+            setups = [[o.setup] if o.error is None else [] for o in untraced]
+            for repeat in run_setup_repeats(harness, invocations):
+                for index, outcome in enumerate(repeat):
+                    probes.append(outcome.probe)
+                    if outcome.error is None:
+                        setups[index].append(outcome.setup)
+                    else:
+                        broken[index] = True
+            metrics, raw = e2e_metrics(untraced, setups, probes)
+            print("raw " + json.dumps(raw), flush=True)
         else:
             traced = run_pass(harness, invocations, traced=True)
-            attempted += len(traced)
-            failed += sum(o.error is not None for o in traced)
+            broken = [b or o.error is not None for b, o in zip(broken, traced)]
             problems = traced_checks(harness, untraced, traced)
             metrics = layer_metrics(traced, untraced)
-        probes = [o.probe for o in untraced]
+        attempted = len(invocations)
+        failed = sum(broken)
         print("host.probe_s " + json.dumps({
             "min": min(probes), "median": statistics.median(probes),
             "max": max(probes)}), flush=True)
@@ -674,6 +720,7 @@ def main(argv=None):
         print(json.dumps(result))
         return 0
     finally:
+        probe.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
 
