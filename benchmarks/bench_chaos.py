@@ -3,8 +3,8 @@
 Two claims from the fault-hardening work, measured and gated:
 
 * **overhead** — with injection disabled (no ``REPRO_CHAOS``), the
-  supervised sharded runner (process-per-shard, result queue, watchdog
-  and liveness sweeps) must cost at most 5% wall-clock over the plain
+  supervised sharded runner (persistent affinity pool, result queue,
+  watchdog and liveness sweeps) must cost at most 5% wall-clock over the plain
   ``Pool.map`` dispatch it replaced.  Both sides run the identical
   shard payloads; ``_run_group_task`` is kept in the runner exactly as
   this baseline.  Min-of-N alternating reps, dispatch phase only (spec
@@ -46,7 +46,7 @@ from repro.exp.registry import kernel as experiment_kernel
 from repro.exp.runner import (
     _contiguous_groups,
     _run_group_task,
-    _run_sharded,
+    _run_sharded_pool,
 )
 from repro.faults.soak import SoakError, soak
 
@@ -95,7 +95,9 @@ def supervised_dispatch(spec, workers):
 
     clear_attack_caches()
     begin = time.perf_counter()
-    retries = _run_sharded(spec, definition, cells, groups, workers, flush)
+    retries = _run_sharded_pool(
+        spec, definition, cells, groups, workers, flush
+    )
     elapsed = time.perf_counter() - begin
     if retries != 0:
         raise AssertionError(

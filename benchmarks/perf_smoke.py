@@ -19,6 +19,8 @@ A guard, not a benchmark:
   silently degraded into serialization-plus-copying. On multi-core
   runners the sharded run must beat a modest ceiling below serial-plus-
   overhead; single-core runners only gate the overhead bound.
+* **affinity-pool identity** — the fig2 shards through the persistent
+  affinity pool must equal the same shards run serially, bit for bit.
 
 The real perf records (paper scale / million-object scale) live in
 ``bench_kernels.py`` / ``BENCH_2.json`` and ``bench_placement.py`` /
@@ -248,33 +250,23 @@ def exp_shard_gate(report: dict) -> int:
     return 0
 
 
-#: Affinity-pool gate: the persistent pool replaces fork-per-shard, so a
-#: modest fixed allowance (worker spawns happen once) plus a ratio the
-#: pool must stay under relative to the fork baseline on hosts where the
-#: two mechanisms genuinely differ (>= 2 cores). Single-core runners only
-#: check bit-identity — there the comparison measures scheduler noise.
-POOL_OVERHEAD_SECONDS = 0.75
-POOL_MULTI_CORE_RATIO = 1.10
-
-
 def affinity_pool_gate(report: dict) -> int:
-    import os
+    """fig2 shards through the affinity pool must equal the serial loop.
 
+    Bit-identity only: the pool is the sole sharded dispatcher, and its
+    wall time against serial is already gated by ``exp_shard_gate``.
+    """
     from repro.analysis import fig2
     from repro.core.batch import clear_attack_caches
     from repro.exp.registry import kernel as experiment_kernel
-    from repro.exp.runner import (
-        _contiguous_groups,
-        _run_sharded_forked,
-        _run_sharded_pool,
-    )
+    from repro.exp.runner import _contiguous_groups, _run_sharded_pool
 
     spec = fig2.default_spec(b_values=(600, 1200), s_values=(2, 3), k_max=4)
     definition = experiment_kernel(spec.experiment)
     cells = [dict(cell) for cell in definition.expand(spec)]
     groups = _contiguous_groups(spec, definition, cells)
 
-    def dispatch(run):
+    def collect(run):
         metrics = [None] * len(cells)
 
         def flush(group, chunk):
@@ -282,40 +274,31 @@ def affinity_pool_gate(report: dict) -> int:
                 metrics[group.start + offset] = entry
 
         clear_attack_caches()
-        start = time.perf_counter()
-        run(spec, definition, cells, groups, 2, flush)
-        return time.perf_counter() - start, json.loads(json.dumps(metrics))
+        run(flush)
+        return json.loads(json.dumps(metrics))
 
-    fork_seconds, fork_metrics = dispatch(_run_sharded_forked)
-    pool_seconds, pool_metrics = dispatch(_run_sharded_pool)
-    cores = os.cpu_count() or 1
-    gated = cores >= 2
-    budget = (
-        fork_seconds * POOL_MULTI_CORE_RATIO + POOL_OVERHEAD_SECONDS
-        if gated else None
+    def serial(flush):
+        for group in groups:
+            flush(group, definition.run_group(
+                spec, cells[group.start:group.end]
+            ))
+
+    serial_metrics = collect(serial)
+    pool_metrics = collect(
+        lambda flush: _run_sharded_pool(
+            spec, definition, cells, groups, 2, flush
+        )
     )
+    identical = serial_metrics == pool_metrics
     report["affinity_pool"] = {
         "experiment": spec.experiment,
         "cells": len(cells),
         "shards": len(groups),
-        "cpu_count": cores,
-        "fork_seconds": round(fork_seconds, 4),
-        "pool_seconds": round(pool_seconds, 4),
-        "budget_seconds": round(budget, 4) if gated else None,
-        "wall_clock_gated": gated,
-        "bit_identical": fork_metrics == pool_metrics,
+        "bit_identical": identical,
     }
-    if fork_metrics != pool_metrics:
+    if not identical:
         print(
-            "FAIL: affinity pool results diverged from the fork baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if gated and pool_seconds > budget:
-        print(
-            f"FAIL: affinity pool took {pool_seconds:.3f}s vs "
-            f"{fork_seconds:.3f}s fork baseline (budget {budget:.3f}s, "
-            f"{cores} cores)",
+            "FAIL: affinity pool results diverged from the serial run",
             file=sys.stderr,
         )
         return 1

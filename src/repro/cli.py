@@ -107,16 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stop after computing about this many new cells "
                      "(at the next shard boundary), leaving a resumable "
                      "partial run")
-    run.add_argument("--threads", type=int, default=None,
-                     help="native-kernel thread budget for this run, split "
-                     "across --workers processes (default: "
-                     "$REPRO_NATIVE_THREADS/cpu count; results are "
-                     "identical for every value)")
-    run.add_argument("--lanes", type=int, default=None,
-                     help="polish-chain lane budget for this run, split "
-                     "across --workers processes (default: "
-                     "$REPRO_ATTACK_LANES/auto = the thread budget; "
-                     "results are identical for every value)")
     run.add_argument("--chaos", type=str, default=None, metavar="PLAN",
                      help="fault-injection plan: a plan JSON file, inline "
                      "JSON, or prob:<p>[:<seed>] shorthand (exported as "
@@ -186,14 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--no-cache", action="store_true",
                         help="always search, skipping the warm attack-result "
                         "memo (default: $REPRO_ATTACK_CACHE/on)")
-    attack.add_argument("--threads", type=int, default=None,
-                        help="native-kernel thread budget (default: "
-                        "$REPRO_NATIVE_THREADS/cpu count; results are "
-                        "identical for every value)")
-    attack.add_argument("--lanes", type=int, default=None,
-                        help="polish-chain lane count for restart chains "
-                        "(default: $REPRO_ATTACK_LANES/auto = the thread "
-                        "budget; results are identical for every value)")
     attack.add_argument("--mmap", action="store_true",
                         help="memory-map .npz placement rows instead of "
                         "loading them eagerly (lazy page-in at large b)")
@@ -235,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--engine", choices=("delta", "rebuild"),
                           default="delta",
                           help="delta-aware warm engine vs per-strike rebuild")
-    simulate.add_argument("--lanes", type=int, default=None,
-                          help="polish-chain lane count for adversary "
-                          "strikes (default: $REPRO_ATTACK_LANES/auto; "
-                          "results are identical for every value)")
     simulate.add_argument("--repair", choices=("eager", "lazy", "none"),
                           default="none", help="re-replication policy")
     simulate.add_argument("--grace", type=float, default=4.0,
@@ -463,7 +441,7 @@ def _run_simulate(args) -> int:
         repair_time=args.repair_time, strike_period=args.strike_period,
         measure_period=args.measure_period, effort=args.effort,
         backend=backend, engine_mode=args.engine, repair=args.repair,
-        repair_grace=args.grace, lanes=args.lanes,
+        repair_grace=args.grace,
     )
     simulator = LifetimeSimulator(config)
     report = simulator.run()
@@ -586,8 +564,6 @@ def _run_exp(args) -> int:
             store=store,
             resume=args.resume,
             limit=args.limit,
-            threads=args.threads,
-            lanes=args.lanes,
             shard_timeout=args.shard_timeout,
             shard_retries=args.shard_retries,
             engine_state=engine_state,
@@ -724,19 +700,9 @@ def _run_place(args) -> int:
 
 
 def _run_attack(args) -> int:
-    from repro.core import native
     from repro.core.artifact import load_placement
     from repro.core.batch import AttackCell, batch_attack
 
-    if args.threads is not None:
-        if args.threads < 1:
-            print(f"--threads must be >= 1, got {args.threads}",
-                  file=sys.stderr)
-            return 2
-        native.configure_threads(args.threads)
-    if args.lanes is not None and args.lanes < 1:
-        print(f"--lanes must be >= 1, got {args.lanes}", file=sys.stderr)
-        return 2
     mark = _arm_obs(args)
     placement = None
     if args.engine_state:
@@ -774,7 +740,7 @@ def _run_attack(args) -> int:
     cells = [AttackCell(k, args.s, args.effort) for k in args.k]
     results = batch_attack(
         placement, cells, backend=args.kernel, workers=args.workers,
-        cache=False if args.no_cache else None, lanes=args.lanes,
+        cache=False if args.no_cache else None,
     )
     print(f"placement: {placement}")
     for cell, result in zip(cells, results):

@@ -96,7 +96,6 @@ class WorstCaseInjector:
         seed: int = 0,
         cache: Optional[bool] = None,
         engine: Optional[AttackEngine] = None,
-        lanes: Optional[int] = None,
     ) -> None:
         self.effort = effort
         self.rng = rng
@@ -104,7 +103,6 @@ class WorstCaseInjector:
         self.seed = seed
         self.cache = cache
         self.engine = engine
-        self.lanes = lanes
         self.last_result = None
 
     def select(
@@ -123,7 +121,6 @@ class WorstCaseInjector:
             rng=self.rng,
             warm_start=warm_start,
             cache=self.cache,
-            lanes=self.lanes,
         )
         self.last_result = attack
         return sorted(attack.nodes)

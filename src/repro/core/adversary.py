@@ -57,67 +57,14 @@ semantics; the engines here always search when called directly.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core import native as _native
 from repro.core.kernels import DamageKernel, make_kernel
 from repro.core.placement import Placement
 from repro.util.combinatorics import binom
-
-# ------------------------- polish-lane budget -------------------------
-#
-# How many local-search polish chains may run concurrently on replicated
-# gain-state lanes (see DamageKernel.polish_chains). Resolution order:
-# explicit lanes= argument > configure_lanes() pin > REPRO_ATTACK_LANES >
-# "auto". Auto shares the native thread budget: the coarse lanes and the
-# fine-grained kernel sweeps draw from the same REPRO_NATIVE_THREADS pool,
-# so a host never ends up oversubscribed by default. Lanes are a pure
-# performance knob — results are bit-identical at any setting — which is
-# why they never join the attack memo key.
-
-_configured_lanes: Optional[int] = None
-
-
-def configure_lanes(count: Optional[int]) -> None:
-    """Pin the polish-lane budget (None restores the env/auto default).
-
-    Used by the sharded runners to split an explicit lane budget across
-    worker processes, mirroring ``native.configure_threads``.
-    """
-    global _configured_lanes
-    if count is not None and int(count) < 1:
-        raise ValueError(f"lanes must be >= 1, got {count}")
-    _configured_lanes = None if count is None else int(count)
-
-
-def configured_lanes() -> Optional[int]:
-    """The explicit configure_lanes() pin, if any (None = env default)."""
-    return _configured_lanes
-
-
-def attack_lanes(requested: Optional[int] = None) -> int:
-    """Resolve the lane budget: argument > pin > env > thread budget."""
-    if requested is not None:
-        if int(requested) < 1:
-            raise ValueError(f"lanes must be >= 1, got {requested}")
-        return int(requested)
-    if _configured_lanes is not None:
-        return _configured_lanes
-    env = os.environ.get("REPRO_ATTACK_LANES", "auto") or "auto"
-    if env == "auto":
-        return _native.thread_count()
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ATTACK_LANES must be 'auto' or an integer >= 1, "
-            f"got {env!r}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class AttackResult:
@@ -254,15 +201,15 @@ class LocalSearchAdversary:
     default generator made results call-order dependent). Passing ``rng``
     instead opts back into caller-managed generator state.
 
-    Parallelism: the polish chains (greedy, warm-start, every restart)
-    are independent, so they are submitted as one batch to the kernel's
-    replicated-state lanes (``polish_chains``), budgeted by ``lanes`` /
-    :func:`attack_lanes`. All restart seeds are pre-drawn in the exact
-    order the historical serial loop drew them — the chains consume no
+    The polish chains (greedy, warm-start, every restart) are
+    independent, so they are submitted as one batch to the kernel's
+    ``polish_chains`` (one foreign call on the native backing). All
+    restart seeds are pre-drawn in the exact order the historical
+    draw-inside-the-loop search drew them — the chains consume no
     randomness — so a caller-managed ``rng`` finishes in the same state,
     and merging chain results in submission order with the same
-    strict-``>`` rule makes certificates (nodes, damage, evaluations)
-    bit-identical to the serial path at any lane count.
+    strict-``>`` rule keeps certificates (nodes, damage, evaluations)
+    identical to that loop.
     """
 
     def __init__(
@@ -270,16 +217,12 @@ class LocalSearchAdversary:
         restarts: int = 4,
         rng: Optional[random.Random] = None,
         seed: int = 0,
-        lanes: Optional[int] = None,
     ) -> None:
         if restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {restarts}")
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.restarts = restarts
         self.rng = rng
         self.seed = seed
-        self.lanes = lanes
 
     def attack(
         self,
@@ -291,7 +234,6 @@ class LocalSearchAdversary:
     ) -> AttackResult:
         model = _bind_kernel(placement, s, kernel)
         rng = self.rng if self.rng is not None else random.Random(self.seed)
-        lanes = attack_lanes(self.lanes)
         evaluations = 0
         counting = obs.metrics_enabled()
         # Semantic move counts, accumulated locally and flushed once at the
@@ -334,13 +276,13 @@ class LocalSearchAdversary:
         # Pre-draw every restart seed. The chains consume no randomness,
         # so the draw sequence — and a caller-managed generator's final
         # state — is identical to the historical draw-inside-the-loop
-        # order, while freeing the chains to run on parallel lanes.
+        # order, while the whole schedule goes down in one batch.
         seeds.extend(rng.sample(range(model.n), k) for _ in range(self.restarts))
-        with obs.span("engine.restart_chain", chains=len(seeds), lanes=lanes):
-            chains = model.polish_chains(seeds, lanes=lanes)
+        with obs.span("engine.restart_chain", chains=len(seeds)):
+            chains = model.polish_chains(seeds)
         # Each chain reports the sweeps it ran; one sweep removes and
         # re-adds every position, examining n - (k - 1) candidates per
-        # position, identically on every backing and lane count.
+        # position, identically on every backing.
         pass_cost = k * (model.n - (k - 1))
         best_nodes: Tuple[int, ...] = ()
         best_damage = -1
@@ -385,11 +327,9 @@ class BranchAndBoundAdversary:
         self,
         max_nodes: Optional[int] = 50_000_000,
         restarts: int = 2,
-        lanes: Optional[int] = None,
     ) -> None:
         self.max_nodes = max_nodes
         self.restarts = restarts
-        self.lanes = lanes  # forwarded to the local-search incumbent
 
     def attack(
         self,
@@ -401,9 +341,9 @@ class BranchAndBoundAdversary:
     ) -> AttackResult:
         model = _bind_kernel(placement, s, kernel)
         n = model.n
-        incumbent = LocalSearchAdversary(
-            restarts=self.restarts, lanes=self.lanes
-        ).attack(placement, k, s, kernel=model, warm_start=warm_start)
+        incumbent = LocalSearchAdversary(restarts=self.restarts).attack(
+            placement, k, s, kernel=model, warm_start=warm_start
+        )
         best_damage = incumbent.damage
         best_nodes = incumbent.nodes
         evaluations = incumbent.evaluations
@@ -465,7 +405,6 @@ def best_attack(
     rng: Optional[random.Random] = None,
     kernel: Optional[DamageKernel] = None,
     warm_start: Optional[Sequence[int]] = None,
-    lanes: Optional[int] = None,
 ) -> AttackResult:
     """Convenience dispatcher over the adversary ladder.
 
@@ -478,26 +417,23 @@ def best_attack(
     ``kernel`` reuses a prebuilt damage kernel (incidence sharing across a
     grid of attacks); ``warm_start`` seeds the heuristic search with a
     known-good failure set, e.g. the result of the (k-1)-attack.
-    ``lanes`` bounds how many polish chains run concurrently (default:
-    :func:`attack_lanes` resolution) — a pure performance knob, results
-    are bit-identical at any value.
     """
     if effort == "fast":
-        result = LocalSearchAdversary(restarts=4, rng=rng, lanes=lanes).attack(
+        result = LocalSearchAdversary(restarts=4, rng=rng).attack(
             placement, k, s, kernel=kernel, warm_start=warm_start
         )
     elif effort == "exact":
-        result = BranchAndBoundAdversary(max_nodes=None, lanes=lanes).attack(
+        result = BranchAndBoundAdversary(max_nodes=None).attack(
             placement, k, s, kernel=kernel, warm_start=warm_start
         )
     elif effort == "auto":
         work = binom(placement.n, k) * placement.b
         if work <= 200_000_000:
-            result = BranchAndBoundAdversary(
-                max_nodes=5_000_000, lanes=lanes
-            ).attack(placement, k, s, kernel=kernel, warm_start=warm_start)
+            result = BranchAndBoundAdversary(max_nodes=5_000_000).attack(
+                placement, k, s, kernel=kernel, warm_start=warm_start
+            )
         else:
-            result = LocalSearchAdversary(restarts=8, rng=rng, lanes=lanes).attack(
+            result = LocalSearchAdversary(restarts=8, rng=rng).attack(
                 placement, k, s, kernel=kernel, warm_start=warm_start
             )
     else:

@@ -31,10 +31,11 @@ learned. This engine instead keeps a *warm, persistent pipeline*:
   generator state is not part of the key;
 * independent threshold groups optionally fan out over
   ``multiprocessing`` (``REPRO_WORKERS`` or the ``workers`` argument).
-  Worker processes keep their own engine caches, so a worker that
-  receives several payloads for one placement builds its incidence once;
-  under the ``fork`` start method they also inherit the parent's
-  already-warm engines for free.
+  Process fan-out is the only parallel layer: each worker runs its
+  groups serially with single-threaded kernels. Worker processes keep
+  their own engine caches, so a worker that receives several payloads
+  for one placement builds its incidence once; under the ``fork`` start
+  method they also inherit the parent's already-warm engines for free.
 
 Attacks are deterministic: each cell's restart randomness derives from
 ``(seed, s, k, effort)`` via :func:`repro.util.rng.derive_rng`, so the
@@ -248,18 +249,13 @@ class AttackEngine:
         rng: Optional[random.Random] = None,
         warm_start: Optional[Sequence[int]] = None,
         cache: Optional[bool] = None,
-        lanes: Optional[int] = None,
     ) -> AttackResult:
         """Run (or recall) one attack cell against the warm kernel state.
 
         With ``rng=None`` the cell's generator derives from
         ``(seed, s, k, effort)``, making the result a pure function of the
         memo key — eligible for caching. A caller-managed ``rng`` carries
-        hidden state, so those calls always search. ``lanes`` sets the
-        polish-chain lane count for this cell (default: the process lane
-        budget, see :func:`repro.core.adversary.attack_lanes`); lanes are
-        a pure scheduling knob — results are bit-identical at any lane
-        count — so they are deliberately *not* part of the memo key.
+        hidden state, so those calls always search.
         """
         _validate_cells(self.placement, (cell,))
         use_cache = (
@@ -290,7 +286,6 @@ class AttackEngine:
                 rng=cell_rng,
                 kernel=self.kernel(cell.s),
                 warm_start=warm,
-                lanes=lanes,
             )
         if use_cache:
             self.memo_put(key, result)
@@ -526,7 +521,6 @@ def _attack_group(
     backend: str,
     seed: int,
     cache: Optional[bool] = None,
-    lanes: Optional[int] = None,
     rng: Optional[random.Random] = None,
 ) -> List[Tuple[int, AttackResult]]:
     """Attack one threshold group (pre-sorted by k), chaining incumbents.
@@ -540,8 +534,7 @@ def _attack_group(
     warm: Optional[Tuple[int, ...]] = None
     for index, cell in group:
         attack = engine.attack(
-            cell, seed=seed, rng=rng, warm_start=warm, cache=cache,
-            lanes=lanes,
+            cell, seed=seed, rng=rng, warm_start=warm, cache=cache
         )
         warm = attack.nodes
         results.append((index, attack))
@@ -570,7 +563,6 @@ def batch_attack(
     seed: int = 0,
     rng: Optional[random.Random] = None,
     cache: Optional[bool] = None,
-    lanes: Optional[int] = None,
 ) -> List[AttackResult]:
     """Evaluate a grid of attack cells; results align with the input order.
 
@@ -582,17 +574,11 @@ def batch_attack(
     caller-managed generator (serial mode only; used by single-cell
     wrappers that expose an ``rng`` parameter) and disables memoization.
     ``cache`` overrides the ``REPRO_ATTACK_CACHE`` default for this call.
-    ``lanes`` pins the polish-chain lane count; an explicit budget is
-    split across the process fan-out (``max(1, lanes // processes)``)
-    exactly like the kernel thread budget, while the ``auto`` default
-    follows each worker's already-split thread budget for free.
     """
     cell_list = list(cells)
     _validate_cells(placement, cell_list)
     if not cell_list:
         return []
-    if lanes is not None and lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
     chosen_backend = resolve_backend(backend)
     groups: Dict[int, List[Tuple[int, AttackCell]]] = {}
     for index, cell in enumerate(cell_list):
@@ -605,7 +591,7 @@ def batch_attack(
 
     results: List[Optional[AttackResult]] = [None] * len(cell_list)
     payloads = _partition(
-        placement, groups, chosen_backend, seed, workers, cache, lanes
+        placement, groups, chosen_backend, seed, workers, cache
     )
     if workers > 1 and len(payloads) > 1 and rng is None:
         import multiprocessing
@@ -624,27 +610,12 @@ def batch_attack(
                 for index, attack in chunk:
                     results[index] = attack
         if pending:
-            from repro.core import native
-
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in methods else None
             )
             processes = min(workers, len(pending))
-            # Split the kernel thread budget across the fan-out so
-            # (workers x kernel threads) never oversubscribes the host.
-            # An explicit lane budget splits the same way; auto lanes
-            # follow each worker's split thread budget on their own.
-            if lanes is not None:
-                lane_budget = max(1, lanes // processes)
-                pending = [
-                    payload[:-1] + (lane_budget,) for payload in pending
-                ]
-            with context.Pool(
-                processes=processes,
-                initializer=native.configure_threads,
-                initargs=(native.worker_thread_budget(processes),),
-            ) as pool:
+            with context.Pool(processes=processes) as pool:
                 tasks = pool.map(_attack_group_task, pending)
             chunks = [chunk for chunk, _delta in tasks]
             for _chunk, delta in tasks:
@@ -655,10 +626,9 @@ def batch_attack(
             # Adopt worker results so later repeats are served locally.
             _adopt_results(engine, pending, chunks, cache)
     else:
-        for placement_, s, group, backend_, seed_, cache_, lanes_ in payloads:
+        for placement_, s, group, backend_, seed_, cache_ in payloads:
             for index, attack in _attack_group(
-                placement_, s, group, backend_, seed_, cache=cache_,
-                lanes=lanes_, rng=rng,
+                placement_, s, group, backend_, seed_, cache=cache_, rng=rng
             ):
                 results[index] = attack
     return results  # type: ignore[return-value]
@@ -673,7 +643,7 @@ def _memoized_group(engine: AttackEngine, payload) -> Optional[
     chain's later keys depend on the missing result, so partial service
     is impossible).
     """
-    _placement, _s, group, _backend, seed, cache, _lanes = payload
+    _placement, _s, group, _backend, seed, cache = payload
     if not (attack_cache_default() if cache is None else cache):
         return None
     results: List[Tuple[int, AttackResult]] = []
@@ -694,7 +664,7 @@ def _adopt_results(engine: AttackEngine, payloads, chunks, cache) -> None:
     if not (attack_cache_default() if cache is None else cache):
         return
     for payload, chunk in zip(payloads, chunks):
-        _placement, _s, group, _backend, seed, _cache, _lanes = payload
+        _placement, _s, group, _backend, seed, _cache = payload
         warm: Optional[Tuple[int, ...]] = None
         for (index, cell), (_index, attack) in zip(group, chunk):
             engine.memo_put((cell.k, cell.s, cell.effort, seed, warm), attack)
@@ -708,11 +678,10 @@ def _partition(
     seed: int,
     workers: int,
     cache: Optional[bool] = None,
-    lanes: Optional[int] = None,
 ) -> List[
     Tuple[
         Placement, int, List[Tuple[int, AttackCell]], str, int,
-        Optional[bool], Optional[int],
+        Optional[bool],
     ]
 ]:
     """Split threshold groups into worker payloads.
@@ -734,7 +703,7 @@ def _partition(
         for offset in range(0, len(group), size):
             payloads.append((
                 placement, s, group[offset:offset + size], backend, seed,
-                cache, lanes,
+                cache,
             ))
     return payloads
 
@@ -747,12 +716,10 @@ def attack_grid(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
-    lanes: Optional[int] = None,
 ) -> Dict[Tuple[int, int], AttackResult]:
     """Full-cartesian convenience wrapper: ``{(k, s): AttackResult}``."""
     cells = [AttackCell(k, s, effort) for s in s_values for k in k_values]
     results = batch_attack(
-        placement, cells, backend=backend, workers=workers, seed=seed,
-        lanes=lanes,
+        placement, cells, backend=backend, workers=workers, seed=seed
     )
     return {(cell.k, cell.s): attack for cell, attack in zip(cells, results)}

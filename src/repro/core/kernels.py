@@ -13,11 +13,11 @@ four interchangeable backends:
   ``v``), so ``add_node``/``remove_node`` touch only the ~``r * b / n``
   objects incident to the changed node instead of rescanning all
   ``n * b`` pairs, ``best_addition`` is an O(n) argmax over the table,
-  and ``damage_of`` is O(1). Four backings share one contract:
+  and ``damage_of`` is O(1). Three backings share one contract:
   ``native`` (C hot loops compiled at first use, see
   :mod:`repro.core.native`), ``numpy`` (scatter updates + a vectorized
-  ``M @ (counts == s - 1)`` bulk rebuild), ``bitset`` (bulk rebuilds via
-  level bitmasks), and ``python`` (the dependency-free reference).
+  ``M @ (counts == s - 1)`` bulk rebuild), and ``python`` (the
+  dependency-free reference).
   Selected via ``REPRO_GAIN_BACKING`` or the ``gain_backing`` argument.
 * :class:`BitsetKernel` — node-major Python ints as object bitmasks with
   popcount via ``int.bit_count()``. ``levels[i]`` holds the bitmask of
@@ -73,7 +73,7 @@ DEFAULT_BACKEND = "gain"
 #: Recognized gain-engine backings, fastest-first: the degradation
 #: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
 #: the failing rung for the rest of the process (see demote_backing).
-GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "bitset", "python")
+GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "python")
 
 #: Version of the packed gain-state wire format (little-endian int32
 #: ``counts[b] | gain[n] | dead``). Bumped when the layout changes;
@@ -176,8 +176,8 @@ def resolve_backend(requested: Optional[str] = None) -> str:
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
     """The concrete gain-engine backing: argument > ``REPRO_GAIN_BACKING``.
 
-    ``auto`` walks the degradation ladder native -> numpy -> bitset ->
-    python, skipping unavailable and fault-demoted rungs; an *explicit*
+    ``auto`` walks the degradation ladder native -> numpy -> python,
+    skipping unavailable and fault-demoted rungs; an *explicit*
     request for an unavailable (or demoted) backing raises instead of
     degrading, so a pinned configuration never silently measures the
     wrong thing.
@@ -805,8 +805,8 @@ class DamageKernel:
         final non-improving one — the evaluation charge the driver
         reconstructs) and ``swaps`` the positions whose occupant
         changed. A chain is a pure function of (kernel state, seed), so
-        chains commute: running them in any order, or on parallel
-        lanes, yields identical per-chain results.
+        chains commute: running them in any order yields identical
+        per-chain results.
         """
         nodes = list(seed_nodes)
         hits = self.hits_for(nodes)
@@ -822,15 +822,12 @@ class DamageKernel:
         return nodes, current, passes, swaps
 
     def polish_chains(
-        self, seeds: Sequence[Sequence[int]], lanes: int = 1
+        self, seeds: Sequence[Sequence[int]]
     ) -> List[Tuple[List[int], int, int, int]]:
         """Run one :meth:`polish_chain` per seed; results in seed order.
 
-        ``lanes`` is the concurrency budget. The generic implementation
-        runs the chains sequentially whatever the budget (chains commute,
-        so this is bit-identical); the native gain backing overrides it
-        to fan chains out across replicated-state lanes on the worker
-        pool in a single foreign call.
+        The native gain backing overrides this to run the whole batch in
+        a single foreign call.
         """
         return [self.polish_chain(seed) for seed in seeds]
 
@@ -1073,7 +1070,7 @@ class GainKernel(DamageKernel):
     def __init__(self, incidence: Incidence, s: int) -> None:
         super().__init__(incidence, s)
         # The per-object/per-node Python structures are bound lazily: the
-        # python and bitset backings walk them on every move, but the
+        # python backing walks them on every move, but the
         # native and numpy backings never touch them (they consume the
         # packed CSR / index arrays), and forcing the tuple views would
         # cost O(b r) object allocation at engine-build time.
@@ -1097,7 +1094,7 @@ class GainKernel(DamageKernel):
         return self._object_nodes
 
     def rebind(self) -> bool:
-        # Pure-python and bitset backings read the delta incidence's live
+        # The pure-python backing reads the delta incidence's live
         # list structures; absorbing a delta is an O(1) shape refresh.
         self._refresh_shape()
         self._node_objects = None
@@ -1246,36 +1243,6 @@ class GainKernel(DamageKernel):
             if exact < bound:
                 bound = exact
         return bound
-
-
-class _BitsetGainKernel(GainKernel):
-    """Gain engine with bitset bulk rebuilds (dependency-free).
-
-    Incremental moves share the pure-python O(delta) updates; cold
-    ``hits_for`` builds fold node masks through the saturating level
-    update and read the gain table off ``exactly-(s-1)`` masks with one
-    popcount per node instead of replaying per-object transitions.
-    """
-
-    backing = "bitset"
-
-    def hits_for(self, nodes: Sequence[int]) -> _GainHits:
-        node_list = list(nodes)
-        masks = self.incidence.node_masks()
-        levels = [0] * self.s
-        counts = [0] * self.b
-        node_objects = self.node_objects
-        for node in node_list:
-            _absorb(levels, masks[node])
-            for obj_id in node_objects[node]:
-                counts[obj_id] += 1
-        top = levels[self.s - 1]
-        if self.s == 1:
-            exact = ~top & self.incidence.full_mask()
-        else:
-            exact = levels[self.s - 2] & ~top
-        gain = [(exact & masks[v]).bit_count() for v in range(self.n)]
-        return _GainHits(counts, gain, top.bit_count())
 
 
 class _NumpyGainKernel(GainKernel):
@@ -1453,16 +1420,6 @@ class _NativeGainKernel(GainKernel):
     a LocalSearch sweep kernel-bound rather than interpreter-bound.
     Instances are not thread-safe (they share small scratch buffers);
     process fan-out via the batch engine is unaffected.
-
-    Every call goes through the ``*_mt`` entry points against the
-    process-wide worker pool (``REPRO_NATIVE_THREADS`` /
-    :func:`repro.core.native.configure_threads`); with a one-thread
-    budget, or below the in-kernel work thresholds, those delegate to the
-    serial loops, and at any thread count the results are bit-identical
-    (per-lane partials merged in index order). ctypes releases the GIL
-    for the duration of each foreign call, so the pool's threads run
-    unimpeded. The pool handle is re-fetched whenever the pool epoch
-    moves (fork, reconfigure) — stale handles are never dereferenced.
     """
 
     backing = "native"
@@ -1470,33 +1427,19 @@ class _NativeGainKernel(GainKernel):
     def __init__(self, incidence: Incidence, s: int) -> None:
         super().__init__(incidence, s)
         lib = _native.load()
-        self._add = lib.gk_add_node_mt
-        self._remove = lib.gk_remove_node_mt
-        self._bulk = lib.gk_bulk_build_mt
-        self._best = lib.gk_best_addition_mt
-        self._swap = lib.gk_try_swap_mt
-        self._pass = lib.gk_polish_pass_mt
+        self._add = lib.gk_add_node
+        self._remove = lib.gk_remove_node
+        self._bulk = lib.gk_bulk_build
+        self._best = lib.gk_best_addition
+        self._swap = lib.gk_try_swap
+        self._pass = lib.gk_polish_pass
         self._bound = lib.gk_optimistic_bound
-        self._chains = lib.gk_polish_chains_mt
-        self._lane_alloc = lib.gk_lane_alloc
-        self._lane_release = lib.gk_lane_free
-        self._lane_handle = None
-        self._lane_shape: Optional[Tuple[int, int, int]] = None
+        self._chains = lib.gk_polish_chains
         self._banned = array("i", bytes(4 * self.n))
         self._banned_ptr = _native.i32_ptr(self._banned)
         self._out = array("i", [0])
         self._out_ptr = _native.i32_ptr(self._out)
-        self._pool_handle = None
-        self._pool_seen = -1
         self._bind_model()
-
-    def _pool(self):
-        """The process-wide pool handle, epoch-cached per kernel."""
-        epoch = _native.pool_epoch()
-        if self._pool_seen != epoch:
-            self._pool_handle = _native.current_pool()
-            self._pool_seen = _native.pool_epoch()
-        return self._pool_handle
 
     def _bind_model(self) -> None:
         """(Re)export the CSR model and empty-state template to C."""
@@ -1529,12 +1472,8 @@ class _NativeGainKernel(GainKernel):
         # usual delta leaves the exported pointers valid: only the model's
         # object count and the empty-state template need refreshing. A
         # replaced CSR (capacity overflow, first upgrade) re-exports.
-        # Lane replicas are sized by (b, n), so they are dropped either
-        # way: a chain launched after churn must clone the *current*
-        # state shape, never a stale pre-delta block.
         if not super().rebind():  # pragma: no cover - GainKernel returns True
             return False
-        self._drop_lanes()
         if self.incidence.csr() is not self._csr:
             self._bind_model()
         else:
@@ -1564,20 +1503,18 @@ class _NativeGainKernel(GainKernel):
             array("i", bytes(4 * (self.b + self.n + 1))), self.b, self.n
         )
         node_arr = array("i", nodes)
-        # Both CSR exports lay object offsets out as the stride-r ramp,
-        # which the threaded rebuild exploits as a contiguous row walk.
         self._bulk(
-            self._model_ref, self._pool(), _native.i32_ptr(node_arr),
-            len(node_arr), self.placement.r, hits.ptr,
+            self._model_ref, _native.i32_ptr(node_arr), len(node_arr),
+            hits.ptr,
         )
         return hits
 
     def add_node(self, hits: _NativeGainHits, node: int) -> _NativeGainHits:
-        self._add(self._model_ref, self._pool(), node, hits.ptr)
+        self._add(self._model_ref, node, hits.ptr)
         return hits
 
     def remove_node(self, hits: _NativeGainHits, node: int) -> _NativeGainHits:
-        self._remove(self._model_ref, self._pool(), node, hits.ptr)
+        self._remove(self._model_ref, node, hits.ptr)
         return hits
 
     def damage_of(self, hits: _NativeGainHits) -> int:
@@ -1588,8 +1525,7 @@ class _NativeGainKernel(GainKernel):
         for node in banned:
             flags[node] = 1
         best = self._best(
-            self._model_ref, self._pool(), hits.ptr, self._banned_ptr,
-            self._out_ptr,
+            self._model_ref, hits.ptr, self._banned_ptr, self._out_ptr
         )
         for node in banned:
             flags[node] = 0
@@ -1602,8 +1538,8 @@ class _NativeGainKernel(GainKernel):
         for banned_node in banned:
             flags[banned_node] = 1
         swapped = self._swap(
-            self._model_ref, self._pool(), node, self._banned_ptr, current,
-            hits.ptr, self._out_ptr,
+            self._model_ref, node, self._banned_ptr, current, hits.ptr,
+            self._out_ptr,
         )
         for banned_node in banned:
             flags[banned_node] = 0
@@ -1617,7 +1553,7 @@ class _NativeGainKernel(GainKernel):
         for node in nodes:
             flags[node] = 1
         improved = self._pass(
-            self._model_ref, self._pool(), hits.ptr, _native.i32_ptr(node_arr),
+            self._model_ref, hits.ptr, _native.i32_ptr(node_arr),
             len(node_arr), self._banned_ptr, current, self._out_ptr,
         )
         final_nodes = node_arr.tolist()
@@ -1628,50 +1564,14 @@ class _NativeGainKernel(GainKernel):
             return hits, self._out[0], True
         return hits, current, False
 
-    def _drop_lanes(self) -> None:
-        """Free the lane block; the next chain batch reallocates."""
-        handle = getattr(self, "_lane_handle", None)
-        if handle:
-            self._lane_release(handle)
-        self._lane_handle = None
-        self._lane_shape = None
-
-    def _lane_set(self, width: int):
-        """A C lane block of `width` state replicas, cached per shape.
-
-        Keyed by (width, b, n): a delta-rebound shape change can shrink
-        or grow the packed-state footprint, so a stale block would be
-        read out of bounds — :meth:`rebind` also drops it eagerly.
-        """
-        shape = (width, self.b, self.n)
-        if self._lane_handle is None or self._lane_shape != shape:
-            self._drop_lanes()
-            handle = self._lane_alloc(width, self.b, self.n)
-            if not handle:
-                raise MemoryError(
-                    f"gk_lane_alloc({width}, b={self.b}, n={self.n}) failed"
-                )
-            self._lane_handle = handle
-            self._lane_shape = shape
-        return self._lane_handle
-
-    def __del__(self):  # noqa: D105 - release C-side lane memory
-        try:
-            self._drop_lanes()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-
     def polish_chains(
-        self, seeds: Sequence[Sequence[int]], lanes: int = 1
+        self, seeds: Sequence[Sequence[int]]
     ) -> List[Tuple[List[int], int, int, int]]:
         """Fused chain batch: every chain in one foreign call.
 
-        Each lane clones the bound engine's packed state shape and runs
-        chains serially inside (the coarse tasks are the parallelism, so
-        the fine-grained ``_mt`` paths never nest under a lane); up to
-        ``min(lanes, pool width)`` chains run concurrently. Chain i
-        writes only its own output slots, so results are bit-identical
-        to the sequential generic path at any lane count.
+        The chains run in seed order on a private scratch state, so the
+        hits objects the caller holds are never touched, and the results
+        are bit-identical to the generic per-chain loop.
         """
         seeds = [list(seed) for seed in seeds]
         chains = len(seeds)
@@ -1680,19 +1580,13 @@ class _NativeGainKernel(GainKernel):
         k = len(seeds[0])
         if any(len(seed) != k for seed in seeds):
             raise ValueError("polish chains need uniform seed sizes")
-        width = min(max(1, lanes), chains)
-        pool = self._pool() if width > 1 else None
-        if pool is None:
-            width = 1
-        else:
-            width = min(width, _native.pool_threads())
-        lane_set = self._lane_set(width)
+        scratch = array("i", bytes(4 * (self.b + self.n + 1)))
         all_nodes = array("i", [node for seed in seeds for node in seed])
         damages = array("i", bytes(4 * chains))
         passes = array("i", bytes(4 * chains))
         swaps = array("i", bytes(4 * chains))
         self._chains(
-            self._model_ref, pool if width > 1 else None, lane_set,
+            self._model_ref, _native.i32_ptr(scratch), self._banned_ptr,
             _native.i32_ptr(all_nodes), chains, k,
             _native.i32_ptr(damages), _native.i32_ptr(passes),
             _native.i32_ptr(swaps),
@@ -1720,7 +1614,6 @@ class _NativeGainKernel(GainKernel):
 _GAIN_KERNELS = {
     "native": _NativeGainKernel,
     "numpy": _NumpyGainKernel,
-    "bitset": _BitsetGainKernel,
     "python": GainKernel,
 }
 
@@ -1762,8 +1655,8 @@ def _dispatch_gain_kernel(
     the backing (honoring demotions made meanwhile), evaluate the chaos
     plan, construct. An injected ``backend`` fault — or a *real*
     infrastructure failure under ``auto`` — demotes the rung and
-    re-resolves, so the ladder degrades native -> numpy -> bitset ->
-    python instead of failing the run; transient ``error`` faults just
+    re-resolves, so the ladder degrades native -> numpy -> python
+    instead of failing the run; transient ``error`` faults just
     retry. ``ValueError``/``TypeError`` are bad arguments, not a broken
     backing — every rung rejects them identically, so they propagate
     without demoting. Explicit (non-auto) requests propagate all real

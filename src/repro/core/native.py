@@ -11,7 +11,7 @@ and drives them through :mod:`ctypes` over ``array('i')`` buffers.
 This is an *accelerator*, not a dependency: no third-party packages, no
 build step at install time. If no working compiler is found (or
 ``REPRO_GAIN_BACKING`` pins another backing) the gain kernel silently
-falls back to its numpy or bitset backing with identical results — the
+falls back to its numpy or pure-python backing with identical results — the
 property tests in ``tests/core/test_kernels.py`` pin all backings to the
 same bit-for-bit behaviour.
 
@@ -22,31 +22,11 @@ compiler runs once per source revision per machine. The compiler is
 optimization tries ``-O3`` and falls back to ``-O2``. :func:`compile_info`
 reports what actually built (or was cached for) the loaded library.
 
-**Multicore.** The library also carries a persistent pthread worker pool
-(:func:`current_pool`, sized by ``REPRO_NATIVE_THREADS`` — default
-``os.cpu_count()`` — or :func:`configure_threads`). The ``*_mt`` entry
-points partition their work across the pool with per-thread gain-table
-partials merged in index order, so results are **bit-for-bit identical to
-the serial path at any thread count**; below fixed work thresholds they
-delegate to the serial loops, so tiny instances never pay dispatch
-overhead. Every foreign call goes through :class:`ctypes.CDLL`, which
-releases the GIL for the call's duration — kernel threads therefore
-*compose with* the process fan-out of :mod:`repro.core.batch` and
-:mod:`repro.exp.runner` (which split the thread budget across workers)
-instead of competing against the interpreter lock. Worker threads do not
-survive ``fork``; an :func:`os.register_at_fork` hook drops the stale pool
-in children, which lazily rebuild one on first use.
-
-**Lanes.** On top of the fine-grained ``_mt`` sweeps the library offers
-*replicated gain-state lanes* (``gk_lane_alloc`` / ``gk_polish_chains_mt``):
-each lane holds a private copy of the packed gain state and runs whole
-local-search polish chains to convergence — coarse tasks over the same
-pool, one foreign call for an entire restart schedule. Inside a lane the
-kernels stay serial (the chains are the parallelism, and ``gk_pool_run``
-is not reentrant), so lanes never nest pool dispatch; results land per
-chain index and are bit-identical to the serial chain loop at any lane
-count. The driver is :class:`repro.core.adversary.LocalSearchAdversary`,
-budgeted by ``REPRO_ATTACK_LANES``.
+The library is single-threaded. Parallelism lives one level up, in
+process fan-out: the persistent affinity pool of :mod:`repro.exp.runner`
+and the batch ``Pool`` of :mod:`repro.core.batch`. Within a process,
+``gk_polish_chains`` runs a whole local-search restart schedule in one
+foreign call.
 """
 
 from __future__ import annotations
@@ -70,7 +50,6 @@ from repro import obs
 #: changed node (the O(delta) update of the gain-table engine); the fused
 #: ``try_swap`` runs one local-search polish position in a single call.
 _SOURCE = r"""
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -234,512 +213,8 @@ i32 gk_optimistic_bound(const gk_model *m, const i32 *state,
     return killable;
 }
 
-/* ================= persistent worker pool ================= */
-
-/* Barrier-style pool: gk_pool_run hands one task to every lane (the
-   caller participates as lane 0), then waits for the workers. Lanes
-   write disjoint state regions plus per-lane partials that the caller
-   merges in lane order, so results never depend on scheduling. The
-   task-hand-off mutex provides the happens-before edges. */
-
-typedef void (*gk_task_fn)(void *ctx, i32 tid, i32 nthreads);
-
-typedef struct gk_pool gk_pool;
-
-typedef struct {
-    gk_pool *pool;
-    i32 tid;
-} gk_worker_arg;
-
-struct gk_pool {
-    i32 nthreads;              /* lanes, including the calling thread */
-    pthread_t *threads;        /* nthreads - 1 workers */
-    gk_worker_arg *args;
-    pthread_mutex_t run_lock;  /* serializes concurrent gk_pool_run calls */
-    pthread_mutex_t lock;
-    pthread_cond_t work_cv;
-    pthread_cond_t done_cv;
-    unsigned long generation;
-    i32 pending;
-    i32 shutdown;
-    gk_task_fn task;
-    void *ctx;
-};
-
-static void *gk_worker(void *raw)
-{
-    gk_worker_arg *arg = (gk_worker_arg *)raw;
-    gk_pool *pool = arg->pool;
-    unsigned long seen = 0;
-    pthread_mutex_lock(&pool->lock);
-    for (;;) {
-        while (!pool->shutdown && pool->generation == seen)
-            pthread_cond_wait(&pool->work_cv, &pool->lock);
-        if (pool->shutdown)
-            break;
-        seen = pool->generation;
-        gk_task_fn task = pool->task;
-        void *ctx = pool->ctx;
-        pthread_mutex_unlock(&pool->lock);
-        task(ctx, arg->tid, pool->nthreads);
-        pthread_mutex_lock(&pool->lock);
-        if (--pool->pending == 0)
-            pthread_cond_signal(&pool->done_cv);
-    }
-    pthread_mutex_unlock(&pool->lock);
-    return NULL;
-}
-
-gk_pool *gk_pool_create(i32 nthreads)
-{
-    if (nthreads < 1)
-        nthreads = 1;
-    gk_pool *pool = (gk_pool *)calloc(1, sizeof(gk_pool));
-    if (!pool)
-        return NULL;
-    pool->nthreads = 1;
-    pthread_mutex_init(&pool->run_lock, NULL);
-    pthread_mutex_init(&pool->lock, NULL);
-    pthread_cond_init(&pool->work_cv, NULL);
-    pthread_cond_init(&pool->done_cv, NULL);
-    if (nthreads > 1) {
-        pool->threads = (pthread_t *)calloc((size_t)nthreads - 1,
-                                            sizeof(pthread_t));
-        pool->args = (gk_worker_arg *)calloc((size_t)nthreads - 1,
-                                             sizeof(gk_worker_arg));
-        if (pool->threads && pool->args) {
-            for (i32 t = 1; t < nthreads; t++) {
-                pool->args[t - 1].pool = pool;
-                pool->args[t - 1].tid = t;
-                /* nthreads is what workers read for their range split, so
-                   it must already count this lane before it starts. */
-                pool->nthreads = t + 1;
-                if (pthread_create(&pool->threads[t - 1], NULL, gk_worker,
-                                   &pool->args[t - 1])) {
-                    pool->nthreads = t;  /* spawn failed: stop here */
-                    break;
-                }
-            }
-        }
-    }
-    return pool;
-}
-
-void gk_pool_destroy(gk_pool *pool)
-{
-    if (!pool)
-        return;
-    pthread_mutex_lock(&pool->lock);
-    pool->shutdown = 1;
-    pthread_cond_broadcast(&pool->work_cv);
-    pthread_mutex_unlock(&pool->lock);
-    for (i32 t = 1; t < pool->nthreads; t++)
-        pthread_join(pool->threads[t - 1], NULL);
-    pthread_mutex_destroy(&pool->run_lock);
-    pthread_mutex_destroy(&pool->lock);
-    pthread_cond_destroy(&pool->work_cv);
-    pthread_cond_destroy(&pool->done_cv);
-    free(pool->threads);
-    free(pool->args);
-    free(pool);
-}
-
-i32 gk_pool_threads(const gk_pool *pool)
-{
-    return pool ? pool->nthreads : 1;
-}
-
-static void gk_pool_run(gk_pool *pool, gk_task_fn task, void *ctx)
-{
-    if (!pool || pool->nthreads <= 1) {
-        task(ctx, 0, 1);
-        return;
-    }
-    pthread_mutex_lock(&pool->run_lock);
-    pthread_mutex_lock(&pool->lock);
-    pool->task = task;
-    pool->ctx = ctx;
-    pool->pending = pool->nthreads - 1;
-    pool->generation++;
-    pthread_cond_broadcast(&pool->work_cv);
-    pthread_mutex_unlock(&pool->lock);
-    task(ctx, 0, pool->nthreads);
-    pthread_mutex_lock(&pool->lock);
-    while (pool->pending > 0)
-        pthread_cond_wait(&pool->done_cv, &pool->lock);
-    pthread_mutex_unlock(&pool->lock);
-    pthread_mutex_unlock(&pool->run_lock);
-}
-
-/* Work thresholds below which threading cannot pay for its dispatch. */
-enum {
-    GK_MT_MIN_BUILD = 1 << 14,   /* objects */
-    GK_MT_MIN_MOVE = 1 << 13,    /* node-segment entries */
-    GK_MT_MIN_ARGMAX = 1 << 15   /* nodes */
-};
-
-/* ---- threaded bulk rebuild: object-range partition ----
-
-   The serial rebuild folds node by node; the final (counts, gain, dead)
-   state is a pure function of the folded node multiset, so the threaded
-   path may instead compute it directly: occurrence flags over nodes,
-   then per-object hit counts (a contiguous stride-1 row walk when the
-   object offsets are the uniform stride-r progression — the layout both
-   incidence exports use — which the compiler can vectorize), then a
-   stride-1 classify sweep accumulating per-lane gain partials that the
-   caller merges in lane order. Bit-identical at any thread count. */
-
-typedef struct {
-    const gk_model *m;
-    i32 *counts;
-    const i32 *flags;
-    i32 *partials;     /* lanes x (n + 1); gain partial + dead at [n] */
-    i32 uniform_r;     /* row width when obj_off is the stride-r ramp */
-} gk_build_ctx;
-
-static void gk_build_task(void *raw, i32 tid, i32 nthreads)
-{
-    gk_build_ctx *c = (gk_build_ctx *)raw;
-    const gk_model *m = c->m;
-    const i32 b = m->b, s = m->s, n = m->n;
-    const i32 lo = (i32)((i64)b * tid / nthreads);
-    const i32 hi = (i32)((i64)b * (tid + 1) / nthreads);
-    const i32 *flags = c->flags;
-    i32 *counts = c->counts;
-    i32 *gain = c->partials + (size_t)tid * (n + 1);
-    if (c->uniform_r > 0) {
-        const i32 r = c->uniform_r;
-        const i32 *row = m->obj_nodes + (size_t)lo * r;
-        for (i32 o = lo; o < hi; o++) {
-            i32 hit = 0;
-            for (i32 j = 0; j < r; j++)
-                hit += flags[row[j]];
-            counts[o] = hit;
-            row += r;
-        }
-    } else {
-        for (i32 o = lo; o < hi; o++) {
-            i32 hit = 0;
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                hit += flags[m->obj_nodes[j]];
-            counts[o] = hit;
-        }
-    }
-    i32 dead = 0;
-    for (i32 o = lo; o < hi; o++)
-        dead += (counts[o] >= s);
-    const i32 target = s - 1;
-    for (i32 o = lo; o < hi; o++) {
-        if (counts[o] == target) {
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                gain[m->obj_nodes[j]]++;
-        }
-    }
-    gain[n] = dead;
-}
-
-/* Threaded twin of gk_bulk_build. `uniform_r` is the row width when the
-   object offsets are the arithmetic stride-r progression (both CSR
-   layouts), 0 otherwise. Falls back to the serial fold when the pool is
-   absent, the instance is small, or the failed set is so sparse that the
-   O(touched-objects) fold beats a full O(b) partition. */
-void gk_bulk_build_mt(const gk_model *m, gk_pool *pool, const i32 *nodes,
-                      i32 count, i32 uniform_r, i32 *state)
-{
-    const i32 n = m->n, b = m->b;
-    const i32 lanes = gk_pool_threads(pool);
-    i64 fold = 0;
-    for (i32 i = 0; i < count; i++)
-        fold += m->node_end[nodes[i]] - m->node_off[nodes[i]];
-    if (lanes <= 1 || b < GK_MT_MIN_BUILD || fold < (i64)b / lanes) {
-        gk_bulk_build(m, nodes, count, state);
-        return;
-    }
-    i32 *flags = (i32 *)calloc((size_t)n, sizeof(i32));
-    i32 *partials = (i32 *)calloc((size_t)lanes * (n + 1), sizeof(i32));
-    if (!flags || !partials) {
-        free(flags);
-        free(partials);
-        gk_bulk_build(m, nodes, count, state);
-        return;
-    }
-    for (i32 i = 0; i < count; i++)
-        flags[nodes[i]]++;
-    gk_build_ctx ctx = {m, state, flags, partials, uniform_r};
-    gk_pool_run(pool, gk_build_task, &ctx);
-    i32 *gain = state + b;
-    memset(gain, 0, (size_t)(n + 1) * sizeof(i32));
-    i32 dead = 0;
-    for (i32 t = 0; t < lanes; t++) {
-        const i32 *part = partials + (size_t)t * (n + 1);
-        for (i32 v = 0; v < n; v++)
-            gain[v] += part[v];
-        dead += part[n];
-    }
-    state[b + n] = dead;
-    free(flags);
-    free(partials);
-}
-
-/* ---- threaded single-node moves: segment-range partition ----
-
-   One node's CSR segment lists distinct objects, so lanes may update
-   disjoint count entries in place; boundary-crossing gain updates land
-   in per-lane partials (signed deltas) merged in lane order. */
-
-typedef struct {
-    const gk_model *m;
-    i32 lo, hi;
-    i32 delta;         /* +1 add, -1 remove */
-    i32 *counts;
-    i32 *partials;     /* lanes x (n + 1); gain delta + dead delta at [n] */
-} gk_move_ctx;
-
-static void gk_move_task(void *raw, i32 tid, i32 nthreads)
-{
-    gk_move_ctx *c = (gk_move_ctx *)raw;
-    const gk_model *m = c->m;
-    const i32 s = m->s, n = m->n;
-    const i32 span = c->hi - c->lo;
-    const i32 lo = c->lo + (i32)((i64)span * tid / nthreads);
-    const i32 hi = c->lo + (i32)((i64)span * (tid + 1) / nthreads);
-    i32 *counts = c->counts;
-    i32 *gain = c->partials + (size_t)tid * (n + 1);
-    i32 dead = 0;
-    if (c->delta > 0) {
-        for (i32 i = lo; i < hi; i++) {
-            const i32 o = m->node_objs[i];
-            const i32 v = ++counts[o];
-            if (v == s) {
-                dead++;
-                for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                    gain[m->obj_nodes[j]]--;
-            } else if (v == s - 1) {
-                for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                    gain[m->obj_nodes[j]]++;
-            }
-        }
-    } else {
-        for (i32 i = lo; i < hi; i++) {
-            const i32 o = m->node_objs[i];
-            const i32 v = counts[o]--;
-            if (v == s) {
-                dead--;
-                for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                    gain[m->obj_nodes[j]]++;
-            } else if (v == s - 1) {
-                for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
-                    gain[m->obj_nodes[j]]--;
-            }
-        }
-    }
-    gain[n] = dead;
-}
-
-static void gk_move_mt(const gk_model *m, gk_pool *pool, i32 node, i32 delta,
-                       i32 *state)
-{
-    const i32 lo = m->node_off[node], hi = m->node_end[node];
-    const i32 lanes = gk_pool_threads(pool);
-    if (lanes <= 1 || hi - lo < GK_MT_MIN_MOVE) {
-        if (delta > 0)
-            gk_add_node(m, node, state);
-        else
-            gk_remove_node(m, node, state);
-        return;
-    }
-    const i32 n = m->n;
-    i32 *partials = (i32 *)calloc((size_t)lanes * (n + 1), sizeof(i32));
-    if (!partials) {
-        if (delta > 0)
-            gk_add_node(m, node, state);
-        else
-            gk_remove_node(m, node, state);
-        return;
-    }
-    gk_move_ctx ctx = {m, lo, hi, delta, state, partials};
-    gk_pool_run(pool, gk_move_task, &ctx);
-    i32 *gain = state + m->b;
-    i32 dead = state[m->b + n];
-    for (i32 t = 0; t < lanes; t++) {
-        const i32 *part = partials + (size_t)t * (n + 1);
-        for (i32 v = 0; v < n; v++)
-            gain[v] += part[v];
-        dead += part[n];
-    }
-    state[m->b + n] = dead;
-    free(partials);
-}
-
-void gk_add_node_mt(const gk_model *m, gk_pool *pool, i32 node, i32 *state)
-{
-    gk_move_mt(m, pool, node, 1, state);
-}
-
-void gk_remove_node_mt(const gk_model *m, gk_pool *pool, i32 node,
-                       i32 *state)
-{
-    gk_move_mt(m, pool, node, -1, state);
-}
-
-/* ---- threaded argmax: node-range partition ----
-
-   Per-lane (best gain, lowest-id node) over contiguous ascending ranges,
-   merged in lane order with strict >, preserving the serial lowest-id
-   tie-break exactly. */
-
-typedef struct {
-    const gk_model *m;
-    const i32 *gain;
-    const i32 *banned;
-    i32 *best_nodes;   /* one per lane */
-    i32 *best_gains;
-} gk_argmax_ctx;
-
-static void gk_argmax_task(void *raw, i32 tid, i32 nthreads)
-{
-    gk_argmax_ctx *c = (gk_argmax_ctx *)raw;
-    const i32 n = c->m->n;
-    const i32 lo = (i32)((i64)n * tid / nthreads);
-    const i32 hi = (i32)((i64)n * (tid + 1) / nthreads);
-    i32 best_node = -1, best_gain = -1;
-    for (i32 v = lo; v < hi; v++) {
-        if (c->banned[v])
-            continue;
-        const i32 g = c->gain[v];
-        if (g > best_gain) {
-            best_node = v;
-            best_gain = g;
-        }
-    }
-    c->best_nodes[tid] = best_node;
-    c->best_gains[tid] = best_gain;
-}
-
-i32 gk_best_addition_mt(const gk_model *m, gk_pool *pool, const i32 *state,
-                        const i32 *banned, i32 *damage_out)
-{
-    const i32 lanes = gk_pool_threads(pool);
-    if (lanes <= 1 || m->n < GK_MT_MIN_ARGMAX)
-        return gk_best_addition(m, state, banned, damage_out);
-    i32 best_nodes[64], best_gains[64];
-    if (lanes > 64)  /* static scratch bound; plenty for any real pool */
-        return gk_best_addition(m, state, banned, damage_out);
-    gk_argmax_ctx ctx = {m, state + m->b, banned, best_nodes, best_gains};
-    gk_pool_run(pool, gk_argmax_task, &ctx);
-    i32 best_node = -1, best_gain = -1;
-    for (i32 t = 0; t < lanes; t++) {
-        if (best_gains[t] > best_gain) {
-            best_node = best_nodes[t];
-            best_gain = best_gains[t];
-        }
-    }
-    *damage_out = best_node < 0 ? -1 : state[m->b + m->n] + best_gain;
-    return best_node;
-}
-
-/* Threaded twins of the fused search helpers: the position/sweep control
-   flow is inherently sequential and stays byte-identical to the serial
-   versions; only the per-position node folds and argmax fan out. */
-
-i32 gk_try_swap_mt(const gk_model *m, gk_pool *pool, i32 u,
-                   const i32 *banned, i32 current, i32 *state,
-                   i32 *damage_out)
-{
-    gk_remove_node_mt(m, pool, u, state);
-    i32 damage = 0;
-    const i32 v = gk_best_addition_mt(m, pool, state, banned, &damage);
-    if (v >= 0 && damage > current) {
-        gk_add_node_mt(m, pool, v, state);
-        *damage_out = damage;
-        return v;
-    }
-    gk_add_node_mt(m, pool, u, state);
-    *damage_out = current;
-    return -1;
-}
-
-i32 gk_polish_pass_mt(const gk_model *m, gk_pool *pool, i32 *state,
-                      i32 *nodes, i32 k, i32 *banned, i32 current,
-                      i32 *current_out)
-{
-    i32 improved = 0;
-    for (i32 p = 0; p < k; p++) {
-        const i32 u = nodes[p];
-        banned[u] = 0;
-        gk_remove_node_mt(m, pool, u, state);
-        i32 damage = 0;
-        const i32 v = gk_best_addition_mt(m, pool, state, banned, &damage);
-        if (v >= 0 && damage > current) {
-            gk_add_node_mt(m, pool, v, state);
-            nodes[p] = v;
-            banned[v] = 1;
-            current = damage;
-            improved = 1;
-        } else {
-            gk_add_node_mt(m, pool, u, state);
-            banned[u] = 1;
-        }
-    }
-    *current_out = current;
-    return improved;
-}
-
-/* ================= replicated gain-state lanes =================
-
-   Coarse chain-level parallelism for the local-search adversary. Each
-   lane owns a private replica of the packed gain state (counts[b] +
-   gain[n] + dead) plus its own banned-flag vector, and runs whole
-   polish-to-convergence chains on it — one foreign call for any number
-   of chains. A chain is a pure function of (model, seed set), so
-   scheduling chains across lanes in any order cannot change results;
-   outputs land per chain index. The loops inside a chain stay serial
-   on purpose: the chains themselves are the parallelism (the `_mt`
-   fine-grained paths would oversubscribe the pool), and gk_pool_run is
-   not reentrant, so a lane must never dispatch into the pool. */
-
-typedef struct {
-    i32 lanes;    /* lane replicas allocated */
-    i32 words;    /* packed state words per lane: b + n + 1 */
-    i32 n;        /* banned-flag words per lane */
-    i32 *block;   /* lanes x (words + n): state, then banned flags */
-} gk_lane_set;
-
-gk_lane_set *gk_lane_alloc(i32 lanes, i32 b, i32 n)
-{
-    if (lanes < 1)
-        lanes = 1;
-    gk_lane_set *set = (gk_lane_set *)calloc(1, sizeof(gk_lane_set));
-    if (!set)
-        return NULL;
-    set->lanes = lanes;
-    set->words = b + n + 1;
-    set->n = n;
-    set->block = (i32 *)malloc(
-        (size_t)lanes * ((size_t)set->words + n) * sizeof(i32)
-    );
-    if (!set->block) {
-        free(set);
-        return NULL;
-    }
-    /* Chains rebuild the state region from scratch but expect their
-       banned flags clear on entry (and leave them clear on exit). */
-    for (i32 t = 0; t < lanes; t++)
-        memset(set->block + (size_t)t * (set->words + n) + set->words, 0,
-               (size_t)n * sizeof(i32));
-    return set;
-}
-
-void gk_lane_free(gk_lane_set *set)
-{
-    if (!set)
-        return;
-    free(set->block);
-    free(set);
-}
-
-/* One polish-to-convergence chain on lane-private state: bulk-rebuild
-   the gain state from the seed set, then repeat the steepest-positional
+/* One polish-to-convergence chain on scratch state: bulk-rebuild the
+   gain state from the seed set, then repeat the steepest-positional
    sweep (same visit order, tie-breaks and strict-improvement rule as
    gk_polish_pass) until a sweep lands no swap. `banned` must arrive
    all-clear; it leaves all-clear. Returns the number of sweeps run
@@ -785,49 +260,18 @@ i32 gk_polish_chain(const gk_model *m, i32 *state, i32 *banned,
     return passes;
 }
 
-typedef struct {
-    const gk_model *m;
-    gk_lane_set *set;
-    i32 *all_nodes;   /* chains x k seed sets, polished in place */
-    i32 *damages;     /* one per chain */
-    i32 *passes;
-    i32 *swaps;
-    i32 chains, k;
-} gk_chain_ctx;
-
-static void gk_chain_task(void *raw, i32 tid, i32 nthreads)
+/* Run every chain to convergence in seed order on one caller-owned
+   scratch block (`state`, b + n + 1 words; `banned`, n all-clear
+   flags). Chain i polishes its own k-node slice of `all_nodes` in
+   place and writes only its own output slots. */
+void gk_polish_chains(const gk_model *m, i32 *state, i32 *banned,
+                      i32 *all_nodes, i32 chains, i32 k, i32 *damages,
+                      i32 *passes, i32 *swaps)
 {
-    gk_chain_ctx *c = (gk_chain_ctx *)raw;
-    i32 width = c->set->lanes < nthreads ? c->set->lanes : nthreads;
-    if (width < 1)
-        width = 1;
-    if (tid >= width)
-        return;
-    const size_t stride = (size_t)c->set->words + c->set->n;
-    i32 *state = c->set->block + (size_t)tid * stride;
-    i32 *banned = state + c->set->words;
-    for (i32 i = tid; i < c->chains; i += width)
-        c->passes[i] = gk_polish_chain(
-            c->m, state, banned, c->all_nodes + (size_t)i * c->k, c->k,
-            &c->damages[i], &c->swaps[i]
-        );
-}
-
-/* Run every chain to convergence, at most min(set->lanes, pool width)
-   concurrently. Chain i always uses lane i % width and writes only its
-   own output slots, so results are independent of both the pool size
-   and the lane count. */
-void gk_polish_chains_mt(const gk_model *m, gk_pool *pool,
-                         gk_lane_set *set, i32 *all_nodes, i32 chains,
-                         i32 k, i32 *damages, i32 *passes, i32 *swaps)
-{
-    gk_chain_ctx ctx = {m, set, all_nodes, damages, passes, swaps,
-                        chains, k};
-    if (!pool || set->lanes <= 1 || chains <= 1) {
-        gk_chain_task(&ctx, 0, 1);
-        return;
-    }
-    gk_pool_run(pool, gk_chain_task, &ctx);
+    for (i32 i = 0; i < chains; i++)
+        passes[i] = gk_polish_chain(m, state, banned,
+                                    all_nodes + (size_t)i * k, k,
+                                    &damages[i], &swaps[i]);
 }
 """
 
@@ -977,7 +421,7 @@ def _compile() -> str:
     last_error = "no C compiler found"
     for compiler in _compiler_candidates():
         for opt in _OPT_LEVELS:
-            flags = [opt, "-pthread", "-shared", "-fPIC"]
+            flags = [opt, "-shared", "-fPIC"]
             try:
                 result = subprocess.run(
                     [compiler, *flags, "-o", scratch, source_path],
@@ -1025,54 +469,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         model_p, _I32P, _I32P, ctypes.c_int32, ctypes.c_int32
     ]
     lib.gk_optimistic_bound.restype = ctypes.c_int32
-    # Worker pool + threaded twins. The pool handle is opaque (void*).
-    lib.gk_pool_create.argtypes = [ctypes.c_int32]
-    lib.gk_pool_create.restype = ctypes.c_void_p
-    lib.gk_pool_destroy.argtypes = [ctypes.c_void_p]
-    lib.gk_pool_destroy.restype = None
-    lib.gk_pool_threads.argtypes = [ctypes.c_void_p]
-    lib.gk_pool_threads.restype = ctypes.c_int32
-    lib.gk_bulk_build_mt.argtypes = [
-        model_p, ctypes.c_void_p, _I32P, ctypes.c_int32, ctypes.c_int32,
-        _I32P,
+    lib.gk_polish_chains.argtypes = [
+        model_p, _I32P, _I32P, _I32P, ctypes.c_int32, ctypes.c_int32,
+        _I32P, _I32P, _I32P,
     ]
-    lib.gk_bulk_build_mt.restype = None
-    lib.gk_add_node_mt.argtypes = [
-        model_p, ctypes.c_void_p, ctypes.c_int32, _I32P
-    ]
-    lib.gk_add_node_mt.restype = None
-    lib.gk_remove_node_mt.argtypes = lib.gk_add_node_mt.argtypes
-    lib.gk_remove_node_mt.restype = None
-    lib.gk_best_addition_mt.argtypes = [
-        model_p, ctypes.c_void_p, _I32P, _I32P, _I32P
-    ]
-    lib.gk_best_addition_mt.restype = ctypes.c_int32
-    lib.gk_try_swap_mt.argtypes = [
-        model_p, ctypes.c_void_p, ctypes.c_int32, _I32P, ctypes.c_int32,
-        _I32P, _I32P,
-    ]
-    lib.gk_try_swap_mt.restype = ctypes.c_int32
-    lib.gk_polish_pass_mt.argtypes = [
-        model_p, ctypes.c_void_p, _I32P, _I32P, ctypes.c_int32, _I32P,
-        ctypes.c_int32, _I32P,
-    ]
-    lib.gk_polish_pass_mt.restype = ctypes.c_int32
-    # Replicated lanes + fused polish chains. Lane sets are opaque.
-    lib.gk_lane_alloc.argtypes = [
-        ctypes.c_int32, ctypes.c_int32, ctypes.c_int32
-    ]
-    lib.gk_lane_alloc.restype = ctypes.c_void_p
-    lib.gk_lane_free.argtypes = [ctypes.c_void_p]
-    lib.gk_lane_free.restype = None
-    lib.gk_polish_chain.argtypes = [
-        model_p, _I32P, _I32P, _I32P, ctypes.c_int32, _I32P, _I32P
-    ]
-    lib.gk_polish_chain.restype = ctypes.c_int32
-    lib.gk_polish_chains_mt.argtypes = [
-        model_p, ctypes.c_void_p, ctypes.c_void_p, _I32P, ctypes.c_int32,
-        ctypes.c_int32, _I32P, _I32P, _I32P,
-    ]
-    lib.gk_polish_chains_mt.restype = None
+    lib.gk_polish_chains.restype = None
     return lib
 
 
@@ -1129,117 +530,3 @@ def compile_info() -> Optional[Dict[str, Any]]:
     entry, when present).
     """
     return None if _compile_info is None else dict(_compile_info)
-
-
-# --------------------------- worker pool ---------------------------
-#
-# One process-wide pool, created lazily on first threaded call and sized
-# by configure_threads() / REPRO_NATIVE_THREADS / os.cpu_count(), in that
-# order. pthreads do not survive fork(), so a forked child inherits a
-# handle whose worker threads are gone — joining them would hang. The
-# at-fork hook therefore *drops* the handle without destroying it (the
-# leaked C memory is the price of fork safety) and bumps the pool epoch
-# so kernel objects know to refetch.
-
-_pool_handle: Optional[int] = None
-_pool_threads = 0
-_pool_epoch = 0
-_configured_threads: Optional[int] = None
-
-
-def thread_count() -> int:
-    """The thread budget: configure_threads > REPRO_NATIVE_THREADS > cores."""
-    if _configured_threads is not None:
-        return _configured_threads
-    env = os.environ.get("REPRO_NATIVE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_NATIVE_THREADS must be an integer >= 1, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
-def configure_threads(count: Optional[int]) -> None:
-    """Pin the kernel thread budget (None restores the env/cpu default).
-
-    An existing pool of a different width is dropped; the next threaded
-    call lazily builds one at the new width. Used by the sharded runners
-    to split the budget across worker processes.
-    """
-    global _configured_threads
-    _configured_threads = None if count is None else max(1, int(count))
-    try:
-        obs.gauge("native.threads", thread_count())
-    except ValueError:
-        pass  # garbage REPRO_NATIVE_THREADS still raises at first use
-    if _pool_handle is not None and _pool_threads != thread_count():
-        _drop_pool(destroy=True)
-
-
-def configured_threads() -> Optional[int]:
-    """The explicit configure_threads() pin, if any (None = env default)."""
-    return _configured_threads
-
-
-def current_pool() -> Optional[int]:
-    """The process-wide pool handle, creating it on first use.
-
-    Returns None when the budget is one thread (serial paths need no
-    pool) or when the library is unavailable.
-    """
-    global _pool_handle, _pool_threads, _pool_epoch
-    want = thread_count()
-    if _pool_handle is not None:
-        if _pool_threads == want:
-            return _pool_handle
-        _drop_pool(destroy=True)
-    if want <= 1:
-        return None
-    try:
-        lib = load()
-    except RuntimeError:
-        return None
-    handle = lib.gk_pool_create(want)
-    if not handle:
-        return None
-    _pool_handle = handle
-    _pool_threads = lib.gk_pool_threads(handle)
-    _pool_epoch += 1
-    return _pool_handle
-
-
-def pool_epoch() -> int:
-    """Bumped whenever the pool handle changes (resize, fork, drop)."""
-    return _pool_epoch
-
-
-def pool_threads() -> int:
-    """Lanes the live pool actually has (1 when no pool exists)."""
-    return _pool_threads if _pool_handle is not None else 1
-
-
-def worker_thread_budget(workers: int) -> int:
-    """Per-process thread budget when fanning out across `workers`."""
-    return max(1, thread_count() // max(1, workers))
-
-
-def _drop_pool(destroy: bool) -> None:
-    """Forget the pool; join+free its threads only when they are ours.
-
-    ``destroy=False`` is the forked-child path: the workers died with the
-    parent's address-space copy, so joining would hang — leak the handle.
-    """
-    global _pool_handle, _pool_threads, _pool_epoch
-    handle = _pool_handle
-    _pool_handle = None
-    _pool_threads = 0
-    _pool_epoch += 1
-    if handle is not None and destroy and _lib is not None:
-        _lib.gk_pool_destroy(handle)
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX targets
-    os.register_at_fork(after_in_child=lambda: _drop_pool(destroy=False))

@@ -5,7 +5,7 @@ Four small pieces, composable and individually optional:
 * :mod:`repro.obs.metrics` — a process-wide, fork-aware registry of
   named counters/gauges/histograms/events with a strict catalog and a
   hard split between *deterministic* instruments (semantic work counts,
-  bit-identical across backings/threads/workers/successful retries —
+  bit-identical across backings/workers/successful retries —
   snapshotted into run-store manifests and pinned by tests) and *ops*
   instruments (caches, retries, demotions — reported, never pinned).
   Off by default; ``REPRO_METRICS=1`` / ``--stats`` turns the gated

@@ -81,7 +81,7 @@ class Instrument:
 
     name: str
     kind: str  # "counter" | "gauge" | "histogram"
-    deterministic: bool  # pinned across backings/threads/workers/retries
+    deterministic: bool  # pinned across backings/workers/retries
     always: bool  # records even when metrics are disabled
     description: str
 
@@ -163,7 +163,6 @@ CATALOG: Dict[str, Instrument] = {
            always=True),
         # -- gauges ---------------------------------------------------------
         _g("engine.cache.size", "warm engines currently cached"),
-        _g("native.threads", "configured native kernel thread budget"),
     )
 }
 

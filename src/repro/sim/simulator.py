@@ -98,7 +98,6 @@ class SimConfig:
     repair_grace: float = 4.0
     replan_interval: int = 64
     expected_objects: int = 64
-    lanes: Optional[int] = None
 
     def validate(self) -> None:
         if self.n < 2:
@@ -122,8 +121,6 @@ class SimConfig:
             )
         if self.repair_time <= 0:
             raise ValueError(f"repair time must be > 0, got {self.repair_time}")
-        if self.lanes is not None and self.lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {self.lanes}")
 
 
 class LifetimeSimulator:
@@ -145,7 +142,6 @@ class LifetimeSimulator:
         self.mirror = EngineMirror(config.n, backend=config.backend)
         self.injector = WorstCaseInjector(
             effort=config.effort, backend=config.backend, seed=config.seed,
-            lanes=config.lanes,
         )
         self._trace = churn_trace(
             steps=config.events,

@@ -182,36 +182,25 @@ class TestLocalSearchDeterminism:
             replay.sample(range(p.n), 3) for _ in range(5)
         ] == expected_seeds
 
-    def test_caller_rng_state_is_lane_count_invariant(self):
-        # Chains consume no randomness, so the generator finishes in the
-        # same state at any lane count.
-        p = random_placement(14, 3, 40, 17)
-        states, results = [], []
-        for lanes in (1, 2, 4):
-            rng = random.Random(41)
-            results.append(
-                LocalSearchAdversary(restarts=4, rng=rng, lanes=lanes).attack(
-                    p, 3, 2
-                )
-            )
-            states.append(rng.getstate())
-        assert results[1] == results[0] and results[2] == results[0]
-        assert states[1] == states[0] and states[2] == states[0]
-
     def test_shared_rng_attack_sequence_pinned(self):
         # Two successive attacks sharing one generator: the second sees
-        # exactly the state the serial loop would have left behind.
+        # exactly the state the serial draw loop would have left behind.
         p1 = random_placement(14, 3, 40, 18)
         p2 = random_placement(14, 3, 40, 19)
         rng = random.Random(7)
-        serial_first = LocalSearchAdversary(restarts=3, rng=rng, lanes=1)
-        a1 = serial_first.attack(p1, 3, 2)
-        a2 = serial_first.attack(p2, 3, 2)
-        rng_lanes = random.Random(7)
-        laned = LocalSearchAdversary(restarts=3, rng=rng_lanes, lanes=4)
-        assert laned.attack(p1, 3, 2) == a1
-        assert laned.attack(p2, 3, 2) == a2
-        assert rng_lanes.getstate() == rng.getstate()
+        shared = LocalSearchAdversary(restarts=3, rng=rng)
+        a1 = shared.attack(p1, 3, 2)
+        a2 = shared.attack(p2, 3, 2)
+        assert LocalSearchAdversary(
+            restarts=3, rng=random.Random(7)
+        ).attack(p1, 3, 2) == a1
+        replay = random.Random(7)
+        for _ in range(3):
+            replay.sample(range(p1.n), 3)
+        assert LocalSearchAdversary(restarts=3, rng=replay).attack(
+            p2, 3, 2
+        ) == a2
+        assert replay.getstate() == rng.getstate()
 
 
 class TestEvaluationAccounting:

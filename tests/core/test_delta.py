@@ -186,12 +186,11 @@ class TestDeltaEngineBitForBit:
                 attacks += 1
         assert attacks >= 10
 
-    def test_interleaved_churn_and_lane_attacks(self, backend, backing):
-        # Lane clones must snapshot the *current* (delta-rebound) packed
-        # state, not the cold build — churn that changes b resizes the
-        # state block, so a stale lane replica would read garbage. Every
-        # lane-parallel attack after churn must match a cold engine
-        # attacked serially.
+    def test_interleaved_churn_and_uncached_attacks(self, backend, backing):
+        # Chain batches must size their scratch state from the *current*
+        # (delta-rebound) shape, not the cold build — churn that changes
+        # b resizes the state block. Every uncached attack after churn
+        # must match a cold engine.
         rng = random.Random(404)
         placement = random_placement(13, 3, 32, 9)
         engine = AttackEngine(placement, backend=backend, gain_backing=backing)
@@ -208,8 +207,8 @@ class TestDeltaEngineBitForBit:
                     engine.placement, backend=backend, gain_backing=backing
                 )
                 assert engine.attack(
-                    cell, seed=9, cache=False, lanes=2
-                ) == cold.attack(cell, seed=9, cache=False, lanes=1)
+                    cell, seed=9, cache=False
+                ) == cold.attack(cell, seed=9, cache=False)
                 attacks += 1
         assert attacks >= 6
 

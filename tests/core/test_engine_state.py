@@ -113,29 +113,15 @@ class TestHydratedEqualsColdBuilt:
         self, backing, monkeypatch
     ):
         monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
-        placement = random_placement(12, 3, 40, 13)
-        cold, warm, warm_states, warm_results = _snapshot_round_trip(placement)
-        assert warm.kernel(2).backing == backing
-        assert _packed_states(cold) == warm_states
-        assert _attack_all(cold, _grid(placement)) == warm_results
-
-    @pytest.mark.skipif(not native.available(), reason="native kernel absent")
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_native_thread_count_does_not_change_hydration(
-        self, threads, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_GAIN_BACKING", "native")
-        before = native.thread_count()
-        native.configure_threads(threads)
-        try:
-            placement = random_placement(12, 3, 48, 17)
+        for args in ((12, 3, 40, 13), (12, 3, 48, 17)):
+            clear_attack_caches()
+            placement = random_placement(*args)
             cold, warm, warm_states, warm_results = _snapshot_round_trip(
                 placement
             )
+            assert warm.kernel(2).backing == backing
             assert _packed_states(cold) == warm_states
             assert _attack_all(cold, _grid(placement)) == warm_results
-        finally:
-            native.configure_threads(before)
 
     def test_non_gain_backend_round_trips_placement_only(self):
         placement = random_placement(11, 3, 30, 19)

@@ -1,6 +1,6 @@
 """Property tests: all damage-kernel backends agree with the legacy oracle.
 
-The three backends (bitset / numpy / python) implement one contract; these
+The full-scan backends (bitset / numpy / python) implement one contract; these
 tests drive them with hypothesis-generated random placements and assert
 they agree with each other and with the reference ``damage()`` function on
 damage evaluation, ``best_addition`` and branch-and-bound optimistic
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
-from repro.core.adversary import damage
+from repro.core.adversary import LocalSearchAdversary, damage
 from repro.core.kernels import (
     BACKENDS,
     GAIN_BACKINGS,
@@ -238,6 +238,21 @@ class TestGainBackings:
         _, expected_pass_damage, expected_improved = oracle.polish_pass(
             pass_hits, expected_pass_nodes, current
         )
+        # Chain batches: the full-scan oracle runs the generic per-chain
+        # loop that the native backing fuses into one foreign call.
+        rng = random.Random(len(seed_nodes) * 1000 + s)
+        seeds = [seed_nodes] + [
+            rng.sample(range(placement.n), k) for _ in range(3)
+        ]
+        expected_chains = oracle.polish_chains(seeds)
+        warm = seed_nodes[:1]
+        expected_attacks = [
+            LocalSearchAdversary(restarts=restarts, seed=5).attack(
+                placement, k, s, kernel=oracle, warm_start=warm_start
+            )
+            for restarts in (0, 2)
+            for warm_start in (None, warm)
+        ]
         for backing, kernel in self._gain_kernels(placement, s, incidence).items():
             hits = kernel.hits_for(seed_nodes)
             _, swapped, dmg = kernel.try_swap(
@@ -251,6 +266,28 @@ class TestGainBackings:
             assert (pass_damage, improved) == (
                 expected_pass_damage, expected_improved,
             ), backing
+            # A chain batch never touches the kernel's own packed state
+            # or any hits object the caller holds.
+            live = kernel.hits_for(seed_nodes)
+            empty_before = kernel.export_state(kernel.empty_hits())
+            live_before = kernel.export_state(live)
+            assert kernel.polish_chains(seeds) == expected_chains, backing
+            assert kernel.export_state(kernel.empty_hits()) == empty_before
+            assert kernel.export_state(live) == live_before, backing
+            # warm_start and restarts=0 edges of the batched search.
+            assert [
+                LocalSearchAdversary(restarts=restarts, seed=5).attack(
+                    placement, k, s, kernel=kernel, warm_start=warm_start
+                )
+                for restarts in (0, 2)
+                for warm_start in (None, warm)
+            ] == expected_attacks, backing
+            if backing == "native" and placement.n > k:
+                with pytest.raises(ValueError):
+                    kernel.polish_chains([seed_nodes, seed_nodes + [
+                        next(v for v in range(placement.n)
+                             if v not in seed_nodes)
+                    ]])
 
     @settings(max_examples=15, deadline=None)
     @given(placements, st.data())
@@ -293,18 +330,46 @@ class TestGainBackings:
             )
             assert kernel.name == "gain"
             assert kernel.backing == backing
+            if backing == "native":
+                # The library records how it was built; it is serial.
+                info = native.compile_info()
+                assert info is not None and info["compiler"]
+                assert any(f in info["flags"] for f in ("-O3", "-O2"))
+                assert "-pthread" not in info["flags"]
 
     def test_auto_backing_is_dependency_free(self):
         # Whatever auto resolves to must be importable here and now.
         assert resolve_gain_backing() in GAIN_BACKINGS
 
-    def test_unavailable_backing_rejected(self):
+    def test_unavailable_backing_rejected(self, monkeypatch, tmp_path):
         if not native.available():  # pragma: no cover - compiler-less envs
             with pytest.raises(ValueError):
                 resolve_gain_backing("native")
         if not numpy_available():  # pragma: no cover - no-numpy CI leg
             with pytest.raises(ValueError):
                 resolve_gain_backing("numpy")
+        # A failing compiler makes the native rung unavailable, not fatal.
+        saved = (
+            native._lib, native._load_attempted, native._load_error,
+            native._compile_info,
+        )
+        native._lib = None
+        native._load_attempted = False
+        native._load_error = None
+        native._compile_info = None
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_CC", "/bin/false")
+        try:
+            assert not native.available()
+            assert native.compile_info() is None
+            assert native.load_error() is not None
+            with pytest.raises(ValueError):
+                resolve_gain_backing("native")
+        finally:
+            (
+                native._lib, native._load_attempted, native._load_error,
+                native._compile_info,
+            ) = saved
 
 
 class TestSelection:

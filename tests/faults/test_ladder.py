@@ -34,15 +34,15 @@ def _available(backing):
 
 class TestDemotionBookkeeping:
     def test_demote_and_restore(self):
-        demote_backing("bitset", "test fault")
-        assert demoted_backings() == {"bitset": "test fault"}
+        demote_backing("numpy", "test fault")
+        assert demoted_backings() == {"numpy": "test fault"}
         restore_backings()
         assert demoted_backings() == {}
 
     def test_first_reason_wins(self):
-        demote_backing("bitset", "first")
-        demote_backing("bitset", "second")
-        assert demoted_backings()["bitset"] == "first"
+        demote_backing("numpy", "first")
+        demote_backing("numpy", "second")
+        assert demoted_backings()["numpy"] == "first"
 
     def test_python_floor_is_never_demotable(self):
         with pytest.raises(ValueError, match="floor"):
@@ -66,9 +66,9 @@ class TestResolution:
         assert ladder[-1] == "python"
 
     def test_explicit_demoted_choice_raises(self):
-        demote_backing("bitset", "watchdog fault")
+        demote_backing("numpy", "watchdog fault")
         with pytest.raises(ValueError, match="demoted"):
-            resolve_gain_backing("bitset")
+            resolve_gain_backing("numpy")
 
 
 class TestForcedBackendFault:

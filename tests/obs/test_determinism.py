@@ -2,7 +2,7 @@
 
 For a fixed spec and seed, the deterministic instrument snapshot (the
 manifest ``"obs"`` record) must be bit-identical across every gain
-backing, native thread count, and worker count — and invariant under
+backing and worker count — and invariant under
 chaos plans whose retries succeed. Semantic work is a property of the
 experiment, not of the machinery that ran it.
 """
@@ -21,7 +21,6 @@ from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
 from repro.sim import LifetimeSimulator, SimConfig
 
-THREAD_COUNTS = (1, 2, 4)
 WORKER_COUNTS = (1, 2)
 
 
@@ -51,27 +50,21 @@ def _det_delta(workers):
 
 
 class TestSnapshotIdentity:
-    def test_identical_across_backings_threads_workers(self, monkeypatch):
+    def test_identical_across_backings_workers(self, monkeypatch):
         reference = None
         reference_key = None
-        previous_threads = native.configured_threads()
-        try:
-            for backing in available_gain_backings():
-                monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
-                for threads in THREAD_COUNTS:
-                    native.configure_threads(threads)
-                    for workers in WORKER_COUNTS:
-                        det = _det_delta(workers)
-                        key = (backing, threads, workers)
-                        if reference is None:
-                            reference, reference_key = det, key
-                            assert det["counters"]["attack.searches"] > 0
-                        else:
-                            assert json.dumps(det, sort_keys=True) == (
-                                json.dumps(reference, sort_keys=True)
-                            ), (key, reference_key)
-        finally:
-            native.configure_threads(previous_threads)
+        for backing in available_gain_backings():
+            monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
+            for workers in WORKER_COUNTS:
+                det = _det_delta(workers)
+                key = (backing, workers)
+                if reference is None:
+                    reference, reference_key = det, key
+                    assert det["counters"]["attack.searches"] > 0
+                else:
+                    assert json.dumps(det, sort_keys=True) == (
+                        json.dumps(reference, sort_keys=True)
+                    ), (key, reference_key)
 
     def test_invariant_under_absorbed_chaos_retries(self, tmp_path):
         clear_attack_caches()
