@@ -7,15 +7,20 @@ node chunks (Observation 2). This module selects those subsystems from the
 existence catalog and computes the *capacity gap* the paper plots in
 Figs. 5–6: the fraction of ideal Lemma-1 capacity lost by having to use
 concrete systems on ``n_x < n`` points.
+
+Sweeps over ``n`` ask the catalog the same questions for every ``n``, so
+each ``(r, t, tier, max_mu)`` stratum keeps one ascending table of its
+admissible orders, grown on demand to the largest ``n`` asked so far;
+every query reads the table's ``v <= n`` part instead of probing again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.designs.catalog import Existence, existence, min_lambda
+from repro.designs.catalog import Existence, min_lambda
 from repro.util.combinatorics import binom, lcm_many
 
 
@@ -123,21 +128,47 @@ def select_subsystem(
     return Subsystem(r=r, x=x, chunks=tuple(chunks), tier=tier)
 
 
-@lru_cache(maxsize=None)
+class _OrderTable:
+    """One stratum's admissible orders ``v`` with their least ``mu``, ascending."""
+
+    def __init__(self, r: int, t: int, tier: Existence, max_mu: int) -> None:
+        self.r, self.t, self.tier, self.max_mu = r, t, tier, max_mu
+        self.top = r - 1  # every v <= top has been probed
+        self.vs: List[int] = []
+        self.mus: List[int] = []
+        self.gains: List[int] = []  # C(v, t), the capacity a chunk adds
+
+    def grow(self, n: int) -> None:
+        r, t = self.r, self.t
+        for v in range(self.top + 1, n + 1):
+            mu = min_lambda(v, r, t, self.max_mu, tier=self.tier)
+            if mu is not None:
+                self.vs.append(v)
+                self.mus.append(mu)
+                self.gains.append(binom(v, t))
+        self.top = max(self.top, n)
+
+
+_ORDER_TABLES: Dict[Tuple[int, int, Existence, int], _OrderTable] = {}
+
+
+def _order_table(r: int, t: int, tier: Existence, max_mu: int, n: int) -> _OrderTable:
+    """The stratum's table, grown to cover every ``v <= n``."""
+    key = (r, t, tier, max_mu)
+    table = _ORDER_TABLES.get(key)
+    if table is None:
+        table = _ORDER_TABLES[key] = _OrderTable(r, t, tier, max_mu)
+    table.grow(n)
+    return table
+
+
 def _admissible_orders(
     r: int, t: int, max_v: int, tier: Existence, max_mu: int
 ) -> Tuple[Tuple[int, int], ...]:
     """(v, mu) pairs admitting a ``t-(v, r, mu)`` design, mu <= max_mu, descending v."""
-    pairs: List[Tuple[int, int]] = []
-    for v in range(max_v, r - 1, -1):
-        if max_mu == 1:
-            if existence(v, r, t) >= tier:
-                pairs.append((v, 1))
-        else:
-            mu = min_lambda(v, r, t, max_mu, tier=tier)
-            if mu is not None:
-                pairs.append((v, mu))
-    return tuple(pairs)
+    table = _order_table(r, t, tier, max_mu, max_v)
+    count = bisect_right(table.vs, max_v)
+    return tuple(zip(table.vs[:count], table.mus[:count]))[::-1]
 
 
 def best_chunk_decomposition(
@@ -154,35 +185,32 @@ def best_chunk_decomposition(
     unit lambda), which is what the search maximizes. Branch and bound over
     orders in descending size: since ``C(v, t)`` is increasing in ``v``, the
     remaining-chunk bound ``slots * C(v_current, t)`` prunes aggressively.
+    Each level starts at the largest order that fits the remaining budget;
+    ties keep the first decomposition found.
     """
-    orders = _admissible_orders(r, t, n, tier, max_mu)
-    if not orders:
-        return []
+    table = _order_table(r, t, tier, max_mu, n)
+    vs, gains = table.vs, table.gains
     best_value = 0
-    best_combo: List[Tuple[int, int]] = []
+    best_combo: List[int] = []
+    combo: List[int] = []  # table indices, non-increasing
 
-    def recurse(
-        budget: int, slots: int, start: int, value: int, combo: List[Tuple[int, int]]
-    ) -> None:
+    def recurse(budget: int, slots: int, top: int, value: int) -> None:
         nonlocal best_value, best_combo
         if value > best_value:
             best_value = value
             best_combo = list(combo)
         if slots == 0:
             return
-        for i in range(start, len(orders)):
-            v, mu = orders[i]
-            if v > budget:
-                continue
-            gain = binom(v, t)
+        for i in range(min(top, bisect_right(vs, budget) - 1), -1, -1):
+            gain = gains[i]
             if value + gain * slots <= best_value:
                 break  # orders are descending; nothing later can catch up
-            combo.append((v, mu))
-            recurse(budget - v, slots - 1, i, value + gain, combo)
+            combo.append(i)
+            recurse(budget - vs[i], slots - 1, i, value + gain)
             combo.pop()
 
-    recurse(n, max_chunks, 0, 0, [])
-    return [Chunk(nx=v, mu=mu) for v, mu in best_combo]
+    recurse(n, max_chunks, len(vs) - 1, 0)
+    return [Chunk(nx=vs[i], mu=table.mus[i]) for i in best_combo]
 
 
 def ideal_capacity_numerator(n: int, t: int) -> int:
@@ -210,6 +238,8 @@ def capacity_gap(
     if x == 0:
         achievable = r * (n // r)  # points covered by the partition
         return 1.0 - achievable / n if n else 1.0
+    if n < t:
+        return 1.0  # no t-subsets at all: nothing fits, and the ideal is 0
     chunks = best_chunk_decomposition(
         n, r, t, tier=tier, max_mu=max_mu, max_chunks=max_chunks
     )

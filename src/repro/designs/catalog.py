@@ -71,16 +71,20 @@ _SPORADIC_KNOWN: Dict[Tuple[int, int], Tuple[int, ...]] = {
 
 _DLX_SEARCH_LIMIT = 20  # max v for exact-cover fallback construction
 _DLX_NODE_BUDGET = 4_000_000
-# Max v for the cyclic difference-family probe. Above this the bounded
-# search spends seconds before giving up on orders with no (findable)
-# family, so the catalog stops claiming constructibility rather than pay
-# that on every cold existence query. (All probes below 64 settle in
-# under ~1.5 s and are cached for the process lifetime.)
+# Max v for the cyclic difference-family probe: the range of the
+# checked-in base-block table in difference_family.py, so a probe is a
+# table lookup. Above it the catalog stops claiming constructibility
+# rather than run the backtracking search.
 _DIFFERENCE_FAMILY_LIMIT = 64
 
 
+@lru_cache(maxsize=None)
 def existence(v: int, r: int, t: int, lam: int = 1) -> Existence:
-    """Strongest provenance tier for a ``t-(v, r, lam)`` design."""
+    """Strongest provenance tier for a ``t-(v, r, lam)`` design.
+
+    Memoized: it is a pure function of four ints, and one process asks
+    about at most a few thousand distinct keys.
+    """
     if not 1 <= t <= r <= v or lam < 1:
         return Existence.NONE
     if not divisibility_conditions_hold(v, r, t, lam):

@@ -6,20 +6,41 @@ exactly once (so ``t * r * (r - 1) = v - 1``). Developing each base block
 through all ``v`` translations yields a cyclic ``2-(v, r, 1)`` design.
 
 This widens the constructible slice of the catalog beyond the geometric
-families: e.g. ``2-(25, 4, 1)`` and ``2-(37, 4, 1)`` (v = 1 mod 12) and
-``2-(41, 5, 1)`` (v = 1 mod 20) come from difference families found here by
-backtracking search. Search results are verified and cached; a budget keeps
-the existence probe cheap enough to sit inside catalog queries.
+families: e.g. ``2-(37, 4, 1)`` (v = 1 mod 12) and ``2-(41, 5, 1)``
+(v = 1 mod 20) come from difference families. The catalog's probes read a
+checked-in table of base blocks (:data:`_BASE_BLOCKS`), so no process pays
+the backtracking search; every table entry is developed and verified as a
+design before it is used. :func:`find_difference_family` is the search
+that generated the table, and the test suite regenerates the table from it
+and compares. Orders outside the table still fall back to the search.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.designs.blocks import Block, BlockDesign, DesignError
 
 _DEFAULT_BUDGET = 500_000
+
+# What find_difference_family(v, r) returns for every DF-admissible (v, r)
+# with r in {4, 5} and v <= 64 (the catalog's probe limit); None where its
+# search finds no family. Regenerate with find_difference_family when
+# widening the range.
+_BASE_BLOCKS: Dict[Tuple[int, int], Optional[Tuple[Block, ...]]] = {
+    (13, 4): ((0, 1, 3, 9),),
+    (25, 4): None,
+    (37, 4): ((0, 1, 3, 24), (0, 4, 9, 15), (0, 7, 17, 25)),
+    (49, 4): ((0, 1, 3, 8), (0, 4, 18, 29), (0, 6, 21, 33), (0, 9, 19, 32)),
+    (61, 4): (
+        (0, 1, 3, 7), (0, 5, 13, 34), (0, 9, 26, 42), (0, 10, 24, 46),
+        (0, 11, 23, 41),
+    ),
+    (21, 5): ((0, 1, 4, 14, 16),),
+    (41, 5): ((0, 1, 4, 11, 29), (0, 2, 8, 17, 22)),
+    (61, 5): ((0, 1, 3, 13, 34), (0, 4, 9, 23, 45), (0, 6, 17, 24, 32)),
+}
 
 
 def difference_family_admissible(v: int, r: int) -> bool:
@@ -132,32 +153,41 @@ def develop_difference_family(
     )
 
 
+def _base_blocks(v: int, r: int, max_nodes: int) -> Optional[Tuple[Block, ...]]:
+    """The tabulated family where the table covers ``(v, r)``, else the search's."""
+    if (v, r) in _BASE_BLOCKS:
+        return _BASE_BLOCKS[(v, r)]
+    return find_difference_family(v, r, max_nodes)
+
+
 @lru_cache(maxsize=None)
 def cyclic_2design(v: int, r: int, max_nodes: int = _DEFAULT_BUDGET) -> BlockDesign:
-    """A cyclic ``2-(v, r, 1)`` design via difference family, fully verified."""
-    family = find_difference_family(v, r, max_nodes)
+    """A cyclic ``2-(v, r, 1)`` design via difference family, fully verified.
+
+    A tabulated ``(v, r)`` is developed from the table and ``max_nodes`` is
+    unused; other orders are searched within ``max_nodes`` expansions.
+    Raises :class:`DesignError` when no family is known or the developed
+    blocks fail the ``2-(v, r, 1)`` check (a corrupt table entry).
+    """
+    family = _base_blocks(v, r, max_nodes)
     if family is None:
         raise DesignError(f"no ({v},{r},1) difference family found within budget")
     design = develop_difference_family(v, family)
     if not design.is_design(2, 1):
-        raise AssertionError(
+        raise DesignError(
             f"developed family {family} is not a 2-({v},{r},1) design"
         )
     return design
 
 
-@lru_cache(maxsize=None)
 def difference_family_constructible(v: int, r: int) -> bool:
-    """Cheap cached probe used by the existence catalog."""
-    # The first block is rooted at {0, 1}, which loses generality: a valid
-    # family need not contain difference 1 inside a single block... but the
-    # family can be rescaled: multiplying all blocks by a unit u maps a
-    # family to a family and maps some difference to 1 only if that
-    # difference is a unit. For prime v every nonzero difference is a unit,
-    # so the normalization is complete; for composite v the probe may miss
-    # families (conservative: report not-constructible).
-    try:
-        cyclic_2design(v, r)
-    except DesignError:
-        return False
-    return True
+    """Existence-catalog probe: is there a ``(v, r, 1)`` family (table, else search)?
+
+    The search roots the first block at {0, 1}. Multiplying a family by a
+    unit of Z_v gives a family, so for prime v (every nonzero difference a
+    unit) that loses no generality; for composite v the search may miss
+    families, and the probe then conservatively reports not-constructible.
+    """
+    return difference_family_admissible(v, r) and (
+        _base_blocks(v, r, _DEFAULT_BUDGET) is not None
+    )

@@ -1,7 +1,11 @@
 """Tests for subsystem selection and capacity-gap computation."""
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
+from repro.core import subsystems
 from repro.core.subsystems import (
     Chunk,
     Subsystem,
@@ -10,8 +14,52 @@ from repro.core.subsystems import (
     select_combo_subsystems,
     select_subsystem,
 )
-from repro.designs.catalog import Existence
+from repro.designs.catalog import Existence, existence
 from repro.util.combinatorics import binom
+
+# Non-trivial strata (1 <= x, t = x + 1 < r) for r in {3, 4, 5}.
+_STRATA = [(r, t) for r in (3, 4, 5) for t in range(2, r)]
+
+
+def _scanned_orders(r, t, max_v, tier, max_mu):
+    """Descending (v, mu) by a direct scan of the unmemoized existence probe."""
+    probe = existence.__wrapped__
+    pairs = []
+    for v in range(max_v, r - 1, -1):
+        for mu in range(1, max_mu + 1):
+            if probe(v, r, t, mu) >= tier:
+                pairs.append((v, mu))
+                break
+    return tuple(pairs)
+
+
+def _reference_chunks(n, r, t, tier, max_mu, max_chunks):
+    """The descending-scan branch and bound as it stood before the order
+    tables: pins the visit order and the strict-``>`` tie rule."""
+    orders = _scanned_orders(r, t, n, tier, max_mu)
+    best_value = 0
+    best_combo = []
+
+    def recurse(budget, slots, start, value, combo):
+        nonlocal best_value, best_combo
+        if value > best_value:
+            best_value = value
+            best_combo = list(combo)
+        if slots == 0:
+            return
+        for i in range(start, len(orders)):
+            v, mu = orders[i]
+            if v > budget:
+                continue
+            gain = binom(v, t)
+            if value + gain * slots <= best_value:
+                break
+            combo.append((v, mu))
+            recurse(budget - v, slots - 1, i, value + gain, combo)
+            combo.pop()
+
+    recurse(n, max_chunks, 0, 0, [])
+    return [Chunk(nx=v, mu=mu) for v, mu in best_combo]
 
 
 class TestSubsystem:
@@ -103,6 +151,59 @@ class TestChunkDecomposition:
     def test_empty_when_no_orders(self):
         assert best_chunk_decomposition(10, 5, 4, tier=Existence.KNOWN) == []
 
+    @pytest.mark.parametrize("max_mu", [1, 5])
+    @pytest.mark.parametrize("tier", [Existence.KNOWN, Existence.DIVISIBILITY])
+    @pytest.mark.parametrize("r,t", _STRATA)
+    def test_matches_brute_force_and_reference(self, r, t, tier, max_mu):
+        top = 40
+        orders = _scanned_orders(r, t, top, tier, max_mu)
+        for max_chunks in (1, 2, 3):
+            # Every <= max_chunks multiset of orders, then the best value
+            # per budget n as a running max over ascending totals.
+            best_at = [0] * (top + 1)
+            for size in range(1, max_chunks + 1):
+                for combo in combinations_with_replacement(orders, size):
+                    total = sum(v for v, _ in combo)
+                    if total <= top:
+                        value = sum(binom(v, t) for v, _ in combo)
+                        best_at[total] = max(best_at[total], value)
+            for n in range(1, top + 1):
+                best_at[n] = max(best_at[n], best_at[n - 1])
+            for n in range(top, -1, -1):
+                chunks = best_chunk_decomposition(
+                    n, r, t, tier=tier, max_mu=max_mu, max_chunks=max_chunks
+                )
+                assert sum(c.nx for c in chunks) <= n
+                assert len(chunks) <= max_chunks
+                assert sum(binom(c.nx, t) for c in chunks) == best_at[n], (n, max_chunks)
+                assert chunks == _reference_chunks(
+                    n, r, t, tier, max_mu, max_chunks
+                ), (n, max_chunks)
+
+
+class TestOrderTables:
+    @pytest.mark.parametrize(
+        "r,t,tier,max_mu",
+        [
+            (3, 2, Existence.KNOWN, 1),
+            (4, 3, Existence.KNOWN, 1),
+            (5, 2, Existence.CONSTRUCTIBLE, 1),
+            (5, 3, Existence.DIVISIBILITY, 5),
+            (5, 4, Existence.DIVISIBILITY, 10),
+        ],
+    )
+    def test_query_order_does_not_matter(self, r, t, tier, max_mu):
+        ns = list(range(0, 121))
+        shuffled = list(ns)
+        random.Random(7).shuffle(shuffled)
+        expected = {n: _scanned_orders(r, t, n, tier, max_mu) for n in ns}
+        for queries in (ns, ns[::-1], shuffled):
+            subsystems._ORDER_TABLES.clear()
+            existence.cache_clear()
+            for n in queries:
+                got = subsystems._admissible_orders(r, t, n, tier, max_mu)
+                assert got == expected[n], n
+
 
 class TestCapacityGap:
     def test_gap_zero_for_trivial(self):
@@ -128,6 +229,12 @@ class TestCapacityGap:
             50, 5, 3, max_chunks=3, max_mu=10, tier=Existence.DIVISIBILITY
         )
         assert relaxed <= strict
+
+    @pytest.mark.parametrize(
+        "n,r,x", [(3, 5, 3), (0, 3, 1), (1, 3, 1), (2, 4, 2), (4, 5, 2)]
+    )
+    def test_gap_is_one_when_nothing_fits(self, n, r, x):
+        assert capacity_gap(n, r, x) == 1.0
 
     def test_partition_gap(self):
         assert capacity_gap(71, 3, 0) == pytest.approx(1 - 69 / 71)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.designs import catalog, difference_family
 from repro.designs.blocks import DesignError
 from repro.designs.difference_family import (
+    _BASE_BLOCKS,
     cyclic_2design,
     develop_difference_family,
     difference_family_admissible,
@@ -79,6 +81,58 @@ class TestDevelopment:
     def test_constructible_probe(self):
         assert difference_family_constructible(37, 4)
         assert not difference_family_constructible(25, 4)
+
+
+def _regenerated_table():
+    return {
+        (v, r): find_difference_family(v, r)
+        for r in (4, 5)
+        for v in range(r + 1, catalog._DIFFERENCE_FAMILY_LIMIT + 1)
+        if difference_family_admissible(v, r)
+    }
+
+
+def _clear_design_caches():
+    catalog.existence.cache_clear()
+    catalog._build_nontrivial.cache_clear()
+    cyclic_2design.cache_clear()
+
+
+class TestTable:
+    def test_table_matches_search(self):
+        regenerated = _regenerated_table()
+        listing = "\n".join(
+            f"    {key!r}: {family!r}," for key, family in regenerated.items()
+        )
+        assert _BASE_BLOCKS == regenerated, (
+            "difference-family table is stale; regenerated entries:\n" + listing
+        )
+        assert _BASE_BLOCKS[(25, 4)] is None
+
+    def test_catalog_probes_never_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("catalog ran the difference-family search")
+
+        monkeypatch.setattr(difference_family, "find_difference_family", no_search)
+        _clear_design_caches()
+        try:
+            for r in (4, 5):
+                for v in range(r + 1, catalog._DIFFERENCE_FAMILY_LIMIT + 1):
+                    if catalog.existence(v, r, 2) == catalog.Existence.CONSTRUCTIBLE:
+                        assert catalog.build(v, r, 2).is_design(2, 1)
+        finally:
+            _clear_design_caches()
+
+    def test_corrupt_entry_rejected_on_load(self, monkeypatch):
+        good = _BASE_BLOCKS[(37, 4)]
+        corrupt = good[:-1] + (good[-1][:-1] + (good[-1][-1] + 1,),)
+        monkeypatch.setitem(_BASE_BLOCKS, (37, 4), corrupt)
+        _clear_design_caches()
+        try:
+            with pytest.raises(DesignError, match="not a 2-\\(37,4,1\\) design"):
+                catalog.build(37, 4, 2)
+        finally:
+            _clear_design_caches()
 
 
 class TestCatalogIntegration:
