@@ -75,7 +75,7 @@ def time_array_path(rows) -> float:
     placement.node_csr()
     placement.fingerprint()
     incidence = Incidence(placement)
-    make_kernel(placement, S, backend="gain", incidence=incidence)
+    make_kernel(placement, S, incidence=incidence)
     incidence.csr()
     return time.perf_counter() - start
 

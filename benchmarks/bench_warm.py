@@ -79,7 +79,7 @@ def _cold_engine(rows):
     placement.load_array()
     placement.node_csr()
     placement.fingerprint()
-    engine = AttackEngine(placement, backend="gain")
+    engine = AttackEngine(placement)
     for s in HYDRATE_S_VALUES:
         engine.kernel(s)
     return engine
@@ -87,7 +87,7 @@ def _cold_engine(rows):
 
 def _warm_engine(path):
     """The same readiness via the snapshot (mmap + checksum verify)."""
-    engine = hydrate_engine(path, backend="gain", mmap=True)
+    engine = hydrate_engine(path, mmap=True)
     if engine is None:
         raise AssertionError(f"{path}: snapshot refused to hydrate")
     for s in HYDRATE_S_VALUES:

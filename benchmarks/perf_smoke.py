@@ -4,8 +4,8 @@ A guard, not a benchmark:
 
 * **gain-engine floor** — a small LocalSearch ladder (n=31, b=600 —
   seconds even on a throttled CI runner) through the auto-resolved gain
-  engine and through the pure-python full-scan kernel; fails if the gain
-  engine is slower.
+  backing and through the pure-python gain backing; fails if the damages
+  differ or the auto backing is slower.
 * **placement-scale floor** — build an array-backed placement plus its
   engine structures (loads, CSR, fingerprint, gain kernel) at
   b = 200 000, once through ``Placement.from_arrays`` and once through a
@@ -23,9 +23,9 @@ A guard, not a benchmark:
   affinity pool must equal the same shards run serially, bit for bit.
 
 The real perf records (paper scale / million-object scale) live in
-``bench_kernels.py`` / ``BENCH_2.json`` and ``bench_placement.py`` /
-``BENCH_4.json``; this script only catches the "fast path silently
-degraded below the floor" failure modes.
+``BENCH_2.json`` / ``benchmarks/output/BENCH_kernels.json`` and
+``bench_placement.py`` / ``BENCH_4.json``; this script only catches the
+"fast path silently degraded below the floor" failure modes.
 
 Run::
 
@@ -93,7 +93,7 @@ def _array_ready_seconds(rows) -> float:
     placement.node_csr()
     placement.fingerprint()
     incidence = Incidence(placement)
-    make_kernel(placement, S, backend="gain", incidence=incidence)
+    make_kernel(placement, S, incidence=incidence)
     incidence.csr()
     return time.perf_counter() - start
 
@@ -307,8 +307,8 @@ def affinity_pool_gate(report: dict) -> int:
 
 def main() -> int:
     placement = RandomStrategy(N, 3).place(B, random.Random(0))
-    gain = make_kernel(placement, S, backend="gain")
-    python = make_kernel(placement, S, backend="python")
+    gain = make_kernel(placement, S)
+    python = make_kernel(placement, S, gain_backing="python")
     gain_damages = tuple(
         LocalSearchAdversary(restarts=2, seed=0).attack(
             placement, k, S, kernel=gain
@@ -336,12 +336,12 @@ def main() -> int:
     status = affinity_pool_gate(report) or status
     print(json.dumps(report))
     if gain_damages != python_damages:
-        print("FAIL: gain engine and python kernel disagree", file=sys.stderr)
+        print("FAIL: auto and python gain backings disagree", file=sys.stderr)
         return 1
     if gain_seconds > python_seconds * SLACK:
         print(
-            f"FAIL: gain engine ({gain_seconds:.4f}s) slower than pure "
-            f"python ({python_seconds:.4f}s)",
+            f"FAIL: auto gain backing ({gain_seconds:.4f}s) slower than "
+            f"pure python ({python_seconds:.4f}s)",
             file=sys.stderr,
         )
         return 1

@@ -22,11 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.analysis.common import (
-    adversary_effort,
-    kernel_backend,
-    object_scale_cap,
-)
+from repro.analysis.common import adversary_effort, object_scale_cap
 from repro.core.availability import evaluate_availability_grid
 from repro.core.batch import AttackCell
 from repro.core.simple import SimpleStrategy
@@ -139,9 +135,7 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     # (b, s') shard when it lands in the same process), a k-attack seeds
     # the (k+1)-search, and same-process replays come out of the memo.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
-    reports = evaluate_availability_grid(
-        placement, grid, backend=kernel_backend(), workers=1, seed=b
-    )
+    reports = evaluate_availability_grid(placement, grid, workers=1, seed=b)
     return [
         {
             "avail": report.available,

@@ -65,8 +65,7 @@ class CorrelatedInjector:
 class WorstCaseInjector:
     """The paper's adversary: fail the k nodes that disable the most objects.
 
-    Search runs through the warm attack-engine layer; the damage kernel
-    follows the ``REPRO_KERNEL`` knob unless ``backend`` overrides it.
+    Search runs through the warm attack-engine layer.
     Cluster snapshots are keyed structurally in the engine's warm cache,
     so re-attacking an unchanged population — the common case in churn
     scenarios, which re-inject every few events — reuses the incidence
@@ -92,14 +91,12 @@ class WorstCaseInjector:
         self,
         effort: str = "auto",
         rng: Optional[random.Random] = None,
-        backend: Optional[str] = None,
         seed: int = 0,
         cache: Optional[bool] = None,
         engine: Optional[AttackEngine] = None,
     ) -> None:
         self.effort = effort
         self.rng = rng
-        self.backend = backend
         self.seed = seed
         self.cache = cache
         self.engine = engine
@@ -114,7 +111,7 @@ class WorstCaseInjector:
     ) -> List[int]:
         engine = self.engine
         if engine is None:
-            engine = engine_for(cluster.placement_snapshot(), self.backend)
+            engine = engine_for(cluster.placement_snapshot())
         attack = engine.attack(
             AttackCell(k, rule.s, self.effort),
             seed=self.seed,

@@ -62,15 +62,10 @@ from repro.core.params import (
     write_all_threshold,
 )
 from repro.core.kernels import (
-    BitsetKernel,
     DamageKernel,
     DeltaIncidence,
     Incidence,
-    NumpyKernel,
-    PythonKernel,
-    force_backend,
     make_kernel,
-    resolve_backend,
 )
 from repro.core.placement import Placement, PlacementError
 from repro.core.random_placement import RandomStrategy, UnconstrainedRandomStrategy
@@ -100,7 +95,6 @@ __all__ = [
     "AttackEngine",
     "AttackResult",
     "AvailabilityReport",
-    "BitsetKernel",
     "BranchAndBoundAdversary",
     "Chunk",
     "ComboPlan",
@@ -112,12 +106,10 @@ __all__ = [
     "GreedyAdversary",
     "Incidence",
     "LocalSearchAdversary",
-    "NumpyKernel",
     "PackingProfile",
     "Placement",
     "PlacementAudit",
     "PlacementError",
-    "PythonKernel",
     "RandomStrategy",
     "SimpleStrategy",
     "Subsystem",
@@ -141,7 +133,6 @@ __all__ = [
     "evaluate_availability_grid",
     "expected_random_multiplicity",
     "failure_probability",
-    "force_backend",
     "lb_avail_combo",
     "lb_avail_simple",
     "lemma4_upper_bound",
@@ -154,7 +145,6 @@ __all__ = [
     "pr_avail_fraction",
     "pr_avail_rnd",
     "read_one_threshold",
-    "resolve_backend",
     "select_combo_subsystems",
     "select_subsystem",
     "simple_capacity",

@@ -22,33 +22,25 @@ Heuristic engines under-estimate worst-case damage, therefore over-estimate
 availability — callers that need a guaranteed direction use the ``exact``
 flag on the result.
 
-Damage evaluation is delegated to the pluggable kernels of
-:mod:`repro.core.kernels` (selected via ``REPRO_KERNEL`` or
-``force_backend``); every engine accepts a prebuilt ``kernel`` so grids of
-attacks share one incidence structure (see :mod:`repro.core.batch`), and
-heuristic engines accept a ``warm_start`` failure set so a k-attack can
-seed the k+1 search.
+Damage evaluation is delegated to the gain kernel of
+:mod:`repro.core.kernels` (its backing selected via
+``REPRO_GAIN_BACKING``); every engine accepts a prebuilt ``kernel`` so
+grids of attacks share one incidence structure (see
+:mod:`repro.core.batch`), and heuristic engines accept a ``warm_start``
+failure set so a k-attack can seed the k+1 search.
 
-Per-move cost by kernel backend (n nodes, b objects, r replicas, failure
-set of size k; one "polish position" = remove + best-addition + re-add):
-
-=========  ==================  =================  ==============
-backend    best_addition       polish position    damage query
-=========  ==================  =================  ==============
-``gain``   O(n) table argmax   O(r^2 b / n + n)   O(1) counter
-``bitset`` O(n b / 64) words   O(n b / 64 + k s)  one popcount
-``numpy``  O(n b) vectorized   O(n b)             O(b) reduce
-``python`` O(n + r b / n)      O(n + r b / n)     O(b) scan
-=========  ==================  =================  ==============
-
-The gain engine is the default and the only backend whose per-position
-cost does not scale with ``n * b``; pick ``bitset`` when you need the
-stdlib-only engine with the lowest constant at small scale, ``python``
-as the executable reference. All backends return identical results —
-search trajectories (tie-breaks included) are backend-independent, and
-``evaluations`` counts candidate damage evaluations the same way
-everywhere, so :class:`AttackResult` values can be compared across
-backends bit-for-bit.
+Per-move cost of the gain kernel (n nodes, b objects, r replicas; one
+"polish position" = remove + best-addition + re-add): ``best_addition``
+is an O(n) table argmax, a polish position O(r^2 b / n + n), a damage
+query O(1). The three backings share these costs and differ only in
+constants: ``native`` fuses a whole polish pass (and a batch of polish
+chains) into one foreign call; ``python`` runs the generic loops of
+:class:`~repro.core.kernels.DamageKernel` and is the executable
+reference. All backings return identical results — search trajectories
+(tie-breaks included) are backing-independent, and ``evaluations``
+counts candidate damage evaluations the same way everywhere, so
+:class:`AttackResult` values can be compared across backings
+bit-for-bit.
 
 Attack results for repeated identical (placement, cell) queries are
 memoized by the batch engine — see ``repro.core.batch`` for the cache
@@ -315,8 +307,8 @@ class BranchAndBoundAdversary:
     bounds the best completion with the kernel's refined bound — the
     deficit-based optimistic bound (objects still killable with the
     remaining slots among the not-yet-considered nodes) capped by the
-    suffix top-degree sum, tightened further by gain-table state where the
-    backend has it. With the local-search incumbent installed up front,
+    suffix top-degree sum, tightened further by the gain table's exact
+    one-slot completion. With the local-search incumbent installed up front,
     most branches die immediately.
 
     ``max_nodes`` bounds the search-tree size; on exhaustion the best-known
@@ -371,8 +363,8 @@ class BranchAndBoundAdversary:
             if budget[0] > 0:
                 budget[0] -= 1
             # refined_bound = deficit bound capped by the suffix degree sum,
-            # plus any backend tightening (the gain kernel resolves
-            # one-slot completions exactly from its gain table).
+            # tightened by the gain table, which resolves one-slot
+            # completions exactly.
             if model.refined_bound(hits, start, slots) <= best_damage:
                 return
             for node in range(start, n - slots + 1):

@@ -1,40 +1,30 @@
-"""Pluggable damage kernels: the shared hot path of worst-case search.
+"""The damage kernel: the shared hot path of worst-case search.
 
 Every availability number in the paper (Definition 1's ``Avail(pi)`` =
 min surviving objects over all C(n, k) failure sets) bottlenecks on one
 operation: given a partial failure set, how many objects have lost at
 least ``s`` replicas, and which node kills the most next? This module
-isolates that operation behind the :class:`DamageKernel` interface with
-four interchangeable backends:
+isolates that operation behind the :class:`DamageKernel` interface,
+implemented by one engine, :class:`GainKernel`.
 
-* :class:`GainKernel` — the incremental gain-table engine and the default.
-  It maintains a length-``b`` hit-count vector plus a length-``n``
-  marginal-gain table (``gain[v]`` = objects at count ``s - 1`` covered by
-  ``v``), so ``add_node``/``remove_node`` touch only the ~``r * b / n``
-  objects incident to the changed node instead of rescanning all
-  ``n * b`` pairs, ``best_addition`` is an O(n) argmax over the table,
-  and ``damage_of`` is O(1). Three backings share one contract:
-  ``native`` (C hot loops compiled at first use, see
-  :mod:`repro.core.native`), ``numpy`` (scatter updates + a vectorized
-  ``M @ (counts == s - 1)`` bulk rebuild), and ``python`` (the
-  dependency-free reference).
-  Selected via ``REPRO_GAIN_BACKING`` or the ``gain_backing`` argument.
-* :class:`BitsetKernel` — node-major Python ints as object bitmasks with
-  popcount via ``int.bit_count()``. ``levels[i]`` holds the bitmask of
-  objects with at least ``i + 1`` failed replicas, so adding a node is
-  ``s`` AND/OR word operations and the common s = 1..2 damage queries are
-  a single popcount — near branch-free, and dependency-free. Its
-  ``best_addition`` rescans all n candidate masks (O(n * b / 64) words).
-* :class:`NumpyKernel` — dense ``int16`` incidence with *preallocated*
-  scratch buffers and in-place ``add_node``/``remove_node`` (no per-move
-  allocation, unlike the historical ``hits + matrix[:, node]`` path).
-* :class:`PythonKernel` — per-node object lists; the fallback when numpy
-  is absent and the full-scan reference implementation.
+The gain kernel maintains a length-``b`` hit-count vector plus a
+length-``n`` marginal-gain table (``gain[v]`` = objects at count
+``s - 1`` covered by ``v``), so ``add_node``/``remove_node`` touch only
+the ~``r * b / n`` objects incident to the changed node instead of
+rescanning all ``n * b`` pairs, ``best_addition`` is an O(n) argmax over
+the table, and ``damage_of`` is O(1). Three backings share one contract
+and return bit-identical results:
 
-Backend choice: ``force_backend`` (a context manager, used by tests) >
-explicit ``backend=`` argument > the ``REPRO_KERNEL`` environment knob >
-``"auto"`` (the gain kernel, which never has missing dependencies — its
-backing ladder degrades from native through numpy to pure python).
+* ``native`` — C hot loops compiled at first use (see
+  :mod:`repro.core.native`), with fused polish passes and chains;
+* ``numpy`` — scatter updates plus a blocked vectorized bulk rebuild;
+* ``python`` — the dependency-free reference, which runs the generic
+  ``try_swap``/``polish_pass``/``polish_chain`` loops of
+  :class:`DamageKernel`.
+
+Backing choice: the ``gain_backing`` argument > ``REPRO_GAIN_BACKING`` >
+``auto``, which walks the ladder native -> numpy -> python, skipping
+unavailable and fault-demoted rungs.
 
 Kernels bind an :class:`Incidence` — the node-major structure built once
 per placement — to one fatality threshold ``s``; the batch engine
@@ -51,9 +41,8 @@ from __future__ import annotations
 
 import os
 from array import array
-from contextlib import contextmanager
 from itertools import chain as _chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import native as _native
@@ -64,12 +53,6 @@ try:  # optional accelerator
 except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
     _np = None
 
-#: Recognized backend names, fastest-first.
-BACKENDS: Tuple[str, ...] = ("gain", "bitset", "numpy", "python")
-
-#: What ``auto`` resolves to; the gain kernel needs only the stdlib.
-DEFAULT_BACKEND = "gain"
-
 #: Recognized gain-engine backings, fastest-first: the degradation
 #: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
 #: the failing rung for the rest of the process (see demote_backing).
@@ -79,9 +62,6 @@ GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "python")
 #: ``counts[b] | gain[n] | dead``). Bumped when the layout changes;
 #: artifacts carrying a newer version fall back to a cold rebuild.
 GAIN_STATE_VERSION = 1
-
-# Stack of backends pinned by force_backend(); top of stack wins.
-_FORCED: List[str] = []
 
 # Backings demoted after a fault (backing -> reason). Process-wide: once
 # a rung is demoted, ``auto`` never climbs back to it; forked workers
@@ -121,56 +101,6 @@ def restore_backings() -> None:
 
 def numpy_available() -> bool:
     return _np is not None
-
-
-def _absorb(levels: List[int], mask: int) -> None:
-    """Fold one node's object mask into saturating at-least-count levels.
-
-    ``levels[i]`` is the bitmask of objects with at least ``i + 1`` hits;
-    the update must run top-down so each level absorbs the *previous*
-    state of the level below. Shared by both hit tracking and the suffix
-    tables, so the invariant cannot drift between damage counting and
-    branch-and-bound pruning.
-    """
-    for i in range(len(levels) - 1, 0, -1):
-        levels[i] |= levels[i - 1] & mask
-    levels[0] |= mask
-
-
-@contextmanager
-def force_backend(name: str) -> Iterator[None]:
-    """Pin kernel selection for the dynamic extent of the ``with`` block.
-
-    Overrides both explicit ``backend=`` arguments and ``REPRO_KERNEL``,
-    and unwinds on exit even when the body raises — the replacement for
-    the old ``_FORCE_PURE_PYTHON`` mutable global, which leaked between
-    tests. Nested blocks stack; the innermost wins.
-    """
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; use one of {BACKENDS}")
-    if name == "numpy" and _np is None:
-        raise ValueError("cannot force the numpy backend: numpy is not importable")
-    _FORCED.append(name)
-    try:
-        yield
-    finally:
-        _FORCED.pop()
-
-
-def resolve_backend(requested: Optional[str] = None) -> str:
-    """The concrete backend to use, honoring forcing, argument and env."""
-    if _FORCED:
-        return _FORCED[-1]
-    choice = requested or os.environ.get("REPRO_KERNEL", "auto") or "auto"
-    if choice == "auto":
-        return DEFAULT_BACKEND
-    if choice not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {choice!r}; use auto or one of {BACKENDS}"
-        )
-    if choice == "numpy" and _np is None:
-        raise ValueError("numpy backend requested but numpy is not importable")
-    return choice
 
 
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
@@ -214,20 +144,18 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
 class Incidence:
     """Node-major incidence structures for one placement, built lazily.
 
-    One instance is shared by every kernel (any ``s``, any backend) and
-    every attack cell evaluated against the same placement: bitmasks for
-    the bitset kernel, the dense matrix for numpy, suffix replica counts
-    for branch-and-bound optimistic bounds.
+    One instance is shared by every kernel (any ``s``, any backing) and
+    every attack cell evaluated against the same placement: CSR arrays
+    for the native backing, index arrays and the dense suffix matrix for
+    numpy, per-node/per-object lists and suffix replica counts for the
+    python backing and branch-and-bound optimistic bounds.
     """
 
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
         self.n = placement.n
         self.b = placement.b
-        self._masks: Optional[List[int]] = None
-        self._suffix_masks: Optional[List[List[int]]] = None
         self._matrix = None
-        self._columns = None
         self._suffix_matrix = None
         self._suffix_counts: Optional[List[List[int]]] = None
         self._object_nodes: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -236,42 +164,6 @@ class Incidence:
         self._obj_nodes_np = None
         self._node_objs_np = None
         self._top_degree_prefix: Optional[List[List[int]]] = None
-
-    # -- bitset structures -------------------------------------------------
-
-    def node_masks(self) -> List[int]:
-        """``masks[node]`` has bit ``o`` set iff object ``o`` lives there."""
-        if self._masks is None:
-            node_off, node_objs = self.placement.node_csr()
-            masks = [0] * self.n
-            for node in range(self.n):
-                mask = 0
-                for obj_id in node_objs[node_off[node]:node_off[node + 1]]:
-                    mask |= 1 << obj_id
-                masks[node] = mask
-            self._masks = masks
-        return self._masks
-
-    def full_mask(self) -> int:
-        return (1 << self.b) - 1
-
-    def suffix_masks(self) -> List[List[int]]:
-        """``table[j][d]`` = bitmask of objects with >= d replicas on nodes >= j.
-
-        Built in one backward sweep with the same saturating-level update
-        the bitset kernel uses for hits; d ranges over 1..r (index 0 unused).
-        """
-        if self._suffix_masks is None:
-            r = self.placement.r
-            masks = self.node_masks()
-            levels = [0] * r
-            table: List[List[int]] = [[]] * (self.n + 1)
-            table[self.n] = [0] + list(levels)
-            for j in range(self.n - 1, -1, -1):
-                _absorb(levels, masks[j])
-                table[j] = [0] + list(levels)  # index 0 unused; table[j][d]
-            self._suffix_masks = table
-        return self._suffix_masks
 
     # -- numpy structures --------------------------------------------------
 
@@ -283,12 +175,6 @@ class Incidence:
             matrix[_np.arange(self.b)[:, None], rows] = 1
             self._matrix = matrix
         return self._matrix
-
-    def columns(self):
-        """``columns[node]`` = contiguous incidence row for one node."""
-        if self._columns is None:
-            self._columns = _np.ascontiguousarray(self.matrix().T)
-        return self._columns
 
     def suffix_matrix(self):
         """``suffix[o, j]`` = replicas of object ``o`` on nodes >= j."""
@@ -427,8 +313,8 @@ class DeltaIncidence(Incidence):
     placement; under churn that rebuild (plus the placement snapshot and
     fingerprint hashing feeding it) dominates the cost of re-attacking.
     This subclass instead keeps the core per-node/per-object structures —
-    node bitmasks, node -> objects lists, object -> nodes tuples, the load
-    profile — as mutable state and edits only the changed objects'
+    node -> objects lists, object -> nodes tuples, the load profile — as
+    mutable state and edits only the changed objects'
     entries per :meth:`apply_delta` (removals pay an extra O(node load)
     scan per incident node to locate the id being deleted or relabeled,
     so a delta costs O(changed replicas x avg incident load) — still
@@ -442,7 +328,7 @@ class DeltaIncidence(Incidence):
 
     * removals are processed in **descending id order**; removing id ``d``
       moves the **last** object into slot ``d`` (swap-with-last keeps ids
-      dense, so bitmask width and hit-vector length stay ``b``);
+      dense, so hit-vector length stays ``b``);
     * additions are appended in iteration order after all removals.
 
     Attack results are invariant under object re-numbering (damage counts
@@ -465,19 +351,10 @@ class DeltaIncidence(Incidence):
             tuple(flat[i:i + r]) for i in range(0, self.b * r, r)
         ]
         self._loads: List[int] = list(placement.load_array())
-        masks = [0] * self.n
-        for obj_id, nodes in enumerate(self._obj_nodes):
-            bit = 1 << obj_id
-            for node in nodes:
-                masks[node] |= bit
-        self._masks = masks
         self._node_caps: Optional[List[int]] = None
 
     # Live views: kernels bound to this incidence hold these list objects
     # directly, so in-place edits propagate without rebinding.
-
-    def node_masks(self) -> List[int]:
-        return self._masks
 
     def node_objects(self) -> List[List[int]]:  # type: ignore[override]
         return self._node_objs
@@ -564,7 +441,7 @@ class DeltaIncidence(Incidence):
         if len(self._obj_nodes) - len(removed_ids) + len(added_sets) == 0:
             raise ValueError("delta would leave the placement empty")
 
-        masks, node_objs, loads = self._masks, self._node_objs, self._loads
+        node_objs, loads = self._node_objs, self._loads
         # The padded CSR export (if built) is edited in lockstep with the
         # list structures; `csr` goes None mid-batch if a capacity
         # overflows, after which it rebuilds lazily from the lists.
@@ -574,10 +451,8 @@ class DeltaIncidence(Incidence):
             caps = self._node_caps
         r = self.r
         for obj_id in removed_ids:
-            bit = 1 << obj_id
             for node in self._obj_nodes[obj_id]:
                 node_objs[node].remove(obj_id)
-                masks[node] &= ~bit
                 loads[node] -= 1
                 if csr is not None:
                     tail = node_end[node] - 1
@@ -589,11 +464,9 @@ class DeltaIncidence(Incidence):
             last = len(self._obj_nodes) - 1
             if obj_id != last:
                 moved = self._obj_nodes[last]
-                last_bit = 1 << last
                 for node in moved:
                     row = node_objs[node]
                     row[row.index(last)] = obj_id
-                    masks[node] = (masks[node] & ~last_bit) | bit
                     if csr is not None:
                         for i in range(node_off[node], node_end[node]):
                             if store[i] == last:
@@ -607,7 +480,6 @@ class DeltaIncidence(Incidence):
             self._obj_nodes.pop()
         for node_tuple in added_sets:
             obj_id = len(self._obj_nodes)
-            bit = 1 << obj_id
             if csr is not None:
                 if (obj_id + 1) * r > len(obj_nodes_flat):
                     csr = self._csr = None  # object region full; rebuild lazily
@@ -617,7 +489,6 @@ class DeltaIncidence(Incidence):
                     )
             for node in node_tuple:
                 node_objs[node].append(obj_id)
-                masks[node] |= bit
                 loads[node] += 1
                 if csr is not None:
                     end = node_end[node]
@@ -642,9 +513,7 @@ class DeltaIncidence(Incidence):
         self.placement = placement
         # Lazy aggregates are stale; drop them for on-demand rebuild.
         # (The padded CSR is NOT dropped — it was maintained above.)
-        self._suffix_masks = None
         self._matrix = None
-        self._columns = None
         self._suffix_matrix = None
         self._suffix_counts = None
         self._object_nodes = None
@@ -675,22 +544,6 @@ class DamageKernel:
         self.n = placement.n
         self.b = placement.b
 
-    def rebind(self) -> bool:
-        """Re-align with an in-place :meth:`DeltaIncidence.apply_delta`.
-
-        Returns True when this kernel absorbed the mutation — it shares
-        the incidence's live structures and only its cached shape needed
-        refreshing — and False when the caller must rebuild it (packed
-        per-object state that cannot be edited surgically). The default is
-        conservative: rebuild.
-        """
-        return False
-
-    def _refresh_shape(self) -> None:
-        """Adopt the incidence's post-delta placement and object count."""
-        self.placement = self.incidence.placement
-        self.b = self.incidence.b
-
     # -- hit-vector operations --------------------------------------------
 
     def empty_hits(self):
@@ -718,8 +571,8 @@ class DamageKernel:
     def best_addition(self, hits, banned: Sequence[int]) -> Tuple[int, int]:
         """(node, resulting damage) maximizing damage after adding one node.
 
-        Ties break toward the lowest node id in every backend, so search
-        trajectories (and therefore heuristic results) are backend-independent.
+        Ties break toward the lowest node id in every backing, so search
+        trajectories (and therefore heuristic results) are backing-independent.
         """
         raise NotImplementedError
 
@@ -729,8 +582,8 @@ class DamageKernel:
         Counts objects that are dead already or still killable: deficit
         (replicas to reach ``s``) at most ``slots`` *and* reachable among
         the not-yet-considered nodes. Used by branch-and-bound pruning.
-        This bound is backend-independent by contract (the property tests
-        pin it); backend-specific tightenings go in :meth:`refined_bound`.
+        This bound is backing-independent by contract (the property tests
+        pin it); tightenings go in :meth:`refined_bound`.
         """
         raise NotImplementedError
 
@@ -740,10 +593,9 @@ class DamageKernel:
         Combines :meth:`optimistic_bound` with the degree cap: every
         not-yet-dead object needs at least one added incidence to die, so
         a completion of ``slots`` nodes from the suffix kills at most
-        ``top_degree_sum(start, slots)`` new objects. Backends with more
+        ``top_degree_sum(start, slots)`` new objects. Kernels with more
         state may tighten further (the gain kernel resolves one-slot
-        completions exactly), so unlike ``optimistic_bound`` the value may
-        differ between backends — it only has to stay sound.
+        completions exactly); the value only has to stay sound.
         """
         bound = self.optimistic_bound(hits, start, slots)
         cap = self.damage_of(hits) + self.incidence.top_degree_sum(start, slots)
@@ -756,7 +608,7 @@ class DamageKernel:
         iff the resulting damage strictly beats ``current``, and restores
         ``node`` otherwise. ``banned`` must not contain ``node`` (so the
         no-op swap is a legal candidate). Returns
-        ``(hits, swapped_in_node_or_None, resulting_damage)``; backends
+        ``(hits, swapped_in_node_or_None, resulting_damage)``; backings
         with fused state (the native gain backing) override this to run
         the whole position in one call.
         """
@@ -777,7 +629,7 @@ class DamageKernel:
         overrides this to run the whole sweep in one foreign call;
         semantics (visit order, tie-breaks, strict-improvement rule) are
         identical everywhere, so search trajectories stay
-        backend-independent.
+        backing-independent.
         """
         banned = set(nodes)
         improved = False
@@ -832,208 +684,6 @@ class DamageKernel:
         return [self.polish_chain(seed) for seed in seeds]
 
 
-class _BitsetHits:
-    """Mutable bitset hit state: chosen nodes + saturating level masks."""
-
-    __slots__ = ("nodes", "levels")
-
-    def __init__(self, s: int) -> None:
-        self.nodes: List[int] = []
-        self.levels: List[int] = [0] * s
-
-
-class BitsetKernel(DamageKernel):
-    """Python-int bitmask backend; see the module docstring."""
-
-    name = "bitset"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        super().__init__(incidence, s)
-        self.masks = incidence.node_masks()
-
-    def rebind(self) -> bool:
-        # The mask list is the delta incidence's live object; only the
-        # cached shape (b, placement) needs refreshing.
-        self._refresh_shape()
-        return True
-
-    def empty_hits(self) -> _BitsetHits:
-        return _BitsetHits(self.s)
-
-    def add_node(self, hits: _BitsetHits, node: int) -> _BitsetHits:
-        _absorb(hits.levels, self.masks[node])
-        hits.nodes.append(node)
-        return hits
-
-    def remove_node(self, hits: _BitsetHits, node: int) -> _BitsetHits:
-        # Saturating levels cannot be decremented; rebuild from survivors.
-        # The failure sets under search are tiny (k <= n), so this stays
-        # O(k * s) word-vector operations.
-        hits.nodes.remove(node)
-        levels = [0] * self.s
-        for kept in hits.nodes:
-            _absorb(levels, self.masks[kept])
-        hits.levels = levels
-        return hits
-
-    def damage_of(self, hits: _BitsetHits) -> int:
-        return hits.levels[self.s - 1].bit_count()
-
-    def best_addition(self, hits: _BitsetHits, banned: Sequence[int]) -> Tuple[int, int]:
-        masks = self.masks
-        banned_set = set(banned)
-        best_node, best_damage = -1, -1
-        top = hits.levels[self.s - 1]
-        if self.s == 1:
-            for node in range(self.n):
-                if node in banned_set:
-                    continue
-                d = (top | masks[node]).bit_count()
-                if d > best_damage:
-                    best_node, best_damage = node, d
-        else:
-            sub = hits.levels[self.s - 2]
-            for node in range(self.n):
-                if node in banned_set:
-                    continue
-                d = (top | (sub & masks[node])).bit_count()
-                if d > best_damage:
-                    best_node, best_damage = node, d
-        return best_node, best_damage
-
-    def optimistic_bound(self, hits: _BitsetHits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_masks()[start]
-        levels = hits.levels
-        killable = levels[self.s - 1]
-        for deficit in range(1, min(slots, self.s) + 1):
-            if deficit < self.s:
-                # Objects with >= s - deficit hits already...
-                reachable = levels[self.s - deficit - 1]
-            else:
-                # ...or any object at all when s more failures suffice.
-                reachable = self.incidence.full_mask()
-            # ...that still have >= deficit replicas on unconsidered nodes.
-            killable |= reachable & suffix[deficit]
-        return killable.bit_count()
-
-
-class NumpyKernel(DamageKernel):
-    """Dense-matrix backend with preallocated scratch buffers."""
-
-    name = "numpy"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        if _np is None:
-            raise RuntimeError("NumpyKernel requires numpy")
-        super().__init__(incidence, s)
-        self.matrix = incidence.matrix()
-        self.columns = incidence.columns()
-        b, n = self.b, self.n
-        self._totals = _np.empty((b, n), dtype=_np.int16)
-        self._killed = _np.empty((b, n), dtype=bool)
-        self._damages = _np.empty(n, dtype=_np.int64)
-        self._dead = _np.empty(b, dtype=bool)
-        self._deficit = _np.empty(b, dtype=_np.int16)
-        self._bound_a = _np.empty(b, dtype=bool)
-        self._bound_b = _np.empty(b, dtype=bool)
-
-    def empty_hits(self):
-        return _np.zeros(self.b, dtype=_np.int16)
-
-    def add_node(self, hits, node: int):
-        hits += self.columns[node]
-        return hits
-
-    def remove_node(self, hits, node: int):
-        hits -= self.columns[node]
-        return hits
-
-    def damage_of(self, hits) -> int:
-        _np.greater_equal(hits, self.s, out=self._dead)
-        return int(self._dead.sum())
-
-    def best_addition(self, hits, banned: Sequence[int]) -> Tuple[int, int]:
-        _np.add(hits[:, None], self.matrix, out=self._totals)
-        _np.greater_equal(self._totals, self.s, out=self._killed)
-        self._killed.sum(axis=0, out=self._damages)
-        if banned:
-            self._damages[list(banned)] = -1
-        node = int(self._damages.argmax())
-        return node, int(self._damages[node])
-
-    def optimistic_bound(self, hits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_matrix()
-        deficit = self._deficit
-        _np.subtract(self.s, hits, out=deficit)
-        _np.less_equal(deficit, slots, out=self._bound_a)
-        _np.greater_equal(suffix[:, start], deficit, out=self._bound_b)
-        self._bound_a &= self._bound_b
-        _np.less_equal(deficit, 0, out=self._bound_b)
-        self._bound_a |= self._bound_b
-        return int(self._bound_a.sum())
-
-
-class PythonKernel(DamageKernel):
-    """Per-node object lists; the dependency-free reference backend."""
-
-    name = "python"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        super().__init__(incidence, s)
-        self.node_objects = incidence.node_objects()
-
-    def rebind(self) -> bool:
-        self._refresh_shape()
-        self.node_objects = self.incidence.node_objects()
-        return True
-
-    def empty_hits(self) -> List[int]:
-        return [0] * self.b
-
-    def add_node(self, hits: List[int], node: int) -> List[int]:
-        for obj_id in self.node_objects[node]:
-            hits[obj_id] += 1
-        return hits
-
-    def remove_node(self, hits: List[int], node: int) -> List[int]:
-        for obj_id in self.node_objects[node]:
-            hits[obj_id] -= 1
-        return hits
-
-    def damage_of(self, hits: List[int]) -> int:
-        s = self.s
-        return sum(1 for h in hits if h >= s)
-
-    def best_addition(self, hits: List[int], banned: Sequence[int]) -> Tuple[int, int]:
-        banned_set = set(banned)
-        s = self.s
-        base = self.damage_of(hits)
-        best_node, best_damage = -1, -1
-        for node in range(self.n):
-            if node in banned_set:
-                continue
-            # Only objects on `node` can change state; count crossings.
-            d = base
-            for obj_id in self.node_objects[node]:
-                if hits[obj_id] == s - 1:
-                    d += 1
-            if d > best_damage:
-                best_node, best_damage = node, d
-        return best_node, best_damage
-
-    def optimistic_bound(self, hits: List[int], start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_counts()
-        s = self.s
-        count = 0
-        for obj_id in range(self.b):
-            deficit = s - hits[obj_id]
-            if deficit <= 0:
-                count += 1
-            elif deficit <= slots and suffix[obj_id][start] >= deficit:
-                count += 1
-        return count
-
-
 class _GainHits:
     """Mutable gain-engine state: hit counts, gain table, dead counter."""
 
@@ -1054,8 +704,8 @@ class GainKernel(DamageKernel):
     ``>= s`` hits). ``add_node``/``remove_node`` walk only the objects
     incident to the changed node and propagate boundary crossings (counts
     hitting ``s - 1`` or ``s``) to the ~``r`` incident nodes of each
-    crossing object — O(r^2 * b / n) per move versus the O(n * b) rescans
-    of the full-scan kernels. ``best_addition`` is an O(n) argmax over the
+    crossing object — O(r^2 * b / n) per move versus the O(n * b) of a
+    full rescan. ``best_addition`` is an O(n) argmax over the
     table (zero-gain candidates never cost a damage evaluation — the
     candidate pruning of classic max-coverage local search), and
     ``damage_of`` is O(1).
@@ -1093,14 +743,18 @@ class GainKernel(DamageKernel):
             self._object_nodes = self.incidence.object_nodes()
         return self._object_nodes
 
-    def rebind(self) -> bool:
-        # The pure-python backing reads the delta incidence's live
-        # list structures; absorbing a delta is an O(1) shape refresh.
-        self._refresh_shape()
+    def rebind(self) -> None:
+        """Re-align with an in-place :meth:`DeltaIncidence.apply_delta`.
+
+        The pure-python backing reads the delta incidence's live list
+        structures, so absorbing a delta is an O(1) shape refresh;
+        the packed backings re-export what they hold on top of this.
+        """
+        self.placement = self.incidence.placement
+        self.b = self.incidence.b
         self._node_objects = None
         self._object_nodes = None
         self._seeded_empty = None  # stale after a shape change
-        return True
 
     # -- packed state (snapshot export/import) -----------------------------
 
@@ -1257,15 +911,13 @@ class _NumpyGainKernel(GainKernel):
         self._node_arrays = incidence.node_objects_arrays()
         self._obj_matrix = incidence.object_nodes_matrix()
 
-    def rebind(self) -> bool:
+    def rebind(self) -> None:
         # The packed index arrays cannot be edited surgically, but they
         # re-export from the delta incidence's live lists in O(b) — far
         # cheaper than a placement-snapshot + fingerprint + engine rebuild.
-        if not super().rebind():  # pragma: no cover - GainKernel returns True
-            return False
+        super().rebind()
         self._node_arrays = self.incidence.node_objects_arrays()
         self._obj_matrix = self.incidence.object_nodes_matrix()
-        return True
 
     def export_state(self, hits: _GainHits) -> bytes:
         state = _np.empty(self.b + self.n + 1, dtype="<i4")
@@ -1467,20 +1119,18 @@ class _NativeGainKernel(GainKernel):
             template[self.b:self.b + self.n] = self.placement.load_array()
         self._empty_template = template.tobytes()
 
-    def rebind(self) -> bool:
+    def rebind(self) -> None:
         # A DeltaIncidence edits its padded CSR arrays in place, so the
         # usual delta leaves the exported pointers valid: only the model's
         # object count and the empty-state template need refreshing. A
         # replaced CSR (capacity overflow, first upgrade) re-exports.
-        if not super().rebind():  # pragma: no cover - GainKernel returns True
-            return False
+        super().rebind()
         if self.incidence.csr() is not self._csr:
             self._bind_model()
         else:
             self._model.b = self.b
             self._suffix_ptr = None
             self._rebuild_template()
-        return True
 
     def export_state(self, hits: _NativeGainHits) -> bytes:
         return _native.pack_i32_le(hits.state)
@@ -1621,7 +1271,6 @@ _GAIN_KERNELS = {
 def make_kernel(
     placement: Placement,
     s: int,
-    backend: Optional[str] = None,
     incidence: Optional[Incidence] = None,
     gain_backing: Optional[str] = None,
 ) -> DamageKernel:
@@ -1629,21 +1278,13 @@ def make_kernel(
 
     Pass ``incidence`` to share one :class:`Incidence` across several
     kernels (different ``s``) over the same placement. ``gain_backing``
-    pins the gain engine's backing (default: ``REPRO_GAIN_BACKING``/auto);
-    it is ignored by the full-scan backends.
+    pins the backing (default: ``REPRO_GAIN_BACKING``/auto).
     """
-    chosen = resolve_backend(backend)
     if incidence is None:
         incidence = Incidence(placement)
     elif incidence.placement is not placement:
         raise ValueError("incidence was built for a different placement")
-    if chosen == "gain":
-        return _dispatch_gain_kernel(incidence, s, gain_backing)
-    if chosen == "bitset":
-        return BitsetKernel(incidence, s)
-    if chosen == "numpy":
-        return NumpyKernel(incidence, s)
-    return PythonKernel(incidence, s)
+    return _dispatch_gain_kernel(incidence, s, gain_backing)
 
 
 def _dispatch_gain_kernel(

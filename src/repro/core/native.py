@@ -489,7 +489,7 @@ def load() -> ctypes.CDLL:
         # The ``native.compile`` injection point: an injected fault here
         # makes the backing "unavailable" for the rest of the process,
         # which is exactly what a broken toolchain looks like — the gain
-        # ladder must degrade to numpy/bitset, never abort the run.
+        # ladder must degrade to numpy/python, never abort the run.
         from repro.faults import injector as _chaos
 
         _chaos.inject("native.compile")

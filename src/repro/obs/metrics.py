@@ -144,7 +144,6 @@ CATALOG: Dict[str, Instrument] = {
         _c("attack.memo.misses", "attack-result memo misses"),
         _c("kernel.dispatch.native", "gain kernels built on the native rung"),
         _c("kernel.dispatch.numpy", "gain kernels built on the numpy rung"),
-        _c("kernel.dispatch.bitset", "gain kernels built on the bitset rung"),
         _c("kernel.dispatch.python", "gain kernels built on the python rung"),
         _c("store.cells_loaded", "cells served from a stored run prefix"),
         _c("store.cells_recomputed",

@@ -92,7 +92,6 @@ class SimConfig:
     strike_period: float = 16.0
     measure_period: float = 8.0
     effort: str = "fast"
-    backend: Optional[str] = None
     engine_mode: str = "delta"
     repair: str = "none"
     repair_grace: float = 4.0
@@ -139,10 +138,8 @@ class LifetimeSimulator:
         self.repair_policy: RepairPolicy = make_repair_policy(
             config.repair, grace=config.repair_grace
         )
-        self.mirror = EngineMirror(config.n, backend=config.backend)
-        self.injector = WorstCaseInjector(
-            effort=config.effort, backend=config.backend, seed=config.seed,
-        )
+        self.mirror = EngineMirror(config.n)
+        self.injector = WorstCaseInjector(effort=config.effort, seed=config.seed)
         self._trace = churn_trace(
             steps=config.events,
             arrival_probability=config.arrival_probability,

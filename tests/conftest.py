@@ -4,12 +4,19 @@ import random
 
 import pytest
 
-from repro.core.kernels import BACKENDS, force_backend, numpy_available
+from repro.core.kernels import GAIN_BACKINGS, resolve_gain_backing
 
 
-def available_backends():
-    """Every kernel backend runnable in this environment."""
-    return [b for b in BACKENDS if b != "numpy" or numpy_available()]
+def available_gain_backings():
+    """Every gain backing runnable in this environment, fastest first."""
+    available = []
+    for backing in GAIN_BACKINGS:
+        try:
+            resolve_gain_backing(backing)
+        except ValueError:
+            continue
+        available.append(backing)
+    return available
 
 
 def pytest_configure(config):
@@ -24,20 +31,14 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-@pytest.fixture(params=available_backends())
-def each_backend(request):
-    """Run the test once per kernel backend, pinned via force_backend.
+@pytest.fixture(params=available_gain_backings())
+def each_backing(request, monkeypatch):
+    """Run the test once per gain backing, pinned via ``REPRO_GAIN_BACKING``.
 
-    The context manager unwinds on teardown, so a failing test can never
-    leak its backend choice into the rest of the session (the failure mode
-    of the old _FORCE_PURE_PYTHON mutable global).
+    monkeypatch restores the environment on teardown, so a failing test
+    can never leak its backing into the rest of the session. Engines are
+    cached per (fingerprint, backing), so a pinned test never reuses a
+    warm engine of another backing.
     """
-    with force_backend(request.param):
-        yield request.param
-
-
-@pytest.fixture
-def pure_python_kernels():
-    """Pin the dependency-free kernel for the duration of one test."""
-    with force_backend("python"):
-        yield
+    monkeypatch.setenv("REPRO_GAIN_BACKING", request.param)
+    yield request.param

@@ -70,20 +70,18 @@ def _packed_states(engine):
     states = {}
     for s in range(1, engine.placement.r + 1):
         kernel = engine.kernel(s)
-        export = getattr(kernel, "export_state", None)
-        if export is not None:
-            states[s] = export(kernel.empty_hits())
+        states[s] = kernel.export_state(kernel.empty_hits())
     return states
 
 
-def _snapshot_round_trip(placement, backend="gain"):
+def _snapshot_round_trip(placement):
     """Cold-build, snapshot, drop caches, hydrate; return both engines."""
-    cold = AttackEngine(placement, backend=backend)
+    cold = AttackEngine(placement)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "engine.npz")
         snapshot_engine(cold, path)
         clear_attack_caches()
-        warm = hydrate_engine(path, backend=backend, mmap=False, validate=True)
+        warm = hydrate_engine(path, mmap=False, validate=True)
         assert warm is not None
         # Resolve lazily-built kernels while the file still exists.
         warm_states = _packed_states(warm)
@@ -123,14 +121,6 @@ class TestHydratedEqualsColdBuilt:
             assert _packed_states(cold) == warm_states
             assert _attack_all(cold, _grid(placement)) == warm_results
 
-    def test_non_gain_backend_round_trips_placement_only(self):
-        placement = random_placement(11, 3, 30, 19)
-        cold, warm, warm_states, warm_results = _snapshot_round_trip(
-            placement, backend="bitset"
-        )
-        assert warm_states == {}
-        assert _attack_all(cold, _grid(placement)) == warm_results
-
 
 def _rewrite_members(path, mutate):
     """Round-trip the zip through a dict of members, applying ``mutate``."""
@@ -157,7 +147,7 @@ class TestChecksumGatedTrust:
     def _snapshot(self, tmp_path):
         placement = random_placement(10, 3, 24, 23)
         path = str(tmp_path / "engine.npz")
-        snapshot_engine(AttackEngine(placement, backend="gain"), path)
+        snapshot_engine(AttackEngine(placement), path)
         return path
 
     @pytest.mark.parametrize("mmap", (False, True))
@@ -192,7 +182,7 @@ class TestVersionSkewFallsBackToRebuild:
     def _snapshot(self, tmp_path):
         placement = random_placement(10, 3, 24, 29)
         path = str(tmp_path / "engine.npz")
-        snapshot_engine(AttackEngine(placement, backend="gain"), path)
+        snapshot_engine(AttackEngine(placement), path)
         return path
 
     def test_newer_artifact_version_hydrates_as_none(self, tmp_path):
@@ -220,7 +210,7 @@ class TestEngineStateDir:
     ):
         configure_engine_state_dir(str(tmp_path))
         placement = random_placement(12, 3, 40, 31)
-        cold = engine_for(placement, "gain")
+        cold = engine_for(placement)
         snapshot = tmp_path / (placement.fingerprint() + ".npz")
         assert snapshot.exists()
         cold_results = _attack_all(cold, _grid(placement))
@@ -228,7 +218,7 @@ class TestEngineStateDir:
         clear_attack_caches()  # simulate a fresh process over the same dir
         hydrations = obs.counter_value("engine.hydrations")
         builds = obs.counter_value("engine.builds")
-        warm = engine_for(placement, "gain")
+        warm = engine_for(placement)
         assert obs.counter_value("engine.hydrations") == hydrations + 1
         assert obs.counter_value("engine.builds") == builds
         assert _attack_all(warm, _grid(placement)) == cold_results
@@ -239,8 +229,8 @@ class TestEngineStateDir:
         snapshot = tmp_path / (placement.fingerprint() + ".npz")
         snapshot.write_bytes(b"garbage, not an artifact")
         with pytest.warns(RuntimeWarning, match="cold build path"):
-            engine = engine_for(placement, "gain")
-        reference = AttackEngine(placement, backend="gain")
+            engine = engine_for(placement)
+        reference = AttackEngine(placement)
         assert _attack_all(engine, _grid(placement)) == _attack_all(
             reference, _grid(placement)
         )

@@ -1,10 +1,13 @@
-"""Property tests: all damage-kernel backends agree with the legacy oracle.
+"""Property tests: every gain backing agrees with independent oracles.
 
-The full-scan backends (bitset / numpy / python) implement one contract; these
+The native / numpy / python gain backings implement one contract; these
 tests drive them with hypothesis-generated random placements and assert
-they agree with each other and with the reference ``damage()`` function on
-damage evaluation, ``best_addition`` and branch-and-bound optimistic
-bounds. The pure-python kernel doubles as the oracle for the other two.
+they agree with each other and with oracles that share no code with the
+gain table: the reference ``damage()`` function for damage evaluation, a
+brute-force argmax over ``damage()`` for ``best_addition``, and
+enumerated completions for branch-and-bound bounds. The python backing,
+which runs the generic ``try_swap``/``polish_pass``/``polish_chain``
+loops, is the oracle for the fused native search entries.
 """
 
 import itertools
@@ -17,20 +20,13 @@ from hypothesis import strategies as st
 from repro.core import native
 from repro.core.adversary import LocalSearchAdversary, damage
 from repro.core.kernels import (
-    BACKENDS,
     GAIN_BACKINGS,
     Incidence,
-    force_backend,
     make_kernel,
     numpy_available,
-    resolve_backend,
     resolve_gain_backing,
 )
 from repro.core.random_placement import RandomStrategy
-
-
-def available_backends():
-    return [b for b in BACKENDS if b != "numpy" or numpy_available()]
 
 
 def available_gain_backings():
@@ -49,9 +45,21 @@ def random_placement(n, r, b, seed):
 def kernels_for(placement, s):
     incidence = Incidence(placement)
     return [
-        make_kernel(placement, s, backend=name, incidence=incidence)
-        for name in available_backends()
+        make_kernel(placement, s, incidence=incidence, gain_backing=backing)
+        for backing in available_gain_backings()
     ]
+
+
+def brute_best_addition(placement, base, banned, s):
+    """(node, damage) of the best single addition; lowest id on ties."""
+    best_node, best_damage = -1, -1
+    for node in range(placement.n):
+        if node in banned:
+            continue
+        value = damage(placement, list(base) + [node], s)
+        if value > best_damage:
+            best_node, best_damage = node, value
+    return best_node, best_damage
 
 
 placements = st.builds(
@@ -74,7 +82,7 @@ class TestDamageAgreement:
         )
         expected = damage(placement, nodes, s)
         for kernel in kernels_for(placement, s):
-            assert kernel.damage_for(nodes) == expected, kernel.name
+            assert kernel.damage_for(nodes) == expected, kernel.backing
 
     @settings(max_examples=25, deadline=None)
     @given(placements, st.data())
@@ -94,7 +102,7 @@ class TestDamageAgreement:
                     hits = kernel.add_node(hits, node)
                     active.append(node)
                 assert kernel.damage_of(hits) == damage(placement, active, s), (
-                    kernel.name
+                    kernel.backing
                 )
 
 
@@ -107,14 +115,10 @@ class TestBestAddition:
         base = data.draw(
             st.permutations(range(placement.n)).map(lambda p: list(p)[:base_size])
         )
-        banned = base
-        outcomes = []
+        expected = brute_best_addition(placement, base, base, s)
         for kernel in kernels_for(placement, s):
             hits = kernel.hits_for(base)
-            outcomes.append((kernel.name, kernel.best_addition(hits, banned)))
-        reference = outcomes[0][1]
-        for name, outcome in outcomes[1:]:
-            assert outcome == reference, (name, outcomes)
+            assert kernel.best_addition(hits, base) == expected, kernel.backing
 
     @settings(max_examples=30, deadline=None)
     @given(placements, st.data())
@@ -124,7 +128,7 @@ class TestBestAddition:
         base = data.draw(
             st.permutations(range(placement.n)).map(lambda p: list(p)[:base_size])
         )
-        kernel = make_kernel(placement, s, backend="python")
+        kernel = make_kernel(placement, s, gain_backing="python")
         hits = kernel.hits_for(base)
         node, best = kernel.best_addition(hits, banned=base)
         assert node not in base
@@ -151,7 +155,7 @@ class TestOptimisticBound:
         for kernel in kernels_for(placement, s):
             hits = kernel.hits_for(base)
             bounds.append(kernel.optimistic_bound(hits, start, slots))
-        assert len(set(bounds)) == 1, dict(zip(available_backends(), bounds))
+        assert len(set(bounds)) == 1, dict(zip(available_gain_backings(), bounds))
         # Soundness: no completion from nodes >= start can beat the bound.
         completions = [
             nodes
@@ -165,8 +169,8 @@ class TestOptimisticBound:
 
 
 class TestGainBackings:
-    """Every gain backing agrees bit-for-bit with the full-scan oracles
-    under interleaved add/remove/swap sequences — same damages, same
+    """Every gain backing agrees bit-for-bit with the oracles under
+    interleaved add/remove/swap sequences — same damages, same
     best_addition outcomes (tie-breaks included), same bounds, and bulk
     rebuilds indistinguishable from replayed incremental updates."""
 
@@ -174,8 +178,7 @@ class TestGainBackings:
     def _gain_kernels(placement, s, incidence):
         return {
             backing: make_kernel(
-                placement, s, backend="gain", incidence=incidence,
-                gain_backing=backing,
+                placement, s, incidence=incidence, gain_backing=backing,
             )
             for backing in available_gain_backings()
         }
@@ -187,34 +190,27 @@ class TestGainBackings:
         moves = data.draw(
             st.lists(st.integers(0, placement.n - 1), min_size=1, max_size=10)
         )
-        incidence = Incidence(placement)
-        oracle = make_kernel(placement, s, backend="python", incidence=incidence)
-        kernels = self._gain_kernels(placement, s, incidence)
+        kernels = self._gain_kernels(placement, s, Incidence(placement))
         states = {name: kernel.empty_hits() for name, kernel in kernels.items()}
-        oracle_hits = oracle.empty_hits()
         active = []
         for node in moves:
             if node in active:
                 active.remove(node)
-                oracle_hits = oracle.remove_node(oracle_hits, node)
                 for name, kernel in kernels.items():
                     states[name] = kernel.remove_node(states[name], node)
             else:
                 active.append(node)
-                oracle_hits = oracle.add_node(oracle_hits, node)
                 for name, kernel in kernels.items():
                     states[name] = kernel.add_node(states[name], node)
-            expected_damage = oracle.damage_of(oracle_hits)
-            assert expected_damage == damage(placement, active, s)
-            expected_best = oracle.best_addition(oracle_hits, active)
+            expected_damage = damage(placement, active, s)
+            expected_best = brute_best_addition(placement, active, active, s)
             for name, kernel in kernels.items():
                 assert kernel.damage_of(states[name]) == expected_damage, name
                 assert kernel.best_addition(states[name], active) == expected_best, name
         # Bulk rebuilds must be indistinguishable from the incremental path.
-        expected_best = oracle.best_addition(oracle_hits, active)
         for name, kernel in kernels.items():
             bulk = kernel.hits_for(active)
-            assert kernel.damage_of(bulk) == oracle.damage_of(oracle_hits), name
+            assert kernel.damage_of(bulk) == expected_damage, name
             assert kernel.best_addition(bulk, active) == expected_best, name
 
     @settings(max_examples=20, deadline=None)
@@ -226,7 +222,9 @@ class TestGainBackings:
             st.permutations(range(placement.n)).map(lambda p: list(p)[:k])
         )
         incidence = Incidence(placement)
-        oracle = make_kernel(placement, s, backend="bitset", incidence=incidence)
+        oracle = make_kernel(
+            placement, s, incidence=incidence, gain_backing="python"
+        )
         oracle_hits = oracle.hits_for(seed_nodes)
         current = oracle.damage_of(oracle_hits)
         banned = set(seed_nodes) - {seed_nodes[0]}
@@ -238,7 +236,7 @@ class TestGainBackings:
         _, expected_pass_damage, expected_improved = oracle.polish_pass(
             pass_hits, expected_pass_nodes, current
         )
-        # Chain batches: the full-scan oracle runs the generic per-chain
+        # Chain batches: the python oracle runs the generic per-chain
         # loop that the native backing fuses into one foreign call.
         rng = random.Random(len(seed_nodes) * 1000 + s)
         seeds = [seed_nodes] + [
@@ -305,9 +303,8 @@ class TestGainBackings:
             for count in range(min(slots, n - start) + 1)
             for extra in itertools.combinations(range(start, n), count)
         )
-        incidence = Incidence(placement)
-        for name in available_backends():
-            kernel = make_kernel(placement, s, backend=name, incidence=incidence)
+        for kernel in kernels_for(placement, s):
+            name = kernel.backing
             hits = kernel.hits_for(base)
             refined = kernel.refined_bound(hits, start, slots)
             assert refined <= kernel.optimistic_bound(hits, start, slots), name
@@ -317,7 +314,7 @@ class TestGainBackings:
         monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
         assert resolve_gain_backing() == "python"
         placement = random_placement(8, 3, 12, 0)
-        assert make_kernel(placement, 2, backend="gain").backing == "python"
+        assert make_kernel(placement, 2).backing == "python"
         monkeypatch.setenv("REPRO_GAIN_BACKING", "warp-drive")
         with pytest.raises(ValueError):
             resolve_gain_backing()
@@ -325,9 +322,7 @@ class TestGainBackings:
     def test_explicit_backing_argument_wins(self):
         placement = random_placement(8, 3, 12, 0)
         for backing in available_gain_backings():
-            kernel = make_kernel(
-                placement, 2, backend="gain", gain_backing=backing
-            )
+            kernel = make_kernel(placement, 2, gain_backing=backing)
             assert kernel.name == "gain"
             assert kernel.backing == backing
             if backing == "native":
@@ -373,43 +368,12 @@ class TestGainBackings:
 
 
 class TestSelection:
-    def test_explicit_backend_names(self):
-        placement = random_placement(8, 3, 12, 0)
-        for name in available_backends():
-            assert make_kernel(placement, 2, backend=name).name == name
-
-    def test_unknown_backend_rejected(self):
-        placement = random_placement(8, 3, 12, 0)
-        with pytest.raises(ValueError):
-            make_kernel(placement, 2, backend="cuda")
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert resolve_backend() == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "nonsense")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_force_overrides_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "bitset")
-        with force_backend("python"):
-            assert resolve_backend("bitset") == "python"
-
-    def test_force_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with force_backend("gpu"):
-                pass  # pragma: no cover
-
     def test_auto_is_dependency_free(self):
-        # Whatever auto resolves to must be constructible without numpy.
+        # Whatever auto resolves to must be constructible here and now.
         placement = random_placement(6, 2, 6, 1)
-        backend = resolve_backend("auto")
-        assert backend in BACKENDS
-        if not numpy_available():
-            assert backend != "numpy"  # pragma: no cover
-        assert make_kernel(placement, 1, backend=backend).damage_for([0]) >= 0
+        kernel = make_kernel(placement, 1)
+        assert kernel.backing in available_gain_backings()
+        assert kernel.damage_for([0]) == damage(placement, [0], 1)
 
     def test_s_validated(self):
         placement = random_placement(8, 3, 12, 2)
@@ -421,9 +385,10 @@ class TestSelection:
     def test_incidence_shared_across_thresholds(self):
         placement = random_placement(8, 3, 12, 3)
         incidence = Incidence(placement)
-        k1 = make_kernel(placement, 1, backend="bitset", incidence=incidence)
-        k2 = make_kernel(placement, 2, backend="bitset", incidence=incidence)
-        assert k1.masks is k2.masks
+        k1 = make_kernel(placement, 1, incidence=incidence, gain_backing="python")
+        k2 = make_kernel(placement, 2, incidence=incidence, gain_backing="python")
+        assert k1.incidence is k2.incidence
+        assert k1.node_objects is k2.node_objects
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)

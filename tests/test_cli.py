@@ -155,7 +155,7 @@ class TestAttackCommand:
         assert "certified optimal: yes" in out
         assert "objects killed:" in out
 
-    def test_batched_k_grid_with_kernel_choice(self, tmp_path, capsys):
+    def test_batched_k_grid(self, tmp_path, capsys):
         target = tmp_path / "placement.json"
         main([
             "place", "--strategy", "random",
@@ -165,12 +165,34 @@ class TestAttackCommand:
         capsys.readouterr()
         assert main([
             "attack", str(target), "--k", "2", "--k", "3", "--s", "2",
-            "--effort", "exact", "--kernel", "python", "--workers", "1",
+            "--effort", "exact", "--workers", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "--- k=2 ---" in out
         assert "--- k=3 ---" in out
         assert out.count("certified optimal: yes") == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "0", "--s", "2"], "need 1 <= k < n=12, got k=0"),
+        (["--k", "12", "--s", "2"], "need 1 <= k < n=12, got k=12"),
+        (["--k", "3", "--s", "4"], "need 1 <= s <= r=3, got s=4"),
+        (["--k", "3", "--s", "2", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ])
+    def test_out_of_range_values_exit_2_with_one_line(
+        self, tmp_path, capsys, flags, message
+    ):
+        target = tmp_path / "placement.json"
+        main([
+            "place", "--strategy", "random",
+            "--n", "12", "--r", "3", "--b", "24",
+            "--seed", "1", "--output", str(target),
+        ])
+        capsys.readouterr()
+        assert main(["attack", str(target), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"attack: {message}\n"
 
 
 class TestAuditCommand:
@@ -192,6 +214,12 @@ class TestAuditCommand:
 
 
 class TestSimulateCommand:
+    def test_out_of_range_k_exits_2_with_one_line(self, capsys):
+        assert main(["simulate", "--n", "10", "--k", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "simulate: need 1 <= k < n=10, got k=10\n"
+
     def test_lifetime_run_renders_report(self, capsys):
         assert main([
             "simulate", "--events", "300", "--seed", "4",
