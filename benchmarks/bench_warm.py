@@ -107,7 +107,7 @@ def _packed_states(engine):
 
 def _probe_attacks(engine):
     return [
-        engine.attack(AttackCell(k, 2, "fast"), seed=3, cache=False)
+        engine.attack(AttackCell(k, 2, "fast"), seed=3)
         for k in (2, 3)
     ]
 

@@ -4,20 +4,16 @@ Every figure generator reads its effort/repetition knobs from here so that
 ``pytest benchmarks/`` runs in minutes by default while
 ``REPRO_EFFORT=exact REPRO_REPS=20`` reproduces the paper's full procedure.
 
-Attack-engine knobs: ``REPRO_WORKERS`` picks the process fan-out of
-batched attack grids and ``REPRO_ATTACK_CACHE`` toggles the warm
-attack-result memo; both resolve here so figures stay declarative. The
-damage kernel's backing (``REPRO_GAIN_BACKING``) resolves inside the
-attack engine and never changes a result.
+Two knobs live elsewhere and never change a result: ``REPRO_WORKERS``
+(shards of ``repro run``/``repro figure``) is read by the experiment
+runner, and ``REPRO_GAIN_BACKING`` (the damage kernel's backing) by the
+attack engine.
 """
 
 from __future__ import annotations
 
 import os
 from typing import List
-
-from repro.core.batch import attack_cache_default as _attack_cache_default
-from repro.core.batch import worker_count as _worker_count
 
 #: The paper's object-count ladder (Figs. 9-10 start at 600; Fig. 7 at 150).
 PAPER_B_LADDER: List[int] = [600, 1200, 2400, 4800, 9600, 19200, 38400]
@@ -67,16 +63,6 @@ def object_scale_cap(default: int = 9600) -> int:
     if value < 1:
         raise ValueError(f"REPRO_B_MAX must be >= 1, got {value}")
     return value
-
-
-def attack_cache_enabled() -> bool:
-    """Whether batched attacks memoize results (``REPRO_ATTACK_CACHE``)."""
-    return _attack_cache_default()
-
-
-def attack_workers(default: int = 1) -> int:
-    """Worker processes for batched attack grids (``REPRO_WORKERS``)."""
-    return _worker_count(default)
 
 
 def percent(numerator: float, denominator: float) -> float:

@@ -135,7 +135,7 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     # (b, s') shard when it lands in the same process), a k-attack seeds
     # the (k+1)-search, and same-process replays come out of the memo.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
-    reports = evaluate_availability_grid(placement, grid, workers=1, seed=b)
+    reports = evaluate_availability_grid(placement, grid, seed=b)
     return [
         {
             "avail": report.available,

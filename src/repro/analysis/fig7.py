@@ -139,7 +139,7 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     # chains incumbents; identical re-runs come out of the attack memo.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
     [cell_seed] = spawn_seeds(seed, 1, "fig7-attack", n, r, b, rep)
-    attacks = batch_attack(placement, grid, workers=1, seed=cell_seed)
+    attacks = batch_attack(placement, grid, seed=cell_seed)
     return [{"avail": b - attack.damage} for attack in attacks]
 
 

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.common import (
     PAPER_B_LADDER,
     adversary_effort,
-    attack_workers,
     percent,
 )
 from repro.core.batch import AttackCell, batch_attack
@@ -180,7 +179,9 @@ def generate_empirical(
     lower bounds, the rest measures sensitivity to planning for the wrong
     failure count. Combo plans for different ``k_plan`` frequently yield
     structurally identical placements, in which case the engine cache
-    collapses their attack work entirely.
+    collapses their attack work entirely. The sweep is not a runner
+    experiment, so it runs serially in the calling process whatever
+    ``REPRO_WORKERS`` says.
     """
     effort = effort or adversary_effort()
     strategy = ComboStrategy(n, r, s, tier=tier)
@@ -191,12 +192,7 @@ def generate_empirical(
             placement = strategy.place(b, k_plan, plan=plan)
             grid = [AttackCell(k, s, effort) for k in k_values]
             [cell_seed] = spawn_seeds(seed, 1, "fig9-empirical", b, k_plan)
-            attacks = batch_attack(
-                placement,
-                grid,
-                workers=attack_workers(),
-                seed=cell_seed,
-            )
+            attacks = batch_attack(placement, grid, seed=cell_seed)
             for cell, attack in zip(grid, attacks):
                 cells.append(
                     Fig9EmpiricalCell(

@@ -165,12 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--s", type=int, required=True, help="fatality threshold")
     attack.add_argument("--effort", choices=("fast", "auto", "exact"),
                         default="auto")
-    attack.add_argument("--workers", type=int, default=None,
-                        help="worker processes for batched attacks "
-                        "(default: $REPRO_WORKERS/1)")
-    attack.add_argument("--no-cache", action="store_true",
-                        help="always search, skipping the warm attack-result "
-                        "memo (default: $REPRO_ATTACK_CACHE/on)")
     attack.add_argument("--mmap", action="store_true",
                         help="memory-map .npz placement rows instead of "
                         "loading them eagerly (lazy page-in at large b)")
@@ -732,12 +726,9 @@ def _run_attack(args) -> int:
         placement = load_placement(args.placement, mmap=args.mmap)
     cells = [AttackCell(k, args.s, args.effort) for k in args.k]
     try:
-        results = batch_attack(
-            placement, cells, workers=args.workers,
-            cache=False if args.no_cache else None,
-        )
+        results = batch_attack(placement, cells)
     except ValueError as exc:
-        # Out-of-range --k/--s/--workers: user input, not internal state.
+        # Out-of-range --k/--s: user input, not internal state.
         print(f"attack: {exc}", file=sys.stderr)
         return 2
     print(f"placement: {placement}")

@@ -51,7 +51,6 @@ def run_attack_grid(
     rule: LivenessRule,
     effort: str = "auto",
     racks: int = 1,
-    workers: Optional[int] = None,
     seed: int = 0,
 ) -> List[ScenarioReport]:
     """Deploy once, then worst-case attack every ``k`` in one batched pass.
@@ -66,7 +65,7 @@ def run_attack_grid(
     cluster = Cluster(placement.n, racks=racks)
     cluster.apply_placement(placement)
     cells = [AttackCell(k, rule.s, effort) for k in k_values]
-    attacks = batch_attack(placement, cells, workers=workers, seed=seed)
+    attacks = batch_attack(placement, cells, seed=seed)
     reports = []
     for cell, attack in zip(cells, attacks):
         failed = fail_specific(cluster, attack.nodes)

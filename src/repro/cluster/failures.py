@@ -71,9 +71,9 @@ class WorstCaseInjector:
     scenarios, which re-inject every few events — reuses the incidence
     and, when ``rng`` is None (the deterministic default, deriving cell
     randomness from ``seed``), returns the memoized attack outright.
-    (Each injection is a single attack cell, so worker fan-out does not
-    apply here — use :func:`repro.cluster.engine.run_attack_grid` to
-    evaluate whole k-grids in one batched, parallelizable pass.)
+    (Each injection is a single attack cell — use
+    :func:`repro.cluster.engine.run_attack_grid` to evaluate whole k-grids
+    in one batched pass that chains incumbents.)
 
     An *online* adversary — one that re-attacks the same cluster as it
     mutates — can skip the per-injection snapshot + fingerprint + rebuild
@@ -92,13 +92,11 @@ class WorstCaseInjector:
         effort: str = "auto",
         rng: Optional[random.Random] = None,
         seed: int = 0,
-        cache: Optional[bool] = None,
         engine: Optional[AttackEngine] = None,
     ) -> None:
         self.effort = effort
         self.rng = rng
         self.seed = seed
-        self.cache = cache
         self.engine = engine
         self.last_result = None
 
@@ -117,7 +115,6 @@ class WorstCaseInjector:
             seed=self.seed,
             rng=self.rng,
             warm_start=warm_start,
-            cache=self.cache,
         )
         self.last_result = attack
         return sorted(attack.nodes)

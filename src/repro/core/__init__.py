@@ -36,7 +36,6 @@ from repro.core.batch import (
     attack_grid,
     batch_attack,
     engine_for,
-    worker_count,
 )
 from repro.core.bounds import (
     CompetitiveConstants,
@@ -150,6 +149,5 @@ __all__ = [
     "simple_capacity",
     "survivors_under",
     "theorem1_constants",
-    "worker_count",
     "write_all_threshold",
 ]

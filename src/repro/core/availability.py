@@ -48,19 +48,16 @@ def evaluate_availability(
     s: int,
     effort: str = "auto",
     rng: Optional[random.Random] = None,
-    cache: Optional[bool] = None,
 ) -> AvailabilityReport:
     """Compute (or upper-bound) ``Avail(pi)`` = b - worst-case damage.
 
     With a heuristic adversary (``exact=False`` on the attack) the reported
     availability is an *upper* bound on the true worst case: the adversary
-    may have missed a better attack, never overstated one. ``cache``
-    overrides the attack-memo default (memoization only applies when
-    ``rng`` is None — see :mod:`repro.core.batch`).
+    may have missed a better attack, never overstated one. Repeats are
+    served from the attack memo unless ``rng`` is given (see
+    :mod:`repro.core.batch`).
     """
-    [attack] = batch_attack(
-        placement, [AttackCell(k, s, effort)], rng=rng, cache=cache,
-    )
+    [attack] = batch_attack(placement, [AttackCell(k, s, effort)], rng=rng)
     return AvailabilityReport(
         b=placement.b,
         k=k,
@@ -73,19 +70,15 @@ def evaluate_availability(
 def evaluate_availability_grid(
     placement: Placement,
     cells: Sequence[AttackCell],
-    workers: Optional[int] = None,
     seed: int = 0,
-    cache: Optional[bool] = None,
 ) -> List[AvailabilityReport]:
     """Batched ``Avail(pi)`` over a grid of (k, s, effort) cells.
 
     One warm engine per placement structure, shared kernels per threshold,
-    chained incumbents, memoized repeats (and optional multiprocessing) —
-    see :func:`repro.core.batch.batch_attack`. Reports align with ``cells``.
+    chained incumbents, memoized repeats — see
+    :func:`repro.core.batch.batch_attack`. Reports align with ``cells``.
     """
-    attacks = batch_attack(
-        placement, cells, workers=workers, seed=seed, cache=cache,
-    )
+    attacks = batch_attack(placement, cells, seed=seed)
     return [
         AvailabilityReport(
             b=placement.b,

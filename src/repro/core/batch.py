@@ -27,21 +27,18 @@ learned. This engine instead keeps a *warm, persistent pipeline*:
   placement fingerprint, so identical queries (same structure, same cell,
   same derived randomness) return the finished result without searching.
   Memoization is semantically invisible: results are deterministic
-  functions of the key. ``REPRO_ATTACK_CACHE=0`` (or ``cache=False``)
-  disables it; caller-managed ``rng`` bypasses it automatically since the
-  generator state is not part of the key;
-* independent threshold groups optionally fan out over
-  ``multiprocessing`` (``REPRO_WORKERS`` or the ``workers`` argument).
-  Process fan-out is the only parallel layer: each worker runs its
-  groups serially with single-threaded kernels. Worker processes keep
-  their own engine caches, so a worker that receives several payloads
-  for one placement builds its incidence once; under the ``fork`` start
-  method they also inherit the parent's already-warm engines for free.
+  functions of the key. Caller-managed ``rng`` bypasses it since the
+  generator state is not part of the key.
+
+The engine is serial and single-process: every threshold group runs as
+one warm chain, so the answer for a grid never depends on how many
+processes computed it. Process parallelism lives one level up, in the
+experiment runner's shard pool (:mod:`repro.exp.runner`), whose workers
+each keep their own engine cache.
 
 Attacks are deterministic: each cell's restart randomness derives from
 ``(seed, s, k, effort)`` via :func:`repro.util.rng.derive_rng`, so the
-same grid replays bit-for-bit regardless of worker count, cell order, or
-cache hits.
+same grid replays bit-for-bit regardless of cell order or cache hits.
 """
 
 from __future__ import annotations
@@ -66,8 +63,10 @@ from repro.util.rng import derive_rng
 
 _EFFORTS = ("fast", "auto", "exact")
 
-#: Engines kept warm per process (LRU by placement fingerprint + backing);
-#: overridden by the ``REPRO_ENGINE_CACHE`` knob (see engine_cache_cap).
+#: Engines kept warm per process (LRU by placement fingerprint + backing).
+#: Long sweeps over many distinct placements would otherwise accumulate
+#: engines — and their incidence structures — without bound; the cap keeps
+#: process RSS proportional to the recent working set.
 _ENGINE_CACHE_CAP = 8
 #: Finished attacks remembered per engine (LRU).
 _MEMO_CAP = 1024
@@ -90,51 +89,6 @@ class AttackCell:
     k: int
     s: int
     effort: str = "auto"
-
-
-def worker_count(default: int = 1) -> int:
-    """Worker processes for batched attacks (``REPRO_WORKERS``; 1 = serial)."""
-    raw = os.environ.get("REPRO_WORKERS", "") or str(default)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_WORKERS must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_WORKERS must be >= 1, got {value}")
-    return value
-
-
-def engine_cache_cap() -> int:
-    """Warm engines kept per process (``REPRO_ENGINE_CACHE``; default 8).
-
-    Long sweeps over many distinct placements otherwise accumulate
-    engines — and their incidence structures — without bound; the LRU
-    cap keeps process RSS proportional to the recent working set.
-    """
-    raw = os.environ.get("REPRO_ENGINE_CACHE", "") or str(_ENGINE_CACHE_CAP)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ENGINE_CACHE must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_ENGINE_CACHE must be >= 1, got {value}")
-    return value
-
-
-def attack_cache_default() -> bool:
-    """Whether the attack memo is on (``REPRO_ATTACK_CACHE``; default yes)."""
-    raw = os.environ.get("REPRO_ATTACK_CACHE", "1").strip().lower()
-    if raw in ("1", "true", "yes", "on", ""):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"REPRO_ATTACK_CACHE must be boolean-like, got {raw!r}"
-    )
 
 
 def attack_cache_stats() -> Dict[str, int]:
@@ -243,7 +197,6 @@ class AttackEngine:
         seed: int = 0,
         rng: Optional[random.Random] = None,
         warm_start: Optional[Sequence[int]] = None,
-        cache: Optional[bool] = None,
     ) -> AttackResult:
         """Run (or recall) one attack cell against the warm kernel state.
 
@@ -253,10 +206,7 @@ class AttackEngine:
         hidden state, so those calls always search.
         """
         _validate_cells(self.placement, (cell,))
-        use_cache = (
-            (attack_cache_default() if cache is None else cache)
-            and rng is None
-        )
+        use_cache = rng is None
         warm = tuple(warm_start) if warm_start is not None else None
         key = (cell.k, cell.s, cell.effort, seed, warm)
         if use_cache:
@@ -290,8 +240,7 @@ class AttackEngine:
 def _cache_engine(key: Tuple[str, str], engine: AttackEngine) -> None:
     """Insert a warm engine, evicting (and detaching) past the LRU cap."""
     _ENGINES[key] = engine
-    cap = engine_cache_cap()
-    while len(_ENGINES) > cap:
+    while len(_ENGINES) > _ENGINE_CACHE_CAP:
         _key, evicted = _ENGINES.popitem(last=False)
         # Detach any aliased keys so the evicted engine is fully released
         # (a half-evicted engine would pin its incidence via the alias).
@@ -493,185 +442,46 @@ def _validate_cells(placement: Placement, cells: Sequence[AttackCell]) -> None:
 
 def _attack_group(
     placement: Placement,
-    s: int,
     group: Sequence[Tuple[int, AttackCell]],
     seed: int,
-    cache: Optional[bool] = None,
     rng: Optional[random.Random] = None,
 ) -> List[Tuple[int, AttackResult]]:
-    """Attack one threshold group (pre-sorted by k), chaining incumbents.
-
-    Top-level so multiprocessing can pickle it; the warm engine comes from
-    the per-process cache, so a worker handed several payloads of one
-    placement (or a forked child of a warm parent) reuses kernel state.
-    """
+    """Attack one threshold group (pre-sorted by k), chaining incumbents."""
     engine = engine_for(placement)
     results: List[Tuple[int, AttackResult]] = []
     warm: Optional[Tuple[int, ...]] = None
     for index, cell in group:
-        attack = engine.attack(
-            cell, seed=seed, rng=rng, warm_start=warm, cache=cache
-        )
+        attack = engine.attack(cell, seed=seed, rng=rng, warm_start=warm)
         warm = attack.nodes
         results.append((index, attack))
     return results
 
 
-def _attack_group_task(payload):
-    """One pool task: attack a group and report the metrics it recorded.
-
-    Forked workers inherit the parent's counter values, and one worker
-    may serve several payloads — so each task returns the registry
-    *delta* between its start and end alongside the results. The parent
-    merges those deltas, which makes counter totals exact for any worker
-    count (see ``repro.obs.metrics``).
-    """
-    mark = obs.checkpoint()
-    chunk = _attack_group(*payload)
-    return chunk, obs.delta_since(mark)
-
-
 def batch_attack(
     placement: Placement,
     cells: Iterable[AttackCell],
-    workers: Optional[int] = None,
     seed: int = 0,
     rng: Optional[random.Random] = None,
-    cache: Optional[bool] = None,
 ) -> List[AttackResult]:
     """Evaluate a grid of attack cells; results align with the input order.
 
-    ``workers`` picks the process fan-out (default: ``REPRO_WORKERS``/serial);
-    see :func:`_partition` for how grids split across workers and the
-    effect on heuristic warm-start chains.
-    ``rng`` overrides the per-cell derived generators with one shared
-    caller-managed generator (serial mode only; used by single-cell
-    wrappers that expose an ``rng`` parameter) and disables memoization.
-    ``cache`` overrides the ``REPRO_ATTACK_CACHE`` default for this call.
+    Cells group by threshold ``s``; each group runs in ascending ``k`` as
+    one warm-start chain. ``rng`` overrides the per-cell derived
+    generators with one shared caller-managed generator (used by
+    single-cell wrappers that expose an ``rng`` parameter) and disables
+    memoization.
     """
     cell_list = list(cells)
     _validate_cells(placement, cell_list)
-    if not cell_list:
-        return []
     groups: Dict[int, List[Tuple[int, AttackCell]]] = {}
     for index, cell in enumerate(cell_list):
         groups.setdefault(cell.s, []).append((index, cell))
-    for group in groups.values():
-        group.sort(key=lambda item: (item[1].k, item[0]))
-    workers = worker_count() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
     results: List[Optional[AttackResult]] = [None] * len(cell_list)
-    payloads = _partition(placement, groups, seed, workers, cache)
-    if workers > 1 and len(payloads) > 1 and rng is None:
-        import multiprocessing
-
-        # Warm the parent engine first: under fork the children inherit
-        # the built incidence copy-on-write instead of rebuilding it —
-        # and any payload fully answerable from the parent's memo skips
-        # the pool outright.
-        engine = engine_for(placement)
-        pending = []
-        for payload in payloads:
-            chunk = _memoized_group(engine, payload)
-            if chunk is None:
-                pending.append(payload)
-            else:
-                for index, attack in chunk:
-                    results[index] = attack
-        if pending:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            processes = min(workers, len(pending))
-            with context.Pool(processes=processes) as pool:
-                tasks = pool.map(_attack_group_task, pending)
-            chunks = [chunk for chunk, _delta in tasks]
-            for _chunk, delta in tasks:
-                obs.merge_delta(delta)
-            for chunk in chunks:
-                for index, attack in chunk:
-                    results[index] = attack
-            # Adopt worker results so later repeats are served locally.
-            _adopt_results(engine, pending, chunks, cache)
-    else:
-        for placement_, s, group, seed_, cache_ in payloads:
-            for index, attack in _attack_group(
-                placement_, s, group, seed_, cache=cache_, rng=rng
-            ):
-                results[index] = attack
+    for _s, group in sorted(groups.items()):
+        group.sort(key=lambda item: (item[1].k, item[0]))
+        for index, attack in _attack_group(placement, group, seed, rng=rng):
+            results[index] = attack
     return results  # type: ignore[return-value]
-
-
-def _memoized_group(engine: AttackEngine, payload) -> Optional[
-    List[Tuple[int, AttackResult]]
-]:
-    """Serve one worker payload entirely from the engine memo, or None.
-
-    Walks the group's warm-start chain key by key; any miss aborts (the
-    chain's later keys depend on the missing result, so partial service
-    is impossible).
-    """
-    _placement, _s, group, seed, cache = payload
-    if not (attack_cache_default() if cache is None else cache):
-        return None
-    results: List[Tuple[int, AttackResult]] = []
-    warm: Optional[Tuple[int, ...]] = None
-    for index, cell in group:
-        cached = engine.memo_get((cell.k, cell.s, cell.effort, seed, warm))
-        if cached is None:
-            return None
-        results.append((index, cached))
-        warm = cached.nodes
-    _CACHE_STATS["hits"] += len(results)
-    obs.count("attack.memo.hits", len(results))
-    return results
-
-
-def _adopt_results(engine: AttackEngine, payloads, chunks, cache) -> None:
-    """Store worker-computed attacks in the parent memo (post-pool)."""
-    if not (attack_cache_default() if cache is None else cache):
-        return
-    for payload, chunk in zip(payloads, chunks):
-        _placement, _s, group, seed, _cache = payload
-        warm: Optional[Tuple[int, ...]] = None
-        for (index, cell), (_index, attack) in zip(group, chunk):
-            engine.memo_put((cell.k, cell.s, cell.effort, seed, warm), attack)
-            warm = attack.nodes
-
-
-def _partition(
-    placement: Placement,
-    groups: Dict[int, List[Tuple[int, AttackCell]]],
-    seed: int,
-    workers: int,
-    cache: Optional[bool] = None,
-) -> List[
-    Tuple[Placement, int, List[Tuple[int, AttackCell]], int, Optional[bool]]
-]:
-    """Split threshold groups into worker payloads.
-
-    One payload per threshold by default; with spare workers, large
-    single-threshold k-ladders are chunked into contiguous ascending-k
-    runs so ``workers`` helps even when every cell shares one ``s`` (the
-    common case: CLI grids, fig7, run_attack_grid). Each chunk keeps its
-    internal warm-start chain; chunk boundaries start cold, so heuristic
-    results can differ between worker counts (exact efforts cannot).
-    Chunking is a pure function of (cells, workers): a fixed worker count
-    replays bit-for-bit.
-    """
-    payloads = []
-    chunks_per_group = max(1, workers // max(1, len(groups)))
-    for s, group in sorted(groups.items()):
-        chunk_count = min(len(group), chunks_per_group)
-        size = -(-len(group) // chunk_count)
-        for offset in range(0, len(group), size):
-            payloads.append((
-                placement, s, group[offset:offset + size], seed, cache,
-            ))
-    return payloads
 
 
 def attack_grid(
@@ -679,10 +489,9 @@ def attack_grid(
     k_values: Sequence[int],
     s_values: Sequence[int],
     effort: str = "auto",
-    workers: Optional[int] = None,
     seed: int = 0,
 ) -> Dict[Tuple[int, int], AttackResult]:
     """Full-cartesian convenience wrapper: ``{(k, s): AttackResult}``."""
     cells = [AttackCell(k, s, effort) for s in s_values for k in k_values]
-    results = batch_attack(placement, cells, workers=workers, seed=seed)
+    results = batch_attack(placement, cells, seed=seed)
     return {(cell.k, cell.s): attack for cell, attack in zip(cells, results)}

@@ -12,9 +12,8 @@ Execution model:
 * each shard is computed **serially inside one process**, with
   single-threaded kernels — the only parallelism is *across* shards.
   Because a shard's randomness derives from the spec alone, results are
-  bit-identical for every worker count, including 1. This is
-  deliberately stronger than the pre-refactor figure loops, whose
-  intra-grid chunking could drift under ``REPRO_WORKERS >= 2``;
+  bit-identical for every worker count, including 1. This module is the
+  only process-parallel layer of the program;
 * sharded fan-out runs on a persistent affinity pool: one supervised
   worker process per slot lives for the whole run, and shards are
   routed by the kernel's *affinity* key, so a worker's process-local
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
-from repro.core.batch import worker_count
 from repro.exp import registry
 from repro.exp.spec import ExperimentSpec
 from repro.exp.store import RunState, RunStore
@@ -66,17 +64,30 @@ _BACKOFF_CAP = 2.0
 _REAP_GRACE = 0.5
 
 
-def _env_shard_retries() -> int:
-    raw = os.environ.get("REPRO_SHARD_RETRIES")
-    if raw is None or raw == "":
-        return 2
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """An integer env knob: unset or empty means ``default``; below
+    ``minimum`` is rejected."""
+    raw = os.environ.get(name, "")
+    if raw == "":
+        return default
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"REPRO_SHARD_RETRIES must be an int, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"REPRO_SHARD_RETRIES must be >= 0, got {value}")
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {raw!r}"
+        ) from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def worker_count() -> int:
+    """Shard workers for ``run_experiment`` (``REPRO_WORKERS``; 1 = serial)."""
+    return _env_int("REPRO_WORKERS", 1, 1)
+
+
+def _env_shard_retries() -> int:
+    return _env_int("REPRO_SHARD_RETRIES", 2, 0)
 
 
 def _env_shard_timeout() -> Optional[float]:
@@ -311,7 +322,7 @@ def run_experiment(
     run_mark = obs.checkpoint()
     kernel = registry.kernel(spec.experiment)
     if workers is None:
-        workers = worker_count(1)
+        workers = worker_count()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if limit is not None and limit < 0:
@@ -514,8 +525,8 @@ def _pool_worker(
 
     One boot (inherited demotions, kernel resolution) amortizes over
     every shard the supervisor routes here, and the process-local
-    engine cache (:mod:`repro.core.batch`, bounded by
-    ``REPRO_ENGINE_CACHE``) survives between shards — that is the whole
+    engine cache (:mod:`repro.core.batch`, an LRU of 8 engines)
+    survives between shards — that is the whole
     point of affinity routing. Each task posts one
     ``(ordinal, attempt, status, payload)`` message; a failed attempt
     rolls its gated recordings back (the retry re-records the work,

@@ -109,6 +109,25 @@ class SimConfig:
             raise ValueError(f"need an event budget >= 1, got {self.events}")
         if self.racks < 1:
             raise ValueError(f"need racks >= 1, got {self.racks}")
+        if not 0.0 <= self.arrival_probability <= 1.0:
+            raise ValueError(
+                "need 0 <= arrival probability <= 1, "
+                f"got {self.arrival_probability}"
+            )
+        if self.warmup_arrivals < 0:
+            raise ValueError(
+                f"need warmup arrivals >= 0, got {self.warmup_arrivals}"
+            )
+        for name, value in (
+            ("failure rate", self.failure_rate),
+            ("rack failure rate", self.rack_failure_rate),
+            ("strike period", self.strike_period),
+            ("measure period", self.measure_period),
+        ):
+            # 0 turns the process off; a negative (or NaN) value would
+            # silently do the same, so it is rejected instead.
+            if not value >= 0:
+                raise ValueError(f"need {name} >= 0, got {value}")
         if self.engine_mode not in _ENGINE_MODES:
             raise ValueError(
                 f"unknown engine mode {self.engine_mode!r}; "

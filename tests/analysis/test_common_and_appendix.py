@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.analysis import appendix_a, common
+from repro.exp import runner
 
 
 class TestCommonKnobs:
@@ -54,10 +55,8 @@ class TestCommonKnobs:
             ("REPRO_REPS", "0", lambda: common.monte_carlo_reps()),
             ("REPRO_B_MAX", "huge", lambda: common.object_scale_cap()),
             ("REPRO_B_MAX", "-5", lambda: common.object_scale_cap()),
-            ("REPRO_WORKERS", "lots", lambda: common.attack_workers()),
-            ("REPRO_WORKERS", "0", lambda: common.attack_workers()),
-            ("REPRO_ATTACK_CACHE", "maybe",
-             lambda: common.attack_cache_enabled()),
+            ("REPRO_WORKERS", "lots", lambda: runner.worker_count()),
+            ("REPRO_WORKERS", "0", lambda: runner.worker_count()),
         ],
     )
     def test_every_knob_rejects_bad_values_by_name(

@@ -4,23 +4,22 @@ import random
 
 import pytest
 
+from repro.core import batch
 from repro.core.adversary import best_attack, damage
 from repro.core.availability import evaluate_availability_grid
 from repro.core.batch import (
     AttackCell,
-    attack_cache_default,
     attack_cache_stats,
     attack_grid,
     batch_attack,
     clear_attack_caches,
-    engine_cache_cap,
     engine_for,
-    worker_count,
 )
 from repro.core.kernels import GAIN_BACKINGS, resolve_gain_backing
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
+from repro.exp.runner import worker_count
 
 
 def random_placement(n, r, b, seed):
@@ -77,23 +76,6 @@ class TestBatchAttack:
             batch_attack(placement, [AttackCell(2, 9)])
         with pytest.raises(ValueError):
             batch_attack(placement, [AttackCell(2, 2, "extreme")])
-
-    def test_multiprocess_matches_serial(self):
-        placement = random_placement(12, 3, 40, 6)
-        cells = [AttackCell(k, s, "fast") for s in (1, 2, 3) for k in (2, 3)]
-        serial = batch_attack(placement, cells, workers=1, seed=11)
-        fanned = batch_attack(placement, cells, workers=2, seed=11)
-        assert serial == fanned
-
-    def test_single_threshold_grid_fans_out(self):
-        # One s but many k: spare workers chunk the k-ladder; with exact
-        # effort the results are identical to serial regardless.
-        placement = random_placement(11, 3, 35, 9)
-        cells = [AttackCell(k, 2, "exact") for k in (2, 3, 4, 5)]
-        serial = batch_attack(placement, cells, workers=1, seed=5)
-        fanned = batch_attack(placement, cells, workers=2, seed=5)
-        assert [a.damage for a in serial] == [a.damage for a in fanned]
-        assert all(a.exact for a in fanned)
 
     def test_backend_choice_does_not_change_results(self, monkeypatch):
         placement = random_placement(12, 3, 40, 7)
@@ -185,29 +167,6 @@ class TestWarmEngine:
         batch_attack(placement, [AttackCell(3, 2, "exact")], seed=1)
         assert attack_cache_stats()["hits"] == before["hits"]
 
-    def test_cache_argument_disables_memo(self):
-        placement = random_placement(14, 3, 50, 25)
-        cells = [AttackCell(3, 2, "fast")]
-        baseline = batch_attack(placement, cells, seed=4)
-        before = attack_cache_stats()
-        repeat = batch_attack(placement, cells, seed=4, cache=False)
-        after = attack_cache_stats()
-        assert repeat == baseline  # same derived rng, just recomputed
-        assert after == before
-
-    def test_cache_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTACK_CACHE", "0")
-        assert not attack_cache_default()
-        placement = random_placement(14, 3, 50, 26)
-        cells = [AttackCell(3, 2, "fast")]
-        batch_attack(placement, cells, seed=5)
-        before = attack_cache_stats()
-        batch_attack(placement, cells, seed=5)
-        assert attack_cache_stats() == before
-        monkeypatch.setenv("REPRO_ATTACK_CACHE", "sometimes")
-        with pytest.raises(ValueError):
-            attack_cache_default()
-
     def test_caller_rng_bypasses_memo(self):
         placement = random_placement(14, 3, 50, 27)
         cells = [AttackCell(3, 2, "fast")]
@@ -217,17 +176,6 @@ class TestWarmEngine:
         after = attack_cache_stats()
         assert second == first  # identical generator state, recomputed
         assert after["hits"] == before["hits"]
-
-    def test_multiprocess_results_adopted_into_parent_memo(self):
-        # Worker-computed attacks land in the parent's memo, so repeating
-        # a fanned-out grid is served locally without re-spawning a pool.
-        placement = random_placement(14, 3, 50, 29)
-        cells = [AttackCell(k, s, "fast") for s in (1, 2) for k in (2, 3)]
-        first = batch_attack(placement, cells, workers=2, seed=8)
-        before = attack_cache_stats()
-        second = batch_attack(placement, cells, workers=2, seed=8)
-        assert second == first
-        assert attack_cache_stats()["hits"] - before["hits"] == len(cells)
 
     def test_memoized_results_match_fresh_engine(self):
         placement = random_placement(14, 3, 50, 28)
@@ -243,20 +191,8 @@ class TestEngineCacheCap:
     def setup_method(self):
         clear_attack_caches()
 
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_CACHE", raising=False)
-        assert engine_cache_cap() == 8
-        monkeypatch.setenv("REPRO_ENGINE_CACHE", "3")
-        assert engine_cache_cap() == 3
-        monkeypatch.setenv("REPRO_ENGINE_CACHE", "0")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_CACHE"):
-            engine_cache_cap()
-        monkeypatch.setenv("REPRO_ENGINE_CACHE", "many")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_CACHE"):
-            engine_cache_cap()
-
     def test_lru_eviction_detaches_the_oldest_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CACHE", "2")
+        monkeypatch.setattr(batch, "_ENGINE_CACHE_CAP", 2)
         oldest = engine_for(random_placement(10, 3, 20, 40))
         engine_for(random_placement(10, 3, 22, 41))
         assert attack_cache_stats()["engines"] == 2
@@ -267,7 +203,7 @@ class TestEngineCacheCap:
         assert engine_for(oldest.placement) is not oldest
 
     def test_cache_hit_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_CACHE", "2")
+        monkeypatch.setattr(batch, "_ENGINE_CACHE_CAP", 2)
         keep = random_placement(10, 3, 20, 43)
         warm = engine_for(keep)
         engine_for(random_placement(10, 3, 22, 44))
@@ -277,11 +213,15 @@ class TestEngineCacheCap:
 
 
 class TestWorkerKnob:
+    """``REPRO_WORKERS`` sizes the experiment runner's shard pool; the
+    batch engine itself is always serial."""
+
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert worker_count() == 1
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert worker_count() == 4
         monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="REPRO_WORKERS must be >= 1, got 0"):
             worker_count()

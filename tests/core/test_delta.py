@@ -14,6 +14,7 @@ import pytest
 from repro.core.batch import (
     AttackCell,
     AttackEngine,
+    attack_cache_stats,
     clear_attack_caches,
     engine_for,
 )
@@ -192,9 +193,10 @@ class TestDeltaEngineBitForBit:
             if step % 3 == 2:
                 cell = AttackCell(rng.choice((2, 3)), rng.choice((1, 2)), "fast")
                 cold = AttackEngine(engine.placement, gain_backing=backing)
-                assert engine.attack(
-                    cell, seed=9, cache=False
-                ) == cold.attack(cell, seed=9, cache=False)
+                hits = attack_cache_stats()["hits"]
+                assert engine.attack(cell, seed=9) == cold.attack(cell, seed=9)
+                # Churn cleared the memo and `cold` is fresh: both searched.
+                assert attack_cache_stats()["hits"] == hits
                 attacks += 1
         assert attacks >= 6
 

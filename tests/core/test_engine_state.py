@@ -16,6 +16,7 @@ from repro.core.artifact import ArtifactError, load_engine_state
 from repro.core.batch import (
     AttackCell,
     AttackEngine,
+    attack_cache_stats,
     clear_attack_caches,
     configure_engine_state_dir,
     engine_for,
@@ -57,12 +58,15 @@ def _grid(placement):
 
 
 def _attack_all(engine, cells, seed=7):
+    hits = attack_cache_stats()["hits"]
     results = []
     warm = None
     for cell in cells:
-        attack = engine.attack(cell, seed=seed, warm_start=warm, cache=False)
+        attack = engine.attack(cell, seed=seed, warm_start=warm)
         warm = attack.nodes
         results.append(attack)
+    # Every engine handed in is fresh, so each cell really searched.
+    assert attack_cache_stats()["hits"] == hits
     return results
 
 

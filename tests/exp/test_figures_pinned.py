@@ -22,8 +22,7 @@ def _digest(text: str) -> str:
 
 @pytest.fixture(autouse=True)
 def _default_knobs(monkeypatch):
-    for knob in ("REPRO_EFFORT", "REPRO_REPS", "REPRO_B_MAX",
-                 "REPRO_WORKERS", "REPRO_ATTACK_CACHE"):
+    for knob in ("REPRO_EFFORT", "REPRO_REPS", "REPRO_B_MAX", "REPRO_WORKERS"):
         monkeypatch.delenv(knob, raising=False)
 
 

@@ -59,10 +59,10 @@ class TestEngineCounts:
     def test_memo_hit_skips_the_search_counters(self, metrics_on):
         engine = engine_for(_placement())
         cell = AttackCell(k=2, s=2, effort="fast")
-        first = engine.attack(cell, cache=True)
+        first = engine.attack(cell)
         assert obs.counter_value("attack.searches") == 1
         assert obs.counter_value("attack.memo.misses") == 1
-        again = engine.attack(cell, cache=True)
+        again = engine.attack(cell)
         assert again == first
         assert obs.counter_value("attack.memo.hits") == 1
         # The hit returned upstream of best_attack: no second search.

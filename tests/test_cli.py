@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.batch import clear_attack_caches
 
 
 class TestFigureCommand:
@@ -165,7 +166,7 @@ class TestAttackCommand:
         capsys.readouterr()
         assert main([
             "attack", str(target), "--k", "2", "--k", "3", "--s", "2",
-            "--effort", "exact", "--workers", "1",
+            "--effort", "exact",
         ]) == 0
         out = capsys.readouterr().out
         assert "--- k=2 ---" in out
@@ -176,8 +177,6 @@ class TestAttackCommand:
         (["--k", "0", "--s", "2"], "need 1 <= k < n=12, got k=0"),
         (["--k", "12", "--s", "2"], "need 1 <= k < n=12, got k=12"),
         (["--k", "3", "--s", "4"], "need 1 <= s <= r=3, got s=4"),
-        (["--k", "3", "--s", "2", "--workers", "0"],
-         "workers must be >= 1, got 0"),
     ])
     def test_out_of_range_values_exit_2_with_one_line(
         self, tmp_path, capsys, flags, message
@@ -193,6 +192,31 @@ class TestAttackCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"attack: {message}\n"
+
+    def test_answer_does_not_depend_on_worker_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A single-s heuristic k-ladder is one warm-start chain: the
+        # reported failure sets are a function of (placement, k, s) and
+        # must not change with REPRO_WORKERS.
+        target = tmp_path / "placement.json"
+        main([
+            "place", "--strategy", "random",
+            "--n", "25", "--r", "3", "--b", "400",
+            "--seed", "2", "--output", str(target),
+        ])
+        capsys.readouterr()
+        ladder = [flag for k in range(3, 9) for flag in ("--k", str(k))]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            clear_attack_caches()  # each invocation starts cold
+            assert main([
+                "attack", str(target), "--s", "2", "--effort", "fast",
+                *ladder,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestAuditCommand:
@@ -219,6 +243,25 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "simulate: need 1 <= k < n=10, got k=10\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--churn-prob", "2"], "need 0 <= arrival probability <= 1, got 2.0"),
+        (["--churn-prob", "-0.5"],
+         "need 0 <= arrival probability <= 1, got -0.5"),
+        (["--warmup", "-5"], "need warmup arrivals >= 0, got -5"),
+        (["--failure-rate", "-1"], "need failure rate >= 0, got -1.0"),
+        (["--rack-failure-rate", "-0.1"],
+         "need rack failure rate >= 0, got -0.1"),
+        (["--strike-period", "-3"], "need strike period >= 0, got -3.0"),
+        (["--measure-period", "-1"], "need measure period >= 0, got -1.0"),
+    ])
+    def test_bad_process_settings_exit_2_with_one_line(
+        self, capsys, flags, message
+    ):
+        assert main(["simulate", "--events", "50", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"simulate: {message}\n"
 
     def test_lifetime_run_renders_report(self, capsys):
         assert main([
