@@ -1,5 +1,8 @@
 """End-to-end tests for the cluster lifetime simulator."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.batch import clear_attack_caches
@@ -50,6 +53,26 @@ class TestDeterminismAndEquivalence:
         assert strike_tuples(delta) == strike_tuples(rebuild)
         assert sample_dicts(delta) == sample_dicts(rebuild)
         assert delta.event_counts == rebuild.event_counts
+
+    def test_eager_rack_failure_trajectory_is_pinned(self):
+        # One exact trajectory with every mutation path live: arrivals and
+        # departures, node and rack failures, eager re-replication. Any
+        # change to the cluster state, the repair choices or the engine's
+        # view of the population moves this digest.
+        report = simulate(**BASE, repair="eager", rack_failure_rate=0.02)
+        assert report.event_counts["rack-fail"] > 0
+        assert report.event_counts["re-replicate"] > 0
+        payload = json.dumps(
+            {
+                "strikes": [s.to_dict() for s in report.strikes],
+                "samples": sample_dicts(report),
+                "event_counts": report.event_counts,
+            },
+            sort_keys=True,
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "0376c9fcdf2e6ee9ad5c2d4805a142a020fbed495fd7f4cf52a0a3dc8c3d8e56"
+        )
 
     def test_seeds_decorrelate(self):
         first = simulate(**{**BASE, "seed": 1})
