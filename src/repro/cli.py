@@ -485,7 +485,13 @@ def _run_figure(args) -> int:
         return 2
     targets = figure_names() if args.which == "all" else (args.which,)
     for which in targets:
-        print(run_experiment(figure_spec(which)).render())
+        try:
+            run = run_experiment(figure_spec(which))
+        except ValueError as exc:
+            # Bad REPRO_* knob values: user input, not internal state.
+            print(f"figure: {exc}", file=sys.stderr)
+            return 2
+        print(run.render())
         print()
     return 0
 

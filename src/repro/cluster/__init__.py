@@ -1,9 +1,11 @@
-"""Cluster simulation substrate: nodes, failures, liveness, scenarios.
+"""Cluster simulation substrate: cluster state, failures, liveness, scenarios.
 
-The execution environment the placements deploy into: a simulated cluster
-with per-node capacity and rack topology, failure injectors at three
-adversity levels (random, rack-correlated, worst-case), quorum-style
-liveness rules, and scenario drivers that tie placements to measurements.
+The execution environment the placements deploy into: an array-backed
+:class:`Cluster` (replica rows, per-node loads and up flags, rack
+topology, and the warm attack engine fed from its own change record),
+failure injectors at three adversity levels (random, rack-correlated,
+worst-case), quorum-style liveness rules, and scenario drivers that tie
+placements to measurements.
 """
 
 from repro.cluster.cluster import Cluster, ClusterError
@@ -20,10 +22,8 @@ from repro.cluster.failures import (
     fail_specific,
 )
 from repro.cluster.metrics import AvailabilityTimeline, LoadStats, ScenarioReport
-from repro.cluster.node import Node, NodeState
 from repro.cluster.objects import (
     LivenessRule,
-    StoredObject,
     majority_quorum_rule,
     read_one_rule,
     threshold_rule,
@@ -45,11 +45,8 @@ __all__ = [
     "CorrelatedInjector",
     "LivenessRule",
     "LoadStats",
-    "Node",
-    "NodeState",
     "RandomInjector",
     "ScenarioReport",
-    "StoredObject",
     "WorstCaseInjector",
     "churn_trace",
     "compare_strategies",

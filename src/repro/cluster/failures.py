@@ -27,7 +27,7 @@ class RandomInjector:
         self.rng = rng or random.Random()
 
     def select(self, cluster: Cluster, k: int, rule: LivenessRule) -> List[int]:
-        up = [node.node_id for node in cluster.nodes if node.is_up]
+        up = cluster.up_nodes()
         if k > len(up):
             raise ClusterError(f"cannot fail {k} of {len(up)} up nodes")
         return sorted(self.rng.sample(up, k))
@@ -48,9 +48,7 @@ class CorrelatedInjector:
         if rack is None:
             rack = self.rng.randrange(cluster.racks)
         nodes = [
-            node.node_id
-            for node in cluster.nodes
-            if node.rack == rack and node.is_up
+            node for node in cluster.rack_nodes(rack) if cluster.is_up(node)
         ]
         if not nodes:
             raise ClusterError(f"rack {rack} has no up nodes")
@@ -78,10 +76,11 @@ class WorstCaseInjector:
     An *online* adversary — one that re-attacks the same cluster as it
     mutates — can skip the per-injection snapshot + fingerprint + rebuild
     entirely by pinning a delta-aware ``engine``
-    (:class:`repro.core.batch.AttackEngine`): the caller keeps the engine
-    aligned with the cluster population via
-    :meth:`~repro.core.batch.AttackEngine.apply_delta` and every
-    injection reuses the warm kernel state. The lifetime simulator
+    (:class:`repro.core.batch.AttackEngine`), typically
+    :meth:`Cluster.engine() <repro.cluster.cluster.Cluster.engine>`,
+    which the cluster keeps aligned with its population through
+    :meth:`~repro.core.batch.AttackEngine.apply_delta`; every injection
+    then reuses the warm kernel state. The lifetime simulator
     (:mod:`repro.sim`) is the canonical such caller. The last search
     outcome is kept on :attr:`last_result` so drivers can record damage
     without re-deriving it from cluster state.

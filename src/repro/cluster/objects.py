@@ -14,7 +14,6 @@ protocol shapes the paper motivates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
 
 from repro.core.params import (
     majority_threshold,
@@ -54,21 +53,3 @@ def threshold_rule(s: int) -> LivenessRule:
     if s < 1:
         raise ValueError(f"threshold must be >= 1, got {s}")
     return LivenessRule(name=f"threshold-{s}", s=s)
-
-
-@dataclass(frozen=True)
-class StoredObject:
-    """One replicated object and where its replicas live."""
-
-    obj_id: int
-    replica_nodes: FrozenSet[int]
-
-    @property
-    def r(self) -> int:
-        return len(self.replica_nodes)
-
-    def replicas_failed(self, failed_nodes: FrozenSet[int]) -> int:
-        return len(self.replica_nodes & failed_nodes)
-
-    def alive(self, failed_nodes: FrozenSet[int], rule: LivenessRule) -> bool:
-        return rule.object_alive(self.replicas_failed(failed_nodes))

@@ -3,16 +3,18 @@
 The layer above the static scenario drivers: a seeded event loop that
 advances one cluster through object churn, random/correlated node
 failures with repair and re-replication, and a recurring online
-worst-case adversary — kept fast by the delta-aware attack engine
-(:meth:`repro.core.batch.AttackEngine.apply_delta`), which absorbs churn
-in O(changed replicas) instead of rebuilding per event.
+worst-case adversary. The :class:`~repro.cluster.cluster.Cluster` holds
+the only copy of the state; its warm attack engine
+(:meth:`~repro.cluster.cluster.Cluster.engine`) absorbs the churn
+between strikes as one
+:meth:`~repro.core.batch.AttackEngine.apply_delta` in O(changed
+replicas) instead of rebuilding per strike.
 
 Entry points: :func:`simulate` (one call), :class:`SimConfig` +
 :class:`LifetimeSimulator` (inspectable runs), ``repro simulate`` (CLI).
 """
 
 from repro.sim.events import Event, EventKind, EventQueue, SimClockError
-from repro.sim.mirror import EngineMirror
 from repro.sim.processes import (
     AdversaryProcess,
     ChurnProcess,
@@ -36,7 +38,6 @@ __all__ = [
     "AdversaryProcess",
     "ChurnProcess",
     "EagerRepair",
-    "EngineMirror",
     "Event",
     "EventKind",
     "EventQueue",

@@ -18,14 +18,16 @@ through interleaved
   :class:`~repro.cluster.failures.WorstCaseInjector` strike every period,
   warm-started from the previous strike.
 
-Engine modes make the delta machinery measurable: ``"delta"`` (default)
-keeps one warm :class:`~repro.core.batch.AttackEngine` aligned with the
-population through :class:`~repro.sim.mirror.EngineMirror` — churn
-between strikes costs one O(changed replicas) ``apply_delta`` — while
-``"rebuild"`` replays the pre-delta behaviour (snapshot + fingerprint +
-cold incidence per strike). Both modes draw identical randomness and
-produce bit-identical strike records; ``benchmarks/bench_sim.py`` times
-the gap.
+The cluster is the one copy of the simulated state, and every mutation
+(arrival, departure, failure, repair, re-replication) goes straight to
+it. Engine modes differ only in how a strike reads that state:
+``"delta"`` (default) attacks through :meth:`Cluster.engine
+<repro.cluster.cluster.Cluster.engine>`, the warm
+:class:`~repro.core.batch.AttackEngine` the cluster keeps aligned with
+its population — churn between strikes costs one O(changed replicas)
+``apply_delta`` — while ``"rebuild"`` is the reference oracle (snapshot +
+fingerprint + cold incidence per strike). Both modes draw identical
+randomness and produce bit-identical strike records.
 
 Everything is a pure function of :class:`SimConfig` (all randomness
 derives from ``seed`` via labelled streams), so runs replay bit-for-bit.
@@ -44,8 +46,8 @@ from repro.cluster.metrics import LoadStats
 from repro.cluster.objects import LivenessRule, threshold_rule
 from repro.cluster.workload import ChurnKind, churn_trace
 from repro.core.adaptive import AdaptiveComboPlacement
+from repro.core.kernels import resolve_gain_backing
 from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.mirror import EngineMirror
 from repro.sim.processes import (
     AdversaryProcess,
     ChurnProcess,
@@ -146,6 +148,9 @@ class LifetimeSimulator:
 
     def __init__(self, config: SimConfig) -> None:
         config.validate()
+        # Resolved here, not at the first strike, so a bad
+        # REPRO_GAIN_BACKING is rejected with the rest of the config.
+        resolve_gain_backing()
         self.config = config
         self.rule: LivenessRule = threshold_rule(config.s)
         self.cluster = Cluster(config.n, racks=config.racks)
@@ -157,7 +162,6 @@ class LifetimeSimulator:
         self.repair_policy: RepairPolicy = make_repair_policy(
             config.repair, grace=config.repair_grace
         )
-        self.mirror = EngineMirror(config.n)
         self.injector = WorstCaseInjector(effort=config.effort, seed=config.seed)
         self._trace = churn_trace(
             steps=config.events,
@@ -226,9 +230,7 @@ class LifetimeSimulator:
         elif kind == EventKind.STRIKE:
             self._handle_strike(now)
         elif kind == EventKind.NODE_REPAIR:
-            node = self.cluster.nodes[event.node]
-            if not node.is_up:
-                node.recover()
+            self.cluster.recover(event.node)
         elif kind == EventKind.REREPLICATE:
             self._handle_rereplicate(event.node, event.epoch)
         elif kind == EventKind.MEASURE:
@@ -253,14 +255,12 @@ class LifetimeSimulator:
             nodes = self.adaptive.replica_nodes(obj_id)
             self.cluster.add_object(obj_id, nodes)
             self._live.append(obj_id)
-            if self.config.engine_mode == "delta":
-                self.mirror.add(obj_id, nodes)
             # The adaptive placement is failure-oblivious (blocks come
             # from the packing, not from cluster health), so an arrival
             # can land replicas on a failed node; give the repair policy
             # a chance to rebuild them like any other lost redundancy.
             for node in nodes:
-                if not self.cluster.nodes[node].is_up:
+                if not self.cluster.is_up(node):
                     when = self.repair_policy.rereplicate_at(now, node)
                     if when is not None:
                         self._queue.push(
@@ -276,8 +276,6 @@ class LifetimeSimulator:
             victim = self._live.pop(self._victims.randrange(len(self._live)))
             self.adaptive.remove_object(victim)
             self.cluster.remove_object(victim)
-            if self.config.engine_mode == "delta":
-                self.mirror.remove(victim)
         return EventKind.DEPARTURE
 
     # -- failures and repair -------------------------------------------------
@@ -298,7 +296,7 @@ class LifetimeSimulator:
     def _handle_node_fail(self, now: float) -> None:
         process = self._processes[EventKind.NODE_FAIL]
         self._reschedule(EventKind.NODE_FAIL, now)
-        up = [node.node_id for node in self.cluster.nodes if node.is_up]
+        up = self.cluster.up_nodes()
         if not up:
             return
         self._fail_and_schedule_repair(now, process.rng.choice(up))
@@ -307,31 +305,27 @@ class LifetimeSimulator:
         process = self._processes[EventKind.RACK_FAIL]
         self._reschedule(EventKind.RACK_FAIL, now)
         rack = process.rng.randrange(self.cluster.racks)
-        for node in self.cluster.nodes:
-            if node.rack == rack and node.is_up:
-                self._fail_and_schedule_repair(now, node.node_id)
+        for node in self.cluster.rack_nodes(rack):
+            if self.cluster.is_up(node):
+                self._fail_and_schedule_repair(now, node)
 
-    def _handle_rereplicate(self, node_id: int, epoch: Optional[float]) -> None:
-        node = self.cluster.nodes[node_id]
-        if node.is_up or self._failed_at.get(node_id) != epoch:
+    def _handle_rereplicate(self, node: int, epoch: Optional[float]) -> None:
+        cluster = self.cluster
+        if cluster.is_up(node) or self._failed_at.get(node) != epoch:
             # Repaired within the grace period — or this check belongs to
             # an older failure of a node that has since failed again (the
             # newer failure carries its own grace clock).
             return
-        for obj_id in sorted(node.replicas):
-            stored = self.cluster.objects[obj_id]
+        # Both lists are the cluster's maintained state, so every move
+        # below is seen by the next target choice.
+        loads, up = cluster.loads(), cluster.up_mask()
+        for obj_id in sorted(cluster.hosted(node)):
             target = choose_repair_target(
-                self.cluster.loads(),
-                [candidate.is_up for candidate in self.cluster.nodes],
-                exclude=sorted(stored.replica_nodes),
+                loads, up, exclude=cluster.objects[obj_id]
             )
             if target is None:
                 continue  # no healthy host available; stay degraded
-            new_nodes = (stored.replica_nodes - {node_id}) | {target}
-            self.cluster.remove_object(obj_id)
-            self.cluster.add_object(obj_id, new_nodes)
-            if self.config.engine_mode == "delta":
-                self.mirror.replace(obj_id, tuple(sorted(new_nodes)))
+            cluster.move_replica(obj_id, node, target)
             # The placement is no longer the packing the DP certified.
             self._certified = False
 
@@ -343,7 +337,7 @@ class LifetimeSimulator:
         if not self._live:
             return
         if self.config.engine_mode == "delta":
-            self.injector.engine = self.mirror.flush()
+            self.injector.engine = self.cluster.engine()
         else:
             self.injector.engine = None  # snapshot + fingerprint per strike
         nodes = self._select_strike(process.k)
@@ -356,7 +350,7 @@ class LifetimeSimulator:
         attack = self.injector.last_result
         self._warm = attack.nodes
         for node in nodes:
-            if self.cluster.nodes[node].is_up:
+            if self.cluster.is_up(node):
                 self._fail_and_schedule_repair(now, node)
         self._report.record_strike(
             StrikeRecord(

@@ -1,9 +1,8 @@
-"""Tests for nodes, cluster state, and liveness accounting."""
+"""Tests for cluster state, its warm attack engine, and liveness accounting."""
 
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterError
-from repro.cluster.node import Node, NodeState
 from repro.cluster.objects import (
     majority_quorum_rule,
     read_one_rule,
@@ -13,37 +12,54 @@ from repro.cluster.objects import (
 from repro.core.placement import Placement
 
 
-class TestNode:
-    def test_host_and_evict(self):
-        node = Node(node_id=0, capacity=2)
-        node.host(10)
-        node.host(11)
-        assert node.load == 2
-        node.evict(10)
-        assert node.load == 1
+def assert_engine_aligned(cluster):
+    """The engine's rows and loads are exactly the cluster's."""
+    engine = cluster.engine()
+    assert sorted(
+        tuple(sorted(row)) for row in engine.placement.replica_sets
+    ) == sorted(cluster.objects.values())
+    assert [
+        len(objs) for objs in engine.incidence.node_objects()
+    ] == cluster.loads()
 
-    def test_capacity_enforced(self):
-        node = Node(node_id=0, capacity=1)
-        node.host(1)
-        with pytest.raises(ValueError):
-            node.host(2)
+
+class TestNode:
+    """Per-node state: hosted replicas, loads, up/failed."""
+
+    def test_host_and_evict(self):
+        cluster = Cluster(3)
+        cluster.add_object(10, [0, 1])
+        cluster.add_object(11, [0, 2])
+        assert cluster.hosted(0) == {10, 11}
+        assert cluster.loads() == [2, 1, 1]
+        cluster.remove_object(10)
+        assert cluster.hosted(0) == {11}
+        assert cluster.loads() == [1, 0, 1]
 
     def test_double_host_rejected(self):
-        node = Node(node_id=0)
-        node.host(1)
-        with pytest.raises(ValueError):
-            node.host(1)
+        cluster = Cluster(4)
+        cluster.add_object(1, [0, 1])
+        with pytest.raises(ClusterError):
+            cluster.move_replica(1, 0, 1)
+        assert cluster.objects[1] == (0, 1)
 
     def test_evict_missing_rejected(self):
-        with pytest.raises(ValueError):
-            Node(node_id=0).evict(5)
+        cluster = Cluster(4)
+        cluster.add_object(1, [0, 1])
+        with pytest.raises(ClusterError):
+            cluster.move_replica(1, 2, 3)
+        with pytest.raises(ClusterError):
+            cluster.move_replica(5, 0, 3)
+        assert cluster.loads() == [1, 1, 0, 0]
 
     def test_fail_recover(self):
-        node = Node(node_id=0)
-        node.fail()
-        assert node.state == NodeState.FAILED
-        node.recover()
-        assert node.is_up
+        cluster = Cluster(3)
+        cluster.fail_nodes([1])
+        assert not cluster.is_up(1)
+        assert cluster.up_nodes() == [0, 2]
+        cluster.recover(1)
+        assert cluster.is_up(1)
+        assert cluster.up_nodes() == [0, 1, 2]
 
 
 class TestCluster:
@@ -68,6 +84,26 @@ class TestCluster:
         assert cluster.loads() == [0, 0, 0, 0]
         with pytest.raises(ClusterError):
             cluster.remove_object(7)
+
+    def test_add_object_rejects_repeated_nodes(self):
+        cluster = Cluster(4)
+        with pytest.raises(ClusterError):
+            cluster.add_object(0, [1, 1, 2])
+        assert cluster.objects == {}
+        assert cluster.loads() == [0, 0, 0, 0]
+
+    def test_move_replica_edits_the_row_in_place(self):
+        cluster = Cluster(5)
+        cluster.add_object(0, [0, 1])
+        cluster.add_object(1, [2, 3])
+        cluster.add_object(2, [1, 4])
+        cluster.move_replica(1, 3, 0)
+        assert list(cluster.objects.items()) == [
+            (0, (0, 1)), (1, (0, 2)), (2, (1, 4)),
+        ]
+        assert cluster.hosted(0) == {0, 1}
+        assert cluster.hosted(3) == set()
+        assert cluster.loads() == [2, 2, 1, 0, 1]
 
     def test_duplicate_object_rejected(self):
         cluster = Cluster(4)
@@ -120,7 +156,12 @@ class TestCluster:
     def test_racks(self):
         cluster = Cluster(6, racks=3)
         assert cluster.racks == 3
-        assert [node.rack for node in cluster.nodes] == [0, 1, 2, 0, 1, 2]
+        assert [cluster.rack_of(node) for node in range(6)] == [
+            0, 1, 2, 0, 1, 2,
+        ]
+        assert cluster.rack_nodes(1) == [1, 4]
+        # More racks than nodes: only the occupied racks count.
+        assert Cluster(2, racks=5).racks == 2
 
     def test_validation(self):
         with pytest.raises(ClusterError):
@@ -132,3 +173,85 @@ class TestCluster:
             cluster.add_object(0, [0, 5])
         with pytest.raises(ClusterError):
             cluster.fail_nodes([9])
+
+
+class TestClusterEngine:
+    """The warm attack engine fed from the cluster's own change record."""
+
+    @staticmethod
+    def record_deltas(monkeypatch, engine):
+        calls = []
+        apply_delta = engine.apply_delta
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return apply_delta(**kwargs)
+
+        monkeypatch.setattr(engine, "apply_delta", recording)
+        return calls
+
+    def test_flush_batches_churn_into_one_delta(self, monkeypatch):
+        cluster = Cluster(9)
+        for obj_id in range(6):
+            cluster.add_object(obj_id, [(obj_id + i) % 9 for i in range(3)])
+        engine = cluster.engine()
+        assert engine.placement.b == 6
+        calls = self.record_deltas(monkeypatch, engine)
+        cluster.remove_object(1)
+        cluster.add_object(10, (0, 3, 6))
+        cluster.move_replica(4, 5, 1)
+        cluster.move_replica(4, 6, 7)
+        assert cluster.engine() is engine
+        # One delta: vacated slots descending, then rows in change order.
+        assert calls == [{
+            "added_objects": [(0, 3, 6), (1, 4, 7)],
+            "removed_objects": [4, 1],
+        }]
+        assert engine.placement.b == 6
+        assert_engine_aligned(cluster)
+        # The replayed slot table keeps later deltas aligned too.
+        cluster.remove_object(10)
+        cluster.move_replica(5, 5, 8)
+        assert_engine_aligned(cluster)
+        assert len(calls) == 2
+        assert cluster.engine() is engine and len(calls) == 2
+
+    def test_pending_add_then_remove_cancels(self, monkeypatch):
+        cluster = Cluster(6)
+        cluster.add_object(0, (0, 1, 2))
+        cluster.add_object(1, (1, 2, 3))
+        cluster.remove_object(1)
+        engine = cluster.engine()
+        assert engine.placement.b == 1
+        calls = self.record_deltas(monkeypatch, engine)
+        cluster.add_object(2, (2, 3, 4))
+        cluster.move_replica(2, 4, 5)
+        cluster.remove_object(2)
+        assert cluster.engine() is engine
+        assert calls == []
+
+    def test_emptying_population_drops_the_engine(self):
+        cluster = Cluster(6)
+        cluster.add_object(0, (0, 1, 2))
+        assert cluster.engine() is not None
+        cluster.remove_object(0)
+        assert cluster.engine() is None
+        cluster.add_object(1, (2, 3, 4))
+        engine = cluster.engine()
+        assert engine is not None and engine.placement.b == 1
+        assert_engine_aligned(cluster)
+
+    def test_unknown_ids_raise(self, monkeypatch):
+        cluster = Cluster(6)
+        cluster.add_object(5, (0, 1, 2))
+        engine = cluster.engine()
+        calls = self.record_deltas(monkeypatch, engine)
+        with pytest.raises(ClusterError):
+            cluster.remove_object(4)
+        with pytest.raises(ClusterError):
+            cluster.move_replica(4, 0, 3)
+        with pytest.raises(ClusterError):
+            cluster.add_object(5, (0, 1, 2))
+        # Rejected operations leave nothing to apply.
+        assert cluster.engine() is engine
+        assert calls == []

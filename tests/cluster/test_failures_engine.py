@@ -55,7 +55,7 @@ class TestInjectors:
     def test_correlated_injector_kills_rack(self):
         cluster = deployed_cluster()
         nodes = CorrelatedInjector(random.Random(0)).inject(cluster, rack=1)
-        assert all(cluster.nodes[i].rack == 1 for i in nodes)
+        assert all(cluster.rack_of(i) == 1 for i in nodes)
         assert len(nodes) == 5
 
     def test_correlated_injector_empty_rack(self):

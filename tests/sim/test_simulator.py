@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.batch import clear_attack_caches
 from repro.sim import (
-    EngineMirror,
     LifetimeSimulator,
     SimConfig,
     make_repair_policy,
@@ -46,13 +45,26 @@ class TestDeterminismAndEquivalence:
         assert sample_dicts(first) == sample_dicts(second)
         assert first.event_counts == second.event_counts
 
-    def test_delta_and_rebuild_modes_agree(self):
-        delta = simulate(**BASE, repair="lazy", engine_mode="delta")
+    @pytest.mark.parametrize("repair", ["none", "lazy", "eager"])
+    def test_delta_and_rebuild_modes_agree(self, repair):
+        config = {**BASE, "rack_failure_rate": 0.02, "repair": repair}
+        sim = LifetimeSimulator(SimConfig(**config, engine_mode="delta"))
+        delta = sim.run()
         clear_attack_caches()
-        rebuild = simulate(**BASE, repair="lazy", engine_mode="rebuild")
+        rebuild = simulate(**config, engine_mode="rebuild")
+        assert delta.event_counts.get("rack-fail", 0) > 0
         assert strike_tuples(delta) == strike_tuples(rebuild)
         assert sample_dicts(delta) == sample_dicts(rebuild)
         assert delta.event_counts == rebuild.event_counts
+        # The warm engine still describes exactly the cluster's population.
+        cluster = sim.cluster
+        engine = cluster.engine()
+        assert sorted(
+            tuple(sorted(row)) for row in engine.placement.replica_sets
+        ) == sorted(cluster.objects.values())
+        assert [
+            len(objs) for objs in engine.incidence.node_objects()
+        ] == cluster.loads()
 
     def test_eager_rack_failure_trajectory_is_pinned(self):
         # One exact trajectory with every mutation path live: arrivals and
@@ -187,58 +199,8 @@ class TestSimulatorMechanics:
         report = sim.run()
         assert report.samples and report.strikes
         assert sim.adaptive.num_objects == len(sim.cluster.objects)
-        # The delta mirror tracks the same population the cluster hosts.
-        assert sim.mirror.size == len(sim.cluster.objects)
-
-
-class TestEngineMirror:
-    def test_flush_batches_churn_into_one_delta(self):
-        mirror = EngineMirror(9)
-        for obj_id in range(6):
-            mirror.add(obj_id, (obj_id % 9, (obj_id + 1) % 9, (obj_id + 2) % 9))
-        engine = mirror.flush()
-        assert engine.placement.b == 6
-        assert mirror.deltas_applied == 0  # cold build, no delta yet
-        mirror.remove(1)
-        mirror.add(10, (0, 3, 6))
-        mirror.replace(4, (1, 4, 7))
-        assert mirror.flush() is engine
-        assert mirror.deltas_applied == 1
-        assert engine.placement.b == 6
-        assert engine.placement.replica_sets[mirror.slot_of(10)] == frozenset(
-            {0, 3, 6}
-        )
-        assert engine.placement.replica_sets[mirror.slot_of(4)] == frozenset(
-            {1, 4, 7}
-        )
-
-    def test_pending_add_then_remove_cancels(self):
-        mirror = EngineMirror(6)
-        mirror.add(0, (0, 1, 2))
-        mirror.add(1, (1, 2, 3))
-        mirror.remove(1)
-        engine = mirror.flush()
-        assert engine.placement.b == 1
-
-    def test_emptying_population_drops_the_engine(self):
-        mirror = EngineMirror(6)
-        mirror.add(0, (0, 1, 2))
-        assert mirror.flush() is not None
-        mirror.remove(0)
-        assert mirror.flush() is None
-        mirror.add(1, (2, 3, 4))
-        engine = mirror.flush()
-        assert engine is not None and engine.placement.b == 1
-
-    def test_unknown_ids_raise(self):
-        mirror = EngineMirror(6)
-        with pytest.raises(KeyError):
-            mirror.remove(5)
-        with pytest.raises(KeyError):
-            mirror.replace(5, (0, 1, 2))
-        mirror.add(5, (0, 1, 2))
-        with pytest.raises(KeyError):
-            mirror.add(5, (0, 1, 2))
+        # The warm engine tracks the same population the cluster hosts.
+        assert sim.cluster.engine().placement.b == len(sim.cluster.objects)
 
 
 class TestRepairPolicies:

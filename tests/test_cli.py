@@ -244,24 +244,36 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "simulate: need 1 <= k < n=10, got k=10\n"
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--churn-prob", "2"], "need 0 <= arrival probability <= 1, got 2.0"),
+    # ``flags`` follow ``simulate --events 50`` unless they start with
+    # another command; ``env`` is set for the call.
+    @pytest.mark.parametrize("flags,message,env", [
+        (["--churn-prob", "2"], "need 0 <= arrival probability <= 1, got 2.0",
+         {}),
         (["--churn-prob", "-0.5"],
-         "need 0 <= arrival probability <= 1, got -0.5"),
-        (["--warmup", "-5"], "need warmup arrivals >= 0, got -5"),
-        (["--failure-rate", "-1"], "need failure rate >= 0, got -1.0"),
+         "need 0 <= arrival probability <= 1, got -0.5", {}),
+        (["--warmup", "-5"], "need warmup arrivals >= 0, got -5", {}),
+        (["--failure-rate", "-1"], "need failure rate >= 0, got -1.0", {}),
         (["--rack-failure-rate", "-0.1"],
-         "need rack failure rate >= 0, got -0.1"),
-        (["--strike-period", "-3"], "need strike period >= 0, got -3.0"),
-        (["--measure-period", "-1"], "need measure period >= 0, got -1.0"),
+         "need rack failure rate >= 0, got -0.1", {}),
+        (["--strike-period", "-3"], "need strike period >= 0, got -3.0", {}),
+        (["--measure-period", "-1"], "need measure period >= 0, got -1.0",
+         {}),
+        ([], "unknown gain backing 'garbage'; use auto or one of "
+         "('native', 'numpy', 'python')", {"REPRO_GAIN_BACKING": "garbage"}),
+        (["figure", "fig3"], "REPRO_WORKERS must be an integer >= 1, got 'x'",
+         {"REPRO_WORKERS": "x"}),
     ])
     def test_bad_process_settings_exit_2_with_one_line(
-        self, capsys, flags, message
+        self, capsys, monkeypatch, flags, message, env
     ):
-        assert main(["simulate", "--events", "50", *flags]) == 2
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if flags[:1] != ["figure"]:
+            flags = ["simulate", "--events", "50", *flags]
+        assert main(flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"simulate: {message}\n"
+        assert captured.err == f"{flags[0]}: {message}\n"
 
     def test_lifetime_run_renders_report(self, capsys):
         assert main([
