@@ -34,8 +34,11 @@ Per-move cost of the gain kernel (n nodes, b objects, r replicas; one
 is an O(n) table argmax, a polish position O(r^2 b / n + n), a damage
 query O(1). The three backings share these costs and differ only in
 constants: ``native`` fuses a whole polish pass (and a batch of polish
-chains) into one foreign call; ``python`` runs the generic loops of
-:class:`~repro.core.kernels.DamageKernel` and is the executable
+chains) into one foreign call, and a whole branch and bound into one
+more, with the deficit bound maintained incrementally (O(s n) per tree
+node instead of an O(b) rescan); ``python`` runs the generic loops of
+:class:`~repro.core.kernels.DamageKernel` and, like ``numpy``, the
+python branch-and-bound DFS :func:`_search_tree`: the executable
 reference. All backings return identical results — search trajectories
 (tie-breaks included) are backing-independent, and ``evaluations``
 counts candidate damage evaluations the same way everywhere, so
@@ -92,6 +95,12 @@ def _bind_kernel(
     if kernel.s != s:
         raise ValueError(f"kernel was built for s={kernel.s}, attack wants s={s}")
     return kernel
+
+
+def _check_k(placement: Placement, k: int) -> None:
+    """Reject failure-set sizes outside ``[0, n]`` before any kernel call."""
+    if not 0 <= k <= placement.n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={placement.n}")
 
 
 class ExhaustiveAdversary:
@@ -161,6 +170,7 @@ class GreedyAdversary:
         s: int,
         kernel: Optional[DamageKernel] = None,
     ) -> AttackResult:
+        _check_k(placement, k)
         model = _bind_kernel(placement, s, kernel)
         hits = model.empty_hits()
         chosen: List[int] = []
@@ -224,6 +234,7 @@ class LocalSearchAdversary:
         kernel: Optional[DamageKernel] = None,
         warm_start: Optional[Sequence[int]] = None,
     ) -> AttackResult:
+        _check_k(placement, k)
         model = _bind_kernel(placement, s, kernel)
         rng = self.rng if self.rng is not None else random.Random(self.seed)
         evaluations = 0
@@ -313,6 +324,11 @@ class BranchAndBoundAdversary:
 
     ``max_nodes`` bounds the search-tree size; on exhaustion the best-known
     attack is returned with ``exact=False``.
+
+    On the native backing the tree search is one foreign call
+    (``branch_and_bound``, same DFS, bound and budget); the other
+    backings run :func:`_search_tree`. Both return identical results and
+    move counts.
     """
 
     def __init__(
@@ -331,62 +347,92 @@ class BranchAndBoundAdversary:
         kernel: Optional[DamageKernel] = None,
         warm_start: Optional[Sequence[int]] = None,
     ) -> AttackResult:
+        _check_k(placement, k)
         model = _bind_kernel(placement, s, kernel)
-        n = model.n
         incumbent = LocalSearchAdversary(restarts=self.restarts).attack(
             placement, k, s, kernel=model, warm_start=warm_start
         )
-        best_damage = incumbent.damage
-        best_nodes = incumbent.nodes
-        evaluations = incumbent.evaluations
-        counting = obs.metrics_enabled()
-        moves = 0  # add/remove pairs: every tree edge is one of each
-        budget = [self.max_nodes if self.max_nodes is not None else -1]
-        exhausted = [False]
-        chosen: List[int] = []
-
-        def recurse(start: int, hits) -> None:
-            nonlocal best_damage, best_nodes, evaluations, moves
-            if exhausted[0]:
-                return
-            slots = k - len(chosen)
-            if slots == 0:
-                evaluations += 1
-                d = model.damage_of(hits)
-                if d > best_damage:
-                    best_damage = d
-                    best_nodes = tuple(chosen)
-                return
-            if budget[0] == 0:
-                exhausted[0] = True
-                return
-            if budget[0] > 0:
-                budget[0] -= 1
-            # refined_bound = deficit bound capped by the suffix degree sum,
-            # tightened by the gain table, which resolves one-slot
-            # completions exactly.
-            if model.refined_bound(hits, start, slots) <= best_damage:
-                return
-            for node in range(start, n - slots + 1):
-                chosen.append(node)
-                hits = model.add_node(hits, node)
-                moves += 1
-                recurse(node + 1, hits)
-                hits = model.remove_node(hits, node)
-                chosen.pop()
-                if exhausted[0]:
-                    return
-
-        recurse(0, model.empty_hits())
-        if counting and moves:
+        if model.backing == "native":
+            found = model.branch_and_bound(
+                k, incumbent.damage, incumbent.nodes, self.max_nodes
+            )
+        else:
+            found = _search_tree(
+                model, k, incumbent.damage, incumbent.nodes, self.max_nodes
+            )
+        nodes, best_damage, exhausted, leaves, moves = found
+        if obs.metrics_enabled() and moves:
             obs.count("kernel.node_adds", moves)
             obs.count("kernel.node_removes", moves)
         return AttackResult(
-            nodes=tuple(sorted(best_nodes)),
+            nodes=tuple(sorted(nodes)),
             damage=best_damage,
-            exact=not exhausted[0],
-            evaluations=evaluations,
+            exact=not exhausted,
+            evaluations=incumbent.evaluations + leaves,
         )
+
+
+def _search_tree(
+    model: DamageKernel,
+    k: int,
+    incumbent: int,
+    incumbent_nodes: Sequence[int],
+    max_nodes: Optional[int],
+) -> Tuple[Tuple[int, ...], int, bool, int, int]:
+    """Branch and bound below an incumbent: the executable reference.
+
+    Enumerates k-subsets in ascending node order, pruning a partial set
+    when the kernel's ``refined_bound`` cannot beat the best damage so
+    far; a leaf replaces the best only if it is strictly better.
+    ``max_nodes`` caps the internal tree nodes visited (``None``:
+    unlimited). Returns ``(nodes, damage, exhausted, leaf_evaluations,
+    moves)``, where ``moves`` counts add/remove pairs (every tree edge is
+    one of each). The native backing runs the same search in one foreign
+    call (``branch_and_bound``).
+    """
+    n = model.n
+    best_damage = incumbent
+    best_nodes = tuple(incumbent_nodes)
+    evaluations = 0
+    moves = 0
+    budget = [max_nodes if max_nodes is not None else -1]
+    exhausted = [False]
+    chosen: List[int] = []
+
+    def recurse(start: int, hits) -> None:
+        nonlocal best_damage, best_nodes, evaluations, moves
+        if exhausted[0]:
+            return
+        slots = k - len(chosen)
+        if slots == 0:
+            evaluations += 1
+            d = model.damage_of(hits)
+            if d > best_damage:
+                best_damage = d
+                best_nodes = tuple(chosen)
+            return
+        if budget[0] == 0:
+            exhausted[0] = True
+            return
+        if budget[0] > 0:
+            budget[0] -= 1
+        # refined_bound = deficit bound capped by the suffix degree sum,
+        # tightened by the gain table, which resolves one-slot
+        # completions exactly.
+        if model.refined_bound(hits, start, slots) <= best_damage:
+            return
+        for node in range(start, n - slots + 1):
+            chosen.append(node)
+            hits = model.add_node(hits, node)
+            moves += 1
+            recurse(node + 1, hits)
+            hits = model.remove_node(hits, node)
+            chosen.pop()
+            if exhausted[0]:
+                return
+
+    recurse(0, model.empty_hits())
+    return best_nodes, best_damage, exhausted[0], evaluations, moves
 
 
 def best_attack(

@@ -16,7 +16,8 @@ the table, and ``damage_of`` is O(1). Three backings share one contract
 and return bit-identical results:
 
 * ``native`` — C hot loops compiled at first use (see
-  :mod:`repro.core.native`), with fused polish passes and chains;
+  :mod:`repro.core.native`), with fused polish passes and chains and a
+  fused branch and bound;
 * ``numpy`` — scatter updates plus a blocked vectorized bulk rebuild;
 * ``python`` — the dependency-free reference, which runs the generic
   ``try_swap``/``polish_pass``/``polish_chain`` loops of
@@ -160,7 +161,6 @@ class Incidence:
         self._suffix_counts: Optional[List[List[int]]] = None
         self._object_nodes: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._csr: Optional[Tuple[array, array, array, array]] = None
-        self._suffix_flat: Optional[array] = None
         self._obj_nodes_np = None
         self._node_objs_np = None
         self._top_degree_prefix: Optional[List[List[int]]] = None
@@ -251,16 +251,6 @@ class Incidence:
             obj_nodes = self.placement.replica_array()
             self._csr = (node_off, node_end, node_objs, obj_off, obj_nodes)
         return self._csr
-
-    def suffix_flat(self) -> array:
-        """:meth:`suffix_counts` flattened row-major for the native bound."""
-        if self._suffix_flat is None:
-            flat = array("i", bytes(4 * self.b * (self.n + 1)))
-            stride = self.n + 1
-            for obj_id, row in enumerate(self.suffix_counts()):
-                flat[obj_id * stride:(obj_id + 1) * stride] = array("i", row)
-            self._suffix_flat = flat
-        return self._suffix_flat
 
     def object_nodes_matrix(self):
         """``(b, r)`` index matrix of replica nodes (numpy gain backing).
@@ -517,7 +507,6 @@ class DeltaIncidence(Incidence):
         self._suffix_matrix = None
         self._suffix_counts = None
         self._object_nodes = None
-        self._suffix_flat = None
         self._obj_nodes_np = None
         self._node_objs_np = None
         self._top_degree_prefix = None
@@ -1069,9 +1058,11 @@ class _NativeGainKernel(GainKernel):
 
     The fused ``try_swap`` runs a whole polish position — remove, table
     argmax, conditional re-add — in one foreign call, which is what makes
-    a LocalSearch sweep kernel-bound rather than interpreter-bound.
-    Instances are not thread-safe (they share small scratch buffers);
-    process fan-out via the batch engine is unaffected.
+    a LocalSearch sweep kernel-bound rather than interpreter-bound;
+    ``polish_chains`` and ``branch_and_bound`` fuse a whole restart
+    schedule and a whole exact search the same way. Instances are not
+    thread-safe (they share small scratch buffers); the runner's process
+    pool is unaffected.
     """
 
     backing = "native"
@@ -1085,8 +1076,8 @@ class _NativeGainKernel(GainKernel):
         self._best = lib.gk_best_addition
         self._swap = lib.gk_try_swap
         self._pass = lib.gk_polish_pass
-        self._bound = lib.gk_optimistic_bound
         self._chains = lib.gk_polish_chains
+        self._bnb = lib.gk_branch_and_bound
         self._banned = array("i", bytes(4 * self.n))
         self._banned_ptr = _native.i32_ptr(self._banned)
         self._out = array("i", [0])
@@ -1105,7 +1096,6 @@ class _NativeGainKernel(GainKernel):
             _native.i32_ptr(obj_off), _native.i32_ptr(obj_nodes),
         )
         self._model_ref = _native.model_ref(self._model)
-        self._suffix_ptr = None
         self._rebuild_template()
 
     def _rebuild_template(self) -> None:
@@ -1129,7 +1119,6 @@ class _NativeGainKernel(GainKernel):
             self._bind_model()
         else:
             self._model.b = self.b
-            self._suffix_ptr = None
             self._rebuild_template()
 
     def export_state(self, hits: _NativeGainHits) -> bytes:
@@ -1251,14 +1240,29 @@ class _NativeGainKernel(GainKernel):
             for i in range(chains)
         ]
 
-    def optimistic_bound(self, hits: _NativeGainHits, start: int, slots: int) -> int:
-        if self._suffix_ptr is None:
-            self._suffix_ptr = _native.i32_ptr(self.incidence.suffix_flat())
-        return int(
-            self._bound(
-                self._model_ref, hits.ptr, self._suffix_ptr, start, slots
-            )
-        )
+    def branch_and_bound(
+        self, k: int, incumbent: int, nodes: Sequence[int],
+        max_nodes: Optional[int],
+    ) -> Tuple[Tuple[int, ...], int, bool, int, int]:
+        """The whole exact search in one foreign call.
+
+        Runs ``gk_branch_and_bound`` from the incumbent (``incumbent``
+        damage, reached by the k ``nodes``) under a ``max_nodes`` budget
+        of internal tree nodes (``None``: unlimited). Returns ``(nodes,
+        damage, exhausted, leaf_evaluations, moves)``, identical to the
+        python reference :func:`repro.core.adversary._search_tree` on the
+        same kernel state. Works on scratch state, so no hits object the
+        caller holds is touched.
+        """
+        best = array("i", nodes)
+        out = array("q", bytes(32))
+        budget = -1 if max_nodes is None else max_nodes
+        if self._bnb(
+            self._model_ref, k, incumbent, _native.i32_ptr(best), budget,
+            _native.i64_ptr(out),
+        ) < 0:
+            raise MemoryError("native branch and bound: scratch allocation failed")
+        return tuple(best), out[0], bool(out[1]), out[2], out[3]
 
 
 _GAIN_KERNELS = {

@@ -22,11 +22,11 @@ compiler runs once per source revision per machine. The compiler is
 optimization tries ``-O3`` and falls back to ``-O2``. :func:`compile_info`
 reports what actually built (or was cached for) the loaded library.
 
-The library is single-threaded. Parallelism lives one level up, in
-process fan-out: the persistent affinity pool of :mod:`repro.exp.runner`
-and the batch ``Pool`` of :mod:`repro.core.batch`. Within a process,
-``gk_polish_chains`` runs a whole local-search restart schedule in one
-foreign call.
+The library is single-threaded. Parallelism lives one level up, in the
+persistent affinity pool of :mod:`repro.exp.runner` (``repro run
+--workers``). Within a process, ``gk_polish_chains`` runs a whole
+local-search restart schedule in one foreign call and
+``gk_branch_and_bound`` a whole exact search.
 """
 
 from __future__ import annotations
@@ -196,23 +196,6 @@ i32 gk_polish_pass(const gk_model *m, i32 *state, i32 *nodes, i32 k,
     return improved;
 }
 
-/* Deficit-based optimistic bound over counts; `suffix` is the flattened
-   b x (n + 1) table of replicas on nodes >= j per object. */
-i32 gk_optimistic_bound(const gk_model *m, const i32 *state,
-                        const i32 *suffix, i32 start, i32 slots)
-{
-    const i32 s = m->s, b = m->b, stride = m->n + 1;
-    i32 killable = 0;
-    for (i32 o = 0; o < b; o++) {
-        const i32 deficit = s - state[o];
-        if (deficit <= 0)
-            killable++;
-        else if (deficit <= slots && suffix[o * stride + start] >= deficit)
-            killable++;
-    }
-    return killable;
-}
-
 /* One polish-to-convergence chain on scratch state: bulk-rebuild the
    gain state from the seed set, then repeat the steepest-positional
    sweep (same visit order, tie-breaks and strict-improvement rule as
@@ -273,6 +256,218 @@ void gk_polish_chains(const gk_model *m, i32 *state, i32 *banned,
                                     all_nodes + (size_t)i * k, k,
                                     &damages[i], &swaps[i]);
 }
+
+/* ---- Fused branch and bound ------------------------------------------
+
+   The exact search of BranchAndBoundAdversary in one call: the same
+   ascending-node DFS from the incumbent, the same strict-`>` leaf rule,
+   the same node budget and the same refined bound as its python
+   reference. The deficit part of the bound is maintained incrementally:
+   diff[d * n + j] counts the objects at deficit d (1 <= d <= s, i.e. s - d
+   hits) whose d-th largest replica node is j. Every chosen node is below
+   `start`, so such an object is still killable from the suffix iff j >=
+   start, and the deficit bound is dead + sum over d <= min(slots, s),
+   j >= start of diff[d * n + j]: O(s n) per tree node instead of O(b). */
+
+typedef struct {
+    const gk_model *m;
+    i32 k;
+    i32 *state;        /* counts | gain | dead, as everywhere else */
+    const i32 *top;    /* b x s: top[o * s + d - 1] = d-th largest node */
+    i32 *diff;         /* (s + 1) x n; row 0 unused */
+    const i64 *topdeg; /* (n + 1) x (k + 1): top-`c` load sum over >= j */
+    i32 *chosen, *best_nodes;
+    i32 best, exhausted;
+    i64 budget, evaluations, moves;
+} bnb_ctx;
+
+/* gk_add_node plus the deficit-table move of every touched object. */
+static void bnb_add(bnb_ctx *x, i32 node)
+{
+    const gk_model *m = x->m;
+    const i32 s = m->s, n = m->n;
+    i32 *counts = x->state, *gain = x->state + m->b;
+    i32 d = x->state[m->b + n];
+    for (i32 i = m->node_off[node]; i < m->node_end[node]; i++) {
+        const i32 o = m->node_objs[i];
+        const i32 c = ++counts[o];
+        const i32 before = s - c + 1;  /* deficit before this hit */
+        if (before >= 1) {
+            const i32 *t = x->top + (size_t)o * s;
+            x->diff[before * n + t[before - 1]]--;
+            if (before >= 2)
+                x->diff[(before - 1) * n + t[before - 2]]++;
+        }
+        if (c == s) {
+            d++;
+            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+                gain[m->obj_nodes[j]]--;
+        } else if (c == s - 1) {
+            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+                gain[m->obj_nodes[j]]++;
+        }
+    }
+    x->state[m->b + n] = d;
+}
+
+static void bnb_remove(bnb_ctx *x, i32 node)
+{
+    const gk_model *m = x->m;
+    const i32 s = m->s, n = m->n;
+    i32 *counts = x->state, *gain = x->state + m->b;
+    i32 d = x->state[m->b + n];
+    for (i32 i = m->node_off[node]; i < m->node_end[node]; i++) {
+        const i32 o = m->node_objs[i];
+        const i32 c = counts[o]--;
+        const i32 after = s - c + 1;  /* deficit after losing this hit */
+        if (after >= 1) {
+            const i32 *t = x->top + (size_t)o * s;
+            if (after >= 2)
+                x->diff[(after - 1) * n + t[after - 2]]--;
+            x->diff[after * n + t[after - 1]]++;
+        }
+        if (c == s) {
+            d--;
+            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+                gain[m->obj_nodes[j]]++;
+        } else if (c == s - 1) {
+            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+                gain[m->obj_nodes[j]]--;
+        }
+    }
+    x->state[m->b + n] = d;
+}
+
+/* 1 iff refined_bound(start, slots) <= best: the minimum of the degree
+   cap, the exact one-slot gain and the deficit bound is at most `best`
+   iff one of them is, so the cheap parts go first and the deficit sum
+   stops as soon as it passes `best`. */
+static i32 bnb_prunes(const bnb_ctx *x, i32 start, i32 slots)
+{
+    const gk_model *m = x->m;
+    const i32 n = m->n, s = m->s, best = x->best;
+    const i64 dead = x->state[m->b + n];
+    const i32 room = n - start;
+    if (dead + x->topdeg[(size_t)start * (x->k + 1)
+                         + (slots < room ? slots : room)] <= best)
+        return 1;
+    if (slots == 1 && start < n) {
+        const i32 *gain = x->state + m->b;
+        i32 top = gain[start];
+        for (i32 j = start + 1; j < n; j++)
+            if (gain[j] > top) top = gain[j];
+        if (dead + top <= best) return 1;
+    }
+    i64 bound = dead;
+    const i32 dmax = slots < s ? slots : s;
+    for (i32 d = 1; d <= dmax; d++) {
+        const i32 *row = x->diff + (size_t)d * n;
+        for (i32 j = start; j < n; j++)
+            bound += row[j];
+        if (bound > best) return 0;
+    }
+    return bound <= best;
+}
+
+static void bnb_recurse(bnb_ctx *x, i32 start, i32 depth)
+{
+    const gk_model *m = x->m;
+    const i32 slots = x->k - depth;
+    if (slots == 0) {
+        x->evaluations++;
+        const i32 d = x->state[m->b + m->n];
+        if (d > x->best) {
+            x->best = d;
+            memcpy(x->best_nodes, x->chosen, (size_t)x->k * sizeof(i32));
+        }
+        return;
+    }
+    if (x->budget == 0) {
+        x->exhausted = 1;
+        return;
+    }
+    if (x->budget > 0) x->budget--;
+    if (bnb_prunes(x, start, slots)) return;
+    for (i32 node = start; node <= m->n - slots; node++) {
+        x->chosen[depth] = node;
+        bnb_add(x, node);
+        x->moves++;
+        bnb_recurse(x, node + 1, depth + 1);
+        bnb_remove(x, node);
+        if (x->exhausted) return;
+    }
+}
+
+/* Exact k-attack from the incumbent (`incumbent` damage, its nodes in
+   `best_nodes`, k words, overwritten by the best set found). `budget`
+   caps the internal tree nodes visited; negative means unlimited.
+   Writes out[0] = damage, out[1] = 1 iff the budget ran out, out[2] =
+   leaf evaluations, out[3] = node add/remove pairs. Returns 0, or -1
+   if scratch memory could not be allocated. */
+i32 gk_branch_and_bound(const gk_model *m, i32 k, i32 incumbent,
+                        i32 *best_nodes, i64 budget, i64 *out)
+{
+    const i32 n = m->n, b = m->b, s = m->s;
+    i32 rmax = 0;
+    for (i32 o = 0; o < b; o++)
+        if (m->obj_off[o + 1] - m->obj_off[o] > rmax)
+            rmax = m->obj_off[o + 1] - m->obj_off[o];
+    i32 *state = malloc((size_t)(b + n + 1) * sizeof(i32));
+    i32 *top = malloc(((size_t)b * s + 1) * sizeof(i32));
+    i32 *diff = calloc((size_t)(s + 1) * n + 1, sizeof(i32));
+    i64 *topdeg = calloc((size_t)(n + 1) * (k + 1), sizeof(i64));
+    i32 *loads = malloc(((size_t)n + 1) * sizeof(i32));
+    i32 *row = malloc(((size_t)rmax + 1) * sizeof(i32));
+    i32 *chosen = malloc(((size_t)k + 1) * sizeof(i32));
+    i32 rc = -1;
+    if (!state || !top || !diff || !topdeg || !loads || !row || !chosen)
+        goto done;
+
+    /* Each object's s largest replica nodes, by a local insertion sort of
+       its row (delta-edited rows need not be sorted); every object starts
+       at deficit s. */
+    for (i32 o = 0; o < b; o++) {
+        const i32 lo = m->obj_off[o], r = m->obj_off[o + 1] - lo;
+        for (i32 i = 0; i < r; i++) {
+            const i32 v = m->obj_nodes[lo + i];
+            i32 j = i;
+            for (; j > 0 && row[j - 1] < v; j--) row[j] = row[j - 1];
+            row[j] = v;
+        }
+        memcpy(top + (size_t)o * s, row, (size_t)s * sizeof(i32));
+        diff[(size_t)s * n + row[s - 1]]++;
+    }
+
+    /* Top-degree table from the live segment lengths: for each suffix
+       start j, the prefix sums of its loads in descending order, kept
+       sorted by insertion as j walks down. */
+    i32 held = 0;
+    for (i32 j = n; j >= 0; j--) {
+        if (j < n) {
+            const i32 v = m->node_end[j] - m->node_off[j];
+            i32 i = held++;
+            for (; i > 0 && loads[i - 1] < v; i--) loads[i] = loads[i - 1];
+            loads[i] = v;
+        }
+        i64 *prefix = topdeg + (size_t)j * (k + 1);
+        for (i32 c = 1; c <= k && c <= held; c++)
+            prefix[c] = prefix[c - 1] + loads[c - 1];
+    }
+
+    gk_bulk_build(m, NULL, 0, state);
+    bnb_ctx x = {m, k, state, top, diff, topdeg, chosen, best_nodes,
+                 incumbent, 0, budget, 0, 0};
+    bnb_recurse(&x, 0, 0);
+    out[0] = x.best;
+    out[1] = x.exhausted;
+    out[2] = x.evaluations;
+    out[3] = x.moves;
+    rc = 0;
+done:
+    free(state); free(top); free(diff); free(topdeg);
+    free(loads); free(row); free(chosen);
+    return rc;
+}
 """
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
@@ -284,6 +479,7 @@ _load_error: Optional[str] = None
 _compile_info: Optional[Dict[str, Any]] = None
 
 _I32P = ctypes.POINTER(ctypes.c_int32)
+_I64P = ctypes.POINTER(ctypes.c_int64)
 
 
 class ModelStruct(ctypes.Structure):
@@ -305,6 +501,13 @@ def i32_ptr(buffer: array) -> "ctypes._Pointer":
     """A ``int32*`` view of an ``array('i')`` (zero-copy)."""
     return ctypes.cast(
         (ctypes.c_int32 * len(buffer)).from_buffer(buffer), _I32P
+    )
+
+
+def i64_ptr(buffer: array) -> "ctypes._Pointer":
+    """A ``int64*`` view of an ``array('q')`` (zero-copy)."""
+    return ctypes.cast(
+        (ctypes.c_int64 * len(buffer)).from_buffer(buffer), _I64P
     )
 
 
@@ -465,15 +668,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         model_p, _I32P, _I32P, ctypes.c_int32, _I32P, ctypes.c_int32, _I32P
     ]
     lib.gk_polish_pass.restype = ctypes.c_int32
-    lib.gk_optimistic_bound.argtypes = [
-        model_p, _I32P, _I32P, ctypes.c_int32, ctypes.c_int32
-    ]
-    lib.gk_optimistic_bound.restype = ctypes.c_int32
     lib.gk_polish_chains.argtypes = [
         model_p, _I32P, _I32P, _I32P, ctypes.c_int32, ctypes.c_int32,
         _I32P, _I32P, _I32P,
     ]
     lib.gk_polish_chains.restype = None
+    lib.gk_branch_and_bound.argtypes = [
+        model_p, ctypes.c_int32, ctypes.c_int32, _I32P, ctypes.c_int64,
+        _I64P,
+    ]
+    lib.gk_branch_and_bound.restype = ctypes.c_int32
     return lib
 
 

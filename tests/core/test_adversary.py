@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core import native
 from repro.core.adversary import (
     AttackResult,
     BranchAndBoundAdversary,
@@ -15,9 +17,10 @@ from repro.core.adversary import (
     best_attack,
     damage,
 )
-from repro.core.kernels import make_kernel
+from repro.core.kernels import DeltaIncidence, Incidence, make_kernel
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
+from repro.core.simple import SimpleStrategy
 
 
 def random_placement(n, r, b, seed):
@@ -137,6 +140,139 @@ class TestBackendLadder:
         assert found == damages(make_kernel(p, 2, gain_backing="python"))
         assert found["bnb"] == found["exhaustive"]
         assert found["greedy"] <= found["local"] <= found["exhaustive"]
+
+
+class TestFailureSetSize:
+    """Every engine rejects k outside [0, n] before touching a kernel."""
+
+    ENGINES = (GreedyAdversary, LocalSearchAdversary, BranchAndBoundAdversary)
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("k", [-1, 10, 11])
+    def test_out_of_range_k_rejected(self, each_backing, engine, k):
+        p = RandomStrategy(9, 3).place(20, rng=random.Random(1))
+        with pytest.raises(ValueError, match="0 <= k <= n"):
+            engine().attack(p, k, 2)
+
+    def test_empty_and_full_failure_sets(self, each_backing):
+        p = RandomStrategy(9, 3).place(20, rng=random.Random(1))
+        assert BranchAndBoundAdversary().attack(p, 0, 2) == AttackResult(
+            nodes=(), damage=0, exact=True, evaluations=1
+        )
+        assert BranchAndBoundAdversary().attack(p, 9, 2) == AttackResult(
+            nodes=tuple(range(9)), damage=20, exact=True, evaluations=72
+        )
+        for engine in (GreedyAdversary(), LocalSearchAdversary()):
+            assert engine.attack(p, 0, 2).damage == 0
+            assert engine.attack(p, 9, 2).damage == 20
+
+
+@pytest.mark.skipif(not native.available(), reason="native backing unavailable")
+class TestFusedBranchAndBound:
+    """The native backing's one-call search (``gk_branch_and_bound``)
+    against the python backing's ``recurse`` reference and exhaustive
+    enumeration: identical ``AttackResult`` (nodes, damage, exactness,
+    evaluations) and identical ``kernel.node_adds/removes`` deltas."""
+
+    @pytest.fixture(autouse=True)
+    def metrics_on(self):
+        obs.set_metrics(True)
+        yield
+        obs.set_metrics(None)
+        obs.reset_metrics()
+
+    @staticmethod
+    def _attack(engine, placement, k, s, kernel, **kwargs):
+        names = ("kernel.node_adds", "kernel.node_removes")
+        before = [obs.counter_value(name) for name in names]
+        result = engine.attack(placement, k, s, kernel=kernel, **kwargs)
+        moves = tuple(
+            obs.counter_value(name) - was for name, was in zip(names, before)
+        )
+        return result, moves
+
+    def _both(self, engine, placement, k, s, **kwargs):
+        """(native, python) results of one attack, each with its moves."""
+        return tuple(
+            self._attack(
+                engine, placement, k, s,
+                make_kernel(placement, s, gain_backing=backing), **kwargs
+            )
+            for backing in ("native", "python")
+        )
+
+    PLACEMENTS = {
+        "random-9-3-30": lambda: random_placement(9, 3, 30, 4),
+        "random-10-4-25": lambda: random_placement(10, 4, 25, 5),
+        "simple-13-3-26": lambda: SimpleStrategy(13, 3, 1).place(26),
+    }
+
+    @pytest.mark.parametrize("label", sorted(PLACEMENTS))
+    def test_matches_reference_and_exhaustive(self, label):
+        p = self.PLACEMENTS[label]()
+        for s in range(1, p.r + 1):
+            for k in range(1, p.n):
+                fused, reference = self._both(
+                    BranchAndBoundAdversary(max_nodes=None), p, k, s
+                )
+                assert fused == reference, (label, s, k)
+                assert fused[0].exact
+                exhaustive = ExhaustiveAdversary().attack(p, k, s)
+                assert fused[0].damage == exhaustive.damage, (label, s, k)
+
+    def test_warm_start(self):
+        p = random_placement(12, 3, 50, 6)
+        for warm in ((0, 1, 2), (11, 4), (5, 5, 99, 7)):
+            fused, reference = self._both(
+                BranchAndBoundAdversary(), p, 4, 2, warm_start=warm
+            )
+            assert fused == reference, warm
+            assert fused[0].damage == ExhaustiveAdversary().attack(p, 4, 2).damage
+
+    @pytest.mark.parametrize("max_nodes", [0, 1, 2, 40])
+    def test_budget_exhaustion(self, max_nodes):
+        p = random_placement(16, 3, 90, 7)
+        fused, reference = self._both(
+            BranchAndBoundAdversary(max_nodes=max_nodes, restarts=0), p, 5, 2
+        )
+        assert fused == reference
+        result = fused[0]
+        assert not result.exact
+        assert damage(p, result.nodes, 2) == result.damage
+
+    def test_kernel_rebound_after_delta(self):
+        rng = random.Random(8)
+        p = random_placement(11, 3, 40, 8)
+        incidence = DeltaIncidence(p)
+        kernels = {
+            backing: make_kernel(p, 2, incidence=incidence, gain_backing=backing)
+            for backing in ("native", "python")
+        }
+        for _ in range(3):
+            added = [rng.sample(range(11), 3) for _ in range(4)]
+            removed = rng.sample(range(incidence.b), 3)
+            placement = incidence.apply_delta(added, removed)
+            for kernel in kernels.values():
+                kernel.rebind()
+            for k in (2, 3, 4):
+                fused, reference = (
+                    self._attack(BranchAndBoundAdversary(), placement, k, 2,
+                                 kernels[backing])
+                    for backing in ("native", "python")
+                )
+                assert fused == reference, k
+                assert fused[0].damage == (
+                    ExhaustiveAdversary().attack(placement, k, 2).damage
+                )
+
+    def test_exact_attack_builds_no_suffix_table(self):
+        p = random_placement(14, 3, 60, 9)
+        incidence = Incidence(p)
+        kernel = make_kernel(p, 2, incidence=incidence, gain_backing="native")
+        assert BranchAndBoundAdversary(max_nodes=None).attack(
+            p, 4, 2, kernel=kernel
+        ).exact
+        assert incidence._suffix_counts is None
 
 
 class TestLocalSearchDeterminism:
