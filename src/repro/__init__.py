@@ -64,9 +64,21 @@ from repro.core import (
     simple_capacity,
     theorem1_constants,
 )
-from repro.sim import LifetimeSimulator, SimConfig, SimReport, simulate
 
 __version__ = "1.0.0"
+
+#: Served from :mod:`repro.sim` on first access. The simulator and the
+#: cluster model under it cost ~24 ms of import that ``repro run`` and
+#: most library use never need.
+_SIM_NAMES = frozenset({"LifetimeSimulator", "SimConfig", "SimReport", "simulate"})
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from repro import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdaptiveComboPlacement",

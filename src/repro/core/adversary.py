@@ -103,6 +103,14 @@ def _check_k(placement: Placement, k: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={placement.n}")
 
 
+def _check_budget(max_nodes: Optional[int]) -> None:
+    """Reject a negative tree budget (``None`` is the unlimited one)."""
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(
+            f"max_nodes must be >= 0 or None (unlimited), got {max_nodes}"
+        )
+
+
 class ExhaustiveAdversary:
     """Exact search by full enumeration; guarded by a subset-count limit."""
 
@@ -116,9 +124,8 @@ class ExhaustiveAdversary:
         s: int,
         kernel: Optional[DamageKernel] = None,
     ) -> AttackResult:
+        _check_k(placement, k)
         n = placement.n
-        if not 1 <= k < n:
-            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         total = binom(n, k)
         if total > self.max_subsets:
             raise ValueError(
@@ -322,8 +329,9 @@ class BranchAndBoundAdversary:
     one-slot completion. With the local-search incumbent installed up front,
     most branches die immediately.
 
-    ``max_nodes`` bounds the search-tree size; on exhaustion the best-known
-    attack is returned with ``exact=False``.
+    ``max_nodes`` bounds the search-tree size (``None``: unlimited; a
+    negative budget is rejected); on exhaustion the best-known attack is
+    returned with ``exact=False``.
 
     On the native backing the tree search is one foreign call
     (``branch_and_bound``, same DFS, bound and budget); the other
@@ -336,6 +344,7 @@ class BranchAndBoundAdversary:
         max_nodes: Optional[int] = 50_000_000,
         restarts: int = 2,
     ) -> None:
+        _check_budget(max_nodes)
         self.max_nodes = max_nodes
         self.restarts = restarts
 
@@ -390,6 +399,7 @@ def _search_tree(
     one of each). The native backing runs the same search in one foreign
     call (``branch_and_bound``).
     """
+    _check_budget(max_nodes)
     n = model.n
     best_damage = incumbent
     best_nodes = tuple(incumbent_nodes)

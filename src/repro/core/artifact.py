@@ -36,22 +36,22 @@ import mmap as _mmaplib
 import struct
 import sys
 import warnings
-import zipfile
 from array import array
+from operator import lt
 from typing import Dict, Optional, Set, Tuple
+
+# zipfile (which pulls in pathlib, shutil, bz2 and lzma) is imported
+# inside the functions that read or write an archive: ~14 ms per process
+# that invocations never touching an artifact would pay for nothing.
 
 from repro import obs
 from repro.core.placement import Placement, PlacementError
+from repro.util import lazynumpy
 
 # Reasons already warned about for mmap -> eager fallback (one warning
 # per distinct reason per process, so a sweep over many artifacts does
 # not spam while the degradation still gets surfaced once).
 _MMAP_FALLBACK_WARNED: Set[str] = set()
-
-try:  # optional accelerator for mmap-view validation
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
 
 PLACEMENT_FORMAT = "repro-placement"
 PLACEMENT_VERSION = 1
@@ -156,6 +156,8 @@ def _member_span(path: str, info: zipfile.ZipInfo) -> Tuple[int, int]:
     name/extra fields can differ in length from the central directory's
     copy — the offset must come from the local record itself.
     """
+    import zipfile
+
     if info.compress_type != zipfile.ZIP_STORED:
         # A compressed member is a *valid* artifact that simply has no
         # mappable byte range — plain ValueError so load_npz falls back
@@ -269,29 +271,28 @@ def _validate_view(view, n: int, b: int, r: int, path: str) -> None:
     ascending (which covers both sortedness — a format invariant — and
     replica distinctness) with nodes in ``[0, n)``.
     """
-    if _np is not None:
-        matrix = _np.frombuffer(view, dtype=_np.int32).reshape(b, r)
+    np = lazynumpy.optional()
+    if np is not None:
+        matrix = np.frombuffer(view, dtype=np.int32).reshape(b, r)
         ok = bool((matrix[:, 0] >= 0).all()) and bool((matrix[:, -1] < n).all())
         if ok and r > 1:
             ok = bool((matrix[:, 1:] > matrix[:, :-1]).all())
-        if not ok:
-            raise ArtifactError(
-                f"{path}: rows are not sorted distinct in-range node ids"
-            )
-        return
-    for obj_id in range(b):
-        previous = -1
-        for node in view[obj_id * r:(obj_id + 1) * r]:
-            if not previous < node < n:
-                raise ArtifactError(
-                    f"{path}: object {obj_id} has invalid replica row "
-                    f"{list(view[obj_id * r:(obj_id + 1) * r])}"
-                )
-            previous = node
+    else:
+        # Column slices of the view: first column >= 0, last < n, and
+        # each column strictly below the next one.
+        ok = min(view[0::r]) >= 0 and max(view[r - 1::r]) < n and all(
+            all(map(lt, view[j::r], view[j + 1::r])) for j in range(r - 1)
+        )
+    if not ok:
+        raise ArtifactError(
+            f"{path}: rows are not sorted distinct in-range node ids"
+        )
 
 
 def save_npz(placement: Placement, path: str) -> None:
     """Write ``placement`` as a ``.npz`` artifact (versioned, checksummed)."""
+    import zipfile
+
     row_data = _row_bytes_le(placement)
     header = {
         "format": PLACEMENT_FORMAT,
@@ -329,6 +330,8 @@ def load_npz(path: str, validate: bool = False, mmap: bool = False) -> Placement
     the touched working set. Falls back to the eager load when the
     filesystem refuses to map (network mounts, exotic platforms).
     """
+    import zipfile
+
     if mmap:
         try:
             return _load_npz_mmap(path, validate=validate)
@@ -417,6 +420,8 @@ def _load_npz_mmap(path: str, validate: bool) -> Placement:
     for bad artifacts and ``OSError``/``ValueError`` when the platform or
     filesystem refuses the mapping (the caller falls back to eager).
     """
+    import zipfile
+
     if sys.byteorder == "big":  # pragma: no cover - no big-endian CI leg
         raise ValueError("mmap rows are little-endian; eager load byteswaps")
     try:
@@ -547,6 +552,8 @@ def save_engine_state(
     format (``repro.core.kernels.GAIN_STATE_VERSION``) so a future layout
     change degrades to a rebuild instead of misparsing.
     """
+    import zipfile
+
     b, n, r = placement.b, placement.n, placement.r
     expected = 4 * (b + n + 1)
     state_members = {}
@@ -658,8 +665,9 @@ def _member_i32(archive, name: str, shape, checks, path: str):
 
 def _validate_objs(view, b: int, path: str) -> None:
     """Range-check CSR object ids without copying the buffer."""
-    if _np is not None:
-        ids = _np.frombuffer(view, dtype=_np.int32)
+    np = lazynumpy.optional()
+    if np is not None:
+        ids = np.frombuffer(view, dtype=np.int32)
         if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= b):
             raise ArtifactError(
                 f"{path}: node_objs holds out-of-range object ids"
@@ -755,6 +763,8 @@ def _load_engine_mmap(
     path: str, validate: bool, state_version: Optional[int]
 ) -> EngineStateArtifact:
     """The mmap-backed arm of :func:`load_engine_state`."""
+    import zipfile
+
     if sys.byteorder == "big":  # pragma: no cover - no big-endian CI leg
         raise ValueError("mmap members are little-endian; eager load byteswaps")
     try:
@@ -796,6 +806,8 @@ def _load_engine_eager(
     path: str, validate: bool, state_version: Optional[int]
 ) -> EngineStateArtifact:
     """The dependency-free eager arm of :func:`load_engine_state`."""
+    import zipfile
+
     try:
         with zipfile.ZipFile(path) as archive:
             header, n, b, r, fingerprint, s_values, checks = _engine_header(

@@ -25,7 +25,8 @@ and return bit-identical results:
 
 Backing choice: the ``gain_backing`` argument > ``REPRO_GAIN_BACKING`` >
 ``auto``, which walks the ladder native -> numpy -> python, skipping
-unavailable and fault-demoted rungs.
+unavailable and fault-demoted rungs. numpy is imported only when the
+numpy rung is actually chosen (see :mod:`repro.util.lazynumpy`).
 
 Kernels bind an :class:`Incidence` — the node-major structure built once
 per placement — to one fatality threshold ``s``; the batch engine
@@ -48,11 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core import native as _native
 from repro.core.placement import Placement
-
-try:  # optional accelerator
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
+from repro.util import lazynumpy
 
 #: Recognized gain-engine backings, fastest-first: the degradation
 #: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
@@ -101,7 +98,8 @@ def restore_backings() -> None:
 
 
 def numpy_available() -> bool:
-    return _np is not None
+    """Whether the numpy rung can run, decided without importing numpy."""
+    return lazynumpy.installed()
 
 
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
@@ -120,7 +118,7 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
                 continue
             if backing == "native" and not _native.available():
                 continue
-            if backing == "numpy" and _np is None:
+            if backing == "numpy" and not lazynumpy.installed():
                 continue
             return backing
         return GAIN_BACKINGS[-1]  # python: demote-proof floor
@@ -137,7 +135,7 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
         raise ValueError(
             f"native gain backing requested but unavailable: {_native.load_error()}"
         )
-    if choice == "numpy" and _np is None:
+    if choice == "numpy" and lazynumpy.optional() is None:
         raise ValueError("numpy gain backing requested but numpy is not importable")
     return choice
 
@@ -170,18 +168,20 @@ class Incidence:
     def matrix(self):
         """Object-by-node ``int16`` incidence matrix (numpy only)."""
         if self._matrix is None:
-            matrix = _np.zeros((self.b, self.n), dtype=_np.int16)
+            np = lazynumpy.module()
+            matrix = np.zeros((self.b, self.n), dtype=np.int16)
             rows = self.placement.replica_matrix()
-            matrix[_np.arange(self.b)[:, None], rows] = 1
+            matrix[np.arange(self.b)[:, None], rows] = 1
             self._matrix = matrix
         return self._matrix
 
     def suffix_matrix(self):
         """``suffix[o, j]`` = replicas of object ``o`` on nodes >= j."""
         if self._suffix_matrix is None:
-            reversed_cumsum = _np.cumsum(self.matrix()[:, ::-1], axis=1)[:, ::-1]
-            self._suffix_matrix = _np.concatenate(
-                [reversed_cumsum, _np.zeros((self.b, 1), dtype=reversed_cumsum.dtype)],
+            np = lazynumpy.module()
+            reversed_cumsum = np.cumsum(self.matrix()[:, ::-1], axis=1)[:, ::-1]
+            self._suffix_matrix = np.concatenate(
+                [reversed_cumsum, np.zeros((self.b, 1), dtype=reversed_cumsum.dtype)],
                 axis=1,
             )
         return self._suffix_matrix
@@ -241,13 +241,7 @@ class Incidence:
             node_off, node_objs = self.placement.node_csr()
             node_end = node_off[1:]
             r = self.placement.r
-            if _np is not None:
-                obj_off = array("i")
-                obj_off.frombytes(
-                    (_np.arange(self.b + 1, dtype=_np.int32) * r).tobytes()
-                )
-            else:
-                obj_off = array("i", range(0, (self.b + 1) * r, r))
+            obj_off = array("i", range(0, (self.b + 1) * r, r))
             obj_nodes = self.placement.replica_array()
             self._csr = (node_off, node_end, node_objs, obj_off, obj_nodes)
         return self._csr
@@ -268,7 +262,8 @@ class Incidence:
         """
         if self._node_objs_np is None:
             node_off, node_objs = self.placement.node_csr()
-            flat = _np.frombuffer(node_objs, dtype=_np.int32)
+            np = lazynumpy.module()
+            flat = np.frombuffer(node_objs, dtype=np.int32)
             self._node_objs_np = [
                 flat[node_off[v]:node_off[v + 1]] for v in range(self.n)
             ]
@@ -894,7 +889,7 @@ class _NumpyGainKernel(GainKernel):
     backing = "numpy"
 
     def __init__(self, incidence: Incidence, s: int) -> None:
-        if _np is None:
+        if lazynumpy.optional() is None:
             raise RuntimeError("numpy gain backing requires numpy")
         super().__init__(incidence, s)
         self._node_arrays = incidence.node_objects_arrays()
@@ -909,30 +904,33 @@ class _NumpyGainKernel(GainKernel):
         self._obj_matrix = self.incidence.object_nodes_matrix()
 
     def export_state(self, hits: _GainHits) -> bytes:
-        state = _np.empty(self.b + self.n + 1, dtype="<i4")
+        np = lazynumpy.module()
+        state = np.empty(self.b + self.n + 1, dtype="<i4")
         state[:self.b] = hits.counts
         state[self.b:self.b + self.n] = hits.gain
         state[self.b + self.n] = hits.dead
         return state.tobytes()
 
     def import_state(self, data: bytes) -> _GainHits:
-        state = _np.frombuffer(
-            self._unpack_state(data), dtype=_np.int32
+        np = lazynumpy.module()
+        state = np.frombuffer(
+            self._unpack_state(data), dtype=np.int32
         )
         counts = state[:self.b].copy()
-        gain = state[self.b:self.b + self.n].astype(_np.int64)
+        gain = state[self.b:self.b + self.n].astype(np.int64)
         return _GainHits(counts, gain, int(state[self.b + self.n]))
 
     def empty_hits(self) -> _GainHits:
         if self._seeded_empty is not None:
             return self.import_state(self._seeded_empty)
-        counts = _np.zeros(self.b, dtype=_np.int32)
+        np = lazynumpy.module()
+        counts = np.zeros(self.b, dtype=np.int32)
         if self.s == 1:
             # Column sums of the incidence matrix = the load profile,
             # which the placement carries precomputed.
-            gain = _np.array(self.placement.load_profile(), dtype=_np.int64)
+            gain = np.array(self.placement.load_profile(), dtype=np.int64)
         else:
-            gain = _np.zeros(self.n, dtype=_np.int64)
+            gain = np.zeros(self.n, dtype=np.int64)
         return _GainHits(counts, gain, 0)
 
     #: Objects per block of the bulk rebuild; bounds temp memory at
@@ -940,6 +938,7 @@ class _NumpyGainKernel(GainKernel):
     _REBUILD_BLOCK = 1 << 16
 
     def hits_for(self, nodes: Sequence[int]) -> _GainHits:
+        np = lazynumpy.module()
         node_list = list(nodes)
         if not node_list:
             return self.empty_hits()
@@ -950,52 +949,54 @@ class _NumpyGainKernel(GainKernel):
         # ``M @ (counts == s - 1)`` path, but never materializes the
         # b x n incidence matrix — the difference between b = 1e5 and
         # b = 1e7 being feasible on this backing.
-        flags = _np.zeros(self.n, dtype=_np.int32)
-        _np.add.at(flags, node_list, 1)
+        flags = np.zeros(self.n, dtype=np.int32)
+        np.add.at(flags, node_list, 1)
         rows = self._obj_matrix
-        counts = _np.empty(self.b, dtype=_np.int32)
-        gain = _np.zeros(self.n, dtype=_np.int64)
+        counts = np.empty(self.b, dtype=np.int32)
+        gain = np.zeros(self.n, dtype=np.int64)
         dead = 0
         target = self.s - 1
         for lo in range(0, self.b, self._REBUILD_BLOCK):
             hi = min(lo + self._REBUILD_BLOCK, self.b)
             chunk = rows[lo:hi]
-            hit = flags[chunk].sum(axis=1, dtype=_np.int32)
+            hit = flags[chunk].sum(axis=1, dtype=np.int32)
             counts[lo:hi] = hit
             dead += int((hit >= self.s).sum())
             at_target = chunk[hit == target]
             if len(at_target):
-                gain += _np.bincount(at_target.ravel(), minlength=self.n)
+                gain += np.bincount(at_target.ravel(), minlength=self.n)
         return _GainHits(counts, gain, dead)
 
     def add_node(self, hits: _GainHits, node: int) -> _GainHits:
+        np = lazynumpy.module()
         objs = self._node_arrays[node]
         counts = hits.counts
         c = counts[objs]
         counts[objs] = c + 1
         to_dead = objs[c == self.s - 1]
         if len(to_dead):
-            _np.subtract.at(hits.gain, self._obj_matrix[to_dead].ravel(), 1)
+            np.subtract.at(hits.gain, self._obj_matrix[to_dead].ravel(), 1)
             hits.dead += int(len(to_dead))
         if self.s >= 2:
             to_target = objs[c == self.s - 2]
             if len(to_target):
-                _np.add.at(hits.gain, self._obj_matrix[to_target].ravel(), 1)
+                np.add.at(hits.gain, self._obj_matrix[to_target].ravel(), 1)
         return hits
 
     def remove_node(self, hits: _GainHits, node: int) -> _GainHits:
+        np = lazynumpy.module()
         objs = self._node_arrays[node]
         counts = hits.counts
         c = counts[objs]
         counts[objs] = c - 1
         from_dead = objs[c == self.s]
         if len(from_dead):
-            _np.add.at(hits.gain, self._obj_matrix[from_dead].ravel(), 1)
+            np.add.at(hits.gain, self._obj_matrix[from_dead].ravel(), 1)
             hits.dead -= int(len(from_dead))
         if self.s >= 2:
             from_target = objs[c == self.s - 1]
             if len(from_target):
-                _np.subtract.at(
+                np.subtract.at(
                     hits.gain, self._obj_matrix[from_target].ravel(), 1
                 )
         return hits
@@ -1254,6 +1255,10 @@ class _NativeGainKernel(GainKernel):
         same kernel state. Works on scratch state, so no hits object the
         caller holds is touched.
         """
+        if max_nodes is not None and max_nodes < 0:
+            raise ValueError(
+                f"max_nodes must be >= 0 or None (unlimited), got {max_nodes}"
+            )
         best = array("i", nodes)
         out = array("q", bytes(32))
         budget = -1 if max_nodes is None else max_nodes

@@ -35,9 +35,7 @@ import ctypes
 import hashlib
 import json
 import os
-import subprocess
 import sys
-import tempfile
 from array import array
 from typing import Any, Dict, Optional
 
@@ -545,6 +543,8 @@ def _cache_dir() -> str:
     if os.path.isabs(xdg):
         return os.path.join(xdg, "repro-native")
     # No usable home directory: fall back to a per-user tempdir.
+    import tempfile
+
     uid = os.getuid() if hasattr(os, "getuid") else 0
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
@@ -620,6 +620,10 @@ def _compile() -> str:
     source_path = os.path.join(directory, f"gain_kernel_{digest}.c")
     with open(source_path, "w", encoding="utf-8") as handle:
         handle.write(_SOURCE)
+    # Only a cache miss runs the compiler, so only a cache miss pays for
+    # subprocess (and its selectors chain): ~5 ms per process.
+    import subprocess
+
     scratch = f"{target}.tmp.{os.getpid()}"
     last_error = "no C compiler found"
     for compiler in _compiler_candidates():

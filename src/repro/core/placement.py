@@ -11,8 +11,8 @@ ascending — 4 bytes per replica instead of a Python ``frozenset`` per
 object (~200 bytes each plus per-element boxes). Everything downstream
 derives from that buffer:
 
-* ``replica_matrix()`` — a zero-copy numpy ``(b, r)`` int32 view (when
-  numpy is importable);
+* ``replica_matrix()`` — a zero-copy numpy ``(b, r)`` int32 view (imports
+  numpy; the numpy gain backing's entry point);
 * ``node_csr()`` — the cached node -> objects incidence in CSR form
   (``node_off``/``node_objs`` int32 arrays), shared zero-copy with the
   damage kernels in :mod:`repro.core.kernels`;
@@ -24,19 +24,23 @@ remains as lazily built *views*, so existing call sites keep working; new
 code and the hot engines consume the arrays. Builders use
 :meth:`Placement.from_arrays` (with ``validate=False`` on trusted paths)
 so a million-object placement never materializes a million sets.
+
+Bulk passes (loads, CSR, row sort and validation, failure queries) run in
+pure Python below :data:`repro.util.lazynumpy.BULK_MIN_B` objects and in
+numpy above it; both branches produce identical buffers and errors, and
+numpy is never imported for a placement too small to repay its import.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from itertools import chain
+from collections import Counter, deque
+from itertools import accumulate, chain
+from operator import eq
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-try:  # optional accelerator for bulk validation / CSR construction
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
-    _np = None
+from repro.util import lazynumpy
 
 # The native kernels and the artifact format assume array('i') is int32,
 # which holds on every supported platform (CPython on 32/64-bit Linux,
@@ -61,9 +65,9 @@ class PlacementError(ValueError):
     """Raised when replica sets violate placement rules."""
 
 
-def _np_rows(flat: array, b: int, r: int):
+def _np_rows(np, flat: array, b: int, r: int):
     """Zero-copy numpy ``(b, r)`` int32 view over the flat buffer."""
-    return _np.frombuffer(flat, dtype=_np.int32).reshape(b, r)
+    return np.frombuffer(flat, dtype=np.int32).reshape(b, r)
 
 
 class Placement:
@@ -169,13 +173,15 @@ class Placement:
         ``array('i')`` (requires ``r``), or a sequence of node sequences.
         With ``validate=True`` rows are copied/normalized (sorted
         ascending) and checked for distinct in-range nodes — O(b r) bulk
-        work, vectorized under numpy. With ``validate=False`` the input is
-        **trusted**: rows must already be row-sorted, duplicate-free and
-        in ``[0, n)``, and flat-array input is adopted without copying —
+        work, vectorized under numpy at scale. With ``validate=False`` the
+        input is **trusted**: rows must already be row-sorted,
+        duplicate-free and in ``[0, n)``, and flat-array input is adopted
+        without copying —
         the path used by internal builders and checksum-verified artifact
         reloads, where re-validation would be pure overhead.
         """
-        if _np is not None and isinstance(rows, _np.ndarray):
+        if lazynumpy.is_array(rows):
+            np = lazynumpy.module()
             if rows.ndim != 2:
                 raise PlacementError(
                     f"rows matrix must be 2-D (b, r), got shape {rows.shape}"
@@ -183,7 +189,7 @@ class Placement:
             width = int(rows.shape[1])
             if r is not None and r != width:
                 raise PlacementError(f"r={r} does not match matrix width {width}")
-            matrix = _np.ascontiguousarray(rows, dtype=_np.int32)
+            matrix = np.ascontiguousarray(rows, dtype=np.int32)
             if validate:
                 if matrix is rows:
                     matrix = matrix.copy()
@@ -216,22 +222,28 @@ class Placement:
         flat, b, r = self._rows, self._b, self._r
         if r == 1:
             return
-        if _np is not None:
-            _np_rows(flat, b, r).sort(axis=1)
+        np = lazynumpy.for_bulk(b)
+        if np is not None:
+            _np_rows(np, flat, b, r).sort(axis=1)
             return
         for i in range(0, b * r, r):
             row = sorted(flat[i:i + r])
             flat[i:i + r] = array("i", row)
 
     def _validate_rows(self) -> None:
-        """Check distinct, in-range nodes per (already sorted) row."""
+        """Check distinct, in-range nodes per (already sorted) row.
+
+        Range first, then distinctness, each reporting its lowest
+        offending object — the same error on both branches.
+        """
         flat, b, r, n = self._rows, self._b, self._r, self.n
-        if _np is not None:
-            matrix = _np_rows(flat, b, r)
+        np = lazynumpy.for_bulk(b)
+        if np is not None:
+            matrix = _np_rows(np, flat, b, r)
             low = matrix[:, 0] < 0
             high = matrix[:, -1] >= n
             if low.any() or high.any():
-                obj_id = int(_np.argmax(low | high))
+                obj_id = int(np.argmax(low | high))
                 bad = int(matrix[obj_id, 0] if low[obj_id] else matrix[obj_id, -1])
                 raise PlacementError(
                     f"object {obj_id} places a replica on node {bad}, "
@@ -240,28 +252,32 @@ class Placement:
             if r > 1:
                 dup = (matrix[:, 1:] == matrix[:, :-1]).any(axis=1)
                 if dup.any():
-                    obj_id = int(_np.argmax(dup))
+                    obj_id = int(np.argmax(dup))
                     raise PlacementError(
                         f"object {obj_id} places multiple replicas on one "
                         f"node: {matrix[obj_id].tolist()}"
                     )
             return
-        for obj_id in range(b):
-            base = obj_id * r
-            previous = -1
-            for offset in range(r):
-                node = flat[base + offset]
-                if not 0 <= node < n:
+        # Sorted rows: the first and last columns bound each row's range,
+        # and a repeat shows up as two equal neighbouring columns. Both
+        # checks scan column slices at C speed; only a failing one walks
+        # the rows to name the culprit.
+        lows, highs = flat[0::r], flat[r - 1::r]
+        if min(lows) < 0 or max(highs) >= n:
+            for obj_id, (low, high) in enumerate(zip(lows, highs)):
+                if low < 0 or high >= n:
                     raise PlacementError(
-                        f"object {obj_id} places a replica on node {node}, "
-                        f"outside [0, {n})"
+                        f"object {obj_id} places a replica on node "
+                        f"{low if low < 0 else high}, outside [0, {n})"
                     )
-                if node == previous:
+        if any(any(map(eq, flat[j::r], flat[j + 1::r])) for j in range(r - 1)):
+            for obj_id in range(b):
+                row = flat[obj_id * r:(obj_id + 1) * r]
+                if any(map(eq, row[1:], row[:-1])):
                     raise PlacementError(
                         f"object {obj_id} places multiple replicas on one "
-                        f"node: {list(flat[base:base + r])}"
+                        f"node: {list(row)}"
                     )
-                previous = node
 
     # -- shape -------------------------------------------------------------
 
@@ -290,10 +306,11 @@ class Placement:
         return self._rows
 
     def replica_matrix(self):
-        """Zero-copy numpy ``(b, r)`` int32 view (requires numpy)."""
-        if _np is None:  # pragma: no cover - numpy-less guard
+        """Zero-copy numpy ``(b, r)`` int32 view (imports numpy)."""
+        np = lazynumpy.optional()
+        if np is None:  # pragma: no cover - numpy-less guard
             raise RuntimeError("replica_matrix requires numpy")
-        return _np_rows(self.replica_array(), self._b, self._r)
+        return _np_rows(np, self.replica_array(), self._b, self._r)
 
     def _cached(self, name: str, build):
         # Derived structures are memoized on the instance: every adversary
@@ -309,17 +326,16 @@ class Placement:
 
         def build() -> array:
             flat = self.replica_array()
-            if _np is not None:
-                counts = _np.bincount(
-                    _np.frombuffer(flat, dtype=_np.int32), minlength=self.n
-                ).astype(_np.int32)
+            np = lazynumpy.for_bulk(self._b)
+            if np is not None:
+                counts = np.bincount(
+                    np.frombuffer(flat, dtype=np.int32), minlength=self.n
+                ).astype(np.int32)
                 loads = array("i")
                 loads.frombytes(counts.tobytes())
                 return loads
-            loads = array("i", bytes(4 * self.n))
-            for node in flat:
-                loads[node] += 1
-            return loads
+            counts = Counter(flat)
+            return array("i", [counts[node] for node in range(self.n)])
 
         return self._cached("_load", build)
 
@@ -339,15 +355,16 @@ class Placement:
 
         ``node_objs[node_off[v] : node_off[v + 1]]`` lists the objects
         hosted on node ``v`` in ascending object-id order (``node_off``
-        has ``n + 1`` entries). Built once per placement with a streaming
-        counting sort and shared zero-copy with every damage kernel bound
-        to this placement.
+        has ``n + 1`` entries). Built once per placement — a streaming
+        counting sort under numpy, per-node buckets otherwise — and shared
+        zero-copy with every damage kernel bound to this placement.
         """
 
         def build() -> Tuple[array, array]:
             flat = self.replica_array()
             n, r = self.n, self._r
-            if _np is not None:
+            np = lazynumpy.for_bulk(self._b)
+            if np is not None:
                 # Streaming chunked counting sort. The historical one-shot
                 # ``argsort(cols)`` materializes an int64 permutation of
                 # all b*r entries (240 MB at b=1e7, r=3) before a thing is
@@ -356,41 +373,44 @@ class Placement:
                 # the global write positions across chunks, and the
                 # *stable* per-chunk argsort keeps flat order — ascending
                 # object id — within each node's run.
-                cols = _np.frombuffer(flat, dtype=_np.int32)
-                counts = _np.bincount(cols, minlength=n)
-                node_off_np = _np.zeros(n + 1, dtype=_np.int32)
-                _np.cumsum(counts, out=node_off_np[1:], dtype=_np.int32)
+                cols = np.frombuffer(flat, dtype=np.int32)
+                counts = np.bincount(cols, minlength=n)
+                node_off_np = np.zeros(n + 1, dtype=np.int32)
+                np.cumsum(counts, out=node_off_np[1:], dtype=np.int32)
                 total = len(cols)
                 node_objs = array("i", bytes(4 * total))
-                out = _np.frombuffer(node_objs, dtype=_np.int32)
-                cursor = node_off_np[:n].astype(_np.int64)
+                out = np.frombuffer(node_objs, dtype=np.int32)
+                cursor = node_off_np[:n].astype(np.int64)
                 chunk = _CSR_CHUNK
                 for lo in range(0, total, chunk):
                     sub = cols[lo:lo + chunk]
-                    order = _np.argsort(sub, kind="stable")
+                    order = np.argsort(sub, kind="stable")
                     sorted_nodes = sub[order]
-                    seg_counts = _np.bincount(sub, minlength=n)
-                    seg_off = _np.cumsum(seg_counts) - seg_counts
+                    seg_counts = np.bincount(sub, minlength=n)
+                    seg_off = np.cumsum(seg_counts) - seg_counts
                     dest = cursor[sorted_nodes] + (
-                        _np.arange(len(sub)) - seg_off[sorted_nodes]
+                        np.arange(len(sub)) - seg_off[sorted_nodes]
                     )
-                    out[dest] = ((order + lo) // r).astype(_np.int32)
+                    out[dest] = ((order + lo) // r).astype(np.int32)
                     cursor += seg_counts
                 node_off = array("i")
                 node_off.frombytes(node_off_np.tobytes())
                 return node_off, node_objs
-            loads = self.load_array()
-            node_off = array("i", bytes(4 * (n + 1)))
-            total = 0
-            for node in range(n):
-                node_off[node] = total
-                total += loads[node]
-            node_off[n] = total
-            cursor = list(node_off[:n])
-            node_objs = array("i", bytes(4 * total))
-            for index, node in enumerate(flat):
-                node_objs[cursor[node]] = index // r
-                cursor[node] += 1
+            # Bucket each column's objects by node with C-level map/append
+            # (no bytecode per entry), then merge each node's r ascending
+            # runs with one sort: ~2x the per-entry loop at b = 9,600.
+            buckets: List[List[int]] = [[] for _ in range(n)]
+            drain = deque(maxlen=0).extend
+            for column in range(r):
+                drain(map(
+                    list.append, map(buckets.__getitem__, flat[column::r]),
+                    range(self._b),
+                ))
+            node_objs = array("i")
+            for bucket in buckets:
+                bucket.sort()
+                node_objs.fromlist(bucket)
+            node_off = array("i", accumulate(map(len, buckets), initial=0))
             return node_off, node_objs
 
         return self._cached("_node_csr", build)
@@ -467,8 +487,9 @@ class Placement:
         failed = {
             node for node in failed_nodes if 0 <= node < self.n
         }
-        if _np is not None:
-            mask = _np.zeros(self.n, dtype=bool)
+        np = lazynumpy.for_bulk(self._b)
+        if np is not None:
+            mask = np.zeros(self.n, dtype=bool)
             if failed:
                 mask[list(failed)] = True
             return mask[self.replica_matrix()].sum(axis=1)
@@ -482,16 +503,16 @@ class Placement:
     def failed_objects(self, failed_nodes: Iterable[int], s: int) -> List[int]:
         """Objects with at least ``s`` replicas on ``failed_nodes``."""
         counts = self._hit_counts(failed_nodes)
-        if _np is not None:
-            return _np.nonzero(counts >= s)[0].tolist()
-        return [obj_id for obj_id, c in enumerate(counts) if c >= s]
+        if isinstance(counts, list):
+            return [obj_id for obj_id, c in enumerate(counts) if c >= s]
+        return (counts >= s).nonzero()[0].tolist()
 
     def surviving_objects(self, failed_nodes: Iterable[int], s: int) -> List[int]:
         """Objects with fewer than ``s`` replicas on ``failed_nodes``."""
         counts = self._hit_counts(failed_nodes)
-        if _np is not None:
-            return _np.nonzero(counts < s)[0].tolist()
-        return [obj_id for obj_id, c in enumerate(counts) if c < s]
+        if isinstance(counts, list):
+            return [obj_id for obj_id, c in enumerate(counts) if c < s]
+        return (counts < s).nonzero()[0].tolist()
 
     # -- combinators ---------------------------------------------------------
 
@@ -501,8 +522,9 @@ class Placement:
         if not ids:
             raise PlacementError("cannot restrict to zero objects")
         flat, b, r = self.replica_array(), self._b, self._r
-        if _np is not None:
-            sub = _np_rows(flat, b, r)[ids]
+        np = lazynumpy.for_bulk(len(ids))
+        if np is not None:
+            sub = _np_rows(np, flat, b, r)[ids]
             return Placement.from_arrays(
                 self.n, sub, strategy=self.strategy, validate=False
             )

@@ -145,27 +145,25 @@ def shuffled_design_rows(
 
     Shuffles block *indices* with the same derived generators (an equal
     length list sees the identical permutation), then gathers rows from
-    the design's cached int32 buffer — a vectorized copy under numpy and
-    zero per-block tuple allocation either way. Returns a flat row-major
+    the design's cached int32 buffer — a vectorized copy under numpy for
+    packings of :data:`~repro.util.lazynumpy.BULK_MIN_B` blocks or more,
+    and zero per-block tuple allocation either way. Returns a flat row-major
     ``array('i')`` ready for ``Placement.from_arrays(validate=False)``.
     """
     if num_blocks < 0:
         raise ValueError(f"num_blocks must be >= 0, got {num_blocks}")
     from array import array
 
+    from repro.util import lazynumpy
     from repro.util.rng import derive_rng
-
-    try:
-        import numpy as _np
-    except ImportError:
-        _np = None
 
     base = design.rows_array()
     block_count = design.num_blocks
     r = design.block_size
+    np = lazynumpy.for_bulk(num_blocks)
     matrix = (
-        _np.frombuffer(base, dtype=_np.int32).reshape(block_count, r)
-        if _np is not None else None
+        np.frombuffer(base, dtype=np.int32).reshape(block_count, r)
+        if np is not None else None
     )
     rows = array("i")
     copy_index = 0

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 import warnings
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence
@@ -85,6 +84,10 @@ def _write_atomic(path: str, text: str) -> None:
     the new name pointing at unwritten data (or the old name lingering);
     with them a manifest update is all-or-nothing across power loss too.
     """
+    # tempfile pulls in shutil, bz2 and lzma (~4 ms); only a process that
+    # writes a store pays for it.
+    import tempfile
+
     directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -14,6 +14,7 @@ from repro.core.adversary import (
     ExhaustiveAdversary,
     GreedyAdversary,
     LocalSearchAdversary,
+    _search_tree,
     best_attack,
     damage,
 )
@@ -54,8 +55,22 @@ class TestExhaustive:
 
     def test_k_validated(self):
         p = random_placement(10, 3, 20, 0)
-        with pytest.raises(ValueError):
-            ExhaustiveAdversary().attack(p, 0, 2)
+        for k in (-1, 11):
+            with pytest.raises(ValueError, match="0 <= k <= n"):
+                ExhaustiveAdversary().attack(p, k, 2)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_branch_and_bound_for_every_k(self, s):
+        """k = 0 (no failures) and k = n (all nodes) included."""
+        for seed in range(3):
+            p = RandomStrategy(9, 3).place(20, rng=random.Random(seed))
+            for k in range(0, p.n + 1):
+                exhaustive = ExhaustiveAdversary().attack(p, k, s)
+                bnb = BranchAndBoundAdversary().attack(p, k, s)
+                assert exhaustive.exact and bnb.exact
+                assert exhaustive.damage == bnb.damage, (seed, k)
+                assert len(exhaustive.nodes) == k
+                assert damage(p, exhaustive.nodes, s) == exhaustive.damage
 
 
 class TestCrossEngineAgreement:
@@ -145,7 +160,12 @@ class TestBackendLadder:
 class TestFailureSetSize:
     """Every engine rejects k outside [0, n] before touching a kernel."""
 
-    ENGINES = (GreedyAdversary, LocalSearchAdversary, BranchAndBoundAdversary)
+    ENGINES = (
+        GreedyAdversary,
+        LocalSearchAdversary,
+        BranchAndBoundAdversary,
+        ExhaustiveAdversary,
+    )
 
     @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
     @pytest.mark.parametrize("k", [-1, 10, 11])
@@ -165,6 +185,36 @@ class TestFailureSetSize:
         for engine in (GreedyAdversary(), LocalSearchAdversary()):
             assert engine.attack(p, 0, 2).damage == 0
             assert engine.attack(p, 9, 2).damage == 20
+
+
+class TestSearchBudget:
+    """A negative ``max_nodes`` is rejected; ``None`` stays unlimited."""
+
+    def test_constructor_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="max_nodes must be >= 0"):
+            BranchAndBoundAdversary(max_nodes=-5)
+        assert BranchAndBoundAdversary(max_nodes=None).max_nodes is None
+
+    def test_search_paths_reject_negative_budget(self, each_backing):
+        """The native one-call search and the ``_search_tree`` reference
+        both refuse a negative budget handed past the constructor."""
+        p = RandomStrategy(9, 3).place(20, rng=random.Random(1))
+        kernel = make_kernel(p, 2)
+        if each_backing == "native":
+            search = kernel.branch_and_bound
+        else:
+            def search(k, incumbent, nodes, max_nodes):
+                return _search_tree(kernel, k, incumbent, nodes, max_nodes)
+        with pytest.raises(ValueError, match="max_nodes must be >= 0"):
+            search(3, 0, (0, 1, 2), -5)
+        nodes, found, exhausted, _, _ = search(3, 0, (0, 1, 2), None)
+        assert not exhausted
+        assert found == ExhaustiveAdversary().attack(p, 3, 2).damage
+        assert damage(p, nodes, 2) == found
+        adversary = BranchAndBoundAdversary()
+        adversary.max_nodes = -5
+        with pytest.raises(ValueError, match="max_nodes must be >= 0"):
+            adversary.attack(p, 3, 2, kernel=kernel)
 
 
 @pytest.mark.skipif(not native.available(), reason="native backing unavailable")
