@@ -22,49 +22,6 @@ See README.md for the architecture tour and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.core import (
-    AdaptiveComboPlacement,
-    AttackCell,
-    AttackEngine,
-    AttackResult,
-    AvailabilityReport,
-    BranchAndBoundAdversary,
-    ComboPlan,
-    ComboStrategy,
-    DamageKernel,
-    ExhaustiveAdversary,
-    GreedyAdversary,
-    Incidence,
-    LocalSearchAdversary,
-    Placement,
-    PlacementError,
-    RandomStrategy,
-    SimpleStrategy,
-    Subsystem,
-    SystemParams,
-    UnconstrainedRandomStrategy,
-    attack_grid,
-    audit_placement,
-    batch_attack,
-    best_attack,
-    capacity_gap,
-    certified_availability,
-    evaluate_availability,
-    evaluate_availability_grid,
-    make_kernel,
-    lb_avail_combo,
-    lb_avail_simple,
-    lemma4_upper_bound,
-    majority_threshold,
-    minimal_lambda,
-    packing_profile,
-    pr_avail_rnd,
-    select_combo_subsystems,
-    select_subsystem,
-    simple_capacity,
-    theorem1_constants,
-)
-
 __version__ = "1.0.0"
 
 #: Served from :mod:`repro.sim` on first access. The simulator and the
@@ -78,6 +35,12 @@ def __getattr__(name: str):
         from repro import sim
 
         return getattr(sim, name)
+    if name in __all__:
+        # Every other public name is :mod:`repro.core`'s, which loads its
+        # own submodules on first access too.
+        from repro import core
+
+        return getattr(core, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

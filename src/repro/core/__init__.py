@@ -5,149 +5,87 @@ t-packings (Sec. III), the Random baseline (Sec. IV), availability bounds
 (Lemmas 1–3, Theorem 1), the worst-case adversary ladder (Definition 1),
 and the analytical treatment of Random under adaptive failures (Theorem 2,
 Lemma 4).
+
+Every public name loads on first access (PEP 562), from the submodule the
+table below names: a ``repro run <fig>`` process imports the strategies,
+kernels and bounds it uses and never artifact, inspect or adaptive.
 """
 
-from repro.core.adaptive import AdaptiveComboPlacement
-from repro.core.artifact import (
-    ArtifactError,
-    load_npz,
-    load_placement,
-    save_npz,
-    save_placement,
-)
-from repro.core.adversary import (
-    AttackResult,
-    BranchAndBoundAdversary,
-    ExhaustiveAdversary,
-    GreedyAdversary,
-    LocalSearchAdversary,
-    best_attack,
-    damage,
-)
-from repro.core.availability import (
-    AvailabilityReport,
-    evaluate_availability,
-    evaluate_availability_grid,
-    survivors_under,
-)
-from repro.core.batch import (
-    AttackCell,
-    AttackEngine,
-    attack_grid,
-    batch_attack,
-    engine_for,
-)
-from repro.core.bounds import (
-    CompetitiveConstants,
-    lb_avail_combo,
-    lb_avail_simple,
-    minimal_lambda,
-    simple_capacity,
-    theorem1_constants,
-)
-from repro.core.combo import ComboPlan, ComboStrategy
-from repro.core.inspect import (
-    PackingProfile,
-    PlacementAudit,
-    audit_placement,
-    certified_availability,
-    expected_random_multiplicity,
-    packing_profile,
-)
-from repro.core.params import (
-    SystemParams,
-    majority_threshold,
-    read_one_threshold,
-    write_all_threshold,
-)
-from repro.core.kernels import (
-    DamageKernel,
-    DeltaIncidence,
-    Incidence,
-    make_kernel,
-)
-from repro.core.placement import Placement, PlacementError
-from repro.core.random_placement import RandomStrategy, UnconstrainedRandomStrategy
-from repro.core.rand_analysis import (
-    alpha,
-    failure_probability,
-    lemma4_upper_bound,
-    log_vulnerability,
-    max_vulnerable_objects,
-    pr_avail_fraction,
-    pr_avail_rnd,
-)
-from repro.core.simple import SimpleStrategy
-from repro.core.subsystems import (
-    Chunk,
-    Subsystem,
-    best_chunk_decomposition,
-    capacity_gap,
-    select_combo_subsystems,
-    select_subsystem,
-)
+import importlib
 
-__all__ = [
-    "AdaptiveComboPlacement",
-    "ArtifactError",
-    "AttackCell",
-    "AttackEngine",
-    "AttackResult",
-    "AvailabilityReport",
-    "BranchAndBoundAdversary",
-    "Chunk",
-    "ComboPlan",
-    "ComboStrategy",
-    "CompetitiveConstants",
-    "DamageKernel",
-    "DeltaIncidence",
-    "ExhaustiveAdversary",
-    "GreedyAdversary",
-    "Incidence",
-    "LocalSearchAdversary",
-    "PackingProfile",
-    "Placement",
-    "PlacementAudit",
-    "PlacementError",
-    "RandomStrategy",
-    "SimpleStrategy",
-    "Subsystem",
-    "SystemParams",
-    "UnconstrainedRandomStrategy",
-    "attack_grid",
-    "batch_attack",
-    "alpha",
-    "audit_placement",
-    "best_attack",
-    "best_chunk_decomposition",
-    "capacity_gap",
-    "certified_availability",
-    "damage",
-    "engine_for",
-    "load_npz",
-    "load_placement",
-    "save_npz",
-    "save_placement",
-    "evaluate_availability",
-    "evaluate_availability_grid",
-    "expected_random_multiplicity",
-    "failure_probability",
-    "lb_avail_combo",
-    "lb_avail_simple",
-    "lemma4_upper_bound",
-    "log_vulnerability",
-    "majority_threshold",
-    "make_kernel",
-    "max_vulnerable_objects",
-    "minimal_lambda",
-    "packing_profile",
-    "pr_avail_fraction",
-    "pr_avail_rnd",
-    "read_one_threshold",
-    "select_combo_subsystems",
-    "select_subsystem",
-    "simple_capacity",
-    "survivors_under",
-    "theorem1_constants",
-    "write_all_threshold",
-]
+#: Public name -> the ``repro.core`` submodule that defines it.
+_EXPORTS = {
+    "AdaptiveComboPlacement": "adaptive",
+    "AttackResult": "adversary",
+    "best_attack": "adversary",
+    "BranchAndBoundAdversary": "adversary",
+    "damage": "adversary",
+    "ExhaustiveAdversary": "adversary",
+    "GreedyAdversary": "adversary",
+    "LocalSearchAdversary": "adversary",
+    "ArtifactError": "artifact",
+    "load_npz": "artifact",
+    "load_placement": "artifact",
+    "save_npz": "artifact",
+    "save_placement": "artifact",
+    "AvailabilityReport": "availability",
+    "evaluate_availability": "availability",
+    "evaluate_availability_grid": "availability",
+    "survivors_under": "availability",
+    "attack_grid": "batch",
+    "AttackCell": "batch",
+    "AttackEngine": "batch",
+    "batch_attack": "batch",
+    "engine_for": "batch",
+    "CompetitiveConstants": "bounds",
+    "lb_avail_combo": "bounds",
+    "lb_avail_simple": "bounds",
+    "minimal_lambda": "bounds",
+    "simple_capacity": "bounds",
+    "theorem1_constants": "bounds",
+    "ComboPlan": "combo",
+    "ComboStrategy": "combo",
+    "audit_placement": "inspect",
+    "certified_availability": "inspect",
+    "expected_random_multiplicity": "inspect",
+    "packing_profile": "inspect",
+    "PackingProfile": "inspect",
+    "PlacementAudit": "inspect",
+    "DamageKernel": "kernels",
+    "DeltaIncidence": "kernels",
+    "Incidence": "kernels",
+    "make_kernel": "kernels",
+    "majority_threshold": "params",
+    "read_one_threshold": "params",
+    "SystemParams": "params",
+    "write_all_threshold": "params",
+    "Placement": "placement",
+    "PlacementError": "placement",
+    "alpha": "rand_analysis",
+    "failure_probability": "rand_analysis",
+    "lemma4_upper_bound": "rand_analysis",
+    "log_vulnerability": "rand_analysis",
+    "max_vulnerable_objects": "rand_analysis",
+    "pr_avail_fraction": "rand_analysis",
+    "pr_avail_rnd": "rand_analysis",
+    "RandomStrategy": "random_placement",
+    "UnconstrainedRandomStrategy": "random_placement",
+    "SimpleStrategy": "simple",
+    "best_chunk_decomposition": "subsystems",
+    "capacity_gap": "subsystems",
+    "Chunk": "subsystems",
+    "select_combo_subsystems": "subsystems",
+    "select_subsystem": "subsystems",
+    "Subsystem": "subsystems",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

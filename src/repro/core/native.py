@@ -495,18 +495,20 @@ class ModelStruct(ctypes.Structure):
     ]
 
 
-def i32_ptr(buffer: array) -> "ctypes._Pointer":
-    """A ``int32*`` view of an ``array('i')`` (zero-copy)."""
-    return ctypes.cast(
-        (ctypes.c_int32 * len(buffer)).from_buffer(buffer), _I32P
-    )
+def i32_ptr(buffer: array) -> "ctypes.Array":
+    """An ``int32*`` argument viewing an ``array('i')`` (zero-copy).
+
+    A ctypes array passes wherever an ``int32*`` is declared, argument or
+    struct field. It is not ``ctypes.cast`` to a pointer: a cast result
+    shares a dict that refers back to its source, a reference cycle that
+    would keep the viewed buffer alive until the cyclic collector runs.
+    """
+    return (ctypes.c_int32 * len(buffer)).from_buffer(buffer)
 
 
-def i64_ptr(buffer: array) -> "ctypes._Pointer":
-    """A ``int64*`` view of an ``array('q')`` (zero-copy)."""
-    return ctypes.cast(
-        (ctypes.c_int64 * len(buffer)).from_buffer(buffer), _I64P
-    )
+def i64_ptr(buffer: array) -> "ctypes.Array":
+    """An ``int64*`` argument viewing an ``array('q')`` (zero-copy)."""
+    return (ctypes.c_int64 * len(buffer)).from_buffer(buffer)
 
 
 def model_ref(model: "ModelStruct"):

@@ -10,15 +10,16 @@ the per-node slot counts exactly, so the load bound holds by construction.
 
 ``Random'`` (Theorem 2's analysis device) drops the quota: each object
 independently picks ``r`` distinct nodes uniformly. The paper proves the
-two converge as the average load grows; the ablation benchmark
-``bench_ablation_random`` measures the gap at finite sizes.
+two converge as the average load grows;
+``tests/core/test_random_ablation.py`` checks the gap at finite sizes.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import List, Optional
+from itertools import chain
+from typing import Callable, List, Optional
 
 from repro.core.placement import Placement, PlacementError
 from repro.util.combinatorics import ceil_div
@@ -38,7 +39,10 @@ class RandomStrategy:
         """Place ``b`` objects; per-node load never exceeds ``ceil(r*b/n)``.
 
         Deterministic given ``rng``; pass seeded generators for replayable
-        experiments.
+        experiments. Every draw is a ``rng.getrandbits`` call, made exactly
+        as ``random.Random.shuffle`` and ``randrange`` make it, so a seeded
+        generator gives the same placement, and is left in the same state,
+        as those library calls would give.
         """
         if b < 1:
             raise ValueError(f"need b >= 1, got {b}")
@@ -54,68 +58,117 @@ class RandomStrategy:
         slots: List[int] = []
         for node in range(self.n):
             slots.extend([node] * limit)
-        rng.shuffle(slots)
-        slots = slots[: self.r * b]
+        getrandbits = rng.getrandbits
+        _shuffle(slots, getrandbits)
+        del slots[self.r * b :]
         # slots[:r*b] after a full shuffle is a uniform sample of slots; deal
         # r consecutive slots to each object and repair duplicates. Rows go
         # straight into the trusted array constructor (repair guarantees
         # distinct nodes; we sort each window here).
-        self._repair(slots, rng)
-        rows = array("i")
-        for i in range(b):
-            rows.extend(sorted(slots[i * self.r : (i + 1) * self.r]))
+        self._repair(slots, getrandbits)
+        windows = zip(*[iter(slots)] * self.r)
+        rows = array("i", chain.from_iterable(map(sorted, windows)))
         return Placement.from_arrays(
             self.n, rows, r=self.r, strategy="Random", validate=False
         )
 
-    def _repair(self, slots: List[int], rng: random.Random) -> None:
+    def _repair(self, slots: List[int], getrandbits: Callable[[int], int]) -> None:
         """Swap away duplicate nodes within any object's r consecutive slots.
 
         A swap exchanges one duplicated slot of a conflicted object with a
-        random slot of another object and is kept only when the combined
+        random slot of another object and is made only when the combined
         duplicate count of the two objects strictly decreases, so the global
         conflict count is monotonically decreasing and the loop terminates;
         a safety cap guards adversarial inputs (e.g. n < r cannot happen
         here, but an externally supplied tight load limit can stall).
+        Per-object duplicate counts are kept in ``dups`` and updated from
+        the two nodes a swap moves, rather than recounted.
+
+        The pinned fig7 outputs, and so the certify benchmark's placements,
+        depend on two things kept exactly as they are: the draws (the
+        ``randrange`` calls of :mod:`random`, inlined) and the order in
+        which ``conflicted`` is visited. That order is CPython's set
+        iteration order, which follows from the precise sequence of adds
+        and discards below; changing either re-pins fig7.
         """
         r = self.r
         num_objects = len(slots) // r
-        conflicted = {
-            obj for obj in range(num_objects) if self._duplicates(slots, obj)
-        }
+        windows = zip(*[iter(slots)] * r)
+        dups = [r - distinct for distinct in map(len, map(set, windows))]
+        conflicted = {obj for obj, count in enumerate(dups) if count}
+        object_bits = num_objects.bit_length()
+        slot_bits = r.bit_length()
         attempts = 0
         max_attempts = 200 * len(slots) + 1000
+        obj = None
         while conflicted:
             attempts += 1
             if attempts > max_attempts:
                 raise PlacementError(
                     "slot repair failed to converge; load limit too tight"
                 )
-            obj = next(iter(conflicted))
-            base = obj * r
-            window = slots[base : base + r]
-            dup_offset = next(i for i in range(r) if window[i] in window[:i])
-            partner = rng.randrange(num_objects)
+            if obj is None:
+                # A failed attempt leaves the set as it was, and with it the
+                # object iteration yields first; only a kept swap moves it.
+                obj = next(iter(conflicted))
+                base = obj * r
+                # The first slot whose node already appears earlier.
+                i = base + 1
+                while slots[i] not in slots[base:i]:
+                    i += 1
+            # random.Random.randrange(num_objects), draw for draw.
+            partner = getrandbits(object_bits)
+            while partner >= num_objects:
+                partner = getrandbits(object_bits)
             if partner == obj:
                 continue
-            i = base + dup_offset
-            j = partner * r + rng.randrange(r)
-            before = self._duplicates(slots, obj) + self._duplicates(slots, partner)
-            slots[i], slots[j] = slots[j], slots[i]
-            after = self._duplicates(slots, obj) + self._duplicates(slots, partner)
-            if after >= before:
-                slots[i], slots[j] = slots[j], slots[i]  # revert
+            # random.Random.randrange(r), draw for draw.
+            offset = getrandbits(slot_bits)
+            while offset >= r:
+                offset = getrandbits(slot_bits)
+            partner_base = partner * r
+            j = partner_base + offset
+            # Swapping node a = slots[i] (at least twice in obj's window)
+            # for c = slots[j]: obj gains a distinct node iff c is new to
+            # it; partner gains one iff a is new to it and loses one iff
+            # c was there only once.
+            a = slots[i]
+            c = slots[j]
+            partner_window = slots[partner_base : partner_base + r]
+            obj_gain = c not in slots[base : base + r]
+            partner_gain = (a not in partner_window) - (
+                partner_window.count(c) == 1
+            )
+            if obj_gain + partner_gain <= 0:
                 continue
+            slots[i] = c
+            slots[j] = a
+            dups[obj] -= obj_gain
+            dups[partner] -= partner_gain
             for touched in (obj, partner):
-                if self._duplicates(slots, touched):
+                if dups[touched]:
                     conflicted.add(touched)
                 else:
                     conflicted.discard(touched)
+            obj = None
 
-    def _duplicates(self, slots: List[int], obj: int) -> int:
-        base = obj * self.r
-        window = slots[base : base + self.r]
-        return self.r - len(set(window))
+
+def _shuffle(x: List[int], getrandbits: Callable[[int], int]) -> None:
+    """``random.Random.shuffle(x)``, draw for draw, final state included.
+
+    CPython's shuffle walks ``i`` from ``len(x) - 1`` down to 1 and swaps
+    ``x[i]`` with ``x[randbelow(i + 1)]``, where ``randbelow(m)`` redraws
+    ``getrandbits(m.bit_length())`` until the value is below ``m``. Here the
+    walk runs one bit width at a time, so each draw is a bare
+    ``getrandbits(k)`` call.
+    """
+    for k in range(len(x).bit_length(), 1, -1):
+        # Every i with (i + 1).bit_length() == k, from the top down.
+        for i in range(min(len(x) - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
 class UnconstrainedRandomStrategy:

@@ -9,14 +9,17 @@ Two needs drive this module:
 * ``Vuln_rnd(f)`` (Theorem 2) multiplies ``C(n,k)`` — astronomically large —
   by a binomial tail probability — astronomically small. Both are tractable
   only in log space; :func:`log_binom_tail` computes ``log P(Bin(b,p) >= f)``
-  stably for ``b`` up to the paper's 38 400 objects and beyond.
+  stably for ``b`` up to the paper's 38 400 objects and beyond. It pays
+  one ``log_binom`` per call: the largest summed term is the anchor, the
+  rest follow from the pmf ratio ``(n-k)/(k+1) * p/(1-p)`` walked away
+  from it, summed relative to the anchor and cut at ``e**-60`` of the sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -128,28 +131,65 @@ def logsumexp(values: Iterable[float]) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in items))
 
 
-def log_binom_pmf(n: int, p_log: float, q_log: float, k: int) -> float:
-    """``log P(Bin(n, p) = k)`` given ``log p`` and ``log (1-p)``.
+#: Each walk stops once a term falls below this fraction of the running
+#: sum: ``e**-60``, about 1e-27, far below the last bit of a double.
+_CUT = math.exp(-60.0)
 
-    Passing both logs avoids catastrophic cancellation when ``p`` is close
-    to 0 or 1, which happens routinely for the failure probabilities
-    ``alpha / C(n, r)`` in Theorem 2.
+
+def _anchor(n: int, p: float, m: int) -> Tuple[float, float]:
+    """``log P(Bin(n, p) = m)`` and the odds ``p / (1 - p)``, for ``0 < p < 1``.
+
+    ``log (1 - p)`` comes from ``log1p`` so that it stays accurate for the
+    tiny failure probabilities ``alpha / C(n, r)`` of Theorem 2.
     """
-    if k < 0 or k > n:
-        return float("-inf")
-    if p_log == float("-inf"):
-        return 0.0 if k == 0 else float("-inf")
-    if q_log == float("-inf"):
-        return 0.0 if k == n else float("-inf")
-    return log_binom(n, k) + k * p_log + (n - k) * q_log
+    log_pmf = log_binom(n, m) + m * math.log(p) + (n - m) * math.log1p(-p)
+    return log_pmf, p / (1.0 - p)
+
+
+def _walk_up(n: int, odds: float, start: int, stop: int, total: float) -> float:
+    """Add pmf(k)/pmf(start) for ``start < k <= stop`` to ``total``.
+
+    The ratio pmf(k+1)/pmf(k) = (n-k)/(k+1) * odds is at most 1 from the
+    mode upward, so the terms only shrink and the cut is safe.
+    """
+    term = 1.0
+    for k in range(start, stop):
+        term *= (n - k) / (k + 1) * odds
+        total += term
+        if term < total * _CUT:
+            break
+    return total
+
+
+def _walk_down(n: int, odds: float, start: int, stop: int, total: float) -> float:
+    """Add pmf(k)/pmf(start) for ``stop <= k < start`` to ``total``.
+
+    The inverse ratio pmf(k-1)/pmf(k) = k/(n-k+1) / odds is at most 1 from
+    the mode downward.
+    """
+    term = 1.0
+    for k in range(start, stop, -1):
+        term *= k / ((n - k + 1) * odds)
+        total += term
+        if term < total * _CUT:
+            break
+    return total
+
+
+def _mode(n: int, p: float) -> int:
+    """The pmf's mode ``floor((n+1) p)``, clamped into ``[0, n]``."""
+    return min(int((n + 1) * p), n)
 
 
 def log_binom_tail(n: int, p: float, f: int) -> float:
     """``log P(Bin(n, p) >= f)`` computed stably in log space.
 
-    Sums the pmf from ``f`` upward; once terms decay 60+ nats below the
-    running peak they can no longer influence a double, so the sum is cut
-    short — this keeps the routine O(stddev) rather than O(n) in practice.
+    One ``log_binom`` anchor at ``m = max(f, mode)``; the other terms are
+    reached by the pmf ratio recurrence, upward from ``m`` to ``n`` and
+    (when ``f`` lies below the mode) downward from ``m`` to ``f``. The sum
+    is kept in linear space relative to the anchor term, the largest one
+    summed, so nothing overflows, and each walk stops once its terms fall
+    below ``e**-60`` of the running sum: O(stddev) terms, not O(n).
     """
     if f <= 0:
         return 0.0
@@ -159,23 +199,20 @@ def log_binom_tail(n: int, p: float, f: int) -> float:
         return float("-inf")
     if p >= 1.0:
         return 0.0
-    p_log = math.log(p)
-    q_log = math.log1p(-p)
-    terms = []
-    peak = float("-inf")
-    for k in range(f, n + 1):
-        term = log_binom_pmf(n, p_log, q_log, k)
-        terms.append(term)
-        peak = max(peak, term)
-        # Terms are unimodal in k; once past the mode and far below the
-        # peak they cannot change the double-precision sum.
-        if term < peak - 60.0 and k > n * p:
-            break
-    return logsumexp(terms)
+    m = max(f, _mode(n, p))
+    log_pmf, odds = _anchor(n, p, m)
+    total = _walk_up(n, odds, m, n, 1.0)
+    total = _walk_down(n, odds, m, f, total)
+    return log_pmf + math.log(total)
 
 
 def log_binom_head(n: int, p: float, f: int) -> float:
-    """``log P(Bin(n, p) <= f)`` — the complementary head sum."""
+    """``log P(Bin(n, p) <= f)`` — the complementary head sum.
+
+    Mirrors :func:`log_binom_tail`: anchored at ``m = min(f, mode)``, it
+    walks downward from ``m`` to 0 and, when ``f`` lies above the mode,
+    upward from ``m`` to ``f``.
+    """
     if f >= n:
         return 0.0
     if f < 0:
@@ -184,14 +221,8 @@ def log_binom_head(n: int, p: float, f: int) -> float:
         return 0.0
     if p >= 1.0:
         return float("-inf")
-    p_log = math.log(p)
-    q_log = math.log1p(-p)
-    terms = []
-    peak = float("-inf")
-    for k in range(f, -1, -1):
-        term = log_binom_pmf(n, p_log, q_log, k)
-        terms.append(term)
-        peak = max(peak, term)
-        if term < peak - 60.0 and k < n * p:
-            break
-    return logsumexp(terms)
+    m = min(f, _mode(n, p))
+    log_pmf, odds = _anchor(n, p, m)
+    total = _walk_down(n, odds, m, 0, 1.0)
+    total = _walk_up(n, odds, m, f, total)
+    return log_pmf + math.log(total)

@@ -10,8 +10,11 @@ which runs the generic ``try_swap``/``polish_pass``/``polish_chain``
 loops, is the oracle for the fused native search entries.
 """
 
+import ctypes
+import gc
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -392,3 +395,45 @@ class TestSelection:
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)
+
+
+def cyclic_buffers(work):
+    """Run ``work`` and return the buffers and buffer views it left in
+    reference cycles (ctypes array types are cyclic by nature; skipped)."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return [obj for obj in gc.garbage
+                if isinstance(obj, (ctypes.Array, memoryview, array))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestNativeBufferViews:
+    """The views handed to native code form no reference cycles, so a
+    viewed buffer is freed as soon as its last user lets go of it rather
+    than whenever the cyclic collector next runs."""
+
+    def test_views_are_not_cyclic(self):
+        def work():
+            views = [native.i32_ptr(array("i", range(5))),
+                     native.i64_ptr(array("q", range(5)))]
+            for view in views:
+                assert [view[i] for i in range(5)] == list(range(5))
+
+        assert cyclic_buffers(work) == []
+
+    @pytest.mark.skipif(not native.available(), reason="needs the native backing")
+    def test_native_search_leaves_no_cyclic_buffers(self):
+        placement = random_placement(31, 3, 300, 5)
+
+        def work():
+            kernel = make_kernel(placement, 2, gain_backing="native")
+            LocalSearchAdversary().attack(placement, 4, 2, kernel=kernel)
+
+        assert cyclic_buffers(work) == []

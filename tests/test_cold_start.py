@@ -8,6 +8,10 @@ main process and from forked pool workers, which inherit the hook.
 
 Without the native backing the numpy gain rung is the fastest kernel
 left, so the gate applies only where native loads.
+
+The same hook checks that ``repro run`` leaves the parts of
+:mod:`repro.core` it never uses (artifact, inspect, adaptive) unloaded,
+and the lazy package attributes are checked to still resolve.
 """
 
 import json
@@ -21,12 +25,15 @@ import repro
 from repro.core import native
 from repro.core.kernels import numpy_available
 
-pytestmark = pytest.mark.skipif(
+needs_native = pytest.mark.skipif(
     not native.available(), reason="numpy is the kernel rung without native"
 )
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 MARKER = "numpy-import-attempted"
+CORE_MARKER = "unused-core-import"
+#: Parts of repro.core that no ``repro run <fig>`` needs.
+UNUSED_BY_RUN = ("repro.core.artifact", "repro.core.inspect", "repro.core.adaptive")
 
 # Audit hook first, then the CLI; with no arguments the case is the bare
 # import of ``repro.cli``.
@@ -36,6 +43,8 @@ import os, sys
 def hook(event, args):
     if event == "import" and args[0].split(".")[0] == "numpy":
         os.write(2, b"{MARKER} " + args[0].encode() + b"\\n")
+    if event == "import" and args[0] in {UNUSED_BY_RUN!r}:
+        os.write(2, b"{CORE_MARKER} " + args[0].encode() + b"\\n")
 
 sys.addaudithook(hook)
 import repro.cli
@@ -80,6 +89,7 @@ CASES = {
 }
 
 
+@needs_native
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_invocation_never_imports_numpy(case, tmp_path):
     proc = run_cold(CASES[case](tmp_path), tmp_path)
@@ -87,6 +97,7 @@ def test_invocation_never_imports_numpy(case, tmp_path):
     assert MARKER not in proc.stderr, proc.stderr
 
 
+@needs_native
 @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 def test_gate_trips_on_a_numpy_import(tmp_path):
     """The hook is live: a process that does import numpy is reported."""
@@ -94,3 +105,44 @@ def test_gate_trips_on_a_numpy_import(tmp_path):
     proc = run_cold([], tmp_path, prelude=prelude)
     assert proc.returncode == 0, proc.stderr
     assert MARKER in proc.stderr
+
+
+SMALL_FIG7_SPEC = {
+    "experiment": "fig7",
+    "axes": {"b": [150]},
+    "constants": {"b_cap": 150, "configs": [[31, 5, 3, [3]]],
+                  "effort": "fast", "reps": 1, "seed": 2015},
+}
+
+
+def test_run_leaves_unused_core_modules_unloaded(tmp_path):
+    path = tmp_path / "fig7.json"
+    path.write_text(json.dumps(SMALL_FIG7_SPEC))
+    proc = run_cold(["run", str(path), "--workers", "1", "--no-store"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "prAvail" in proc.stdout
+    assert CORE_MARKER not in proc.stderr, proc.stderr
+
+
+def test_core_gate_trips_on_an_unused_import(tmp_path):
+    """The hook is live: a process that imports one of them is reported."""
+    prelude = PRELUDE.replace(
+        "import repro.cli", "import repro.cli, repro.core.inspect"
+    )
+    proc = run_cold([], tmp_path, prelude=prelude)
+    assert proc.returncode == 0, proc.stderr
+    assert CORE_MARKER + " repro.core.inspect" in proc.stderr
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core"])
+def test_every_public_name_resolves(package):
+    code = (
+        f"import {package} as p\n"
+        "missing = [n for n in p.__all__ if getattr(p, n, None) is None]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

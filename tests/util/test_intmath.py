@@ -1,6 +1,7 @@
 """Unit and property tests for repro.util.intmath."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -143,3 +144,140 @@ class TestBinomTail:
         head = log_binom_head(n, p, f - 1)
         total = logsumexp([tail, head])
         assert total == pytest.approx(0.0, abs=1e-7)
+
+
+def _exact_pmf(n, p):
+    """``P(Bin(n, p) = k)`` for every k as exact numerators over ``d**n``.
+
+    ``p`` is a double, so it is exactly ``a / d`` for integers a and d.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    up = [1]
+    down = [1]
+    for _ in range(n):
+        up.append(up[-1] * a)
+        down.append(down[-1] * (d - a))
+    return [math.comb(n, k) * up[k] * down[n - k] for k in range(n + 1)], d**n
+
+
+def _log_ratio(numerator, denominator):
+    if numerator == 0:
+        return float("-inf")
+    return math.log(numerator) - math.log(denominator)
+
+
+def _reference_tail(n, p, f):
+    """The term-by-term tail sum the ratio walk replaced: three ``lgamma``
+    calls per term, cut 60 nats below the peak past the mode."""
+    p_log = math.log(p)
+    q_log = math.log1p(-p)
+    terms = []
+    peak = float("-inf")
+    for k in range(f, n + 1):
+        term = log_binom(n, k) + k * p_log + (n - k) * q_log
+        terms.append(term)
+        peak = max(peak, term)
+        if term < peak - 60.0 and k > n * p:
+            break
+    return logsumexp(terms)
+
+
+def _mode(n, p):
+    return min(int((n + 1) * p), n)
+
+
+#: One f per region of the pmf: the ends, deep in either tail, around the
+#: mode, and anywhere.
+F_REGIONS = (
+    lambda n, m, rng: 1,
+    lambda n, m, rng: n,
+    lambda n, m, rng: max(0, m - 1),
+    lambda n, m, rng: m,
+    lambda n, m, rng: min(n, m + 1),
+    lambda n, m, rng: rng.randint(0, m),
+    lambda n, m, rng: rng.randint(m, n),
+    lambda n, m, rng: min(n, m + 3 * int(math.sqrt(n)) + 5),
+)
+
+
+def _oracle_grid(cases=300, seed=20150):
+    rng = random.Random(seed)
+    for index in range(cases):
+        n = rng.randint(1, 300)
+        p = 10 ** rng.uniform(-6, math.log10(0.98))
+        f = F_REGIONS[index % len(F_REGIONS)](n, _mode(n, p), rng)
+        yield n, p, f
+
+
+class TestBinomTailExactOracle:
+    """Both walks against an exact rational sum, to a relative 1e-11."""
+
+    REL = 1e-11
+
+    def check(self, n, p, fs):
+        pmf, total = _exact_pmf(n, p)
+        # heads[f + 1] = exact numerator of P(X <= f).
+        heads = [0]
+        for term in pmf:
+            heads.append(heads[-1] + term)
+        for f in fs:
+            clamped = min(max(f + 1, 0), n + 1)
+            head = _log_ratio(heads[clamped], total)
+            tail = _log_ratio(heads[-1] - heads[min(max(f, 0), n + 1)], total)
+            for got, want in ((log_binom_tail(n, p, f), tail),
+                              (log_binom_head(n, p, f), head)):
+                if want == float("-inf"):
+                    assert got == want, (n, p, f)
+                else:
+                    assert abs(got - want) <= self.REL, (n, p, f, got, want)
+
+    def test_seeded_grid(self):
+        for n, p, f in _oracle_grid():
+            self.check(n, p, [f])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 300])
+    @pytest.mark.parametrize("p", [1e-6, 0.3, 0.5, 0.98, 1 - 1e-9])
+    def test_every_f(self, n, p):
+        self.check(n, p, range(-1, n + 2))
+
+    def test_f_at_the_mode(self):
+        for n, p in [(300, 0.5), (299, 0.01), (120, 0.25), (64, 0.9)]:
+            mode = _mode(n, p)
+            self.check(n, p, [mode - 1, mode, mode + 1])
+
+    def test_out_of_range_f(self):
+        for n, p in [(10, 0.3), (300, 1e-6)]:
+            assert log_binom_tail(n, p, 0) == 0.0
+            assert log_binom_tail(n, p, -3) == 0.0
+            assert log_binom_tail(n, p, n + 1) == float("-inf")
+            assert log_binom_head(n, p, -1) == float("-inf")
+            assert log_binom_head(n, p, n) == 0.0
+            assert log_binom_head(n, p, n + 5) == 0.0
+
+    def test_f_equals_n(self):
+        assert log_binom_tail(300, 0.3, 300) == pytest.approx(
+            300 * math.log(0.3), rel=1e-14
+        )
+
+    def test_degenerate_p(self):
+        for f in (1, 5, 10):
+            assert log_binom_tail(10, 0.0, f) == float("-inf")
+            assert log_binom_head(10, 0.0, f - 1) == 0.0
+            assert log_binom_tail(10, 1.0, f) == 0.0
+            assert log_binom_head(10, 1.0, f - 1) == float("-inf")
+
+
+class TestBinomTailPaperScale:
+    """At b = 38 400 (the paper's largest object count) the walk matches
+    the term-by-term sum it replaced."""
+
+    @pytest.mark.parametrize("p", [1e-5, 1e-4, 2e-3, 0.01, 0.3])
+    def test_matches_term_by_term_sum(self, p):
+        n = 38_400
+        mode = _mode(n, p)
+        spread = int(math.sqrt(n * p)) + 1
+        for f in sorted({1, max(1, mode - 3 * spread), max(1, mode), mode + 1,
+                         mode + spread, mode + 10 * spread, mode + 400}):
+            assert log_binom_tail(n, p, f) == pytest.approx(
+                _reference_tail(n, p, f), rel=1e-12, abs=1e-9
+            )
