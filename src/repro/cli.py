@@ -118,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shard-retries", type=int, default=None,
                      help="re-dispatch attempts per failed shard before "
                      "the run errors (default: $REPRO_SHARD_RETRIES/2)")
-    run.add_argument("--engine-state", type=str, default=None, metavar="DIR",
-                     help="hydrate attack engines from DIR/<fingerprint>"
-                     ".npz snapshots and persist cold builds there "
-                     "('auto': the run store's per-run engine/ sidecar); "
-                     "results are identical either way")
     _add_obs_flags(run)
 
     place = commands.add_parser("place", help="compute and emit a placement")
@@ -143,22 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="auto",
                        help="artifact format (auto: by --output extension; "
                        "npz is the binary format and needs --output)")
-    place.add_argument("--engine-state", type=str, default=None,
-                       metavar="PATH",
-                       help="also save a checksummed engine-state snapshot "
-                       "(placement + packed gain-kernel state) that "
-                       "`repro attack --engine-state` rehydrates without "
-                       "a cold engine build")
 
     attack = commands.add_parser("attack", help="worst-case attack a placement")
-    attack.add_argument("placement", type=str, nargs="?", default=None,
-                        help="placement artifact (JSON or .npz); optional "
-                        "when --engine-state supplies the placement")
-    attack.add_argument("--engine-state", type=str, default=None,
-                        metavar="PATH",
-                        help="rehydrate the warm attack engine from an "
-                        "engine-state snapshot (see `repro place "
-                        "--engine-state`) instead of cold-building it")
+    attack.add_argument("placement", type=str,
+                        help="placement artifact (JSON or .npz)")
     attack.add_argument("--k", type=int, action="append", required=True,
                         help="nodes to fail (repeatable: batches a k-grid "
                         "through one shared incidence structure)")
@@ -543,15 +526,6 @@ def _run_exp(args) -> int:
     store = None
     if not args.no_store:
         store = args.store or os.environ.get("REPRO_RUNS_DIR") or "runs"
-    engine_state = args.engine_state
-    if engine_state == "auto":
-        if store is None:
-            print("run: --engine-state auto needs a run store "
-                  "(drop --no-store)", file=sys.stderr)
-            return 2
-        from repro.exp.store import RunStore
-
-        engine_state = RunStore(store).engine_state_dir(spec)
     try:
         run = run_experiment(
             spec,
@@ -561,7 +535,6 @@ def _run_exp(args) -> int:
             limit=args.limit,
             shard_timeout=args.shard_timeout,
             shard_retries=args.shard_retries,
-            engine_state=engine_state,
         )
     except RunStoreError as exc:
         print(f"run: {exc}", file=sys.stderr)
@@ -663,18 +636,6 @@ def _run_place(args) -> int:
             f"# Combo lambdas={plan.lambdas} lower_bound={plan.lower_bound}",
             file=sys.stderr,
         )
-    if args.engine_state:
-        from repro.core.batch import AttackEngine, snapshot_engine
-
-        state_path = args.engine_state
-        if not state_path.endswith(".npz"):
-            state_path += ".npz"
-        snapshot_engine(AttackEngine(placement), state_path)
-        print(
-            f"wrote engine state ({placement.b} objects, "
-            f"{placement.r} thresholds) to {state_path}",
-            file=sys.stderr,
-        )
     if chosen_format == "npz":
         from repro.core.artifact import save_npz
 
@@ -699,37 +660,7 @@ def _run_attack(args) -> int:
     from repro.core.batch import AttackCell, batch_attack
 
     mark = _arm_obs(args)
-    placement = None
-    if args.engine_state:
-        from repro.core.artifact import ArtifactError
-        from repro.core.batch import hydrate_engine
-
-        try:
-            engine = hydrate_engine(args.engine_state, validate=True)
-        except (ArtifactError, OSError) as exc:
-            print(f"attack: {exc}", file=sys.stderr)
-            return 1
-        if engine is not None:
-            placement = engine.placement
-        elif args.placement is None:
-            print(
-                f"attack: {args.engine_state} was written by a newer "
-                "version; pass the placement artifact to rebuild cold",
-                file=sys.stderr,
-            )
-            return 1
-        else:
-            print(
-                f"attack: {args.engine_state} was written by a newer "
-                "version; rebuilding cold from the placement",
-                file=sys.stderr,
-            )
-    if placement is None:
-        if args.placement is None:
-            print("attack: placement artifact required "
-                  "(or --engine-state)", file=sys.stderr)
-            return 2
-        placement = load_placement(args.placement, mmap=args.mmap)
+    placement = load_placement(args.placement, mmap=args.mmap)
     cells = [AttackCell(k, args.s, args.effort) for k in args.k]
     try:
         results = batch_attack(placement, cells)

@@ -43,7 +43,6 @@ same grid replays bit-for-bit regardless of cell order or cache hits.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -73,13 +72,6 @@ _MEMO_CAP = 1024
 
 _ENGINES: "OrderedDict[Tuple[str, str], AttackEngine]" = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Directory of engine-state snapshots (``<fingerprint>.npz``) that
-#: engine_for consults before cold-building; see configure_engine_state_dir.
-_ENGINE_STATE_DIR: Optional[str] = None
-
-# Snapshot-dir failure reasons already warned about (once per process).
-_STATE_DIR_WARNED: set = set()
 
 
 @dataclass(frozen=True)
@@ -259,172 +251,19 @@ def engine_for(placement: Placement) -> AttackEngine:
     backing is part of the key, so re-pinning
     ``REPRO_GAIN_BACKING`` mid-process builds a fresh engine instead of
     silently reusing kernels of the previous backing.
-
-    With an engine-state directory configured
-    (:func:`configure_engine_state_dir`), a cache miss first tries to
-    hydrate from ``<dir>/<fingerprint>.npz`` and a cold build writes that
-    snapshot for the next process — both best-effort: a missing,
-    version-skewed, or unwritable snapshot degrades to the cold path.
     """
     backing = resolve_gain_backing()
     key = (placement.fingerprint(), backing)
     engine = _ENGINES.get(key)
     if engine is None:
         obs.count("engine.cache.misses")
-        engine = _hydrate_from_dir(placement)
-        if engine is None:
-            engine = AttackEngine(placement, gain_backing=backing)
-            obs.count("engine.builds")
-            _cache_engine(key, engine)
-            _snapshot_to_dir(engine)
+        engine = AttackEngine(placement, gain_backing=backing)
+        obs.count("engine.builds")
+        _cache_engine(key, engine)
         return engine
     _ENGINES.move_to_end(key)
     obs.count("engine.cache.hits")
     obs.gauge("engine.cache.size", len(_ENGINES))
-    return engine
-
-
-def configure_engine_state_dir(path: Optional[str]) -> None:
-    """Point the process at a directory of engine-state snapshots.
-
-    ``engine_for`` then hydrates cache misses from
-    ``<dir>/<fingerprint>.npz`` (when present) and persists cold builds
-    there, so successive processes over the same placement lineage skip
-    the O(b r) engine build. ``None`` turns the warm path off.
-    """
-    global _ENGINE_STATE_DIR
-    _ENGINE_STATE_DIR = path
-
-
-def engine_state_dir() -> Optional[str]:
-    """The configured snapshot directory (None = warm path off)."""
-    return _ENGINE_STATE_DIR
-
-
-def _state_dir_degraded(path: str, exc: BaseException) -> None:
-    """Warn once per reason that the snapshot dir is not cooperating."""
-    import warnings
-
-    reason = f"{type(exc).__name__}: {exc}"
-    if reason in _STATE_DIR_WARNED:
-        return
-    _STATE_DIR_WARNED.add(reason)
-    obs.record_event("engine.state_dir_degraded", path=path, reason=reason)
-    warnings.warn(
-        f"engine-state snapshot {path} unusable ({reason}); "
-        "continuing on the cold build path",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _hydrate_from_dir(placement: Placement) -> Optional[AttackEngine]:
-    """Try the snapshot directory for this placement's engine, else None."""
-    if _ENGINE_STATE_DIR is None:
-        return None
-    path = os.path.join(
-        _ENGINE_STATE_DIR, placement.fingerprint() + ".npz"
-    )
-    if not os.path.exists(path):
-        return None
-    from repro.core import artifact
-
-    try:
-        engine = hydrate_engine(path)
-    except artifact.ArtifactError as exc:
-        _state_dir_degraded(path, exc)
-        return None
-    if engine is not None and (
-        engine.placement.fingerprint() != placement.fingerprint()
-    ):  # pragma: no cover - requires a misnamed snapshot file
-        engine._detach()
-        return None
-    return engine
-
-
-def _snapshot_to_dir(engine: AttackEngine) -> None:
-    """Persist a cold-built engine's snapshot (best-effort, atomic)."""
-    if _ENGINE_STATE_DIR is None:
-        return
-    path = os.path.join(
-        _ENGINE_STATE_DIR, engine.placement.fingerprint() + ".npz"
-    )
-    if os.path.exists(path):
-        return
-    try:
-        snapshot_engine(engine, path)
-    except OSError as exc:
-        # The snapshot is an optimization; never fail the run over it.
-        _state_dir_degraded(path, exc)
-
-
-def snapshot_engine(
-    engine: AttackEngine, path: str, s_values: Optional[Sequence[int]] = None
-) -> None:
-    """Write ``engine``'s placement + packed gain states as an artifact.
-
-    ``s_values`` defaults to every threshold (1..r) so any later cell
-    hydrates warm. The write is atomic (temp file + rename): concurrent
-    writers race benignly because identical content wins either way.
-    """
-    from repro.core import artifact
-    from repro.core.kernels import GAIN_STATE_VERSION
-
-    placement = engine.placement
-    thresholds = (
-        sorted(int(s) for s in s_values)
-        if s_values is not None else range(1, placement.r + 1)
-    )
-    states = {}
-    for s in thresholds:
-        kernel = engine.kernel(s)
-        states[s] = kernel.export_state(kernel.empty_hits())
-    scratch = f"{path}.tmp.{os.getpid()}"
-    try:
-        artifact.save_engine_state(
-            scratch, placement, states, state_version=GAIN_STATE_VERSION
-        )
-        os.replace(scratch, path)
-    except BaseException:
-        if os.path.exists(scratch):
-            os.unlink(scratch)
-        raise
-
-
-def hydrate_engine(
-    path: str,
-    mmap: bool = True,
-    validate: bool = False,
-) -> Optional[AttackEngine]:
-    """Rebuild a warm engine from an engine-state snapshot.
-
-    Returns ``None`` when the artifact's format or packed-state version
-    is newer than this process understands (callers cold-build instead);
-    corrupt artifacts raise :class:`~repro.core.artifact.ArtifactError` —
-    checksum-gated trust, like placement artifacts. The hydrated engine
-    registers in the process cache under its fingerprint, so subsequent
-    :func:`engine_for` calls for the same structure reuse it. A hydrated
-    engine is bit-for-bit equivalent to a cold-built one: the packed
-    states seed each kernel's empty-state template, and every backing
-    interprets the same canonical little-endian words.
-    """
-    from repro.core import artifact
-    from repro.core.kernels import GAIN_STATE_VERSION
-
-    try:
-        with obs.span("engine.hydrate", path=str(path)):
-            bundle = artifact.load_engine_state(
-                path, mmap=mmap, validate=validate,
-                state_version=GAIN_STATE_VERSION,
-            )
-            engine = AttackEngine(bundle.placement)
-            for s, data in sorted(bundle.states.items()):
-                engine.kernel(s).seed_empty_state(data)
-    except artifact.ArtifactVersionError:
-        return None
-    obs.count("engine.hydrations")
-    obs.count("engine.builds_avoided")
-    _cache_engine((bundle.fingerprint, engine.gain_backing), engine)
     return engine
 
 

@@ -56,11 +56,6 @@ from repro.util import lazynumpy
 #: the failing rung for the rest of the process (see demote_backing).
 GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "python")
 
-#: Version of the packed gain-state wire format (little-endian int32
-#: ``counts[b] | gain[n] | dead``). Bumped when the layout changes;
-#: artifacts carrying a newer version fall back to a cold rebuild.
-GAIN_STATE_VERSION = 1
-
 # Backings demoted after a fault (backing -> reason). Process-wide: once
 # a rung is demoted, ``auto`` never climbs back to it; forked workers
 # inherit the parent's demotions at fork time.
@@ -710,10 +705,6 @@ class GainKernel(DamageKernel):
         # cost O(b r) object allocation at engine-build time.
         self._node_objects = None
         self._object_nodes = None
-        # Packed empty-state bytes seeded from a snapshot (see
-        # seed_empty_state); replaces the O(b r) cold derivation of the
-        # s == 1 gain table in empty_hits when present.
-        self._seeded_empty: Optional[bytes] = None
 
     @property
     def node_objects(self):
@@ -738,62 +729,10 @@ class GainKernel(DamageKernel):
         self.b = self.incidence.b
         self._node_objects = None
         self._object_nodes = None
-        self._seeded_empty = None  # stale after a shape change
-
-    # -- packed state (snapshot export/import) -----------------------------
-
-    def state_size(self) -> int:
-        """Byte length of this kernel's packed state."""
-        return 4 * (self.b + self.n + 1)
-
-    def export_state(self, hits: _GainHits) -> bytes:
-        """Serialize ``hits`` as versioned packed bytes.
-
-        Wire format (``GAIN_STATE_VERSION`` 1): little-endian int32
-        ``counts[b] | gain[n] | dead`` — the native backing's in-memory
-        layout, adopted as the canonical format for every backing so
-        snapshots transfer across backings and hosts.
-        """
-        state = array("i", hits.counts)
-        state.extend(hits.gain)
-        state.append(hits.dead)
-        return _native.pack_i32_le(state)
-
-    def _unpack_state(self, data: bytes) -> array:
-        """Length-check packed bytes; machine-order int32 array."""
-        expected = self.state_size()
-        if len(data) != expected:
-            raise ValueError(
-                f"packed gain state is {len(data)} bytes; kernel with "
-                f"b={self.b}, n={self.n} needs {expected}"
-            )
-        return _native.unpack_i32_le(bytes(data))
-
-    def import_state(self, data: bytes) -> _GainHits:
-        """Rebuild a hits object from :meth:`export_state` bytes."""
-        state = self._unpack_state(data)
-        b = self.b
-        return _GainHits(
-            list(state[:b]), list(state[b:b + self.n]), state[b + self.n]
-        )
-
-    def seed_empty_state(self, data: bytes) -> None:
-        """Adopt packed bytes as this kernel's empty (zero-failure) state.
-
-        Subsequent :meth:`empty_hits` calls deserialize the seed instead
-        of deriving the s == 1 gain table from the incidence — the O(b r)
-        cost a snapshot hydration avoids. The caller vouches for the
-        bytes (artifact checksums gate trust); only the length is checked
-        here.
-        """
-        self._unpack_state(data)  # validate length
-        self._seeded_empty = bytes(data)
 
     # -- state ------------------------------------------------------------
 
     def empty_hits(self) -> _GainHits:
-        if self._seeded_empty is not None:
-            return self.import_state(self._seeded_empty)
         counts = [0] * self.b
         if self.s == 1:
             gain = [len(objs) for objs in self.node_objects]
@@ -903,26 +842,7 @@ class _NumpyGainKernel(GainKernel):
         self._node_arrays = self.incidence.node_objects_arrays()
         self._obj_matrix = self.incidence.object_nodes_matrix()
 
-    def export_state(self, hits: _GainHits) -> bytes:
-        np = lazynumpy.module()
-        state = np.empty(self.b + self.n + 1, dtype="<i4")
-        state[:self.b] = hits.counts
-        state[self.b:self.b + self.n] = hits.gain
-        state[self.b + self.n] = hits.dead
-        return state.tobytes()
-
-    def import_state(self, data: bytes) -> _GainHits:
-        np = lazynumpy.module()
-        state = np.frombuffer(
-            self._unpack_state(data), dtype=np.int32
-        )
-        counts = state[:self.b].copy()
-        gain = state[self.b:self.b + self.n].astype(np.int64)
-        return _GainHits(counts, gain, int(state[self.b + self.n]))
-
     def empty_hits(self) -> _GainHits:
-        if self._seeded_empty is not None:
-            return self.import_state(self._seeded_empty)
         np = lazynumpy.module()
         counts = np.zeros(self.b, dtype=np.int32)
         if self.s == 1:
@@ -1121,17 +1041,6 @@ class _NativeGainKernel(GainKernel):
         else:
             self._model.b = self.b
             self._rebuild_template()
-
-    def export_state(self, hits: _NativeGainHits) -> bytes:
-        return _native.pack_i32_le(hits.state)
-
-    def import_state(self, data: bytes) -> _NativeGainHits:
-        return _NativeGainHits(self._unpack_state(data), self.b, self.n)
-
-    def seed_empty_state(self, data: bytes) -> None:
-        # The native backing already materializes empty state from a
-        # bytes template; the seed replaces it (machine word order).
-        self._empty_template = self._unpack_state(data).tobytes()
 
     def empty_hits(self) -> _NativeGainHits:
         return _NativeGainHits(

@@ -516,27 +516,6 @@ def model_ref(model: "ModelStruct"):
     return ctypes.byref(model)
 
 
-def pack_i32_le(buffer) -> bytes:
-    """Serialize an int32 sequence as little-endian bytes.
-
-    The canonical on-disk word order for packed engine state; on the
-    (overwhelmingly common) little-endian hosts this is a straight copy.
-    """
-    packed = array("i", buffer)
-    if sys.byteorder == "big":  # pragma: no cover - BE hosts only
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def unpack_i32_le(data: bytes) -> array:
-    """Parse little-endian int32 bytes into a machine-order ``array('i')``."""
-    values = array("i")
-    values.frombytes(data)
-    if sys.byteorder == "big":  # pragma: no cover - BE hosts only
-        values.byteswap()
-    return values
-
-
 def _cache_dir() -> str:
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:

@@ -287,7 +287,6 @@ def run_experiment(
     limit: Optional[int] = None,
     shard_timeout: Optional[float] = None,
     shard_retries: Optional[int] = None,
-    engine_state: Optional[str] = None,
 ) -> RunResult:
     """Run one spec: expand, serve the stored prefix, compute the rest.
 
@@ -307,16 +306,8 @@ def run_experiment(
     incumbent chain from the spec, so retried results are bit-identical
     to fault-free ones; repeated watchdog faults demote the auto gain
     backing one ladder rung (recorded in the run metadata).
-
-    ``engine_state`` points the run at a directory of engine-state
-    snapshots (:func:`repro.core.batch.configure_engine_state_dir`):
-    workers hydrate cache-missed engines from
-    ``<dir>/<fingerprint>.npz`` and persist their cold builds there, so
-    repeated runs over one placement lineage skip the engine build.
-    Purely a performance lever — results are bit-identical with or
-    without it.
     """
-    from repro.core import batch, kernels
+    from repro.core import kernels
 
     started = time.perf_counter()
     run_mark = obs.checkpoint()
@@ -344,12 +335,6 @@ def run_experiment(
     if isinstance(store, str):
         store = RunStore(store)
     state: Optional[RunState] = None
-    previous_state_dir = batch.engine_state_dir()
-    if engine_state is not None:
-        # Configured before any worker forks, so shard workers inherit
-        # the warm path; restored afterwards so one run's sidecar never
-        # leaks into the next caller's process state.
-        batch.configure_engine_state_dir(engine_state)
     try:
         prefix = 0
         if store is not None:
@@ -426,8 +411,6 @@ def run_experiment(
         if state is not None and complete and not state.complete:
             state.finalize(len(cells), faults_record or None, obs_record)
     finally:
-        if engine_state is not None:
-            batch.configure_engine_state_dir(previous_state_dir)
         if state is not None:
             state.close()
 

@@ -6,9 +6,6 @@ Layout (one directory per spec identity under the store root)::
       <spec-hash16>/
         manifest.json   # format/version, full spec, spec_sha256, completion
         cells.jsonl     # one line per completed cell, in expansion order
-        engine/         # optional engine-state sidecar: one checksummed
-                        # <fingerprint>.npz snapshot per placement the
-                        # run attacked (repro run --engine-state auto)
 
 ``manifest.json`` follows the checksummed-header pattern of
 :mod:`repro.core.artifact`: it pins the full spec dict plus its sha256,
@@ -435,20 +432,6 @@ class RunStore:
         """Path of the run's ``cells.jsonl`` (no lock taken — read-only
         inspection; use :meth:`open_run` to mutate a run)."""
         return os.path.join(self.run_path(spec), "cells.jsonl")
-
-    def engine_state_dir(self, spec: ExperimentSpec) -> str:
-        """The run's engine-state sidecar directory (created on demand).
-
-        Snapshots are content-addressed by placement fingerprint and
-        carry their own checksums, so the sidecar needs no lock and no
-        manifest entry: a stale or half-written snapshot is rejected at
-        load time and rebuilt cold. ``reset`` leaves it alone — engine
-        state derives from the spec's placements, never from run
-        results, so it stays valid across restarts.
-        """
-        path = os.path.join(self.run_path(spec), "engine")
-        os.makedirs(path, exist_ok=True)
-        return path
 
     def open_run(self, spec: ExperimentSpec, resume: bool = False) -> RunState:
         """Open (creating if needed) the run directory for ``spec``.

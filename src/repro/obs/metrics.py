@@ -136,10 +136,6 @@ CATALOG: Dict[str, Instrument] = {
         _c("engine.cache.hits", "engine-cache fingerprint hits"),
         _c("engine.cache.misses", "engine-cache fingerprint misses"),
         _c("engine.cache.evictions", "warm engines evicted past the LRU cap"),
-        _c("engine.hydrations",
-           "warm engines rehydrated from engine-state snapshots"),
-        _c("engine.builds_avoided",
-           "cold engine builds skipped via snapshot hydration"),
         _c("attack.memo.hits", "attack-result memo hits"),
         _c("attack.memo.misses", "attack-result memo misses"),
         _c("kernel.dispatch.native", "gain kernels built on the native rung"),

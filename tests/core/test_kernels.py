@@ -53,6 +53,11 @@ def kernels_for(placement, s):
     ]
 
 
+def hits_state(hits):
+    """A kernel-independent copy of a hits object's counts, gain and dead."""
+    return list(hits.counts), list(hits.gain), int(hits.dead)
+
+
 def brute_best_addition(placement, base, banned, s):
     """(node, damage) of the best single addition; lowest id on ties."""
     best_node, best_damage = -1, -1
@@ -267,14 +272,14 @@ class TestGainBackings:
             assert (pass_damage, improved) == (
                 expected_pass_damage, expected_improved,
             ), backing
-            # A chain batch never touches the kernel's own packed state
-            # or any hits object the caller holds.
+            # A chain batch never touches the kernel's own empty state or
+            # any hits object the caller holds.
             live = kernel.hits_for(seed_nodes)
-            empty_before = kernel.export_state(kernel.empty_hits())
-            live_before = kernel.export_state(live)
+            empty_before = hits_state(kernel.empty_hits())
+            live_before = hits_state(live)
             assert kernel.polish_chains(seeds) == expected_chains, backing
-            assert kernel.export_state(kernel.empty_hits()) == empty_before
-            assert kernel.export_state(live) == live_before, backing
+            assert hits_state(kernel.empty_hits()) == empty_before, backing
+            assert hits_state(live) == live_before, backing
             # warm_start and restarts=0 edges of the batched search.
             assert [
                 LocalSearchAdversary(restarts=restarts, seed=5).attack(

@@ -369,6 +369,35 @@ class TestNpzArtifacts:
         assert npz_out == json_out
         assert "certified optimal: yes" in npz_out
 
+    def test_mmap_attack_matches_eager_on_numpy_csr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Crossover 0 puts both loads on the numpy CSR branch (a uint16
+        # sort key at n = 300); the default crossover keeps this b on the
+        # pure branch. All three attacks must print the same bytes.
+        pytest.importorskip("numpy")
+        from repro.util import lazynumpy
+
+        target = tmp_path / "placement.npz"
+        assert main([
+            "place", "--strategy", "random",
+            "--n", "300", "--r", "3", "--b", "3000",
+            "--seed", "7", "--output", str(target),
+        ]) == 0
+        attack = ["attack", str(target), "--k", "3", "--k", "4", "--s", "2",
+                  "--effort", "fast"]
+
+        def stdout(*extra):
+            clear_attack_caches()  # each attack builds its own CSR
+            capsys.readouterr()
+            assert main([*attack, *extra]) == 0
+            return capsys.readouterr().out
+
+        pure = stdout()
+        monkeypatch.setattr(lazynumpy, "BULK_MIN_B", 0)
+        assert stdout() == pure
+        assert stdout("--mmap") == pure
+
     def test_place_format_npz_appends_extension(self, tmp_path, capsys):
         target = tmp_path / "placement"
         assert main([
