@@ -1,9 +1,10 @@
 """Figure/table generators: one module per experiment in the paper.
 
 Each ``figN.generate(...)`` returns a structured result with a ``render()``
-text view; the ``benchmarks/`` suite times the generators and tees their
-renders into ``bench_output.txt`` for side-by-side comparison with the
-paper (see EXPERIMENTS.md for the recorded comparison).
+text view. The catalog renders are recorded in ``benchmarks/output/`` for
+side-by-side comparison with the paper;
+``tests/exp/test_catalog_parity.py`` reproduces them byte for byte and
+checks each figure's paper trend.
 
 The generator modules load on first access: a ``repro run <fig>``
 process imports its own figure's module, not all eleven (~35 ms).

@@ -1,7 +1,7 @@
 """Shared experiment configuration and environment knobs.
 
 Every figure generator reads its effort/repetition knobs from here so that
-``pytest benchmarks/`` runs in minutes by default while
+the whole ``repro run`` catalog takes seconds by default while
 ``REPRO_EFFORT=exact REPRO_REPS=20`` reproduces the paper's full procedure.
 
 Two knobs live elsewhere and never change a result: ``REPRO_WORKERS``

@@ -443,11 +443,28 @@ def _run_simulate(args) -> int:
     return 0
 
 
+def _load_placement_arg(command: str, path: str, mmap: bool = False):
+    """Load a placement file named on the command line.
+
+    A missing, unreadable or malformed file is user input, not internal
+    state: print one ``<command>: ...`` line and return None.
+    """
+    from repro.core.artifact import ArtifactError, load_placement
+    from repro.core.placement import PlacementError
+
+    try:
+        return load_placement(path, mmap=mmap)
+    except (OSError, ArtifactError, PlacementError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_audit(args) -> int:
-    from repro.core.artifact import load_placement
     from repro.core.inspect import audit_placement
 
-    placement = load_placement(args.placement)
+    placement = _load_placement_arg("audit", args.placement)
+    if placement is None:
+        return 2
     audit = audit_placement(
         placement, k_values=tuple(args.k), s_values=tuple(args.s)
     )
@@ -656,11 +673,12 @@ def _run_place(args) -> int:
 
 
 def _run_attack(args) -> int:
-    from repro.core.artifact import load_placement
     from repro.core.batch import AttackCell, batch_attack
 
     mark = _arm_obs(args)
-    placement = load_placement(args.placement, mmap=args.mmap)
+    placement = _load_placement_arg("attack", args.placement, mmap=args.mmap)
+    if placement is None:
+        return 2
     cells = [AttackCell(k, args.s, args.effort) for k in args.k]
     try:
         results = batch_attack(placement, cells)

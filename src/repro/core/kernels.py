@@ -214,31 +214,29 @@ class Incidence:
             )
         return self._object_nodes
 
-    def csr(self) -> Tuple[array, array, array, array, array]:
-        """Both incidence directions as flat int32 CSR arrays.
+    def csr(self) -> Tuple[array, array, array, array]:
+        """Both incidence directions as flat int32 arrays.
 
-        ``(node_off, node_end, node_objs, obj_off, obj_nodes)`` — the
+        ``(node_off, node_end, node_objs, obj_nodes)`` — the
         zero-copy layout shared with the native gain backing (and handy
         for any future accelerator). Node segment ``v`` spans
         ``node_objs[node_off[v]:node_end[v]]``; the split start/end
         arrays exist so :class:`DeltaIncidence` can leave slack between
         segments and absorb churn in place. Here the layout is tight
-        (``node_end[v] == node_off[v + 1]``) and object offsets carry one
-        trailing sentinel.
+        (``node_end[v] == node_off[v + 1]``). Object ``o``'s replicas are
+        ``obj_nodes[o * r:(o + 1) * r]``: every object has exactly ``r``,
+        so the object direction needs no offset array.
 
         Zero-copy with the array-native placement core: ``node_objs`` is
         the placement's cached CSR buffer and ``obj_nodes`` is the raw
-        row-sorted ``(b, r)`` buffer itself (object offsets are the
-        arithmetic progression with stride ``r``) — nothing is re-derived
-        from per-object sets.
+        row-sorted ``(b, r)`` buffer itself — nothing is re-derived from
+        per-object sets.
         """
         if self._csr is None:
             node_off, node_objs = self.placement.node_csr()
             node_end = node_off[1:]
-            r = self.placement.r
-            obj_off = array("i", range(0, (self.b + 1) * r, r))
             obj_nodes = self.placement.replica_array()
-            self._csr = (node_off, node_end, node_objs, obj_off, obj_nodes)
+            self._csr = (node_off, node_end, node_objs, obj_nodes)
         return self._csr
 
     def object_nodes_matrix(self):
@@ -342,7 +340,7 @@ class DeltaIncidence(Incidence):
     def object_nodes(self) -> List[Tuple[int, ...]]:  # type: ignore[override]
         return self._obj_nodes
 
-    def csr(self) -> Tuple[array, array, array, array, array]:
+    def csr(self) -> Tuple[array, array, array, array]:
         """A *padded* CSR export, edited in place across deltas.
 
         Unlike the base tight layout, node segments carry slack capacity
@@ -361,7 +359,6 @@ class DeltaIncidence(Incidence):
 
             n, r, b = self.n, self.r, self.b
             cap_b = b + (b >> 1) + 8
-            obj_off = array("i", range(0, (cap_b + 1) * r, r))
             obj_nodes = array("i", bytes(4 * cap_b * r))
             obj_nodes[:b * r] = array("i", chain.from_iterable(self._obj_nodes))
             caps = [
@@ -377,7 +374,7 @@ class DeltaIncidence(Incidence):
                 node_end[node] = position + len(objs)
                 position += caps[node]
             self._node_caps = caps
-            self._csr = (node_off, node_end, store, obj_off, obj_nodes)
+            self._csr = (node_off, node_end, store, obj_nodes)
         return self._csr
 
     def apply_delta(
@@ -427,7 +424,7 @@ class DeltaIncidence(Incidence):
         # overflows, after which it rebuilds lazily from the lists.
         csr = self._csr
         if csr is not None:
-            node_off, node_end, store, _obj_off, obj_nodes_flat = csr
+            node_off, node_end, store, obj_nodes_flat = csr
             caps = self._node_caps
         r = self.r
         for obj_id in removed_ids:
@@ -1009,12 +1006,11 @@ class _NativeGainKernel(GainKernel):
         """(Re)export the CSR model and empty-state template to C."""
         csr = self.incidence.csr()
         self._csr = csr  # keep the exported buffers alive (and pinned)
-        node_off, node_end, node_objs, obj_off, obj_nodes = csr
+        node_off, node_end, node_objs, obj_nodes = csr
         self._model = _native.ModelStruct(
-            self.n, self.b, self.s,
+            self.n, self.b, self.s, self.placement.r,
             _native.i32_ptr(node_off), _native.i32_ptr(node_end),
-            _native.i32_ptr(node_objs),
-            _native.i32_ptr(obj_off), _native.i32_ptr(obj_nodes),
+            _native.i32_ptr(node_objs), _native.i32_ptr(obj_nodes),
         )
         self._model_ref = _native.model_ref(self._model)
         self._rebuild_template()

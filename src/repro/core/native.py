@@ -56,12 +56,11 @@ typedef int32_t i32;
 typedef int64_t i64;
 
 typedef struct {
-    i32 n, b, s;
+    i32 n, b, s, r;
     const i32 *node_off;   /* n: segment starts into node_objs */
     const i32 *node_end;   /* n: segment ends (start + load) */
     const i32 *node_objs;  /* objects hosted per node */
-    const i32 *obj_off;    /* >= b + 1: CSR offsets into obj_nodes */
-    const i32 *obj_nodes;  /* replica nodes per object */
+    const i32 *obj_nodes;  /* object o's r replica nodes at o * r */
 } gk_model;
 
 /* Separate start/end arrays (rather than the tight off[v]..off[v+1])
@@ -75,7 +74,7 @@ typedef struct {
 
 void gk_add_node(const gk_model *m, i32 node, i32 *state)
 {
-    const i32 s = m->s;
+    const i32 s = m->s, r = m->r;
     i32 *counts = state, *gain = state + m->b;
     i32 d = state[m->b + m->n];
     const i32 lo = m->node_off[node], hi = m->node_end[node];
@@ -84,10 +83,10 @@ void gk_add_node(const gk_model *m, i32 node, i32 *state)
         const i32 c = ++counts[o];
         if (c == s) {
             d++;
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]--;
         } else if (c == s - 1) {
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]++;
         }
     }
@@ -96,7 +95,7 @@ void gk_add_node(const gk_model *m, i32 node, i32 *state)
 
 void gk_remove_node(const gk_model *m, i32 node, i32 *state)
 {
-    const i32 s = m->s;
+    const i32 s = m->s, r = m->r;
     i32 *counts = state, *gain = state + m->b;
     i32 d = state[m->b + m->n];
     const i32 lo = m->node_off[node], hi = m->node_end[node];
@@ -105,10 +104,10 @@ void gk_remove_node(const gk_model *m, i32 node, i32 *state)
         const i32 c = counts[o]--;
         if (c == s) {
             d--;
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]++;
         } else if (c == s - 1) {
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]--;
         }
     }
@@ -283,7 +282,7 @@ typedef struct {
 static void bnb_add(bnb_ctx *x, i32 node)
 {
     const gk_model *m = x->m;
-    const i32 s = m->s, n = m->n;
+    const i32 s = m->s, n = m->n, r = m->r;
     i32 *counts = x->state, *gain = x->state + m->b;
     i32 d = x->state[m->b + n];
     for (i32 i = m->node_off[node]; i < m->node_end[node]; i++) {
@@ -298,10 +297,10 @@ static void bnb_add(bnb_ctx *x, i32 node)
         }
         if (c == s) {
             d++;
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]--;
         } else if (c == s - 1) {
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]++;
         }
     }
@@ -311,7 +310,7 @@ static void bnb_add(bnb_ctx *x, i32 node)
 static void bnb_remove(bnb_ctx *x, i32 node)
 {
     const gk_model *m = x->m;
-    const i32 s = m->s, n = m->n;
+    const i32 s = m->s, n = m->n, r = m->r;
     i32 *counts = x->state, *gain = x->state + m->b;
     i32 d = x->state[m->b + n];
     for (i32 i = m->node_off[node]; i < m->node_end[node]; i++) {
@@ -326,10 +325,10 @@ static void bnb_remove(bnb_ctx *x, i32 node)
         }
         if (c == s) {
             d--;
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]++;
         } else if (c == s - 1) {
-            for (i32 j = m->obj_off[o]; j < m->obj_off[o + 1]; j++)
+            for (i32 j = o * r; j < o * r + r; j++)
                 gain[m->obj_nodes[j]]--;
         }
     }
@@ -405,17 +404,13 @@ static void bnb_recurse(bnb_ctx *x, i32 start, i32 depth)
 i32 gk_branch_and_bound(const gk_model *m, i32 k, i32 incumbent,
                         i32 *best_nodes, i64 budget, i64 *out)
 {
-    const i32 n = m->n, b = m->b, s = m->s;
-    i32 rmax = 0;
-    for (i32 o = 0; o < b; o++)
-        if (m->obj_off[o + 1] - m->obj_off[o] > rmax)
-            rmax = m->obj_off[o + 1] - m->obj_off[o];
+    const i32 n = m->n, b = m->b, s = m->s, r = m->r;
     i32 *state = malloc((size_t)(b + n + 1) * sizeof(i32));
     i32 *top = malloc(((size_t)b * s + 1) * sizeof(i32));
     i32 *diff = calloc((size_t)(s + 1) * n + 1, sizeof(i32));
     i64 *topdeg = calloc((size_t)(n + 1) * (k + 1), sizeof(i64));
     i32 *loads = malloc(((size_t)n + 1) * sizeof(i32));
-    i32 *row = malloc(((size_t)rmax + 1) * sizeof(i32));
+    i32 *row = malloc(((size_t)r + 1) * sizeof(i32));
     i32 *chosen = malloc(((size_t)k + 1) * sizeof(i32));
     i32 rc = -1;
     if (!state || !top || !diff || !topdeg || !loads || !row || !chosen)
@@ -425,7 +420,7 @@ i32 gk_branch_and_bound(const gk_model *m, i32 k, i32 incumbent,
        its row (delta-edited rows need not be sorted); every object starts
        at deficit s. */
     for (i32 o = 0; o < b; o++) {
-        const i32 lo = m->obj_off[o], r = m->obj_off[o + 1] - lo;
+        const i32 lo = o * r;
         for (i32 i = 0; i < r; i++) {
             const i32 v = m->obj_nodes[lo + i];
             i32 j = i;
@@ -487,10 +482,10 @@ class ModelStruct(ctypes.Structure):
         ("n", ctypes.c_int32),
         ("b", ctypes.c_int32),
         ("s", ctypes.c_int32),
+        ("r", ctypes.c_int32),
         ("node_off", _I32P),
         ("node_end", _I32P),
         ("node_objs", _I32P),
-        ("obj_off", _I32P),
         ("obj_nodes", _I32P),
     ]
 

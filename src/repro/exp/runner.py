@@ -59,8 +59,8 @@ class ExperimentError(ValueError):
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
 
-#: How long a worker that went dead-silent (no result, not alive) gets to
-#: drain an already-posted result before being declared crashed.
+#: How long a worker whose pipe reads end-of-file gets to exit before
+#: its exit code is read for the retry record.
 _REAP_GRACE = 0.5
 
 
@@ -266,19 +266,6 @@ def _group_cost(
     )
 
 
-def _run_group_task(payload: Tuple[str, int, List[Dict[str, Any]]]):
-    """Plain (unsupervised) worker entry: compute one shard.
-
-    Kept as the benchmark baseline for the supervisor's overhead gate
-    (``benchmarks/bench_chaos.py``) — production runs go through
-    :func:`_pool_worker` under the supervisor.
-    """
-    spec_json, ordinal, cells = payload
-    spec = ExperimentSpec.from_dict(json.loads(spec_json))
-    kernel = registry.kernel(spec.experiment)
-    return ordinal, kernel.run_group(spec, cells)
-
-
 def run_experiment(
     spec: ExperimentSpec,
     workers: Optional[int] = None,
@@ -295,8 +282,8 @@ def run_experiment(
     root path) makes the run resumable and re-renderable without
     recomputation. ``limit`` caps the number of *newly computed* cells —
     the run stops at the first shard boundary at or past the cap, leaving
-    a clean resumable prefix (used by budgeted sweeps, the CI smoke job,
-    and the resume benchmarks).
+    a clean resumable prefix (used by budgeted sweeps and the CI smoke
+    job).
 
     Sharded runs are *supervised*: shards run on a persistent
     affinity-routed worker pool with a wall-clock watchdog
@@ -482,11 +469,11 @@ def _bind_to_supervisor() -> None:
     """Die with the supervisor instead of orphaning the pool worker.
 
     A torn-write fault (or plain SIGKILL) takes the supervisor out
-    without unwinding the pool; a persistent worker blocked on its task
-    queue would then outlive it holding inherited fds — the run-store
-    lock and any pipes the caller captured — wedging every resume.
+    without unwinding the pool; a persistent worker waiting on its pipe
+    would then outlive it holding inherited fds — the run-store lock and
+    any pipes the caller captured — wedging every resume.
     ``PR_SET_PDEATHSIG`` delivers SIGTERM the instant the parent dies
-    (Linux); elsewhere the worker's queue-timeout loop falls back to
+    (Linux); elsewhere the worker's poll-timeout loop falls back to
     polling ``os.getppid``.
     """
     try:
@@ -501,25 +488,22 @@ def _bind_to_supervisor() -> None:
 def _pool_worker(
     spec_json: str,
     demotions: Sequence[Tuple[str, str]],
-    task_queue: Any,
-    result_queue: Any,
+    conn: Any,
 ) -> None:
-    """Persistent pool worker: loop shards off the slot queue until told.
+    """Persistent pool worker: serve shards off the slot's pipe.
 
     One boot (inherited demotions, kernel resolution) amortizes over
     every shard the supervisor routes here, and the process-local
     engine cache (:mod:`repro.core.batch`, an LRU of 8 engines)
     survives between shards — that is the whole
-    point of affinity routing. Each task posts one
-    ``(ordinal, attempt, status, payload)`` message; a failed attempt
-    rolls its gated recordings back (the retry re-records the work,
-    wherever it runs) and the worker keeps serving, so one injected
-    error never costs a warm cache. ``None`` is the shutdown sentinel;
-    a crash or watchdog kill is detected by the supervisor's liveness
-    sweep instead.
+    point of affinity routing. Each task is answered with one
+    ``(status, payload)`` message, sent synchronously on the slot's own
+    pipe, so a worker that dies can tear nothing but that pipe. A failed
+    attempt rolls its gated recordings back (the retry re-records the
+    work, wherever it runs) and the worker keeps serving, so one
+    injected error never costs a warm cache. The supervisor terminates
+    the worker when the run ends.
     """
-    from queue import Empty
-
     from repro.core import kernels
 
     try:
@@ -531,19 +515,18 @@ def _pool_worker(
                 pass
         spec = ExperimentSpec.from_dict(json.loads(spec_json))
         kernel = registry.kernel(spec.experiment)
-    except BaseException:  # noqa: BLE001 - liveness sweep reports the death
+    except BaseException:  # noqa: BLE001 - the supervisor sees the EOF
         os._exit(70)
     parent = os.getppid()
     while True:
         try:
-            task = task_queue.get(timeout=0.5)
-        except Empty:
-            if os.getppid() != parent:  # pragma: no cover - non-Linux path
-                os._exit(0)  # orphaned: PDEATHSIG was unavailable
-            continue
-        if task is None:
+            if not conn.poll(0.5):
+                if os.getppid() != parent:  # pragma: no cover - non-Linux path
+                    os._exit(0)  # orphaned: PDEATHSIG was unavailable
+                continue
+            ordinal, attempt, start, task_cells = conn.recv()
+        except (EOFError, OSError):
             os._exit(0)
-        ordinal, attempt, start, task_cells = task
         mark = obs.checkpoint()
         try:
             faults.inject(
@@ -555,33 +538,27 @@ def _pool_worker(
                 attempt=attempt, mode="shard",
             ):
                 chunk = list(kernel.run_group(spec, task_cells))
-            message = (ordinal, attempt, "ok", (chunk, obs.delta_since(mark)))
+            message = ("ok", (chunk, obs.delta_since(mark)))
         except BaseException as exc:  # noqa: BLE001 - reported, then retried
             obs.rollback(mark)
-            message = (
-                ordinal, attempt, "error", f"{type(exc).__name__}: {exc}"
-            )
+            message = ("error", f"{type(exc).__name__}: {exc}")
         try:
-            result_queue.put(message)
-        except BaseException:  # noqa: BLE001 - dead pipe: let the sweep act
+            conn.send(message)
+        except BaseException:  # noqa: BLE001 - dead pipe: the supervisor acts
             os._exit(70)
 
 
 class _PoolSlot:
-    """Supervision state for one persistent pool worker and its queue."""
+    """Supervision state for one persistent pool worker and its pipe."""
 
-    __slots__ = (
-        "proc", "task_queue", "work", "current", "deadline", "reap_at",
-        "epoch",
-    )
+    __slots__ = ("proc", "conn", "work", "current", "deadline", "epoch")
 
     def __init__(self, work):
         self.proc = None
-        self.task_queue = None
+        self.conn = None  # supervisor end of the slot's duplex pipe
         self.work = list(work)  # ordinals, dispatch order; retries jump in
-        self.current = None  # (ordinal, attempt) while a task is in flight
+        self.current = None  # ordinal while a task is in flight
         self.deadline = None
-        self.reap_at = None
         self.epoch = -1
 
 
@@ -636,18 +613,20 @@ def _run_sharded_pool(
 
     One supervised worker process per slot lives for the whole run and
     computes every shard routed to it, so the per-shard fixed cost is a
-    queue hop — and because :func:`_affinity_plan` groups shards by the
-    kernel's affinity key, a worker's process-local engine cache serves
-    every shard that attacks the same placement. The supervisor watches
-    for three failure shapes:
+    pipe round trip — and because :func:`_affinity_plan` groups shards
+    by the kernel's affinity key, a worker's process-local engine cache
+    serves every shard that attacks the same placement. Each slot owns
+    one duplex pipe; the supervisor multiplexes the busy slots' pipes
+    with :func:`multiprocessing.connection.wait`, so no lock or buffer
+    is shared between workers and a dying worker cannot stall the
+    others. The supervisor watches for three failure shapes:
 
     * an ``error`` message — the worker caught an exception (injected or
       real) and reported it;
     * a watchdog timeout — the shard exceeded ``shard_timeout`` wall
       clock and its worker is killed (hung kernel, injected hang);
-    * a silent death — the worker exited without posting a result
-      (SIGKILL, ``os._exit``, segfault), detected by the liveness sweep
-      after a short drain grace.
+    * a silent death — the worker exited without sending a result
+      (SIGKILL, ``os._exit``, segfault), seen as end-of-file on its pipe.
 
     Failed shards are re-dispatched up to ``shard_retries`` times under
     seeded decorrelated-jitter backoff; because a shard's randomness
@@ -655,7 +634,7 @@ def _run_sharded_pool(
     incumbent chain and the run stays bit-identical to a fault-free one.
     Repeated watchdog faults (timeout / silent death) on one shard demote
     the auto gain backing one ladder rung. A failed worker is replaced
-    in place — fresh fork, fresh task queue, same slot — and its shard
+    in place — fresh fork, fresh pipe, same slot — and its shard
     retries at the front of that slot's queue, so the deterministic
     shard->worker map survives any crash schedule. Demotions bump an
     epoch; idle workers older than the current epoch are refreshed
@@ -663,7 +642,7 @@ def _run_sharded_pool(
     ladder.
     """
     import multiprocessing
-    from queue import Empty
+    from multiprocessing.connection import wait
 
     from repro.core import kernels
 
@@ -673,7 +652,6 @@ def _run_sharded_pool(
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
     processes = min(workers, len(pending))
 
-    result_queue = context.Queue()
     slots = [
         _PoolSlot(bucket)
         for bucket in _affinity_plan(spec, kernel, cells, pending, processes)
@@ -692,42 +670,44 @@ def _run_sharded_pool(
     epoch = 0
 
     def spawn(slot: _PoolSlot) -> None:
-        slot.task_queue = context.Queue()
+        slot.conn, child = context.Pipe()
         slot.proc = context.Process(
             target=_pool_worker,
             args=(
-                spec_json, sorted(kernels.demoted_backings().items()),
-                slot.task_queue, result_queue,
+                spec_json, sorted(kernels.demoted_backings().items()), child,
             ),
             daemon=True,
         )
         slot.proc.start()
+        # Only the worker may hold the child end, so that its death is
+        # an end-of-file on slot.conn.
+        child.close()
         slot.epoch = epoch
         slot.current = None
         slot.deadline = None
-        slot.reap_at = None
 
     def respawn(slot: _PoolSlot) -> None:
         if slot.proc.is_alive():
             slot.proc.kill()
         slot.proc.join()
-        slot.task_queue.close()
-        slot.task_queue.cancel_join_thread()
+        slot.conn.close()
         spawn(slot)
 
     def dispatch(slot: _PoolSlot) -> None:
         ordinal = slot.work.pop(0)
         group = pending[ordinal]
-        attempt = attempts.get(ordinal, 0)
-        slot.task_queue.put(
-            (ordinal, attempt, group.start, cells[group.start:group.end])
-        )
-        slot.current = (ordinal, attempt)
+        slot.current = ordinal
         slot.deadline = (
             time.monotonic() + shard_timeout
             if shard_timeout is not None else None
         )
-        slot.reap_at = None
+        try:
+            slot.conn.send((
+                ordinal, attempts.get(ordinal, 0), group.start,
+                cells[group.start:group.end],
+            ))
+        except OSError:
+            pass  # the worker died: its pipe reads end-of-file next
 
     def fail(ordinal: int, reason: str, watchdog: bool) -> None:
         nonlocal retries, epoch
@@ -772,58 +752,63 @@ def _run_sharded_pool(
                     if slot.epoch != epoch or not slot.proc.is_alive():
                         respawn(slot)
                     dispatch(slot)
-            if blocked and all(slot.current is None for slot in slots):
+            busy = {slot.conn: slot for slot in slots if slot.current is not None}
+            if not busy:
                 # Everything runnable is backing off; sleep toward the
                 # earliest retry instead of spinning.
                 wake = min(entry[0] for entry in blocked)
                 time.sleep(max(0.0, min(wake - time.monotonic(), _BACKOFF_CAP)))
                 continue
-            try:
-                message = result_queue.get(timeout=0.05)
-            except Empty:
-                message = None
-            if message is not None:
-                ordinal, attempt, status, payload = message
-                slot = slots[slot_of[ordinal]]
-                if slot.current == (ordinal, attempt):
-                    slot.current = None
-                    slot.deadline = None
-                    slot.reap_at = None
-                    if status == "ok":
-                        chunk, delta = payload
-                        # Merge only successful attempts' recordings:
-                        # failed attempts rolled back worker-side, so
-                        # half-done work never skews the totals.
-                        obs.merge_delta(delta)
-                        finished[ordinal] = chunk
-                    else:
-                        fail(ordinal, payload, watchdog=False)
-                # else: stale message from a killed attempt — drop it.
+            # Sleep until a result, a death, the next deadline or the
+            # next retry, whichever comes first.
+            wakes = [entry[0] for entry in blocked] + [
+                slot.deadline for slot in busy.values()
+                if slot.deadline is not None
+            ]
+            timeout = (
+                max(0.0, min(wakes) - time.monotonic()) if wakes else None
+            )
+            for conn in wait(list(busy), timeout):
+                slot = busy[conn]
+                ordinal = slot.current
+                try:
+                    status, payload = conn.recv()
+                except (EOFError, OSError):
+                    # Silent death: the worker's end of the pipe closed
+                    # with no result in it.
+                    slot.proc.join(_REAP_GRACE)
+                    code = slot.proc.exitcode
+                    respawn(slot)
+                    fail(
+                        ordinal,
+                        f"worker died without a result (exit code {code})",
+                        watchdog=True,
+                    )
+                    continue
+                slot.current = None
+                slot.deadline = None
+                if status == "ok":
+                    chunk, delta = payload
+                    # Merge only successful attempts' recordings: failed
+                    # attempts rolled back worker-side, so half-done work
+                    # never skews the totals.
+                    obs.merge_delta(delta)
+                    finished[ordinal] = chunk
+                else:
+                    fail(ordinal, payload, watchdog=False)
             now = time.monotonic()
             for slot in slots:
-                if slot.current is None:
-                    continue
-                ordinal, _attempt = slot.current
-                if slot.deadline is not None and now >= slot.deadline:
-                    slot.current = None
-                    respawn(slot)  # kills the hung worker, fresh queue
+                if (
+                    slot.current is not None and slot.deadline is not None
+                    and now >= slot.deadline
+                ):
+                    ordinal = slot.current
+                    respawn(slot)  # kills the hung worker, fresh pipe
                     fail(
                         ordinal,
                         f"exceeded the {shard_timeout:.1f}s shard watchdog",
                         watchdog=True,
                     )
-                elif not slot.proc.is_alive():
-                    if slot.reap_at is None:
-                        slot.reap_at = now + _REAP_GRACE
-                    elif now >= slot.reap_at:
-                        code = slot.proc.exitcode
-                        slot.current = None
-                        respawn(slot)
-                        fail(
-                            ordinal,
-                            f"worker died without a result (exit code {code})",
-                            watchdog=True,
-                        )
             while next_flush in finished:
                 flush(pending[next_flush], finished.pop(next_flush))
                 next_flush += 1
@@ -836,14 +821,11 @@ def _run_sharded_pool(
         for slot in slots:
             if slot.proc is None:
                 continue
+            slot.conn.close()
             slot.proc.join(timeout=5)
             if slot.proc.is_alive():
                 slot.proc.kill()
                 slot.proc.join(timeout=5)
-            slot.task_queue.close()
-            slot.task_queue.cancel_join_thread()
-        result_queue.close()
-        result_queue.cancel_join_thread()
     return retries
 
 

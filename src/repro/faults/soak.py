@@ -16,7 +16,8 @@ in-process by the shard supervisor; faults that kill the *parent*
 surface as a non-zero subprocess exit and are healed by the next
 ``--resume`` iteration.  Both paths are exercised deliberately.
 
-Used by ``repro chaos-soak`` and ``benchmarks/bench_chaos.py``.
+Used by ``repro chaos-soak``; ``tests/faults/test_soak.py`` runs a
+fig7 soak end to end.
 """
 
 from __future__ import annotations

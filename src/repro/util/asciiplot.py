@@ -2,7 +2,8 @@
 
 The evaluation figures (2, 3, 5–8, 11) are curve families. Tables carry
 the exact numbers; these plots give the *shape* at a glance directly in
-terminal output and in ``bench_output.txt``, with no plotting dependency.
+terminal output and in ``benchmarks/output/<fig>.txt``, with no plotting
+dependency.
 
 Rendering model: a fixed character grid, one glyph per series (``*+ox#@``),
 linear x/y scaling with padded bounds, y-axis labels on the left, x-axis

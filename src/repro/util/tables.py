@@ -1,9 +1,9 @@
 """Fixed-width text rendering for the paper's tables and figure series.
 
 The paper's evaluation is a set of dense numeric tables (Figs. 4, 9, 10) and
-curve families (Figs. 2, 3, 5–8, 11). Benchmarks emit these as aligned text so
-`bench_output.txt` is directly comparable against the paper; no plotting
-dependency is required.
+curve families (Figs. 2, 3, 5–8, 11). Figures render these as aligned text so
+the recorded ``benchmarks/output/<fig>.txt`` files are directly comparable
+against the paper; no plotting dependency is required.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the worst-case adversary ladder."""
 
+import pathlib
 import random
 
 import pytest
@@ -497,6 +498,55 @@ class TestResultsUnchangedVersusPR1:
         result = best_attack(p, 3, 2, effort="exact")
         assert result.exact
         assert result.damage == ExhaustiveAdversary().attack(p, 3, 2).damage
+
+
+class TestAblationLadder:
+    """The adversary ladder on the recorded ablation scenarios.
+
+    Simulation figures attack with local search, not the exact search;
+    these instances are where that substitution was measured. The
+    damages must equal ``benchmarks/output/ablation_adversary.txt``
+    (its timing columns aside), order the ladder greedy <= local <=
+    branch and bound == exhaustive, and keep local search within 90%
+    of the optimum.
+    """
+
+    REFERENCE = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "output" / "ablation_adversary.txt"
+    )
+
+    SCENARIOS = (
+        ("Random n=31 b=600", lambda: random_placement(31, 5, 600, 1), 4, 3),
+        ("Random n=31 b=600", lambda: random_placement(31, 5, 600, 2), 3, 2),
+        ("Simple n=31 b=600", lambda: SimpleStrategy(31, 3, 1).place(600), 4, 2),
+        ("Random n=20 b=300", lambda: random_placement(20, 3, 300, 3), 4, 2),
+    )
+
+    def test_ladder_matches_recorded_ablation(self):
+        rows = []
+        for name, build, k, s in self.SCENARIOS:
+            placement = build()
+            greedy = GreedyAdversary().attack(placement, k, s)
+            local = LocalSearchAdversary(restarts=4).attack(placement, k, s)
+            bnb = BranchAndBoundAdversary().attack(placement, k, s)
+            exhaustive = ExhaustiveAdversary(max_subsets=5_000_000).attack(
+                placement, k, s
+            )
+            assert bnb.exact
+            assert bnb.damage == exhaustive.damage
+            assert greedy.damage <= local.damage <= bnb.damage
+            assert local.damage >= 0.9 * bnb.damage
+            rows.append(name.split() + [
+                str(value) for value in (
+                    k, s, greedy.damage, local.damage, bnb.damage,
+                    exhaustive.damage,
+                )
+            ])
+        lines = self.REFERENCE.read_text(encoding="utf-8").splitlines()
+        # Title, header and rule, then one row per scenario; the last two
+        # columns are timings.
+        assert [line.split()[:-2] for line in lines[3:]] == rows
 
 
 class TestBudgetDegradation:

@@ -91,10 +91,12 @@ class TestDPOptimality:
                 best = value
         return best
 
-    @pytest.mark.parametrize("n,r,s", [(13, 3, 2), (16, 4, 3), (13, 3, 3)])
+    @pytest.mark.parametrize(
+        "n,r,s", [(13, 3, 2), (16, 4, 3), (13, 3, 3), (31, 3, 3)]
+    )
     def test_matches_brute_force_small(self, n, r, s):
         strategy = ComboStrategy(n, r, s, tier=Existence.CONSTRUCTIBLE)
-        for b in (10, 30, 80):
+        for b in (10, 30, 80, 120):
             for k in range(s, min(6, n - 1)):
                 plan = strategy.plan(b, k)
                 brute = self.brute_force(strategy, b, k)

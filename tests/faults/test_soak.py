@@ -1,9 +1,15 @@
-"""Soak planner: deterministic schedules pinned to the spec's layout."""
+"""Chaos soak: deterministic schedules pinned to the spec's layout, and
+one soak run end to end through the CLI."""
+
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from repro.analysis import fig2
-from repro.faults.soak import SoakError, build_soak_plan
+from repro.analysis import fig2, fig7
+from repro.faults.soak import SoakError, _python_env, build_soak_plan
 
 
 def _spec():
@@ -67,3 +73,36 @@ class TestPlanShape:
         )
         with pytest.raises(SoakError, match="zero cells"):
             build_soak_plan(empty, crashes=1)
+
+
+class TestSoakEndToEnd:
+    #: Far above the soak's ~1 s, so only a wedged pool reaches it.
+    TIMEOUT = 60
+
+    def test_worker_crash_after_a_delivered_result_cannot_wedge_the_pool(
+        self, tmp_path
+    ):
+        # Seed 11 crashes a worker at shard start right after the
+        # supervisor read its previous result; the other worker must
+        # keep delivering. The soak runs in its own process group, so a
+        # hang fails the test and takes every worker down with it.
+        spec = fig7.default_spec(
+            configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=3
+        )
+        spec_path = tmp_path / "fig7.json"
+        spec_path.write_text(spec.canonical_json() + "\n", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "chaos-soak", str(spec_path),
+             "--faults", "6", "--seed", "11", "--workers", "2",
+             "--root", str(tmp_path / "soak")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=_python_env(), start_new_session=True,
+        )
+        try:
+            output, _ = proc.communicate(timeout=self.TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"chaos soak hung for {self.TIMEOUT}s")
+        assert proc.returncode == 0, output
+        assert "final store byte-identical to the fault-free reference" in output

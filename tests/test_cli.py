@@ -219,6 +219,50 @@ class TestAttackCommand:
         assert outputs[0] == outputs[1]
 
 
+class TestBadPlacementFile:
+    """A missing or malformed placement file is one line and exit 2."""
+
+    @pytest.fixture(params=["attack", "audit"])
+    def command(self, request):
+        return request.param
+
+    def _run(self, command, path, capsys):
+        code = main([command, str(path), "--k", "2", "--s", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"{command}: ")
+        return captured.err
+
+    def test_missing_file(self, command, tmp_path, capsys):
+        err = self._run(command, tmp_path / "absent.json", capsys)
+        assert "No such file or directory" in err
+
+    def test_npz_that_is_not_a_zip(self, command, tmp_path, capsys):
+        target = tmp_path / "garbage.npz"
+        target.write_bytes(b"garbage")
+        assert "not a zip archive" in self._run(command, target, capsys)
+
+    def test_json_that_is_not_json(self, command, tmp_path, capsys):
+        target = tmp_path / "garbage.json"
+        target.write_text("garbage", encoding="utf-8")
+        assert "not valid JSON" in self._run(command, target, capsys)
+
+    def test_rows_that_are_not_a_placement(self, command, tmp_path, capsys):
+        target = tmp_path / "repeat.json"
+        main([
+            "place", "--strategy", "random",
+            "--n", "12", "--r", "3", "--b", "24",
+            "--seed", "1", "--output", str(target),
+        ])
+        capsys.readouterr()
+        payload = json.loads(target.read_text(encoding="utf-8"))
+        payload["n"] = 2  # fewer nodes than the replica sets name
+        target.write_text(json.dumps(payload), encoding="utf-8")
+        self._run(command, target, capsys)
+
+
 class TestAuditCommand:
     def test_audit_placement_file(self, tmp_path, capsys):
         target = tmp_path / "placement.json"
