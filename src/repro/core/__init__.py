@@ -52,7 +52,6 @@ _EXPORTS = {
     "PackingProfile": "inspect",
     "PlacementAudit": "inspect",
     "DamageKernel": "kernels",
-    "DeltaIncidence": "kernels",
     "Incidence": "kernels",
     "make_kernel": "kernels",
     "majority_threshold": "params",

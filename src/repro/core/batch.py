@@ -7,7 +7,7 @@ the same population. Attacking cell-by-cell rebuilds the incidence
 structure for every cell and forgets everything the previous search
 learned. This engine instead keeps a *warm, persistent pipeline*:
 
-* :class:`AttackEngine` holds the node-major
+* :class:`AttackEngine` holds the CSR
   :class:`~repro.core.kernels.Incidence`, one gain kernel per fatality
   threshold ``s`` (all on one pinned backing), and a bounded memo of
   finished attacks. The incidence ingests the placement's cached CSR
@@ -52,7 +52,6 @@ from repro import obs
 from repro.core.adversary import AttackResult, best_attack
 from repro.core.kernels import (
     DamageKernel,
-    DeltaIncidence,
     Incidence,
     make_kernel,
     resolve_gain_backing,
@@ -125,12 +124,11 @@ class AttackEngine:
         ``added_objects`` holds replica node sets to append;
         ``removed_objects`` holds current object ids to drop, under the
         swap-with-last id semantics of
-        :meth:`~repro.core.kernels.DeltaIncidence.apply_delta`. The
-        incidence upgrades to a :class:`DeltaIncidence` on first use
-        (one O(b) conversion, after which every delta costs O(changed
-        replicas)); kernels rebind in place; the attack memo is cleared
-        (results describe the old structure). Returns the resulting
-        placement.
+        :meth:`~repro.core.kernels.Incidence.apply_delta` (the first
+        delta copies the placement's CSR into a padded layout once, after
+        which a delta costs O(changed replicas)); kernels rebind in place;
+        the attack memo is cleared (results describe the old structure).
+        Returns the resulting placement.
 
         A mutated engine no longer matches the fingerprint it may have
         been cached under, so it detaches from the :func:`engine_for`
@@ -138,19 +136,12 @@ class AttackEngine:
         simulator), while fingerprint lookups keep returning engines that
         describe what they claim.
         """
-        upgraded = not isinstance(self.incidence, DeltaIncidence)
-        if upgraded:
-            self.incidence = DeltaIncidence(self.placement)
         self._detach()
         self.placement = self.incidence.apply_delta(
             added_objects, removed_objects
         )
-        if upgraded:
-            # Pre-upgrade kernels hold the old immutable structures.
-            self._kernels.clear()
-        else:
-            for kernel in self._kernels.values():
-                kernel.rebind()
+        for kernel in self._kernels.values():
+            kernel.rebind()
         self._memo.clear()
         return self.placement
 

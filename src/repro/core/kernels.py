@@ -28,10 +28,10 @@ Backing choice: the ``gain_backing`` argument > ``REPRO_GAIN_BACKING`` >
 unavailable and fault-demoted rungs. numpy is imported only when the
 numpy rung is actually chosen (see :mod:`repro.util.lazynumpy`).
 
-Kernels bind an :class:`Incidence` — the node-major structure built once
-per placement — to one fatality threshold ``s``; the batch engine
-(:mod:`repro.core.batch`) shares a single incidence across a whole grid
-of (k, s, effort) cells.
+Kernels bind an :class:`Incidence` — the placement's CSR, the one
+incidence structure every backing reads, edited in place by deltas — to
+one fatality threshold ``s``; the batch engine (:mod:`repro.core.batch`)
+shares a single incidence across a whole grid of (k, s, effort) cells.
 
 The ``hits`` objects a kernel hands out are opaque and owned by the
 kernel: ``add_node``/``remove_node`` may mutate their argument and return
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from itertools import chain as _chain
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -136,131 +136,70 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
 
 
 class Incidence:
-    """Node-major incidence structures for one placement, built lazily.
+    """The incidence of one placement: one CSR layout, edited in place.
 
-    One instance is shared by every kernel (any ``s``, any backing) and
-    every attack cell evaluated against the same placement: CSR arrays
-    for the native backing, index arrays and the dense suffix matrix for
-    numpy, per-node/per-object lists and suffix replica counts for the
-    python backing and branch-and-bound optimistic bounds.
+    :meth:`csr` is ``(node_off, node_end, node_objs, obj_nodes)``, flat
+    int32 arrays and the only incidence structure. Every backing reads
+    it: native through exported pointers, numpy through zero-copy
+    ``frombuffer`` views, python by slicing. Node ``v`` hosts
+    ``node_objs[node_off[v]:node_end[v]]``; object ``o`` sits on
+    ``obj_nodes[o * r:(o + 1) * r]`` (every object has exactly ``r``
+    replicas, so the object direction needs no offset array). One
+    instance is shared by every kernel (any ``s``, any backing) and
+    every attack cell evaluated against the same placement.
+
+    A fresh incidence is the placement's own tight CSR: ``node_objs`` is
+    the placement's cached :meth:`~Placement.node_csr` buffer,
+    ``obj_nodes`` *is* its row buffer, and ``node_end[v] == node_off[v +
+    1]``. The first :meth:`apply_delta` copies it into a padded layout
+    (slack after every node segment, the object region sized past
+    ``b``), so later deltas edit O(changed replicas) words in place.
+    Consumers bound reads by the live ``b`` and by ``node_end``; words
+    past them are stale. Object rows stay sorted ascending (the
+    placement's invariant; deltas sort added rows), so the bounds read
+    "at least ``d`` replicas on nodes >= ``start``" off a row as "its
+    ``d``-th largest node is >= ``start``".
+
+    Delta semantics, shared verbatim by every mirror of the object-id
+    space (:class:`repro.core.batch.AttackEngine` callers track ids too):
+
+    * removals are processed in **descending id order**; removing id ``d``
+      moves the **last** object into slot ``d`` (swap-with-last keeps ids
+      dense, so hit-vector length stays ``b``);
+    * additions are appended in iteration order after all removals.
+
+    Attack results are invariant under object re-numbering (damage counts
+    and per-node gains aggregate over objects), so a delta-updated engine
+    and a cold engine built from the resulting placement return
+    bit-for-bit identical :class:`~repro.core.adversary.AttackResult`\\ s
+    — the property pinned by ``tests/core/test_delta.py``.
     """
 
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
         self.n = placement.n
         self.b = placement.b
-        self._matrix = None
-        self._suffix_matrix = None
-        self._suffix_counts: Optional[List[List[int]]] = None
-        self._object_nodes: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self.r = placement.r
         self._csr: Optional[Tuple[array, array, array, array]] = None
-        self._obj_nodes_np = None
-        self._node_objs_np = None
+        self._padded = False
         self._top_degree_prefix: Optional[List[List[int]]] = None
 
-    # -- numpy structures --------------------------------------------------
-
-    def matrix(self):
-        """Object-by-node ``int16`` incidence matrix (numpy only)."""
-        if self._matrix is None:
-            np = lazynumpy.module()
-            matrix = np.zeros((self.b, self.n), dtype=np.int16)
-            rows = self.placement.replica_matrix()
-            matrix[np.arange(self.b)[:, None], rows] = 1
-            self._matrix = matrix
-        return self._matrix
-
-    def suffix_matrix(self):
-        """``suffix[o, j]`` = replicas of object ``o`` on nodes >= j."""
-        if self._suffix_matrix is None:
-            np = lazynumpy.module()
-            reversed_cumsum = np.cumsum(self.matrix()[:, ::-1], axis=1)[:, ::-1]
-            self._suffix_matrix = np.concatenate(
-                [reversed_cumsum, np.zeros((self.b, 1), dtype=reversed_cumsum.dtype)],
-                axis=1,
-            )
-        return self._suffix_matrix
-
-    # -- pure-python structures --------------------------------------------
-
-    def node_objects(self) -> Tuple[Tuple[int, ...], ...]:
-        """For each node, the ids of hosted objects (cached on the placement)."""
-        return self.placement.node_incidence()
-
-    def suffix_counts(self) -> List[List[int]]:
-        """Pure-python twin of :meth:`suffix_matrix`."""
-        if self._suffix_counts is None:
-            flat = self.placement.replica_array()
-            r = self.placement.r
-            rows = [[0] * (self.n + 1) for _ in range(self.b)]
-            for obj_id in range(self.b):
-                row = rows[obj_id]
-                for node in flat[obj_id * r:(obj_id + 1) * r]:
-                    row[node] += 1
-                for j in range(self.n - 1, -1, -1):
-                    row[j] += row[j + 1]
-            self._suffix_counts = rows
-        return self._suffix_counts
-
-    # -- gain-engine structures ---------------------------------------------
-
-    def object_nodes(self) -> Tuple[Tuple[int, ...], ...]:
-        """For each object, its replica nodes in ascending order."""
-        if self._object_nodes is None:
-            flat = self.placement.replica_array()
-            r = self.placement.r
-            self._object_nodes = tuple(
-                tuple(flat[i:i + r]) for i in range(0, self.b * r, r)
-            )
-        return self._object_nodes
-
     def csr(self) -> Tuple[array, array, array, array]:
-        """Both incidence directions as flat int32 arrays.
+        """``(node_off, node_end, node_objs, obj_nodes)``; see the class doc.
 
-        ``(node_off, node_end, node_objs, obj_nodes)`` — the
-        zero-copy layout shared with the native gain backing (and handy
-        for any future accelerator). Node segment ``v`` spans
-        ``node_objs[node_off[v]:node_end[v]]``; the split start/end
-        arrays exist so :class:`DeltaIncidence` can leave slack between
-        segments and absorb churn in place. Here the layout is tight
-        (``node_end[v] == node_off[v + 1]``). Object ``o``'s replicas are
-        ``obj_nodes[o * r:(o + 1) * r]``: every object has exactly ``r``,
-        so the object direction needs no offset array.
-
-        Zero-copy with the array-native placement core: ``node_objs`` is
-        the placement's cached CSR buffer and ``obj_nodes`` is the raw
-        row-sorted ``(b, r)`` buffer itself — nothing is re-derived from
-        per-object sets.
+        The arrays are pinned by the native kernel's exported pointers
+        and the numpy backing's views (``array`` refuses to resize while
+        a buffer view exists), so they are never resized: a delta that
+        overflows the padding replaces the whole tuple, and kernels
+        re-read it in :meth:`GainKernel.rebind`.
         """
         if self._csr is None:
             node_off, node_objs = self.placement.node_csr()
-            node_end = node_off[1:]
-            obj_nodes = self.placement.replica_array()
-            self._csr = (node_off, node_end, node_objs, obj_nodes)
+            self._csr = (
+                node_off, node_off[1:], node_objs,
+                self.placement.replica_array(),
+            )
         return self._csr
-
-    def object_nodes_matrix(self):
-        """``(b, r)`` index matrix of replica nodes (numpy gain backing).
-
-        A zero-copy int32 view over the placement's row buffer.
-        """
-        if self._obj_nodes_np is None:
-            self._obj_nodes_np = self.placement.replica_matrix()
-        return self._obj_nodes_np
-
-    def node_objects_arrays(self):
-        """Per-node object-id index arrays (numpy gain backing).
-
-        Zero-copy slices of the placement's CSR object list.
-        """
-        if self._node_objs_np is None:
-            node_off, node_objs = self.placement.node_csr()
-            np = lazynumpy.module()
-            flat = np.frombuffer(node_objs, dtype=np.int32)
-            self._node_objs_np = [
-                flat[node_off[v]:node_off[v + 1]] for v in range(self.n)
-            ]
-        return self._node_objs_np
 
     def top_degree_sum(self, start: int, slots: int) -> int:
         """Max total load of any ``slots`` distinct nodes with id >= start.
@@ -283,99 +222,46 @@ class Incidence:
         prefix = self._top_degree_prefix[start]
         return prefix[min(max(slots, 0), len(prefix) - 1)]
 
+    def _reserve(self, added: Sequence[Tuple[int, ...]]) -> None:
+        """Make room for one batch: at most one copy to a padded layout.
 
-class DeltaIncidence(Incidence):
-    """A mutable incidence that absorbs object churn in place.
-
-    The immutable :class:`Incidence` is rebuilt from scratch for every new
-    placement; under churn that rebuild (plus the placement snapshot and
-    fingerprint hashing feeding it) dominates the cost of re-attacking.
-    This subclass instead keeps the core per-node/per-object structures —
-    node -> objects lists, object -> nodes tuples, the load profile — as
-    mutable state and edits only the changed objects'
-    entries per :meth:`apply_delta` (removals pay an extra O(node load)
-    scan per incident node to locate the id being deleted or relabeled,
-    so a delta costs O(changed replicas x avg incident load) — still
-    independent of ``b * n``); the lazy aggregates (suffix tables, dense
-    matrices) are invalidated and rebuilt on next use, which only search
-    paths that consume them (branch-and-bound bounds, packed backings)
-    ever pay for.
-
-    Delta semantics, shared verbatim by every mirror of the object-id
-    space (:class:`repro.core.batch.AttackEngine` callers track ids too):
-
-    * removals are processed in **descending id order**; removing id ``d``
-      moves the **last** object into slot ``d`` (swap-with-last keeps ids
-      dense, so hit-vector length stays ``b``);
-    * additions are appended in iteration order after all removals.
-
-    Attack results are invariant under object re-numbering (damage counts
-    and per-node gains aggregate over objects), so a delta-updated engine
-    and a cold engine built from the resulting placement return
-    bit-for-bit identical :class:`~repro.core.adversary.AttackResult`\\ s
-    — the property pinned by ``tests/core/test_delta.py``.
-    """
-
-    def __init__(self, placement: Placement) -> None:
-        super().__init__(placement)
-        self.r = placement.r
-        flat = placement.replica_array()
-        r = placement.r
-        node_off, node_objs = placement.node_csr()
-        self._node_objs: List[List[int]] = [
-            list(node_objs[node_off[v]:node_off[v + 1]]) for v in range(self.n)
-        ]
-        self._obj_nodes: List[Tuple[int, ...]] = [
-            tuple(flat[i:i + r]) for i in range(0, self.b * r, r)
-        ]
-        self._loads: List[int] = list(placement.load_array())
-        self._node_caps: Optional[List[int]] = None
-
-    # Live views: kernels bound to this incidence hold these list objects
-    # directly, so in-place edits propagate without rebinding.
-
-    def node_objects(self) -> List[List[int]]:  # type: ignore[override]
-        return self._node_objs
-
-    def object_nodes(self) -> List[Tuple[int, ...]]:  # type: ignore[override]
-        return self._obj_nodes
-
-    def csr(self) -> Tuple[array, array, array, array]:
-        """A *padded* CSR export, edited in place across deltas.
-
-        Unlike the base tight layout, node segments carry slack capacity
-        and the object-major arrays are sized past the current ``b``, so
-        :meth:`apply_delta` updates O(changed replicas) words instead of
-        re-flattening everything — the arrays are pinned by the native
-        kernel's exported pointers (``array`` refuses to resize while a
-        buffer view exists), so they are never resized, only replaced
-        wholesale when a segment or the object region overflows its
-        capacity (amortized by the headroom). Consumers must bound reads
-        by the live ``b`` and the ``node_end`` entries; words beyond are
-        garbage.
+        The first call always copies (the tight layout shares the
+        placement's buffers, which must never be written). Later calls
+        copy only when the batch's additions would overflow a node
+        segment or the object region, sizing the copy for the whole batch
+        plus headroom (half the need again, plus a constant).
         """
-        if self._csr is None:
-            from itertools import chain
-
-            n, r, b = self.n, self.r, self.b
-            cap_b = b + (b >> 1) + 8
-            obj_nodes = array("i", bytes(4 * cap_b * r))
-            obj_nodes[:b * r] = array("i", chain.from_iterable(self._obj_nodes))
-            caps = [
-                len(objs) + (len(objs) >> 1) + 4 for objs in self._node_objs
-            ]
-            node_off = array("i", bytes(4 * n))
-            node_end = array("i", bytes(4 * n))
-            store = array("i", bytes(4 * sum(caps)))
-            position = 0
-            for node, objs in enumerate(self._node_objs):
-                node_off[node] = position
-                store[position:position + len(objs)] = array("i", objs)
-                node_end[node] = position + len(objs)
-                position += caps[node]
-            self._node_caps = caps
-            self._csr = (node_off, node_end, store, obj_nodes)
-        return self._csr
+        n, r, b = self.n, self.r, self.b
+        node_off, node_end, node_objs, obj_nodes = self.csr()
+        extra: Dict[int, int] = {}
+        for row in added:
+            for node in row:
+                extra[node] = extra.get(node, 0) + 1
+        need_b = b + len(added)
+        if self._padded and need_b * r <= len(obj_nodes) and all(
+            node_end[node] + more <= node_off[node + 1]
+            for node, more in extra.items()
+        ):
+            return
+        new_off = array("i", bytes(4 * (n + 1)))
+        position = 0
+        for node in range(n):
+            new_off[node] = position
+            need = node_end[node] - node_off[node] + extra.get(node, 0)
+            position += need + (need >> 1) + 4
+        new_off[n] = position
+        new_objs = array("i", bytes(4 * position))
+        new_end = array("i", bytes(4 * n))
+        for node in range(n):
+            lo, hi, at = node_off[node], node_end[node], new_off[node]
+            new_objs[at:at + hi - lo] = node_objs[lo:hi]
+            new_end[node] = at + hi - lo
+        cap_b = need_b + (need_b >> 1) + 8
+        new_obj_nodes = array("i")
+        new_obj_nodes.frombytes(memoryview(obj_nodes).cast("B")[:4 * b * r])
+        new_obj_nodes.frombytes(bytes(4 * (cap_b - b) * r))
+        self._csr = (new_off, new_end, new_objs, new_obj_nodes)
+        self._padded = True
 
     def apply_delta(
         self,
@@ -386,116 +272,77 @@ class DeltaIncidence(Incidence):
 
         ``removed`` holds current object ids (distinct, any order);
         ``added`` holds replica node sets (size ``r``, distinct in-range
-        nodes). Core structures are edited in O(changed replicas); the
-        returned :class:`Placement` is built without re-validation (the
-        delta was validated here) and carries the maintained load profile,
-        so no later consumer pays an O(b r) rescan.
+        nodes). The CSR is edited in O(changed replicas) words plus one
+        C-level scan of each touched node segment to locate the id being
+        deleted or relabeled. The returned :class:`Placement` is one copy
+        of the live object rows, built without re-validation (the delta
+        was validated here) and carrying the load profile read off the
+        CSR, so no later consumer pays an O(b r) rescan.
         """
-        added_sets: List[Tuple[int, ...]] = []
+        n, r = self.n, self.r
+        added_rows: List[Tuple[int, ...]] = []
         for nodes in added:
-            node_tuple = tuple(sorted(nodes))
-            if len(frozenset(node_tuple)) != self.r or len(node_tuple) != self.r:
+            row = tuple(sorted(nodes))
+            if len(frozenset(row)) != r or len(row) != r:
                 raise ValueError(
-                    f"added object needs {self.r} distinct nodes, got "
-                    f"{sorted(nodes)}"
+                    f"added object needs {r} distinct nodes, got {sorted(nodes)}"
                 )
-            for node in node_tuple:
-                if not 0 <= node < self.n:
+            for node in row:
+                if not 0 <= node < n:
                     raise ValueError(
                         f"added object places a replica on node {node}, "
-                        f"outside [0, {self.n})"
+                        f"outside [0, {n})"
                     )
-            added_sets.append(node_tuple)
+            added_rows.append(row)
         removed_ids = sorted(removed, reverse=True)
         if len(set(removed_ids)) != len(removed_ids):
             raise ValueError(f"duplicate removal ids in {sorted(removed)}")
         for obj_id in removed_ids:
-            if not 0 <= obj_id < len(self._obj_nodes):
+            if not 0 <= obj_id < self.b:
                 raise ValueError(
-                    f"cannot remove object {obj_id}: ids span "
-                    f"[0, {len(self._obj_nodes)})"
+                    f"cannot remove object {obj_id}: ids span [0, {self.b})"
                 )
-        if len(self._obj_nodes) - len(removed_ids) + len(added_sets) == 0:
+        if self.b - len(removed_ids) + len(added_rows) == 0:
             raise ValueError("delta would leave the placement empty")
 
-        node_objs, loads = self._node_objs, self._loads
-        # The padded CSR export (if built) is edited in lockstep with the
-        # list structures; `csr` goes None mid-batch if a capacity
-        # overflows, after which it rebuilds lazily from the lists.
-        csr = self._csr
-        if csr is not None:
-            node_off, node_end, store, obj_nodes_flat = csr
-            caps = self._node_caps
-        r = self.r
+        self._reserve(added_rows)
+        node_off, node_end, node_objs, obj_nodes = self._csr
+        b = self.b
         for obj_id in removed_ids:
-            for node in self._obj_nodes[obj_id]:
-                node_objs[node].remove(obj_id)
-                loads[node] -= 1
-                if csr is not None:
-                    tail = node_end[node] - 1
-                    for i in range(node_off[node], tail + 1):
-                        if store[i] == obj_id:
-                            store[i] = store[tail]
-                            break
-                    node_end[node] = tail
-            last = len(self._obj_nodes) - 1
-            if obj_id != last:
-                moved = self._obj_nodes[last]
+            base = obj_id * r
+            for node in obj_nodes[base:base + r]:
+                tail = node_end[node] - 1
+                node_objs[node_objs.index(obj_id, node_off[node], tail + 1)] = (
+                    node_objs[tail]
+                )
+                node_end[node] = tail
+            b -= 1
+            if obj_id != b:
+                moved = obj_nodes[b * r:(b + 1) * r]
                 for node in moved:
-                    row = node_objs[node]
-                    row[row.index(last)] = obj_id
-                    if csr is not None:
-                        for i in range(node_off[node], node_end[node]):
-                            if store[i] == last:
-                                store[i] = obj_id
-                                break
-                self._obj_nodes[obj_id] = moved
-                if csr is not None:
-                    obj_nodes_flat[obj_id * r:(obj_id + 1) * r] = (
-                        obj_nodes_flat[last * r:(last + 1) * r]
-                    )
-            self._obj_nodes.pop()
-        for node_tuple in added_sets:
-            obj_id = len(self._obj_nodes)
-            if csr is not None:
-                if (obj_id + 1) * r > len(obj_nodes_flat):
-                    csr = self._csr = None  # object region full; rebuild lazily
-                else:
-                    obj_nodes_flat[obj_id * r:(obj_id + 1) * r] = array(
-                        "i", node_tuple
-                    )
-            for node in node_tuple:
-                node_objs[node].append(obj_id)
-                loads[node] += 1
-                if csr is not None:
-                    end = node_end[node]
-                    if end - node_off[node] >= caps[node]:
-                        csr = self._csr = None  # segment full; rebuild lazily
-                    else:
-                        store[end] = obj_id
-                        node_end[node] = end + 1
-            self._obj_nodes.append(node_tuple)
+                    node_objs[
+                        node_objs.index(b, node_off[node], node_end[node])
+                    ] = obj_id
+                obj_nodes[base:base + r] = moved
+        for row in added_rows:
+            obj_nodes[b * r:(b + 1) * r] = array("i", row)
+            for node in row:
+                end = node_end[node]
+                node_objs[end] = b
+                node_end[node] = end + 1
+            b += 1
+        self.b = b
 
-        self.b = len(self._obj_nodes)
-        # Snapshot straight into the trusted rows-backed constructor (the
-        # delta was validated here; rows are sorted tuples by invariant)
-        # and hand over the maintained load profile, so no later consumer
-        # pays an O(b r) revalidation or load rescan.
-        flat = array("i", _chain.from_iterable(self._obj_nodes))
+        # Snapshot straight into the trusted rows-backed constructor (rows
+        # are sorted by invariant) and hand over the load profile, so no
+        # later consumer pays an O(b r) revalidation or load rescan.
         placement = Placement(
-            n=self.n, rows=flat, r=self.r, strategy=self.placement.strategy,
+            n=n, rows=obj_nodes[:b * r], r=r, strategy=self.placement.strategy,
         )
-        placement.__dict__["_load"] = array("i", loads)
+        loads = array("i", map(sub, node_end, node_off))
+        placement.__dict__["_load"] = loads
         placement.__dict__["_load_profile"] = tuple(loads)
         self.placement = placement
-        # Lazy aggregates are stale; drop them for on-demand rebuild.
-        # (The padded CSR is NOT dropped — it was maintained above.)
-        self._matrix = None
-        self._suffix_matrix = None
-        self._suffix_counts = None
-        self._object_nodes = None
-        self._obj_nodes_np = None
-        self._node_objs_np = None
         self._top_degree_prefix = None
         return placement
 
@@ -695,80 +542,67 @@ class GainKernel(DamageKernel):
 
     def __init__(self, incidence: Incidence, s: int) -> None:
         super().__init__(incidence, s)
-        # The per-object/per-node Python structures are bound lazily: the
-        # python backing walks them on every move, but the
-        # native and numpy backings never touch them (they consume the
-        # packed CSR / index arrays), and forcing the tuple views would
-        # cost O(b r) object allocation at engine-build time.
-        self._node_objects = None
-        self._object_nodes = None
-
-    @property
-    def node_objects(self):
-        if self._node_objects is None:
-            self._node_objects = self.incidence.node_objects()
-        return self._node_objects
-
-    @property
-    def object_nodes(self):
-        if self._object_nodes is None:
-            self._object_nodes = self.incidence.object_nodes()
-        return self._object_nodes
+        self.r = incidence.r
+        self._csr = incidence.csr()
 
     def rebind(self) -> None:
-        """Re-align with an in-place :meth:`DeltaIncidence.apply_delta`.
+        """Re-align with an :meth:`Incidence.apply_delta`.
 
-        The pure-python backing reads the delta incidence's live list
-        structures, so absorbing a delta is an O(1) shape refresh;
-        the packed backings re-export what they hold on top of this.
+        A delta edits the CSR arrays in place or replaces all four, so
+        the python backing only re-reads the shape and the tuple; the
+        packed backings re-export what they hold on top of this.
         """
         self.placement = self.incidence.placement
         self.b = self.incidence.b
-        self._node_objects = None
-        self._object_nodes = None
+        self._csr = self.incidence.csr()
 
     # -- state ------------------------------------------------------------
 
     def empty_hits(self) -> _GainHits:
         counts = [0] * self.b
         if self.s == 1:
-            gain = [len(objs) for objs in self.node_objects]
+            # Every object sits at s - 1 = 0 hits: gain is the node load.
+            gain = list(self.placement.load_array())
         else:
             gain = [0] * self.n
         return _GainHits(counts, gain, 0)
 
     def add_node(self, hits: _GainHits, node: int) -> _GainHits:
-        s = self.s
+        s, r = self.s, self.r
         counts, gain = hits.counts, hits.gain
         dead = hits.dead
-        object_nodes = self.object_nodes
-        for obj_id in self.node_objects[node]:
+        node_off, node_end, node_objs, obj_nodes = self._csr
+        for obj_id in node_objs[node_off[node]:node_end[node]]:
             c = counts[obj_id] + 1
             counts[obj_id] = c
             if c == s:
                 dead += 1
-                for w in object_nodes[obj_id]:
+                base = obj_id * r
+                for w in obj_nodes[base:base + r]:
                     gain[w] -= 1
             elif c == s - 1:
-                for w in object_nodes[obj_id]:
+                base = obj_id * r
+                for w in obj_nodes[base:base + r]:
                     gain[w] += 1
         hits.dead = dead
         return hits
 
     def remove_node(self, hits: _GainHits, node: int) -> _GainHits:
-        s = self.s
+        s, r = self.s, self.r
         counts, gain = hits.counts, hits.gain
         dead = hits.dead
-        object_nodes = self.object_nodes
-        for obj_id in self.node_objects[node]:
+        node_off, node_end, node_objs, obj_nodes = self._csr
+        for obj_id in node_objs[node_off[node]:node_end[node]]:
             c = counts[obj_id]
             counts[obj_id] = c - 1
             if c == s:
                 dead -= 1
-                for w in object_nodes[obj_id]:
+                base = obj_id * r
+                for w in obj_nodes[base:base + r]:
                     gain[w] += 1
             elif c == s - 1:
-                for w in object_nodes[obj_id]:
+                base = obj_id * r
+                for w in obj_nodes[base:base + r]:
                     gain[w] -= 1
         hits.dead = dead
         return hits
@@ -793,16 +627,19 @@ class GainKernel(DamageKernel):
         return best_node, hits.dead + int(best_gain)
 
     def optimistic_bound(self, hits: _GainHits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_counts()
-        s = self.s
-        counts = hits.counts
-        count = 0
-        for obj_id in range(self.b):
-            deficit = s - counts[obj_id]
-            if deficit <= 0:
-                count += 1
-            elif deficit <= slots and suffix[obj_id][start] >= deficit:
-                count += 1
+        s, r, b = self.s, self.r, self.b
+        obj_nodes = self._csr[3]
+        count = hits.dead
+        for deficit in range(1, min(slots, s) + 1):
+            # An object `deficit` hits short of dying is killable iff at
+            # least `deficit` replicas sit on nodes >= start; rows are
+            # sorted, so iff its deficit-th largest node (column
+            # r - deficit) does.
+            at = s - deficit
+            column = obj_nodes[r - deficit:b * r:r]
+            for c, node in zip(hits.counts, column):
+                if c == at and node >= start:
+                    count += 1
         return count
 
     def _max_gain_from(self, hits: _GainHits, start: int) -> int:
@@ -828,16 +665,25 @@ class _NumpyGainKernel(GainKernel):
         if lazynumpy.optional() is None:
             raise RuntimeError("numpy gain backing requires numpy")
         super().__init__(incidence, s)
-        self._node_arrays = incidence.node_objects_arrays()
-        self._obj_matrix = incidence.object_nodes_matrix()
+        self._bind_views()
 
     def rebind(self) -> None:
-        # The packed index arrays cannot be edited surgically, but they
-        # re-export from the delta incidence's live lists in O(b) — far
-        # cheaper than a placement-snapshot + fingerprint + engine rebuild.
         super().rebind()
-        self._node_arrays = self.incidence.node_objects_arrays()
-        self._obj_matrix = self.incidence.object_nodes_matrix()
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Zero-copy views of the CSR: the node-major object ids and the
+        live ``(b, r)`` object rows."""
+        np = lazynumpy.module()
+        _, _, node_objs, obj_nodes = self._csr
+        self._node_objs = np.frombuffer(node_objs, dtype=np.int32)
+        self._obj_matrix = np.frombuffer(obj_nodes, dtype=np.int32)[
+            :self.b * self.r
+        ].reshape(self.b, self.r)
+
+    def _objects_on(self, node: int):
+        node_off, node_end = self._csr[0], self._csr[1]
+        return self._node_objs[node_off[node]:node_end[node]]
 
     def empty_hits(self) -> _GainHits:
         np = lazynumpy.module()
@@ -886,7 +732,7 @@ class _NumpyGainKernel(GainKernel):
 
     def add_node(self, hits: _GainHits, node: int) -> _GainHits:
         np = lazynumpy.module()
-        objs = self._node_arrays[node]
+        objs = self._objects_on(node)
         counts = hits.counts
         c = counts[objs]
         counts[objs] = c + 1
@@ -902,7 +748,7 @@ class _NumpyGainKernel(GainKernel):
 
     def remove_node(self, hits: _GainHits, node: int) -> _GainHits:
         np = lazynumpy.module()
-        objs = self._node_arrays[node]
+        objs = self._objects_on(node)
         counts = hits.counts
         c = counts[objs]
         counts[objs] = c - 1
@@ -931,12 +777,15 @@ class _NumpyGainKernel(GainKernel):
         return best_node, hits.dead + int(best_gain)
 
     def optimistic_bound(self, hits: _GainHits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_matrix()
+        np = lazynumpy.module()
         deficit = self.s - hits.counts
-        killable = (deficit <= 0) | (
-            (deficit <= slots) & (suffix[:, start] >= deficit)
-        )
-        return int(killable.sum())
+        killable = deficit <= 0
+        rows = self._obj_matrix
+        for d in range(1, min(slots, self.s) + 1):
+            # Sorted rows: >= d replicas on nodes >= start iff the d-th
+            # largest one is.
+            killable |= (deficit == d) & (rows[:, self.r - d] >= start)
+        return int(np.count_nonzero(killable))
 
     def _max_gain_from(self, hits: _GainHits, start: int) -> int:
         return int(hits.gain[start:].max())
@@ -1003,10 +852,11 @@ class _NativeGainKernel(GainKernel):
         self._bind_model()
 
     def _bind_model(self) -> None:
-        """(Re)export the CSR model and empty-state template to C."""
-        csr = self.incidence.csr()
-        self._csr = csr  # keep the exported buffers alive (and pinned)
-        node_off, node_end, node_objs, obj_nodes = csr
+        """(Re)export the CSR model and empty-state template to C.
+
+        ``self._csr`` keeps the exported buffers alive (and pinned).
+        """
+        node_off, node_end, node_objs, obj_nodes = self._csr
         self._model = _native.ModelStruct(
             self.n, self.b, self.s, self.placement.r,
             _native.i32_ptr(node_off), _native.i32_ptr(node_end),
@@ -1027,12 +877,13 @@ class _NativeGainKernel(GainKernel):
         self._empty_template = template.tobytes()
 
     def rebind(self) -> None:
-        # A DeltaIncidence edits its padded CSR arrays in place, so the
-        # usual delta leaves the exported pointers valid: only the model's
-        # object count and the empty-state template need refreshing. A
-        # replaced CSR (capacity overflow, first upgrade) re-exports.
+        # A delta usually edits the padded CSR arrays in place, leaving
+        # the exported pointers valid: only the model's object count and
+        # the empty-state template need refreshing. A replaced CSR (the
+        # first delta's copy, a capacity overflow) re-exports.
+        exported = self._csr
         super().rebind()
-        if self.incidence.csr() is not self._csr:
+        if self._csr is not exported:
             self._bind_model()
         else:
             self._model.b = self.b

@@ -19,8 +19,8 @@ derives from that buffer:
 * ``load_array()`` — per-node replica counts as an int32 array;
 * ``fingerprint()`` — one ``sha256.update`` over the raw buffer.
 
-The historical frozenset-facing API (``replica_sets``, ``node_incidence``)
-remains as lazily built *views*, so existing call sites keep working; new
+The historical frozenset-facing API (``replica_sets``) remains as a
+lazily built *view*, so existing call sites keep working; new
 code and the hot engines consume the arrays. Builders use
 :meth:`Placement.from_arrays` (with ``validate=False`` on trusted paths)
 so a million-object placement never materializes a million sets.
@@ -431,23 +431,6 @@ class Placement:
                 frozenset(flat[i:i + r]) for i in range(0, self._b * r, r)
             )
         return self._sets
-
-    def node_incidence(self) -> Tuple[Tuple[int, ...], ...]:
-        """Inverse map, computed once per placement: node -> hosted objects.
-
-        A tuple view over :meth:`node_csr`; the cached tuples are shared
-        between every damage kernel built on this placement. Use
-        :meth:`node_to_objects` for mutable copies.
-        """
-
-        def build() -> Tuple[Tuple[int, ...], ...]:
-            node_off, node_objs = self.node_csr()
-            return tuple(
-                tuple(node_objs[node_off[v]:node_off[v + 1]])
-                for v in range(self.n)
-            )
-
-        return self._cached("_node_incidence", build)
 
     def node_to_objects(self) -> List[List[int]]:
         """Inverse map: for each node, the objects it hosts."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -100,7 +101,7 @@ def _env_shard_timeout() -> Optional[float]:
         raise ValueError(
             f"REPRO_SHARD_TIMEOUT must be a float (seconds), got {raw!r}"
         ) from None
-    if value <= 0:
+    if not value > 0:  # NaN compares false both ways
         raise ValueError(f"REPRO_SHARD_TIMEOUT must be > 0, got {value}")
     return value
 
@@ -311,7 +312,8 @@ def run_experiment(
         raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
     if shard_timeout is None:
         shard_timeout = _env_shard_timeout()
-    if shard_timeout is not None and shard_timeout <= 0:
+    if shard_timeout is not None and not shard_timeout > 0:
+        # ``not > 0`` also rejects NaN, whose deadline would never fire.
         raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
     demoted_before = set(kernels.demoted_backings())
 
@@ -417,6 +419,20 @@ def run_experiment(
     )
 
 
+def _announce_retry(group, attempt: int, reason: str) -> None:
+    """Write one flushed stderr line for a retry as it is scheduled.
+
+    A run killed before its summary line (a torn store write exits the
+    process) still leaves these lines behind, so ``repro chaos-soak``
+    counts retries from them in every run.
+    """
+    print(
+        f"runner: shard retry at cells[{group.start}:{group.end}] "
+        f"(attempt {attempt}): {' '.join(str(reason).split())}",
+        file=sys.stderr, flush=True,
+    )
+
+
 def _run_group_serial(
     spec, kernel, group, cells, shard_retries
 ) -> Tuple[Sequence[Any], int]:
@@ -460,6 +476,7 @@ def _run_group_serial(
                 "runner.shard_retry", start=group.start,
                 attempt=attempt + 1, reason=str(exc), watchdog=False,
             )
+            _announce_retry(group, attempt + 1, str(exc))
             delay = _backoff_delay(spec_hash, group.start, attempt + 1, delay)
             time.sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover
@@ -725,6 +742,7 @@ def _run_sharded_pool(
             "runner.shard_retry", start=group.start, attempt=count,
             reason=reason, watchdog=watchdog,
         )
+        _announce_retry(group, count, reason)
         if watchdog and count >= 2:
             demoted = _demote_after_watchdog(
                 f"shard at cells[{group.start}:{group.end}]: {reason}"

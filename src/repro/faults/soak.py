@@ -42,7 +42,8 @@ _SUMMARY = re.compile(
     r"\((?P<loaded>\d+) loaded, (?P<computed>\d+) computed, "
     r"(?P<recomputed>\d+) recomputed\)"
 )
-_RETRIES = re.compile(r"\[(\d+) shard retries\]")
+#: one line per scheduled shard retry (``runner._announce_retry``).
+_RETRY_LINE = re.compile(r"^runner: shard retry ", re.MULTILINE)
 
 #: torn writes exit the parent with this code (mirrors SIGKILL's 128+9).
 TORN_EXIT = 137
@@ -211,15 +212,14 @@ def run_soak(
             command, capture_output=True, text=True, env=env,
         )
         report["runs"] += 1
+        # Count retry lines, not the summary: a run killed by a torn
+        # write never prints its summary.
+        report["shard_retries"] += len(_RETRY_LINE.findall(proc.stderr))
         summary = None
         for line in reversed(proc.stderr.splitlines()):
             match = _SUMMARY.search(line)
             if match:
                 summary = match
-                retries = _RETRIES.search(line)
-                report["shard_retries"] += (
-                    int(retries.group(1)) if retries else 0
-                )
                 break
         if summary is not None:
             report["computed"] += int(summary.group("computed"))

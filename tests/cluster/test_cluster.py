@@ -18,8 +18,9 @@ def assert_engine_aligned(cluster):
     assert sorted(
         tuple(sorted(row)) for row in engine.placement.replica_sets
     ) == sorted(cluster.objects.values())
+    node_off, node_end, _, _ = engine.incidence.csr()
     assert [
-        len(objs) for objs in engine.incidence.node_objects()
+        end - off for off, end in zip(node_off, node_end)
     ] == cluster.loads()
 
 

@@ -19,7 +19,7 @@ from repro.core.adversary import (
     best_attack,
     damage,
 )
-from repro.core.kernels import DeltaIncidence, Incidence, make_kernel
+from repro.core.kernels import Incidence, make_kernel
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
@@ -294,7 +294,7 @@ class TestFusedBranchAndBound:
     def test_kernel_rebound_after_delta(self):
         rng = random.Random(8)
         p = random_placement(11, 3, 40, 8)
-        incidence = DeltaIncidence(p)
+        incidence = Incidence(p)
         kernels = {
             backing: make_kernel(p, 2, incidence=incidence, gain_backing=backing)
             for backing in ("native", "python")
@@ -315,15 +315,6 @@ class TestFusedBranchAndBound:
                 assert fused[0].damage == (
                     ExhaustiveAdversary().attack(placement, k, 2).damage
                 )
-
-    def test_exact_attack_builds_no_suffix_table(self):
-        p = random_placement(14, 3, 60, 9)
-        incidence = Incidence(p)
-        kernel = make_kernel(p, 2, incidence=incidence, gain_backing="native")
-        assert BranchAndBoundAdversary(max_nodes=None).attack(
-            p, 4, 2, kernel=kernel
-        ).exact
-        assert incidence._suffix_counts is None
 
 
 class TestLocalSearchDeterminism:

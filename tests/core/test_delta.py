@@ -19,7 +19,6 @@ from repro.core.batch import (
     engine_for,
 )
 from repro.core.kernels import (
-    DeltaIncidence,
     GAIN_BACKINGS,
     Incidence,
     resolve_gain_backing,
@@ -43,6 +42,23 @@ def available_gain_backings():
     return available
 
 
+def csr_node_objects(incidence):
+    """Each node's hosted object ids, read off the CSR."""
+    node_off, node_end, node_objs, _ = incidence.csr()
+    return [list(node_objs[node_off[v]:node_end[v]]) for v in range(incidence.n)]
+
+
+def csr_object_nodes(incidence):
+    """Each live object's replica row, read off the CSR."""
+    obj_nodes, r = incidence.csr()[3], incidence.r
+    return [tuple(obj_nodes[o * r:(o + 1) * r]) for o in range(incidence.b)]
+
+
+def csr_loads(incidence):
+    node_off, node_end, _, _ = incidence.csr()
+    return [node_end[v] - node_off[v] for v in range(incidence.n)]
+
+
 def random_delta(rng, engine_b, n, r):
     """One random churn batch: (added replica sets, removed ids)."""
     added = [
@@ -60,18 +76,18 @@ class TestDeltaIncidence:
     def test_matches_cold_incidence_after_interleaved_deltas(self):
         rng = random.Random(11)
         placement = random_placement(12, 3, 30, 0)
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
         for _ in range(40):
             added, removed = random_delta(rng, delta.b, 12, 3)
             if not added and not removed:
                 continue
             current = delta.apply_delta(added, removed)
             cold = Incidence(current)
-            assert [sorted(row) for row in delta.node_objects()] == [
-                sorted(row) for row in cold.node_objects()
+            assert [sorted(row) for row in csr_node_objects(delta)] == [
+                sorted(row) for row in csr_node_objects(cold)
             ]
-            assert list(delta.object_nodes()) == list(cold.object_nodes())
-            assert delta.suffix_counts() == cold.suffix_counts()
+            assert csr_object_nodes(delta) == csr_object_nodes(cold)
+            assert csr_loads(delta) == csr_loads(cold)
             assert current.load_profile() == tuple(
                 Placement.from_replica_sets(
                     current.n, current.replica_sets
@@ -92,14 +108,15 @@ class TestDeltaIncidence:
 
     def test_csr_matches_cold_export(self):
         placement = random_placement(9, 3, 20, 1)
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
         delta.apply_delta(added=[[0, 1, 2]], removed=[3, 15])
         self._assert_csr_equivalent(delta, Incidence(delta.placement))
 
     def test_csr_is_maintained_in_place_until_overflow(self):
         rng = random.Random(31)
         placement = random_placement(9, 3, 12, 4)
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
+        delta.apply_delta(added=[[0, 1, 2]])  # the one copy to padded
         exported = delta.csr()
         grew = False
         for _ in range(60):
@@ -113,11 +130,48 @@ class TestDeltaIncidence:
         # (correct) re-export with fresh capacity.
         assert grew
 
+    def test_first_delta_never_writes_the_placement(self):
+        placement = random_placement(9, 3, 20, 5)
+        rows = bytes(placement.replica_array())
+        node_off, node_objs = placement.node_csr()
+        csr_bytes = bytes(node_off), bytes(node_objs)
+        delta = Incidence(placement)
+        tight = delta.csr()
+        assert tight[3] is placement.replica_array()
+        delta.apply_delta(added=[[6, 7, 8]], removed=[0, 4, 19])
+        assert all(a is not b for a, b in zip(delta.csr(), tight))
+        assert bytes(placement.replica_array()) == rows
+        assert (bytes(node_off), bytes(node_objs)) == csr_bytes
+        self._assert_csr_equivalent(delta, Incidence(delta.placement))
+
+    def test_large_batch_grows_the_csr_once(self, monkeypatch):
+        placement = random_placement(9, 3, 12, 6)
+        delta = Incidence(placement)
+        delta.apply_delta(added=[[0, 1, 2]])
+        grows = []
+        reserve = Incidence._reserve
+
+        def counting_reserve(self, added):
+            before = self._csr
+            reserve(self, added)
+            grows.append(self._csr is not before)
+
+        monkeypatch.setattr(Incidence, "_reserve", counting_reserve)
+        rng = random.Random(7)
+        batch = [sorted(rng.sample(range(9), 3)) for _ in range(200)]
+        delta.apply_delta(added=batch, removed=[1, 5])
+        assert grows == [True]
+        self._assert_csr_equivalent(delta, Incidence(delta.placement))
+        # Sized for the whole batch plus headroom: the next small batch
+        # lands in place.
+        delta.apply_delta(added=batch[:5])
+        assert grows == [True, False]
+
     def test_swap_with_last_semantics(self):
         placement = Placement.from_replica_sets(
             6, [[0, 1], [1, 2], [2, 3], [3, 4]]
         )
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
         current = delta.apply_delta(removed=[1])
         # Object 3 (the last) moved into slot 1.
         assert current.replica_sets == (
@@ -126,13 +180,13 @@ class TestDeltaIncidence:
 
     def test_removing_the_last_object_pops(self):
         placement = Placement.from_replica_sets(6, [[0, 1], [1, 2], [2, 3]])
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
         current = delta.apply_delta(removed=[2])
         assert current.replica_sets == (frozenset({0, 1}), frozenset({1, 2}))
 
     def test_validation(self):
         placement = Placement.from_replica_sets(6, [[0, 1], [1, 2]])
-        delta = DeltaIncidence(placement)
+        delta = Incidence(placement)
         with pytest.raises(ValueError):
             delta.apply_delta(added=[[0]])  # wrong r
         with pytest.raises(ValueError):
@@ -241,8 +295,9 @@ class TestDeltaEngineLifecycle:
     def test_kernels_survive_deltas_when_rebindable(self):
         placement = random_placement(12, 3, 30, 7)
         engine = AttackEngine(placement, gain_backing="python")
-        engine.apply_delta(added_objects=[[2, 3, 4]])  # upgrade drops kernels
         kernel = engine.kernel(2)
+        engine.apply_delta(added_objects=[[2, 3, 4]])  # the copy to padded
+        assert engine.kernel(2) is kernel  # rebound, not rebuilt
         engine.apply_delta(added_objects=[[5, 6, 7]], removed_objects=[0])
         assert engine.kernel(2) is kernel  # absorbed in place
         assert kernel.b == engine.placement.b

@@ -14,6 +14,7 @@ import ctypes
 import gc
 import itertools
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -21,7 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import native
-from repro.core.adversary import LocalSearchAdversary, damage
+from repro.core.adversary import (
+    BranchAndBoundAdversary,
+    ExhaustiveAdversary,
+    LocalSearchAdversary,
+    damage,
+)
 from repro.core.kernels import (
     GAIN_BACKINGS,
     Incidence,
@@ -174,6 +180,148 @@ class TestOptimisticBound:
             damage(placement, list(base) + list(extra), s) for extra in completions
         )
         assert bounds[0] >= best_completion
+
+
+def suffix_table(placement):
+    """The retired b x (n + 1) table: ``table[o][j]`` = replicas of
+    object ``o`` on nodes >= j. Kept here as the bounds' reference."""
+    n, r = placement.n, placement.r
+    flat = placement.replica_array()
+    table = []
+    for obj_id in range(placement.b):
+        row = [0] * (n + 1)
+        for node in flat[obj_id * r:(obj_id + 1) * r]:
+            row[node] += 1
+        for j in range(n - 1, -1, -1):
+            row[j] += row[j + 1]
+        table.append(row)
+    return table
+
+
+def reference_bounds(placement, table, s, failed, start, slots):
+    """(optimistic, refined) bounds by the suffix-table formula."""
+    r = placement.r
+    flat = placement.replica_array()
+    rows = [set(flat[o * r:(o + 1) * r]) for o in range(placement.b)]
+    counts = [len(row & set(failed)) for row in rows]
+    dead = sum(1 for c in counts if c >= s)
+    optimistic = sum(
+        1 for obj_id, c in enumerate(counts)
+        if s - c <= 0 or (s - c <= slots and table[obj_id][start] >= s - c)
+    )
+    loads = sorted(placement.load_profile()[start:], reverse=True)
+    refined = min(optimistic, dead + sum(loads[:slots]))
+    if slots == 1 and start < placement.n:
+        gain = [
+            sum(1 for row, c in zip(rows, counts) if c == s - 1 and v in row)
+            for v in range(start, placement.n)
+        ]
+        refined = min(refined, dead + max(gain))
+    return optimistic, refined
+
+
+def scribble_slack(incidence):
+    """Fill every padded word past ``b`` and past each ``node_end`` with
+    in-range garbage, so a read past the live region changes a result."""
+    node_off, node_end, node_objs, obj_nodes = incidence.csr()
+    b, n, r = incidence.b, incidence.n, incidence.r
+    stale = 0
+    for i in range(b * r, len(obj_nodes)):
+        obj_nodes[i] = n - 1 - i % r
+        stale += 1
+    for node in range(n):
+        for i in range(node_end[node], node_off[node + 1]):
+            node_objs[i] = b - 1
+            stale += 1
+    return stale
+
+
+class TestBoundsMatchSuffixReference:
+    """Both bounds, read off the CSR on every backing, equal the retired
+    suffix-table formula on cold and on delta-churned incidences."""
+
+    @staticmethod
+    def _check(placement, incidence, kernels, s, rng):
+        table = suffix_table(placement)
+        n = placement.n
+        for _ in range(12):
+            failed = rng.sample(range(n), rng.randrange(0, min(4, n)))
+            start = rng.randrange(0, n + 1)
+            slots = rng.randrange(1, 4)
+            expected = reference_bounds(placement, table, s, failed, start, slots)
+            for kernel in kernels:
+                hits = kernel.hits_for(failed)
+                assert (
+                    kernel.optimistic_bound(hits, start, slots),
+                    kernel.refined_bound(hits, start, slots),
+                ) == expected, (kernel.backing, failed, start, slots)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_incidence(self, seed):
+        rng = random.Random(seed)
+        placement = random_placement(
+            rng.randrange(5, 14), 3, rng.randrange(1, 60), seed
+        )
+        incidence = Incidence(placement)
+        for s in range(1, placement.r + 1):
+            kernels = [
+                make_kernel(placement, s, incidence=incidence, gain_backing=backing)
+                for backing in available_gain_backings()
+            ]
+            self._check(placement, incidence, kernels, s, rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_churned_padded_incidence(self, seed):
+        rng = random.Random(100 + seed)
+        n, r = 11, 3
+        placement = random_placement(n, r, 40, seed)
+        incidence = Incidence(placement)
+        rebound = {
+            (s, backing): make_kernel(
+                placement, s, incidence=incidence, gain_backing=backing
+            )
+            for s in (1, 2, 3)
+            for backing in available_gain_backings()
+        }
+        for _ in range(8):
+            added = [rng.sample(range(n), r) for _ in range(rng.randrange(0, 6))]
+            removed = rng.sample(range(incidence.b), rng.randrange(1, 5))
+            placement = incidence.apply_delta(added, removed)
+            assert scribble_slack(incidence) > 0
+            for kernel in rebound.values():
+                kernel.rebind()
+            for s in (1, 2, 3):
+                fresh = [
+                    make_kernel(
+                        placement, s, incidence=incidence, gain_backing=backing
+                    )
+                    for backing in available_gain_backings()
+                ]
+                kept = [
+                    kernel for (ks, _), kernel in rebound.items() if ks == s
+                ]
+                self._check(placement, incidence, fresh + kept, s, rng)
+
+
+class TestOneLayout:
+    def test_exact_python_attack_builds_no_placement_table(self):
+        # A b x (n + 1) table of pointers is the smallest any per-object
+        # suffix structure could be; the exact search must stay below it.
+        placement = random_placement(64, 3, 4000, 3)
+        placement.node_csr()
+        table_bytes = placement.b * (placement.n + 1) * 8
+        tracemalloc.start()
+        try:
+            kernel = make_kernel(placement, 2, gain_backing="python")
+            result = BranchAndBoundAdversary(max_nodes=None).attack(
+                placement, 2, 2, kernel=kernel
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exact
+        assert result.damage == ExhaustiveAdversary().attack(placement, 2, 2).damage
+        assert peak < table_bytes, (peak, table_bytes)
 
 
 class TestGainBackings:
@@ -396,7 +544,7 @@ class TestSelection:
         k1 = make_kernel(placement, 1, incidence=incidence, gain_backing="python")
         k2 = make_kernel(placement, 2, incidence=incidence, gain_backing="python")
         assert k1.incidence is k2.incidence
-        assert k1.node_objects is k2.node_objects
+        assert k1.incidence.csr() is k2.incidence.csr()
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)

@@ -151,12 +151,15 @@ class TestArrayCore:
         p = Placement.from_arrays(4, rows, r=2, validate=False)
         assert p.b == 2  # constructed without complaint (caller's contract)
 
-    def test_node_csr_matches_node_incidence(self):
+    def test_node_csr_matches_replica_sets(self):
         p = make(6, [(0, 1, 2), (3, 4, 5), (0, 3, 5), (1, 3, 4)])
         node_off, node_objs = p.node_csr()
         for node in range(6):
             segment = list(node_objs[node_off[node]:node_off[node + 1]])
-            assert segment == list(p.node_incidence()[node])
+            assert segment == [
+                obj_id for obj_id, nodes in enumerate(p.replica_sets)
+                if node in nodes
+            ]
             assert segment == p.objects_on(node)
 
     def test_load_array_matches_profile(self):

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from repro.analysis import fig2, fig7
-from repro.faults.soak import SoakError, _python_env, build_soak_plan
+from repro.faults.plan import FaultPlan
+from repro.faults.soak import SoakError, _python_env, build_soak_plan, run_soak
 
 
 def _spec():
@@ -106,3 +107,25 @@ class TestSoakEndToEnd:
             pytest.fail(f"chaos soak hung for {self.TIMEOUT}s")
         assert proc.returncode == 0, output
         assert "final store byte-identical to the fault-free reference" in output
+
+
+class TestRetryAccounting:
+    def test_retries_count_in_a_run_a_torn_write_kills(self, tmp_path):
+        # The first shard's worker crashes (one retry), then the last
+        # cell's commit tears and kills the run before its summary line.
+        # The resumed run completes without retrying, so the retry is
+        # visible only in the killed run's stderr.
+        spec = _spec()
+        last = len(fig2.KERNELS["fig2"].expand(spec)) - 1
+        plan = FaultPlan.build(seed=0, rules=[
+            {"site": "runner.shard_start", "kind": "crash",
+             "when": {"start": 0, "attempt": 0, "mode": "shard"},
+             "times": 1},
+            {"site": "store.commit", "kind": "torn",
+             "when": {"index": last, "hit": last}, "times": 1},
+        ])
+        report = run_soak(
+            spec, plan, str(tmp_path / "soak"), workers=2, quiet=True,
+        )
+        assert (report["runs"], report["restarts"]) == (2, 1)
+        assert report["shard_retries"] == 1

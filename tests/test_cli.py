@@ -289,7 +289,8 @@ class TestSimulateCommand:
         assert captured.err == "simulate: need 1 <= k < n=10, got k=10\n"
 
     # ``flags`` follow ``simulate --events 50`` unless they start with
-    # another command; ``env`` is set for the call.
+    # another command; ``env`` is set for the call. A NaN shard timeout
+    # would arm a watchdog whose deadline never fires.
     @pytest.mark.parametrize("flags,message,env", [
         (["--churn-prob", "2"], "need 0 <= arrival probability <= 1, got 2.0",
          {}),
@@ -306,13 +307,19 @@ class TestSimulateCommand:
          "('native', 'numpy', 'python')", {"REPRO_GAIN_BACKING": "garbage"}),
         (["figure", "fig3"], "REPRO_WORKERS must be an integer >= 1, got 'x'",
          {"REPRO_WORKERS": "x"}),
+        (["run", "fig2", "--workers", "2", "--no-store",
+          "--shard-timeout", "nan"], "shard_timeout must be > 0, got nan",
+         {"REPRO_B_MAX": "1200"}),
+        (["run", "fig2", "--workers", "2", "--no-store"],
+         "REPRO_SHARD_TIMEOUT must be > 0, got nan",
+         {"REPRO_SHARD_TIMEOUT": "nan", "REPRO_B_MAX": "1200"}),
     ])
     def test_bad_process_settings_exit_2_with_one_line(
         self, capsys, monkeypatch, flags, message, env
     ):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        if flags[:1] != ["figure"]:
+        if flags[:1] not in (["figure"], ["run"]):
             flags = ["simulate", "--events", "50", *flags]
         assert main(flags) == 2
         captured = capsys.readouterr()
