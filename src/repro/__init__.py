@@ -52,7 +52,6 @@ __all__ = [
     "BranchAndBoundAdversary",
     "ComboPlan",
     "ComboStrategy",
-    "DamageKernel",
     "ExhaustiveAdversary",
     "GreedyAdversary",
     "Incidence",
@@ -68,14 +67,12 @@ __all__ = [
     "SystemParams",
     "UnconstrainedRandomStrategy",
     "__version__",
-    "attack_grid",
     "audit_placement",
     "batch_attack",
     "best_attack",
     "capacity_gap",
     "certified_availability",
     "evaluate_availability",
-    "evaluate_availability_grid",
     "make_kernel",
     "lb_avail_combo",
     "lb_avail_simple",

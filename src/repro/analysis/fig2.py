@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analysis.common import adversary_effort, object_scale_cap
-from repro.core.availability import evaluate_availability_grid
-from repro.core.batch import AttackCell
+from repro.core.batch import AttackCell, batch_attack
 from repro.core.simple import SimpleStrategy
 from repro.exp.registry import ExperimentKernel
 from repro.exp.runner import run_figure
@@ -135,14 +134,14 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     # (b, s') shard when it lands in the same process), a k-attack seeds
     # the (k+1)-search, and same-process replays come out of the memo.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
-    reports = evaluate_availability_grid(placement, grid, seed=b)
+    attacks = batch_attack(placement, grid, seed=b)
     return [
         {
-            "avail": report.available,
+            "avail": placement.b - attack.damage,
             "lower_bound": strategy.lower_bound(b, cell["k"], s),
-            "exact": report.exact,
+            "exact": attack.exact,
         }
-        for cell, report in zip(cells, reports)
+        for cell, attack in zip(cells, attacks)
     ]
 
 

@@ -1,27 +1,21 @@
-"""Cluster simulation substrate: cluster state, failures, liveness, scenarios.
+"""Cluster simulation substrate: cluster state, failures, liveness, workloads.
 
 The execution environment the placements deploy into: an array-backed
 :class:`Cluster` (replica rows, per-node loads and up flags, rack
 topology, and the warm attack engine fed from its own change record),
 failure injectors at three adversity levels (random, rack-correlated,
-worst-case), quorum-style liveness rules, and scenario drivers that tie
-placements to measurements.
+worst-case), quorum-style liveness rules, and churn workloads. The
+lifetime simulator (:mod:`repro.sim`) ties them to measurements.
 """
 
 from repro.cluster.cluster import Cluster, ClusterError
-from repro.cluster.engine import (
-    compare_strategies,
-    run_attack_scenario,
-    run_churn_scenario,
-    run_random_failure_scenario,
-)
 from repro.cluster.failures import (
     CorrelatedInjector,
     RandomInjector,
     WorstCaseInjector,
     fail_specific,
 )
-from repro.cluster.metrics import AvailabilityTimeline, LoadStats, ScenarioReport
+from repro.cluster.metrics import LoadStats
 from repro.cluster.objects import (
     LivenessRule,
     majority_quorum_rule,
@@ -37,7 +31,6 @@ from repro.cluster.workload import (
 )
 
 __all__ = [
-    "AvailabilityTimeline",
     "ChurnEvent",
     "ChurnKind",
     "Cluster",
@@ -46,17 +39,12 @@ __all__ = [
     "LivenessRule",
     "LoadStats",
     "RandomInjector",
-    "ScenarioReport",
     "WorstCaseInjector",
     "churn_trace",
-    "compare_strategies",
     "fail_specific",
     "geometric_object_counts",
     "majority_quorum_rule",
     "read_one_rule",
-    "run_attack_scenario",
-    "run_churn_scenario",
-    "run_random_failure_scenario",
     "threshold_rule",
     "write_all_rule",
 ]

@@ -70,8 +70,8 @@ class WorstCaseInjector:
     and, when ``rng`` is None (the deterministic default, deriving cell
     randomness from ``seed``), returns the memoized attack outright.
     (Each injection is a single attack cell — use
-    :func:`repro.cluster.engine.run_attack_grid` to evaluate whole k-grids
-    in one batched pass that chains incumbents.)
+    :func:`repro.core.batch.batch_attack` to evaluate whole k-grids in
+    one batched pass that chains incumbents.)
 
     An *online* adversary — one that re-attacks the same cluster as it
     mutates — can skip the per-injection snapshot + fingerprint + rebuild

@@ -1,10 +1,10 @@
-"""Measurement: availability reports and load statistics for scenarios."""
+"""Measurement: load statistics over a cluster's nodes."""
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -31,52 +31,3 @@ class LoadStats:
     def imbalance(self) -> float:
         """max/mean — 1.0 is perfectly balanced."""
         return self.maximum / self.mean if self.mean else float("inf")
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    """Outcome of one failure scenario on one placement."""
-
-    strategy: str
-    b: int
-    k: int
-    s: int
-    failed_nodes: tuple
-    objects_lost: int
-    load: LoadStats
-
-    @property
-    def objects_available(self) -> int:
-        return self.b - self.objects_lost
-
-    @property
-    def fraction_available(self) -> float:
-        return self.objects_available / self.b if self.b else 1.0
-
-
-@dataclass
-class AvailabilityTimeline:
-    """Availability over a churn/failure trace (adaptive-placement metric)."""
-
-    samples: List[Dict[str, float]] = field(default_factory=list)
-
-    def record(self, step: int, b: int, available: int, lower_bound: int) -> None:
-        self.samples.append(
-            {
-                "step": step,
-                "objects": b,
-                "available": available,
-                "lower_bound": lower_bound,
-            }
-        )
-
-    def worst_fraction(self) -> float:
-        if not self.samples:
-            return 1.0
-        return min(
-            s["available"] / s["objects"] for s in self.samples if s["objects"]
-        )
-
-    def bound_violations(self) -> int:
-        """How many samples fell below their Lemma-3 lower bound (must be 0)."""
-        return sum(1 for s in self.samples if s["available"] < s["lower_bound"])

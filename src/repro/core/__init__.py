@@ -30,9 +30,7 @@ _EXPORTS = {
     "save_placement": "artifact",
     "AvailabilityReport": "availability",
     "evaluate_availability": "availability",
-    "evaluate_availability_grid": "availability",
     "survivors_under": "availability",
-    "attack_grid": "batch",
     "AttackCell": "batch",
     "AttackEngine": "batch",
     "batch_attack": "batch",
@@ -51,7 +49,6 @@ _EXPORTS = {
     "packing_profile": "inspect",
     "PackingProfile": "inspect",
     "PlacementAudit": "inspect",
-    "DamageKernel": "kernels",
     "Incidence": "kernels",
     "make_kernel": "kernels",
     "majority_threshold": "params",

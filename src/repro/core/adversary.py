@@ -32,13 +32,13 @@ failure set so a k-attack can seed the k+1 search.
 Per-move cost of the gain kernel (n nodes, b objects, r replicas; one
 "polish position" = remove + best-addition + re-add): ``best_addition``
 is an O(n) table argmax, a polish position O(r^2 b / n + n), a damage
-query O(1). The three backings share these costs and differ only in
+query O(1). The two backings share these costs and differ only in
 constants: ``native`` fuses a whole polish pass (and a batch of polish
 chains) into one foreign call, and a whole branch and bound into one
 more, with the deficit bound maintained incrementally (O(s n) per tree
 node instead of an O(b) rescan); ``python`` runs the generic loops of
-:class:`~repro.core.kernels.DamageKernel` and, like ``numpy``, the
-python branch-and-bound DFS :func:`_search_tree`: the executable
+:class:`~repro.core.kernels.GainKernel` and the python
+branch-and-bound DFS :func:`_search_tree`: the executable
 reference. All backings return identical results — search trajectories
 (tie-breaks included) are backing-independent, and ``evaluations``
 counts candidate damage evaluations the same way everywhere, so
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.kernels import DamageKernel, make_kernel
+from repro.core.kernels import GainKernel, make_kernel
 from repro.core.placement import Placement
 from repro.util.combinatorics import binom
 
@@ -85,8 +85,8 @@ def damage(placement: Placement, failed_nodes: Iterable[int], s: int) -> int:
 
 
 def _bind_kernel(
-    placement: Placement, s: int, kernel: Optional[DamageKernel]
-) -> DamageKernel:
+    placement: Placement, s: int, kernel: Optional[GainKernel]
+) -> GainKernel:
     """The kernel to search with; validates a caller-supplied one."""
     if kernel is None:
         return make_kernel(placement, s)
@@ -122,7 +122,7 @@ class ExhaustiveAdversary:
         placement: Placement,
         k: int,
         s: int,
-        kernel: Optional[DamageKernel] = None,
+        kernel: Optional[GainKernel] = None,
     ) -> AttackResult:
         _check_k(placement, k)
         n = placement.n
@@ -175,7 +175,7 @@ class GreedyAdversary:
         placement: Placement,
         k: int,
         s: int,
-        kernel: Optional[DamageKernel] = None,
+        kernel: Optional[GainKernel] = None,
     ) -> AttackResult:
         _check_k(placement, k)
         model = _bind_kernel(placement, s, kernel)
@@ -238,7 +238,7 @@ class LocalSearchAdversary:
         placement: Placement,
         k: int,
         s: int,
-        kernel: Optional[DamageKernel] = None,
+        kernel: Optional[GainKernel] = None,
         warm_start: Optional[Sequence[int]] = None,
     ) -> AttackResult:
         _check_k(placement, k)
@@ -334,8 +334,8 @@ class BranchAndBoundAdversary:
     returned with ``exact=False``.
 
     On the native backing the tree search is one foreign call
-    (``branch_and_bound``, same DFS, bound and budget); the other
-    backings run :func:`_search_tree`. Both return identical results and
+    (``branch_and_bound``, same DFS, bound and budget); the python
+    backing runs :func:`_search_tree`. Both return identical results and
     move counts.
     """
 
@@ -353,7 +353,7 @@ class BranchAndBoundAdversary:
         placement: Placement,
         k: int,
         s: int,
-        kernel: Optional[DamageKernel] = None,
+        kernel: Optional[GainKernel] = None,
         warm_start: Optional[Sequence[int]] = None,
     ) -> AttackResult:
         _check_k(placement, k)
@@ -382,7 +382,7 @@ class BranchAndBoundAdversary:
 
 
 def _search_tree(
-    model: DamageKernel,
+    model: GainKernel,
     k: int,
     incumbent: int,
     incumbent_nodes: Sequence[int],
@@ -451,7 +451,7 @@ def best_attack(
     s: int,
     effort: str = "auto",
     rng: Optional[random.Random] = None,
-    kernel: Optional[DamageKernel] = None,
+    kernel: Optional[GainKernel] = None,
     warm_start: Optional[Sequence[int]] = None,
 ) -> AttackResult:
     """Convenience dispatcher over the adversary ladder.

@@ -1,17 +1,17 @@
 """Availability evaluation: Definition 1 tied to the adversary engines.
 
-Single-cell evaluation and whole grids both route through the batched
-attack engine (:mod:`repro.core.batch`), so the incidence structure is
-built once per placement (and kept warm across calls via the process
-engine cache), searches share incumbents across cells, and repeated
-identical evaluations are served from the attack-result memo.
+Single-cell evaluation routes through the batched attack engine
+(:mod:`repro.core.batch`), so the incidence structure is built once per
+placement (and kept warm across calls via the process engine cache) and
+repeated identical evaluations are served from the attack-result memo.
+Whole grids call :func:`~repro.core.batch.batch_attack` directly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.core.adversary import AttackResult
 from repro.core.batch import AttackCell, batch_attack
@@ -65,30 +65,6 @@ def evaluate_availability(
         available=placement.b - attack.damage,
         attack=attack,
     )
-
-
-def evaluate_availability_grid(
-    placement: Placement,
-    cells: Sequence[AttackCell],
-    seed: int = 0,
-) -> List[AvailabilityReport]:
-    """Batched ``Avail(pi)`` over a grid of (k, s, effort) cells.
-
-    One warm engine per placement structure, shared kernels per threshold,
-    chained incumbents, memoized repeats — see
-    :func:`repro.core.batch.batch_attack`. Reports align with ``cells``.
-    """
-    attacks = batch_attack(placement, cells, seed=seed)
-    return [
-        AvailabilityReport(
-            b=placement.b,
-            k=cell.k,
-            s=cell.s,
-            available=placement.b - attack.damage,
-            attack=attack,
-        )
-        for cell, attack in zip(cells, attacks)
-    ]
 
 
 def survivors_under(

@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.adversary import AttackResult, best_attack
 from repro.core.kernels import (
-    DamageKernel,
+    GainKernel,
     Incidence,
     make_kernel,
     resolve_gain_backing,
@@ -111,7 +111,7 @@ class AttackEngine:
         # cannot drift from the backing this engine was cached under.
         self.gain_backing = resolve_gain_backing(gain_backing)
         self.incidence = Incidence(placement)
-        self._kernels: Dict[int, DamageKernel] = {}
+        self._kernels: Dict[int, GainKernel] = {}
         self._memo: "OrderedDict[tuple, AttackResult]" = OrderedDict()
 
     def apply_delta(
@@ -150,7 +150,7 @@ class AttackEngine:
         for key in [k for k, eng in _ENGINES.items() if eng is self]:
             del _ENGINES[key]
 
-    def kernel(self, s: int) -> DamageKernel:
+    def kernel(self, s: int) -> GainKernel:
         """The shared damage kernel for threshold ``s`` (built once)."""
         kernel = self._kernels.get(s)
         if kernel is None:
@@ -229,7 +229,6 @@ def _cache_engine(key: Tuple[str, str], engine: AttackEngine) -> None:
         # (a half-evicted engine would pin its incidence via the alias).
         evicted._detach()
         obs.count("engine.cache.evictions")
-    obs.gauge("engine.cache.size", len(_ENGINES))
 
 
 def engine_for(placement: Placement) -> AttackEngine:
@@ -254,7 +253,6 @@ def engine_for(placement: Placement) -> AttackEngine:
         return engine
     _ENGINES.move_to_end(key)
     obs.count("engine.cache.hits")
-    obs.gauge("engine.cache.size", len(_ENGINES))
     return engine
 
 
@@ -313,15 +311,3 @@ def batch_attack(
             results[index] = attack
     return results  # type: ignore[return-value]
 
-
-def attack_grid(
-    placement: Placement,
-    k_values: Sequence[int],
-    s_values: Sequence[int],
-    effort: str = "auto",
-    seed: int = 0,
-) -> Dict[Tuple[int, int], AttackResult]:
-    """Full-cartesian convenience wrapper: ``{(k, s): AttackResult}``."""
-    cells = [AttackCell(k, s, effort) for s in s_values for k in k_values]
-    results = batch_attack(placement, cells, seed=seed)
-    return {(cell.k, cell.s): attack for cell, attack in zip(cells, results)}

@@ -4,29 +4,26 @@ Every availability number in the paper (Definition 1's ``Avail(pi)`` =
 min surviving objects over all C(n, k) failure sets) bottlenecks on one
 operation: given a partial failure set, how many objects have lost at
 least ``s`` replicas, and which node kills the most next? This module
-isolates that operation behind the :class:`DamageKernel` interface,
-implemented by one engine, :class:`GainKernel`.
+implements that operation in one engine, :class:`GainKernel`.
 
 The gain kernel maintains a length-``b`` hit-count vector plus a
 length-``n`` marginal-gain table (``gain[v]`` = objects at count
 ``s - 1`` covered by ``v``), so ``add_node``/``remove_node`` touch only
 the ~``r * b / n`` objects incident to the changed node instead of
 rescanning all ``n * b`` pairs, ``best_addition`` is an O(n) argmax over
-the table, and ``damage_of`` is O(1). Three backings share one contract
+the table, and ``damage_of`` is O(1). Two backings share one contract
 and return bit-identical results:
 
 * ``native`` — C hot loops compiled at first use (see
   :mod:`repro.core.native`), with fused polish passes and chains and a
   fused branch and bound;
-* ``numpy`` — scatter updates plus a blocked vectorized bulk rebuild;
-* ``python`` — the dependency-free reference, which runs the generic
-  ``try_swap``/``polish_pass``/``polish_chain`` loops of
-  :class:`DamageKernel`.
+* ``python`` — the dependency-free reference, :class:`GainKernel`
+  itself, which runs the generic ``try_swap``/``polish_pass``/
+  ``polish_chain`` loops.
 
 Backing choice: the ``gain_backing`` argument > ``REPRO_GAIN_BACKING`` >
-``auto``, which walks the ladder native -> numpy -> python, skipping
-unavailable and fault-demoted rungs. numpy is imported only when the
-numpy rung is actually chosen (see :mod:`repro.util.lazynumpy`).
+``auto``, which walks the ladder native -> python, skipping an
+unavailable or fault-demoted native rung.
 
 Kernels bind an :class:`Incidence` — the placement's CSR, the one
 incidence structure every backing reads, edited in place by deltas — to
@@ -49,12 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core import native as _native
 from repro.core.placement import Placement
-from repro.util import lazynumpy
 
 #: Recognized gain-engine backings, fastest-first: the degradation
 #: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
 #: the failing rung for the rest of the process (see demote_backing).
-GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "python")
+GAIN_BACKINGS: Tuple[str, ...] = ("native", "python")
 
 # Backings demoted after a fault (backing -> reason). Process-wide: once
 # a rung is demoted, ``auto`` never climbs back to it; forked workers
@@ -92,31 +88,20 @@ def restore_backings() -> None:
     _DEMOTED.clear()
 
 
-def numpy_available() -> bool:
-    """Whether the numpy rung can run, decided without importing numpy."""
-    return lazynumpy.installed()
-
-
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
     """The concrete gain-engine backing: argument > ``REPRO_GAIN_BACKING``.
 
-    ``auto`` walks the degradation ladder native -> numpy -> python,
-    skipping unavailable and fault-demoted rungs; an *explicit*
+    ``auto`` walks the degradation ladder native -> python, skipping
+    an unavailable or fault-demoted native rung; an *explicit*
     request for an unavailable (or demoted) backing raises instead of
     degrading, so a pinned configuration never silently measures the
     wrong thing.
     """
     choice = requested or os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
     if choice == "auto":
-        for backing in GAIN_BACKINGS:
-            if backing in _DEMOTED:
-                continue
-            if backing == "native" and not _native.available():
-                continue
-            if backing == "numpy" and not lazynumpy.installed():
-                continue
-            return backing
-        return GAIN_BACKINGS[-1]  # python: demote-proof floor
+        if "native" in _DEMOTED or not _native.available():
+            return "python"  # the demote-proof floor
+        return "native"
     if choice not in GAIN_BACKINGS:
         raise ValueError(
             f"unknown gain backing {choice!r}; use auto or one of {GAIN_BACKINGS}"
@@ -130,8 +115,6 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
         raise ValueError(
             f"native gain backing requested but unavailable: {_native.load_error()}"
         )
-    if choice == "numpy" and lazynumpy.optional() is None:
-        raise ValueError("numpy gain backing requested but numpy is not importable")
     return choice
 
 
@@ -140,9 +123,8 @@ class Incidence:
 
     :meth:`csr` is ``(node_off, node_end, node_objs, obj_nodes)``, flat
     int32 arrays and the only incidence structure. Every backing reads
-    it: native through exported pointers, numpy through zero-copy
-    ``frombuffer`` views, python by slicing. Node ``v`` hosts
-    ``node_objs[node_off[v]:node_end[v]]``; object ``o`` sits on
+    it: native through exported pointers, python by slicing. Node ``v``
+    hosts ``node_objs[node_off[v]:node_end[v]]``; object ``o`` sits on
     ``obj_nodes[o * r:(o + 1) * r]`` (every object has exactly ``r``
     replicas, so the object direction needs no offset array). One
     instance is shared by every kernel (any ``s``, any backing) and
@@ -187,11 +169,10 @@ class Incidence:
     def csr(self) -> Tuple[array, array, array, array]:
         """``(node_off, node_end, node_objs, obj_nodes)``; see the class doc.
 
-        The arrays are pinned by the native kernel's exported pointers
-        and the numpy backing's views (``array`` refuses to resize while
-        a buffer view exists), so they are never resized: a delta that
-        overflows the padding replaces the whole tuple, and kernels
-        re-read it in :meth:`GainKernel.rebind`.
+        The arrays are pinned by the native kernel's exported pointers,
+        so they are never resized: a delta that overflows the padding
+        replaces the whole tuple, and kernels re-read it in
+        :meth:`GainKernel.rebind`.
         """
         if self._csr is None:
             node_off, node_objs = self.placement.node_csr()
@@ -208,7 +189,7 @@ class Incidence:
         completion drawn from the suffix can add, and therefore (since a
         not-yet-dead object needs at least one added incidence to die) how
         many objects it can newly kill — the cap used by
-        :meth:`DamageKernel.refined_bound`.
+        :meth:`GainKernel.refined_bound`.
         """
         if self._top_degree_prefix is None:
             loads = self.placement.load_profile()
@@ -347,166 +328,6 @@ class Incidence:
         return placement
 
 
-class DamageKernel:
-    """Incremental damage evaluation bound to one (placement, s) pair.
-
-    Subclasses implement the hit-vector operations; the contract on
-    ``hits`` objects (mutate-and-return, backtrack via the inverse call)
-    is described in the module docstring.
-    """
-
-    name = "abstract"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        placement = incidence.placement
-        if not 1 <= s <= placement.r:
-            raise ValueError(f"need 1 <= s <= r={placement.r}, got s={s}")
-        self.incidence = incidence
-        self.placement = placement
-        self.s = s
-        self.n = placement.n
-        self.b = placement.b
-
-    # -- hit-vector operations --------------------------------------------
-
-    def empty_hits(self):
-        raise NotImplementedError
-
-    def add_node(self, hits, node: int):
-        raise NotImplementedError
-
-    def remove_node(self, hits, node: int):
-        raise NotImplementedError
-
-    def hits_for(self, nodes: Sequence[int]):
-        hits = self.empty_hits()
-        for node in nodes:
-            hits = self.add_node(hits, node)
-        return hits
-
-    def damage_of(self, hits) -> int:
-        raise NotImplementedError
-
-    def damage_for(self, nodes: Sequence[int]) -> int:
-        """One-shot damage of a concrete failure set."""
-        return self.damage_of(self.hits_for(nodes))
-
-    def best_addition(self, hits, banned: Sequence[int]) -> Tuple[int, int]:
-        """(node, resulting damage) maximizing damage after adding one node.
-
-        Ties break toward the lowest node id in every backing, so search
-        trajectories (and therefore heuristic results) are backing-independent.
-        """
-        raise NotImplementedError
-
-    def optimistic_bound(self, hits, start: int, slots: int) -> int:
-        """Upper bound on damage after adding ``slots`` nodes from ``>= start``.
-
-        Counts objects that are dead already or still killable: deficit
-        (replicas to reach ``s``) at most ``slots`` *and* reachable among
-        the not-yet-considered nodes. Used by branch-and-bound pruning.
-        This bound is backing-independent by contract (the property tests
-        pin it); tightenings go in :meth:`refined_bound`.
-        """
-        raise NotImplementedError
-
-    def refined_bound(self, hits, start: int, slots: int) -> int:
-        """The tightest sound completion bound this kernel can offer.
-
-        Combines :meth:`optimistic_bound` with the degree cap: every
-        not-yet-dead object needs at least one added incidence to die, so
-        a completion of ``slots`` nodes from the suffix kills at most
-        ``top_degree_sum(start, slots)`` new objects. Kernels with more
-        state may tighten further (the gain kernel resolves one-slot
-        completions exactly); the value only has to stay sound.
-        """
-        bound = self.optimistic_bound(hits, start, slots)
-        cap = self.damage_of(hits) + self.incidence.top_degree_sum(start, slots)
-        return cap if cap < bound else bound
-
-    def try_swap(self, hits, node: int, banned, current: int):
-        """One local-search polish position: swap ``node`` out if it pays.
-
-        Removes ``node``, finds the best non-banned replacement, keeps it
-        iff the resulting damage strictly beats ``current``, and restores
-        ``node`` otherwise. ``banned`` must not contain ``node`` (so the
-        no-op swap is a legal candidate). Returns
-        ``(hits, swapped_in_node_or_None, resulting_damage)``; backings
-        with fused state (the native gain backing) override this to run
-        the whole position in one call.
-        """
-        hits = self.remove_node(hits, node)
-        candidate, damage = self.best_addition(hits, banned)
-        if damage > current:
-            hits = self.add_node(hits, candidate)
-            return hits, candidate, damage
-        hits = self.add_node(hits, node)
-        return hits, None, current
-
-    def polish_pass(self, hits, nodes: List[int], current: int):
-        """One steepest-positional local-search sweep over ``nodes``.
-
-        Runs :meth:`try_swap` at every position in order, mutating
-        ``nodes`` in place as swaps land. Returns
-        ``(hits, resulting_damage, improved)``. The native gain backing
-        overrides this to run the whole sweep in one foreign call;
-        semantics (visit order, tie-breaks, strict-improvement rule) are
-        identical everywhere, so search trajectories stay
-        backing-independent.
-        """
-        banned = set(nodes)
-        improved = False
-        for position in range(len(nodes)):
-            node = nodes[position]
-            banned.discard(node)
-            hits, swapped, current = self.try_swap(hits, node, banned, current)
-            if swapped is not None:
-                nodes[position] = swapped
-                banned.add(swapped)
-                improved = True
-            else:
-                banned.add(node)
-        return hits, current, improved
-
-    def polish_chain(
-        self, seed_nodes: Sequence[int]
-    ) -> Tuple[List[int], int, int, int]:
-        """One whole polish-to-convergence chain from a seed failure set.
-
-        Builds fresh hit state for the seed (never touching any hits
-        object the caller holds), then repeats :meth:`polish_pass` until
-        a sweep lands no swap. Returns ``(nodes, damage, passes,
-        swaps)`` where ``passes`` counts every sweep (including the
-        final non-improving one — the evaluation charge the driver
-        reconstructs) and ``swaps`` the positions whose occupant
-        changed. A chain is a pure function of (kernel state, seed), so
-        chains commute: running them in any order yields identical
-        per-chain results.
-        """
-        nodes = list(seed_nodes)
-        hits = self.hits_for(nodes)
-        current = self.damage_of(hits)
-        passes = 0
-        swaps = 0
-        improved = True
-        while improved:
-            before = list(nodes)
-            hits, current, improved = self.polish_pass(hits, nodes, current)
-            passes += 1
-            swaps += sum(1 for a, b in zip(before, nodes) if a != b)
-        return nodes, current, passes, swaps
-
-    def polish_chains(
-        self, seeds: Sequence[Sequence[int]]
-    ) -> List[Tuple[List[int], int, int, int]]:
-        """Run one :meth:`polish_chain` per seed; results in seed order.
-
-        The native gain backing overrides this to run the whole batch in
-        a single foreign call.
-        """
-        return [self.polish_chain(seed) for seed in seeds]
-
-
 class _GainHits:
     """Mutable gain-engine state: hit counts, gain table, dead counter."""
 
@@ -518,30 +339,41 @@ class _GainHits:
         self.dead = dead
 
 
-class GainKernel(DamageKernel):
-    """The incremental gain-table engine (pure-python backing).
+class GainKernel:
+    """Incremental damage evaluation bound to one (placement, s) pair.
 
-    State per hits object: ``counts[o]`` (failed replicas of object ``o``),
-    ``gain[v]`` (objects at exactly ``s - 1`` hits that node ``v`` covers,
-    i.e. the marginal damage of failing ``v``), and ``dead`` (objects at
-    ``>= s`` hits). ``add_node``/``remove_node`` walk only the objects
-    incident to the changed node and propagate boundary crossings (counts
-    hitting ``s - 1`` or ``s``) to the ~``r`` incident nodes of each
-    crossing object — O(r^2 * b / n) per move versus the O(n * b) of a
-    full rescan. ``best_addition`` is an O(n) argmax over the
-    table (zero-gain candidates never cost a damage evaluation — the
+    This class is the gain-table engine's pure-python backing and the
+    executable reference. State per hits object: ``counts[o]`` (failed
+    replicas of object ``o``), ``gain[v]`` (objects at exactly ``s - 1``
+    hits that node ``v`` covers, i.e. the marginal damage of failing
+    ``v``), and ``dead`` (objects at ``>= s`` hits).
+    ``add_node``/``remove_node`` walk only the objects incident to the
+    changed node and propagate boundary crossings (counts hitting
+    ``s - 1`` or ``s``) to the ~``r`` incident nodes of each crossing
+    object — O(r^2 * b / n) per move versus the O(n * b) of a full
+    rescan. ``best_addition`` is an O(n) argmax over the table
+    (zero-gain candidates never cost a damage evaluation — the
     candidate pruning of classic max-coverage local search), and
     ``damage_of`` is O(1).
 
-    Subclasses swap the *backing* — how state is stored and bulk-rebuilt —
-    without changing results; see the module docstring.
+    The native backing subclasses this to swap how state is stored and
+    which loops run in C, without changing results; the contract on
+    ``hits`` objects (mutate-and-return, backtrack via the inverse call)
+    is described in the module docstring.
     """
 
     name = "gain"
     backing = "python"
 
     def __init__(self, incidence: Incidence, s: int) -> None:
-        super().__init__(incidence, s)
+        placement = incidence.placement
+        if not 1 <= s <= placement.r:
+            raise ValueError(f"need 1 <= s <= r={placement.r}, got s={s}")
+        self.incidence = incidence
+        self.placement = placement
+        self.s = s
+        self.n = placement.n
+        self.b = placement.b
         self.r = incidence.r
         self._csr = incidence.csr()
 
@@ -550,13 +382,13 @@ class GainKernel(DamageKernel):
 
         A delta edits the CSR arrays in place or replaces all four, so
         the python backing only re-reads the shape and the tuple; the
-        packed backings re-export what they hold on top of this.
+        native backing re-exports what it holds on top of this.
         """
         self.placement = self.incidence.placement
         self.b = self.incidence.b
         self._csr = self.incidence.csr()
 
-    # -- state ------------------------------------------------------------
+    # -- hit-vector operations --------------------------------------------
 
     def empty_hits(self) -> _GainHits:
         counts = [0] * self.b
@@ -607,12 +439,27 @@ class GainKernel(DamageKernel):
         hits.dead = dead
         return hits
 
+    def hits_for(self, nodes: Sequence[int]) -> _GainHits:
+        hits = self.empty_hits()
+        for node in nodes:
+            hits = self.add_node(hits, node)
+        return hits
+
     # -- queries -----------------------------------------------------------
 
     def damage_of(self, hits: _GainHits) -> int:
         return hits.dead
 
+    def damage_for(self, nodes: Sequence[int]) -> int:
+        """One-shot damage of a concrete failure set."""
+        return self.damage_of(self.hits_for(nodes))
+
     def best_addition(self, hits: _GainHits, banned: Sequence[int]) -> Tuple[int, int]:
+        """(node, resulting damage) maximizing damage after adding one node.
+
+        Ties break toward the lowest node id in every backing, so search
+        trajectories (and therefore heuristic results) are backing-independent.
+        """
         banned_set = (
             banned if isinstance(banned, (set, frozenset)) else set(banned)
         )
@@ -627,6 +474,14 @@ class GainKernel(DamageKernel):
         return best_node, hits.dead + int(best_gain)
 
     def optimistic_bound(self, hits: _GainHits, start: int, slots: int) -> int:
+        """Upper bound on damage after adding ``slots`` nodes from ``>= start``.
+
+        Counts objects that are dead already or still killable: deficit
+        (replicas to reach ``s``) at most ``slots`` *and* reachable among
+        the not-yet-considered nodes. Used by branch-and-bound pruning.
+        This bound is backing-independent by contract (the property tests
+        pin it); tightenings go in :meth:`refined_bound`.
+        """
         s, r, b = self.s, self.r, self.b
         obj_nodes = self._csr[3]
         count = hits.dead
@@ -642,153 +497,109 @@ class GainKernel(DamageKernel):
                     count += 1
         return count
 
-    def _max_gain_from(self, hits: _GainHits, start: int) -> int:
-        return max(hits.gain[start:])
-
     def refined_bound(self, hits: _GainHits, start: int, slots: int) -> int:
-        bound = super().refined_bound(hits, start, slots)
+        """The tightest sound completion bound this kernel can offer.
+
+        Combines :meth:`optimistic_bound` with the degree cap: every
+        not-yet-dead object needs at least one added incidence to die, so
+        a completion of ``slots`` nodes from the suffix kills at most
+        ``top_degree_sum(start, slots)`` new objects. One-slot
+        completions are resolved exactly by the gain table: the best
+        single addition from the suffix adds the suffix's max gain.
+        """
+        bound = self.optimistic_bound(hits, start, slots)
+        dead = self.damage_of(hits)
+        cap = dead + self.incidence.top_degree_sum(start, slots)
+        if cap < bound:
+            bound = cap
         if slots == 1 and start < self.n:
-            # One-slot completions are resolved exactly by the gain table:
-            # the best single addition from the suffix adds max gain.
-            exact = self.damage_of(hits) + int(self._max_gain_from(hits, start))
+            exact = dead + int(max(hits.gain[start:]))
             if exact < bound:
                 bound = exact
         return bound
 
+    # -- local search ------------------------------------------------------
 
-class _NumpyGainKernel(GainKernel):
-    """Gain engine on numpy state: scatter updates, vectorized rebuilds."""
+    def try_swap(self, hits, node: int, banned, current: int):
+        """One local-search polish position: swap ``node`` out if it pays.
 
-    backing = "numpy"
+        Removes ``node``, finds the best non-banned replacement, keeps it
+        iff the resulting damage strictly beats ``current``, and restores
+        ``node`` otherwise. ``banned`` must not contain ``node`` (so the
+        no-op swap is a legal candidate). Returns
+        ``(hits, swapped_in_node_or_None, resulting_damage)``; the native
+        backing overrides this to run the whole position in one call.
+        """
+        hits = self.remove_node(hits, node)
+        candidate, damage = self.best_addition(hits, banned)
+        if damage > current:
+            hits = self.add_node(hits, candidate)
+            return hits, candidate, damage
+        hits = self.add_node(hits, node)
+        return hits, None, current
 
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        if lazynumpy.optional() is None:
-            raise RuntimeError("numpy gain backing requires numpy")
-        super().__init__(incidence, s)
-        self._bind_views()
+    def polish_pass(self, hits, nodes: List[int], current: int):
+        """One steepest-positional local-search sweep over ``nodes``.
 
-    def rebind(self) -> None:
-        super().rebind()
-        self._bind_views()
+        Runs :meth:`try_swap` at every position in order, mutating
+        ``nodes`` in place as swaps land. Returns
+        ``(hits, resulting_damage, improved)``. The native backing
+        overrides this to run the whole sweep in one foreign call;
+        semantics (visit order, tie-breaks, strict-improvement rule) are
+        identical everywhere, so search trajectories stay
+        backing-independent.
+        """
+        banned = set(nodes)
+        improved = False
+        for position in range(len(nodes)):
+            node = nodes[position]
+            banned.discard(node)
+            hits, swapped, current = self.try_swap(hits, node, banned, current)
+            if swapped is not None:
+                nodes[position] = swapped
+                banned.add(swapped)
+                improved = True
+            else:
+                banned.add(node)
+        return hits, current, improved
 
-    def _bind_views(self) -> None:
-        """Zero-copy views of the CSR: the node-major object ids and the
-        live ``(b, r)`` object rows."""
-        np = lazynumpy.module()
-        _, _, node_objs, obj_nodes = self._csr
-        self._node_objs = np.frombuffer(node_objs, dtype=np.int32)
-        self._obj_matrix = np.frombuffer(obj_nodes, dtype=np.int32)[
-            :self.b * self.r
-        ].reshape(self.b, self.r)
+    def polish_chain(
+        self, seed_nodes: Sequence[int]
+    ) -> Tuple[List[int], int, int, int]:
+        """One whole polish-to-convergence chain from a seed failure set.
 
-    def _objects_on(self, node: int):
-        node_off, node_end = self._csr[0], self._csr[1]
-        return self._node_objs[node_off[node]:node_end[node]]
+        Builds fresh hit state for the seed (never touching any hits
+        object the caller holds), then repeats :meth:`polish_pass` until
+        a sweep lands no swap. Returns ``(nodes, damage, passes,
+        swaps)`` where ``passes`` counts every sweep (including the
+        final non-improving one — the evaluation charge the adversary
+        reconstructs) and ``swaps`` the positions whose occupant
+        changed. A chain is a pure function of (kernel state, seed), so
+        chains commute: running them in any order yields identical
+        per-chain results.
+        """
+        nodes = list(seed_nodes)
+        hits = self.hits_for(nodes)
+        current = self.damage_of(hits)
+        passes = 0
+        swaps = 0
+        improved = True
+        while improved:
+            before = list(nodes)
+            hits, current, improved = self.polish_pass(hits, nodes, current)
+            passes += 1
+            swaps += sum(1 for a, b in zip(before, nodes) if a != b)
+        return nodes, current, passes, swaps
 
-    def empty_hits(self) -> _GainHits:
-        np = lazynumpy.module()
-        counts = np.zeros(self.b, dtype=np.int32)
-        if self.s == 1:
-            # Column sums of the incidence matrix = the load profile,
-            # which the placement carries precomputed.
-            gain = np.array(self.placement.load_profile(), dtype=np.int64)
-        else:
-            gain = np.zeros(self.n, dtype=np.int64)
-        return _GainHits(counts, gain, 0)
+    def polish_chains(
+        self, seeds: Sequence[Sequence[int]]
+    ) -> List[Tuple[List[int], int, int, int]]:
+        """Run one :meth:`polish_chain` per seed; results in seed order.
 
-    #: Objects per block of the bulk rebuild; bounds temp memory at
-    #: ``block * r`` indices regardless of b.
-    _REBUILD_BLOCK = 1 << 16
-
-    def hits_for(self, nodes: Sequence[int]) -> _GainHits:
-        np = lazynumpy.module()
-        node_list = list(nodes)
-        if not node_list:
-            return self.empty_hits()
-        # Blocked direct rebuild over the (b, r) replica matrix: node
-        # occurrence flags, per-object hit counts via a stride-1 row
-        # gather, gain via bincount over at-target rows. Equivalent to
-        # (and bit-identical with) the historical dense
-        # ``M @ (counts == s - 1)`` path, but never materializes the
-        # b x n incidence matrix — the difference between b = 1e5 and
-        # b = 1e7 being feasible on this backing.
-        flags = np.zeros(self.n, dtype=np.int32)
-        np.add.at(flags, node_list, 1)
-        rows = self._obj_matrix
-        counts = np.empty(self.b, dtype=np.int32)
-        gain = np.zeros(self.n, dtype=np.int64)
-        dead = 0
-        target = self.s - 1
-        for lo in range(0, self.b, self._REBUILD_BLOCK):
-            hi = min(lo + self._REBUILD_BLOCK, self.b)
-            chunk = rows[lo:hi]
-            hit = flags[chunk].sum(axis=1, dtype=np.int32)
-            counts[lo:hi] = hit
-            dead += int((hit >= self.s).sum())
-            at_target = chunk[hit == target]
-            if len(at_target):
-                gain += np.bincount(at_target.ravel(), minlength=self.n)
-        return _GainHits(counts, gain, dead)
-
-    def add_node(self, hits: _GainHits, node: int) -> _GainHits:
-        np = lazynumpy.module()
-        objs = self._objects_on(node)
-        counts = hits.counts
-        c = counts[objs]
-        counts[objs] = c + 1
-        to_dead = objs[c == self.s - 1]
-        if len(to_dead):
-            np.subtract.at(hits.gain, self._obj_matrix[to_dead].ravel(), 1)
-            hits.dead += int(len(to_dead))
-        if self.s >= 2:
-            to_target = objs[c == self.s - 2]
-            if len(to_target):
-                np.add.at(hits.gain, self._obj_matrix[to_target].ravel(), 1)
-        return hits
-
-    def remove_node(self, hits: _GainHits, node: int) -> _GainHits:
-        np = lazynumpy.module()
-        objs = self._objects_on(node)
-        counts = hits.counts
-        c = counts[objs]
-        counts[objs] = c - 1
-        from_dead = objs[c == self.s]
-        if len(from_dead):
-            np.add.at(hits.gain, self._obj_matrix[from_dead].ravel(), 1)
-            hits.dead -= int(len(from_dead))
-        if self.s >= 2:
-            from_target = objs[c == self.s - 1]
-            if len(from_target):
-                np.subtract.at(
-                    hits.gain, self._obj_matrix[from_target].ravel(), 1
-                )
-        return hits
-
-    def best_addition(self, hits: _GainHits, banned: Sequence[int]) -> Tuple[int, int]:
-        banned_set = (
-            banned if isinstance(banned, (set, frozenset)) else set(banned)
-        )
-        best_node, best_gain = -1, -1
-        for node, g in enumerate(hits.gain.tolist()):
-            if g > best_gain and node not in banned_set:
-                best_node, best_gain = node, g
-        if best_node < 0:
-            return -1, -1
-        return best_node, hits.dead + int(best_gain)
-
-    def optimistic_bound(self, hits: _GainHits, start: int, slots: int) -> int:
-        np = lazynumpy.module()
-        deficit = self.s - hits.counts
-        killable = deficit <= 0
-        rows = self._obj_matrix
-        for d in range(1, min(slots, self.s) + 1):
-            # Sorted rows: >= d replicas on nodes >= start iff the d-th
-            # largest one is.
-            killable |= (deficit == d) & (rows[:, self.r - d] >= start)
-        return int(np.count_nonzero(killable))
-
-    def _max_gain_from(self, hits: _GainHits, start: int) -> int:
-        return int(hits.gain[start:].max())
+        The native backing overrides this to run the whole batch in a
+        single foreign call.
+        """
+        return [self.polish_chain(seed) for seed in seeds]
 
 
 class _NativeGainHits:
@@ -913,9 +724,6 @@ class _NativeGainKernel(GainKernel):
         self._remove(self._model_ref, node, hits.ptr)
         return hits
 
-    def damage_of(self, hits: _NativeGainHits) -> int:
-        return hits.dead
-
     def best_addition(self, hits: _NativeGainHits, banned: Sequence[int]) -> Tuple[int, int]:
         flags = self._banned
         for node in banned:
@@ -1028,7 +836,6 @@ class _NativeGainKernel(GainKernel):
 
 _GAIN_KERNELS = {
     "native": _NativeGainKernel,
-    "numpy": _NumpyGainKernel,
     "python": GainKernel,
 }
 
@@ -1038,7 +845,7 @@ def make_kernel(
     s: int,
     incidence: Optional[Incidence] = None,
     gain_backing: Optional[str] = None,
-) -> DamageKernel:
+) -> GainKernel:
     """Build the damage kernel for ``(placement, s)``.
 
     Pass ``incidence`` to share one :class:`Incidence` across several
@@ -1054,16 +861,16 @@ def make_kernel(
 
 def _dispatch_gain_kernel(
     incidence: Incidence, s: int, gain_backing: Optional[str]
-) -> DamageKernel:
+) -> GainKernel:
     """Build a gain kernel, riding the degradation ladder on faults.
 
     This is the ``kernels.dispatch`` injection point. Per attempt: resolve
     the backing (honoring demotions made meanwhile), evaluate the chaos
     plan, construct. An injected ``backend`` fault — or a *real*
     infrastructure failure under ``auto`` — demotes the rung and
-    re-resolves, so the ladder degrades native -> numpy -> python
-    instead of failing the run; transient ``error`` faults just
-    retry. ``ValueError``/``TypeError`` are bad arguments, not a broken
+    re-resolves, so the ladder degrades native -> python instead of
+    failing the run; transient ``error`` faults just retry.
+    ``ValueError``/``TypeError`` are bad arguments, not a broken
     backing — every rung rejects them identically, so they propagate
     without demoting. Explicit (non-auto) requests propagate all real
     failures unchanged: pins never silently degrade. All backings are

@@ -10,10 +10,10 @@ and drives them through :mod:`ctypes` over ``array('i')`` buffers.
 
 This is an *accelerator*, not a dependency: no third-party packages, no
 build step at install time. If no working compiler is found (or
-``REPRO_GAIN_BACKING`` pins another backing) the gain kernel silently
-falls back to its numpy or pure-python backing with identical results — the
-property tests in ``tests/core/test_kernels.py`` pin all backings to the
-same bit-for-bit behaviour.
+``REPRO_GAIN_BACKING`` pins python) the gain kernel silently falls back
+to its pure-python backing with identical results — the property tests
+in ``tests/core/test_kernels.py`` pin both backings to the same
+bit-for-bit behaviour.
 
 Compiled artifacts are cached under a per-user directory (override with
 ``REPRO_NATIVE_CACHE``), keyed by a hash of the embedded C source, so the
@@ -673,7 +673,7 @@ def load() -> ctypes.CDLL:
         # The ``native.compile`` injection point: an injected fault here
         # makes the backing "unavailable" for the rest of the process,
         # which is exactly what a broken toolchain looks like — the gain
-        # ladder must degrade to numpy/python, never abort the run.
+        # ladder must degrade to python, never abort the run.
         from repro.faults import injector as _chaos
 
         _chaos.inject("native.compile")

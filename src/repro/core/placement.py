@@ -12,7 +12,7 @@ object (~200 bytes each plus per-element boxes). Everything downstream
 derives from that buffer:
 
 * ``replica_matrix()`` — a zero-copy numpy ``(b, r)`` int32 view (imports
-  numpy; the numpy gain backing's entry point);
+  numpy; the bulk failure queries read it);
 * ``node_csr()`` — the cached node -> objects incidence in CSR form
   (``node_off``/``node_objs`` int32 arrays), shared zero-copy with the
   damage kernels in :mod:`repro.core.kernels`;

@@ -113,7 +113,7 @@ def _backoff_delay(spec_hash: str, start: int, attempt: int, previous: float) ->
 
 
 def _demote_after_watchdog(reason: str) -> Optional[Dict[str, str]]:
-    """Degradation ladder: step the auto gain backing down one rung.
+    """Degradation ladder: step the auto gain backing down to python.
 
     Only an *auto* selection is demoted — an explicitly pinned backing
     never silently measures the wrong thing. Workers fork from the
@@ -125,10 +125,7 @@ def _demote_after_watchdog(reason: str) -> Optional[Dict[str, str]]:
     pinned = os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
     if pinned != "auto":
         return None
-    try:
-        backing = kernels.resolve_gain_backing("auto")
-    except ValueError:
-        return None
+    backing = kernels.resolve_gain_backing("auto")
     if backing == kernels.GAIN_BACKINGS[-1]:
         return None  # already on the last rung
     kernels.demote_backing(backing, reason)

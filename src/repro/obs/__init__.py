@@ -3,7 +3,7 @@
 Four small pieces, composable and individually optional:
 
 * :mod:`repro.obs.metrics` — a process-wide, fork-aware registry of
-  named counters/gauges/histograms/events with a strict catalog and a
+  named counters/histograms/events with a strict catalog and a
   hard split between *deterministic* instruments (semantic work counts,
   bit-identical across backings/workers/successful retries —
   snapshotted into run-store manifests and pinned by tests) and *ops*
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     delta_value,
     deterministic_delta,
     events,
-    gauge,
     merge_delta,
     metrics_enabled,
     observe,
@@ -67,7 +66,6 @@ __all__ = [
     "delta_value",
     "deterministic_delta",
     "events",
-    "gauge",
     "merge_delta",
     "metrics_enabled",
     "observe",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: named counters, gauges, histograms, events.
+"""Process-wide metrics registry: named counters, histograms, events.
 
 The registry is the single accounting surface for the whole stack —
 kernels, adversaries, the warm engine cache, the sharded runner, the
@@ -55,7 +55,6 @@ __all__ = [
     "metrics_enabled",
     "set_metrics",
     "count",
-    "gauge",
     "observe",
     "record_event",
     "events",
@@ -80,7 +79,7 @@ class Instrument:
     """One declared instrument: its kind, determinism class, and meaning."""
 
     name: str
-    kind: str  # "counter" | "gauge" | "histogram"
+    kind: str  # "counter" | "histogram"
     deterministic: bool  # pinned across backings/workers/retries
     always: bool  # records even when metrics are disabled
     description: str
@@ -88,10 +87,6 @@ class Instrument:
 
 def _c(name: str, description: str, *, det: bool = False, always: bool = False) -> Instrument:
     return Instrument(name, "counter", det, always, description)
-
-
-def _g(name: str, description: str) -> Instrument:
-    return Instrument(name, "gauge", False, False, description)
 
 
 def _h(name: str, description: str, *, det: bool = False) -> Instrument:
@@ -139,7 +134,6 @@ CATALOG: Dict[str, Instrument] = {
         _c("attack.memo.hits", "attack-result memo hits"),
         _c("attack.memo.misses", "attack-result memo misses"),
         _c("kernel.dispatch.native", "gain kernels built on the native rung"),
-        _c("kernel.dispatch.numpy", "gain kernels built on the numpy rung"),
         _c("kernel.dispatch.python", "gain kernels built on the python rung"),
         _c("store.cells_loaded", "cells served from a stored run prefix"),
         _c("store.cells_recomputed",
@@ -156,8 +150,6 @@ CATALOG: Dict[str, Instrument] = {
         _c("native.compiles",
            "native gain library loads (compiled or cache-reused)",
            always=True),
-        # -- gauges ---------------------------------------------------------
-        _g("engine.cache.size", "warm engines currently cached"),
     )
 }
 
@@ -165,7 +157,6 @@ _EVENT_CAP = 1024
 
 _LOCK = threading.Lock()
 _counters: Dict[str, int] = {}
-_gauges: Dict[str, float] = {}
 _hists: Dict[str, Dict[str, Any]] = {}
 _events: "deque[Dict[str, Any]]" = deque(maxlen=_EVENT_CAP)
 _event_seq = 0
@@ -218,15 +209,6 @@ def count(name: str, n: int = 1) -> None:
         _counters[name] = _counters.get(name, 0) + int(n)
 
 
-def gauge(name: str, value: float) -> None:
-    """Set a gauge to its current value."""
-    inst = _instrument(name, "gauge")
-    if not inst.always and not metrics_enabled():
-        return
-    with _LOCK:
-        _gauges[name] = value
-
-
 def observe(name: str, value: float) -> None:
     """Record one observation into a histogram (power-of-two buckets)."""
     inst = _instrument(name, "histogram")
@@ -275,11 +257,10 @@ def _copy_hists() -> Dict[str, Dict[str, Any]]:
 
 
 def snapshot() -> Dict[str, Any]:
-    """A full copy of the registry: counters, gauges, histograms, events."""
+    """A full copy of the registry: counters, histograms, events."""
     with _LOCK:
         return {
             "counters": dict(_counters),
-            "gauges": dict(_gauges),
             "histograms": _copy_hists(),
             "events": [dict(entry) for entry in _events],
         }
@@ -290,7 +271,6 @@ def checkpoint() -> Dict[str, Any]:
     with _LOCK:
         return {
             "counters": dict(_counters),
-            "gauges": dict(_gauges),
             "histograms": _copy_hists(),
             "event_seq": _event_seq,
         }
@@ -299,8 +279,7 @@ def checkpoint() -> Dict[str, Any]:
 def delta_since(mark: Dict[str, Any]) -> Dict[str, Any]:
     """Everything recorded since ``mark`` (zero entries dropped).
 
-    The result is mergeable with :func:`merge_delta`; gauges carry their
-    current values (a gauge has no meaningful difference).
+    The result is mergeable with :func:`merge_delta`.
     """
     with _LOCK:
         counters = {}
@@ -328,7 +307,6 @@ def delta_since(mark: Dict[str, Any]) -> Dict[str, Any]:
             }
         return {
             "counters": counters,
-            "gauges": dict(_gauges),
             "histograms": hists,
             "events": [
                 dict(entry)
@@ -380,8 +358,6 @@ def merge_delta(delta: Dict[str, Any]) -> None:
     with _LOCK:
         for name, value in delta.get("counters", {}).items():
             _counters[name] = _counters.get(name, 0) + value
-        for name, value in delta.get("gauges", {}).items():
-            _gauges[name] = value
         for name, hist in delta.get("histograms", {}).items():
             mine = _hists.get(name)
             if mine is None:
@@ -402,7 +378,7 @@ def merge_delta(delta: Dict[str, Any]) -> None:
 def rollback(mark: Dict[str, Any]) -> None:
     """Discard a failed attempt's gated recordings; keep always-counters.
 
-    Restores every gated counter/gauge/histogram to its ``mark`` value —
+    Restores every gated counter/histogram to its ``mark`` value —
     the retry will re-record the work — while control-plane instruments
     (``always=True``) keep whatever the failed attempt added, because a
     retry *happened* even though its work was discarded.
@@ -415,12 +391,6 @@ def rollback(mark: Dict[str, Any]) -> None:
                     del _counters[name]
                 else:
                     _counters[name] = base
-        for name in list(_gauges):
-            base = mark["gauges"].get(name)
-            if base is None:
-                del _gauges[name]
-            else:
-                _gauges[name] = base
         for name in list(_hists):
             base = mark["histograms"].get(name)
             if base is None:
@@ -438,7 +408,6 @@ def reset_metrics() -> None:
     global _event_seq
     with _LOCK:
         _counters.clear()
-        _gauges.clear()
         _hists.clear()
         _events.clear()
         _event_seq = 0

@@ -98,12 +98,6 @@ def render_metrics(
         for name in sorted(counters):
             table.add_row([name, counters[name], _describe(name)])
         sections.append(table.render())
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        table = TextTable(["gauge", "value", "description"])
-        for name in sorted(gauges):
-            table.add_row([name, gauges[name], _describe(name)])
-        sections.append(table.render())
     histograms = snapshot.get("histograms", {})
     if histograms:
         table = TextTable(["histogram", "count", "sum", "mean", "description"])

@@ -6,14 +6,14 @@ the pure-Python branches finish bulk placement work at the catalog's
 sizes (b <= 9,600) in milliseconds. So no module imports numpy at load
 time. Code that can use it asks this accessor at the call site:
 
-* :func:`module` — numpy itself, for paths that need it (the numpy gain
-  backing, ndarray input); imported on the first call;
+* :func:`module` — numpy itself, for paths that need it (ndarray
+  input); imported on the first call;
 * :func:`optional` — numpy if importable, else ``None``
   (``replica_matrix()``, the ``.npz`` and mmap artifact validators);
 * :func:`for_bulk` — numpy only when a bulk pass over ``b`` objects
   crosses :data:`BULK_MIN_B`, where its speed outweighs its import;
 * :func:`installed` — whether numpy can be imported, decided without
-  importing it (backing-ladder probes, test skips);
+  importing it (test skips);
 * :func:`is_array` — whether a value is a numpy array, decided without
   importing numpy (a caller holding one has imported it already).
 """

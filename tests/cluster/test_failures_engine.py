@@ -1,24 +1,17 @@
-"""Tests for failure injectors, workloads, metrics and the scenario engine."""
+"""Tests for failure injectors, workloads, metrics and the attack entries."""
 
 import random
 
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterError
-from repro.cluster.engine import (
-    compare_strategies,
-    run_attack_grid,
-    run_attack_scenario,
-    run_churn_scenario,
-    run_random_failure_scenario,
-)
 from repro.cluster.failures import (
     CorrelatedInjector,
     RandomInjector,
     WorstCaseInjector,
     fail_specific,
 )
-from repro.cluster.metrics import AvailabilityTimeline, LoadStats
+from repro.cluster.metrics import LoadStats
 from repro.cluster.objects import threshold_rule
 from repro.cluster.workload import (
     ChurnKind,
@@ -26,7 +19,8 @@ from repro.cluster.workload import (
     geometric_object_counts,
 )
 from repro.core.adaptive import AdaptiveComboPlacement
-from repro.core.batch import AttackEngine
+from repro.core.availability import evaluate_availability
+from repro.core.batch import AttackCell, AttackEngine, batch_attack
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
@@ -146,91 +140,63 @@ class TestMetrics:
         with pytest.raises(ValueError):
             LoadStats.from_loads([])
 
-    def test_timeline(self):
-        timeline = AvailabilityTimeline()
-        timeline.record(step=1, b=10, available=9, lower_bound=8)
-        timeline.record(step=2, b=10, available=7, lower_bound=8)  # violation
-        assert timeline.worst_fraction() == pytest.approx(0.7)
-        assert timeline.bound_violations() == 1
-
 
 class TestEngine:
     def test_attack_scenario(self):
+        # The injector on a deployed cluster kills exactly the damage the
+        # single-cell evaluation reports.
         placement = SimpleStrategy(13, 3, 1).place(26)
-        report = run_attack_scenario(placement, 3, threshold_rule(2), effort="exact")
-        assert report.b == 26
-        assert report.objects_available + report.objects_lost == 26
-        assert report.k == 3
-        assert report.load.maximum >= 1
+        rule = threshold_rule(2)
+        cluster = Cluster(placement.n)
+        cluster.apply_placement(placement)
+        injector = WorstCaseInjector(effort="exact")
+        failed = injector.inject(cluster, 3, rule)
+        assert len(failed) == 3
+        assert cluster.failed_nodes() == frozenset(failed)
+        lost = len(cluster.dead_objects(rule))
+        assert lost == injector.last_result.damage
+        report = evaluate_availability(placement, 3, 2, effort="exact")
+        assert lost == report.failed
+        assert report.available + lost == 26
 
     def test_attack_grid_matches_single_scenarios(self):
         placement = SimpleStrategy(13, 3, 1).place(26)
-        rule = threshold_rule(2)
-        reports = run_attack_grid(placement, (2, 3, 4), rule, effort="exact")
-        assert [r.k for r in reports] == [2, 3, 4]
-        for report in reports:
-            single = run_attack_scenario(placement, report.k, rule, effort="exact")
-            assert report.objects_lost == single.objects_lost
+        cells = [AttackCell(k, 2, "exact") for k in (2, 3, 4)]
+        attacks = batch_attack(placement, cells)
+        for cell, attack in zip(cells, attacks):
+            single = evaluate_availability(placement, cell.k, 2, effort="exact")
+            assert attack.damage == single.attack.damage
+            assert attack.exact and single.exact
         # Worst-case losses are monotone in k.
-        losses = [r.objects_lost for r in reports]
+        losses = [attack.damage for attack in attacks]
         assert losses == sorted(losses)
-
-    def test_random_failure_scenario(self):
-        placement = RandomStrategy(10, 3).place(30, random.Random(0))
-        reports = run_random_failure_scenario(
-            placement, 2, threshold_rule(2), repetitions=5, rng=random.Random(1)
-        )
-        assert len(reports) == 5
-        assert all(r.b == 30 for r in reports)
-
-    def test_random_failure_scenario_derived_seed_determinism(self):
-        # Parameter parity with run_attack_scenario: no rng means the
-        # draws derive from (seed, k, s) and replay bit-for-bit.
-        placement = RandomStrategy(10, 3).place(30, random.Random(0))
-        rule = threshold_rule(2)
-        first = run_random_failure_scenario(placement, 2, rule,
-                                            repetitions=4, seed=9)
-        second = run_random_failure_scenario(placement, 2, rule,
-                                             repetitions=4, seed=9)
-        assert [r.failed_nodes for r in first] == [
-            r.failed_nodes for r in second
-        ]
-        other = run_random_failure_scenario(placement, 2, rule,
-                                            repetitions=4, seed=10)
-        assert [r.failed_nodes for r in first] != [
-            r.failed_nodes for r in other
-        ]
-
-    def test_random_failure_scenario_accepts_racks(self):
-        placement = RandomStrategy(10, 3).place(30, random.Random(0))
-        reports = run_random_failure_scenario(
-            placement, 2, threshold_rule(2), repetitions=2, racks=5, seed=1
-        )
-        assert len(reports) == 2
 
     def test_compare_strategies(self):
         simple = SimpleStrategy(13, 3, 1).place(26)
         rnd = RandomStrategy(13, 3).place(26, random.Random(2))
-        reports = compare_strategies([simple, rnd], 3, threshold_rule(2), effort="exact")
-        assert len(reports) == 2
+        simple_report = evaluate_availability(simple, 3, 2, effort="exact")
+        random_report = evaluate_availability(rnd, 3, 2, effort="exact")
         # The Simple placement guarantees >= its bound; in this regime it
         # should not lose to Random's worst case.
-        assert reports[0].objects_available >= reports[1].objects_available - 1
+        assert simple_report.available >= random_report.available - 1
 
     def test_churn_scenario(self):
+        # Adaptive placement under churn never falls below its Lemma-3
+        # floor, measured every 8 events.
         adaptive = AdaptiveComboPlacement(13, 3, 2, 3, replan_interval=8)
-        timeline = AvailabilityTimeline()
         events = churn_trace(24, 0.75, warmup_arrivals=16, rng=random.Random(3))
-        run_churn_scenario(
-            adaptive,
-            events,
-            k=3,
-            rule=threshold_rule(2),
-            measure_every=8,
-            effort="fast",
-            on_sample=lambda step, b, avail, lb: timeline.record(
-                step=step, b=b, available=avail, lower_bound=lb
-            ),
-        )
-        assert timeline.samples, "expected at least one measurement"
-        assert timeline.bound_violations() == 0
+        rng = random.Random(1)
+        live = []
+        samples = 0
+        for step, event in enumerate(events):
+            if event.kind == ChurnKind.ARRIVAL:
+                live.append(adaptive.add_object())
+            elif live:
+                adaptive.remove_object(live.pop(rng.randrange(len(live))))
+            if live and step % 8 == 7:
+                report = evaluate_availability(
+                    adaptive.placement(), 3, 2, effort="fast"
+                )
+                assert report.available >= adaptive.lower_bound()
+                samples += 1
+        assert samples, "expected at least one measurement"

@@ -14,7 +14,6 @@ from repro.core.artifact import (
     save_npz,
     save_placement,
 )
-from repro.core.kernels import numpy_available
 from repro.core.placement import Placement, PlacementError
 from repro.core.random_placement import RandomStrategy
 
@@ -49,9 +48,8 @@ class TestNpzRoundtrip:
         with open(js, encoding="utf-8") as handle:
             assert json.load(handle) == placement.to_dict()
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_numpy_can_open_the_archive(self, placement, tmp_path):
-        import numpy as np
+        np = pytest.importorskip("numpy")
 
         path = str(tmp_path / "p.npz")
         save_npz(placement, path)

@@ -6,11 +6,10 @@ import pytest
 
 from repro.core import batch
 from repro.core.adversary import best_attack, damage
-from repro.core.availability import evaluate_availability_grid
+from repro.core.availability import evaluate_availability
 from repro.core.batch import (
     AttackCell,
     attack_cache_stats,
-    attack_grid,
     batch_attack,
     clear_attack_caches,
     engine_for,
@@ -40,6 +39,21 @@ class TestBatchAttack:
             assert len(attack.nodes) == cell.k
             assert damage(placement, attack.nodes, cell.s) == attack.damage
             assert attack.exact
+
+    def test_damage_monotone_in_k_and_s(self):
+        # Over a full (k, s) grid, damage grows with k and shrinks with s.
+        placement = SimpleStrategy(13, 3, 1).place(26)
+        ks, ss = (2, 3, 4), (1, 2, 3)
+        cells = [AttackCell(k, s, "exact") for s in ss for k in ks]
+        grid = {
+            (cell.k, cell.s): attack.damage
+            for cell, attack in zip(cells, batch_attack(placement, cells))
+        }
+        for s in ss:
+            assert [grid[(k, s)] for k in ks] == sorted(grid[(k, s)] for k in ks)
+        for k in ks:
+            column = [grid[(k, s)] for s in ss]
+            assert column == sorted(column, reverse=True)
 
     def test_matches_unbatched_exact_search(self):
         placement = random_placement(11, 3, 35, 1)
@@ -91,25 +105,20 @@ class TestBatchAttack:
         assert all(result == per_backing[0] for result in per_backing[1:])
 
 
-class TestAttackGrid:
-    def test_full_cartesian(self):
-        placement = SimpleStrategy(13, 3, 1).place(26)
-        grid = attack_grid(placement, k_values=(2, 3), s_values=(2, 3),
-                           effort="exact")
-        assert set(grid) == {(2, 2), (3, 2), (2, 3), (3, 3)}
-        # Damage grows with k and shrinks with s.
-        assert grid[(3, 2)].damage >= grid[(2, 2)].damage
-        assert grid[(2, 3)].damage <= grid[(2, 2)].damage
-
-
 class TestAvailabilityGrid:
     def test_reports_align(self):
+        # Per-cell availability reports agree with the batched attacks.
         placement = random_placement(12, 3, 40, 8)
         cells = [AttackCell(3, 2, "exact"), AttackCell(2, 2, "exact")]
-        reports = evaluate_availability_grid(placement, cells)
+        attacks = batch_attack(placement, cells)
+        reports = [
+            evaluate_availability(placement, cell.k, cell.s, cell.effort)
+            for cell in cells
+        ]
         assert [(r.k, r.s) for r in reports] == [(3, 2), (2, 2)]
-        for report in reports:
+        for report, attack in zip(reports, attacks):
             assert report.available + report.attack.damage == placement.b
+            assert report.attack.damage == attack.damage
             assert report.exact
 
 
@@ -140,7 +149,7 @@ class TestWarmEngine:
         warm = engine_for(placement)
         assert warm.kernel(2).backing == "python"
         other = resolve_gain_backing("auto")
-        if other == "python":  # pragma: no cover - no numpy, no compiler
+        if other == "python":  # pragma: no cover - no compiler
             pytest.skip("only the python gain backing is available")
         monkeypatch.setenv("REPRO_GAIN_BACKING", other)
         pinned = engine_for(placement)

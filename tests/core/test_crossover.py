@@ -16,13 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import placement as placement_module
-from repro.core.kernels import numpy_available
 from repro.core.placement import Placement, PlacementError
 from repro.designs.packing import shuffled_design_rows
 from repro.designs.steiner_triple import steiner_triple_system
 from repro.util import lazynumpy
 
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+pytestmark = pytest.mark.skipif(not lazynumpy.installed(), reason="needs numpy")
 
 #: Crossovers forcing each branch: 0 takes numpy at any size, the other
 #: exceeds every drawn b.

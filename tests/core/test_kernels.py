@@ -1,6 +1,6 @@
 """Property tests: every gain backing agrees with independent oracles.
 
-The native / numpy / python gain backings implement one contract; these
+The native and python gain backings implement one contract; these
 tests drive them with hypothesis-generated random placements and assert
 they agree with each other and with oracles that share no code with the
 gain table: the reference ``damage()`` function for damage evaluation, a
@@ -32,7 +32,6 @@ from repro.core.kernels import (
     GAIN_BACKINGS,
     Incidence,
     make_kernel,
-    numpy_available,
     resolve_gain_backing,
 )
 from repro.core.random_placement import RandomStrategy
@@ -42,8 +41,7 @@ def available_gain_backings():
     return [
         backing
         for backing in GAIN_BACKINGS
-        if (backing != "numpy" or numpy_available())
-        and (backing != "native" or native.available())
+        if backing != "native" or native.available()
     ]
 
 
@@ -496,9 +494,9 @@ class TestGainBackings:
         if not native.available():  # pragma: no cover - compiler-less envs
             with pytest.raises(ValueError):
                 resolve_gain_backing("native")
-        if not numpy_available():  # pragma: no cover - no-numpy CI leg
-            with pytest.raises(ValueError):
-                resolve_gain_backing("numpy")
+        # numpy is not a gain backing: naming it is an unknown backing.
+        with pytest.raises(ValueError, match="unknown gain backing"):
+            resolve_gain_backing("numpy")
         # A failing compiler makes the native rung unavailable, not fatal.
         saved = (
             native._lib, native._load_attempted, native._load_error,

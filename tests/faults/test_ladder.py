@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import faults
-from repro.core import kernels
+from repro.core import native
 from repro.core.adversary import damage
 from repro.core.kernels import (
     GAIN_BACKINGS,
@@ -23,27 +23,24 @@ def _placement():
     return RandomStrategy(11, 3).place(40, random.Random(7))
 
 
-def _available(backing):
-    if backing == "native":
-        from repro.core import native
-
-        return native.available()
-    if backing == "numpy":
-        return kernels.numpy_available()
-    return True
+needs_native = pytest.mark.skipif(
+    not native.available(), reason="native is the only demotable rung"
+)
 
 
 class TestDemotionBookkeeping:
+    @needs_native
     def test_demote_and_restore(self):
-        demote_backing("numpy", "test fault")
-        assert demoted_backings() == {"numpy": "test fault"}
+        demote_backing("native", "test fault")
+        assert demoted_backings() == {"native": "test fault"}
         restore_backings()
         assert demoted_backings() == {}
 
+    @needs_native
     def test_first_reason_wins(self):
-        demote_backing("numpy", "first")
-        demote_backing("numpy", "second")
-        assert demoted_backings()["numpy"] == "first"
+        demote_backing("native", "first")
+        demote_backing("native", "second")
+        assert demoted_backings()["native"] == "first"
 
     def test_python_floor_is_never_demotable(self):
         with pytest.raises(ValueError, match="floor"):
@@ -66,10 +63,11 @@ class TestResolution:
         assert positions == sorted(set(positions))
         assert ladder[-1] == "python"
 
+    @needs_native
     def test_explicit_demoted_choice_raises(self):
-        demote_backing("numpy", "watchdog fault")
+        demote_backing("native", "watchdog fault")
         with pytest.raises(ValueError, match="demoted"):
-            resolve_gain_backing("numpy")
+            resolve_gain_backing("native")
 
 
 class TestForcedBackendFault:
@@ -114,10 +112,9 @@ class TestForcedBackendFault:
 
     def test_explicit_backing_never_silently_degrades(self, monkeypatch):
         """A pinned backing propagates real failures; no demotion."""
-        available = [b for b in GAIN_BACKINGS[:-1] if _available(b)]
-        if not available:
+        if not native.available():
             pytest.skip("only the python floor is available")
-        pinned = available[-1]
+        pinned = "native"
         faults.configure(FaultPlan.build([{
             "site": "kernels.dispatch", "kind": "backend",
         }]))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,30 @@ class TestStatsFlag:
     def test_attack_without_stats_stays_quiet(self, placement_path, capsys):
         assert main(["attack", placement_path, "--k", "2", "--s", "2"]) == 0
         assert "metrics" not in capsys.readouterr().err
+
+    def test_identical_worker_runs_print_identical_stats(
+        self, tmp_path, capsys
+    ):
+        # Three placements on two workers: one worker caches two engines,
+        # the other one, and the shards finish in either order. Apart
+        # from the summary line's wall time, the reports must agree.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "experiment": "fig2",
+            "axes": {"b": [600, 1200, 1800], "s": [2]},
+            "constants": {"b_cap": 9600, "effort": "fast", "k_max": 4,
+                          "n": 71, "r": 3, "x": 1},
+        }))
+        reports = []
+        for _ in range(3):
+            assert main([
+                "run", str(spec), "--workers", "2", "--no-store", "--stats",
+            ]) == 0
+            err = capsys.readouterr().err
+            assert "metrics (this invocation)" in err
+            reports.append(re.sub(r" in [0-9.]+s$", "", err, flags=re.M))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
 
 class TestTraceFlag:

@@ -16,7 +16,7 @@ from repro import faults, obs
 from repro.analysis import fig2
 from repro.core import native
 from repro.core.batch import clear_attack_caches
-from repro.core.kernels import GAIN_BACKINGS, numpy_available
+from repro.core.kernels import GAIN_BACKINGS
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
 from repro.sim import LifetimeSimulator, SimConfig
@@ -28,8 +28,7 @@ def available_gain_backings():
     return [
         backing
         for backing in GAIN_BACKINGS
-        if (backing != "numpy" or numpy_available())
-        and (backing != "native" or native.available())
+        if backing != "native" or native.available()
     ]
 
 

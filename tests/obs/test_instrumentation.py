@@ -8,13 +8,15 @@ import pytest
 
 from repro import faults, obs
 from repro.analysis import fig2
-from repro.core import artifact, kernels
+from repro.core import artifact, kernels, native
 from repro.core.adversary import best_attack
-from repro.core.batch import AttackCell, engine_for
+from repro.core.batch import AttackCell, clear_attack_caches, engine_for
 from repro.core.random_placement import RandomStrategy
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
+from repro.obs.report import render_metrics
 from repro.sim import LifetimeSimulator, SimConfig
+from repro.util import lazynumpy
 
 
 def _placement(seed=3):
@@ -74,22 +76,49 @@ class TestEngineCounts:
         engine_for(placement)
         assert obs.counter_value("engine.builds") == 1
         assert obs.counter_value("engine.cache.hits") == 1
-        assert obs.snapshot()["gauges"]["engine.cache.size"] == 1
+        assert obs.counter_value("engine.cache.misses") == 1
+
+    def test_worker_deltas_merge_to_one_report_in_any_order(
+        self, metrics_on
+    ):
+        # Two workers end a run holding different numbers of warm
+        # engines; the supervisor merges their deltas in completion
+        # order, which varies run to run. The merged report must not.
+        deltas = []
+        for seeds in ((1, 2), (3,)):
+            clear_attack_caches()
+            mark = obs.checkpoint()
+            for seed in seeds:
+                engine_for(_placement(seed))
+            deltas.append(obs.delta_since(mark))
+        reports = []
+        for order in (deltas, deltas[::-1]):
+            obs.reset_metrics()
+            for delta in order:
+                obs.merge_delta(delta)
+            reports.append(render_metrics(obs.snapshot()))
+        assert reports[0] == reports[1]
 
 
+needs_native = pytest.mark.skipif(
+    not native.available(), reason="native is the only demotable rung"
+)
+
+
+@needs_native
 class TestKernelLadder:
     def test_demotion_counts_even_with_metrics_off(self):
         assert not obs.metrics_enabled()
-        kernels.demote_backing("numpy", "test-induced")
+        kernels.demote_backing("native", "test-induced")
         assert obs.counter_value("kernel.demotions") == 1
         (entry,) = [
             e for e in obs.events() if e["event"] == "kernel.demotion"
         ]
-        assert entry["fields"] == {"backing": "numpy", "reason": "test-induced"}
+        assert entry["fields"] == {"backing": "native", "reason": "test-induced"}
 
     def test_redemotion_is_not_recounted(self):
-        kernels.demote_backing("numpy", "first")
-        kernels.demote_backing("numpy", "second")
+        kernels.demote_backing("native", "first")
+        kernels.demote_backing("native", "second")
         assert obs.counter_value("kernel.demotions") == 1
 
 
@@ -184,7 +213,7 @@ class TestRetrySingleSource:
 
 class TestArtifactFallback:
     @pytest.mark.skipif(
-        not kernels.numpy_available(), reason="save_npz needs numpy"
+        not lazynumpy.installed(), reason="save_npz needs numpy"
     )
     def test_mmap_fallback_counts_and_warns_once(
         self, metrics_on, tmp_path, monkeypatch

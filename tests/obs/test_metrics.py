@@ -13,14 +13,14 @@ class TestCatalog:
 
     def test_kind_mismatch_raises(self, metrics_on):
         with pytest.raises(MetricsError, match="is a counter"):
-            obs.gauge("attack.searches", 1)
+            obs.observe("attack.searches", 1)
         with pytest.raises(MetricsError, match="is a histogram"):
             obs.count("attack.damage")
 
     def test_every_instrument_has_description(self):
         for inst in CATALOG.values():
             assert inst.description
-            assert inst.kind in ("counter", "gauge", "histogram")
+            assert inst.kind in ("counter", "histogram")
 
     def test_always_instruments_are_counters(self):
         # Control-plane instruments are rare discrete occurrences.
@@ -128,15 +128,16 @@ class TestDeltas:
         assert obs.counter_value("attack.searches") == 0
         assert obs.counter_value("runner.shard_retries") == 2
 
-    def test_rollback_restores_gauges_and_hists(self, metrics_on):
-        obs.gauge("engine.cache.size", 1)
+    def test_rollback_restores_hists(self, metrics_on):
+        obs.observe("attack.damage", 3)
         mark = obs.checkpoint()
-        obs.gauge("engine.cache.size", 9)
         obs.observe("attack.damage", 5)
+        obs.observe("store.commit_bytes", 7)
         obs.rollback(mark)
         snap = obs.snapshot()
-        assert snap["gauges"]["engine.cache.size"] == 1
-        assert "attack.damage" not in snap["histograms"]
+        assert snap["histograms"]["attack.damage"]["count"] == 1
+        assert snap["histograms"]["attack.damage"]["sum"] == 3
+        assert "store.commit_bytes" not in snap["histograms"]
 
     def test_reset_zeroes_everything(self, metrics_on):
         obs.count("attack.searches")

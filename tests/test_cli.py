@@ -304,7 +304,7 @@ class TestSimulateCommand:
         (["--measure-period", "-1"], "need measure period >= 0, got -1.0",
          {}),
         ([], "unknown gain backing 'garbage'; use auto or one of "
-         "('native', 'numpy', 'python')", {"REPRO_GAIN_BACKING": "garbage"}),
+         "('native', 'python')", {"REPRO_GAIN_BACKING": "garbage"}),
         (["figure", "fig3"], "REPRO_WORKERS must be an integer >= 1, got 'x'",
          {"REPRO_WORKERS": "x"}),
         (["run", "fig2", "--workers", "2", "--no-store",
@@ -313,6 +313,8 @@ class TestSimulateCommand:
         (["run", "fig2", "--workers", "2", "--no-store"],
          "REPRO_SHARD_TIMEOUT must be > 0, got nan",
          {"REPRO_SHARD_TIMEOUT": "nan", "REPRO_B_MAX": "1200"}),
+        ([], "unknown gain backing 'numpy'; use auto or one of "
+         "('native', 'python')", {"REPRO_GAIN_BACKING": "numpy"}),
     ])
     def test_bad_process_settings_exit_2_with_one_line(
         self, capsys, monkeypatch, flags, message, env

@@ -5,9 +5,8 @@ at the sizes these invocations serve, so it is loaded only where it pays
 (see :mod:`repro.util.lazynumpy`). Each case runs in a fresh interpreter
 with an audit hook that reports any attempt to import numpy — from the
 main process and from forked pool workers, which inherit the hook.
-
-Without the native backing the numpy gain rung is the fastest kernel
-left, so the gate applies only where native loads.
+No gain backing imports numpy, so the gate holds with or without the
+native kernel.
 
 The same hook checks that ``repro run`` leaves the parts of
 :mod:`repro.core` it never uses (artifact, inspect, adaptive) unloaded,
@@ -22,12 +21,7 @@ import sys
 import pytest
 
 import repro
-from repro.core import native
-from repro.core.kernels import numpy_available
-
-needs_native = pytest.mark.skipif(
-    not native.available(), reason="numpy is the kernel rung without native"
-)
+from repro.util import lazynumpy
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 MARKER = "numpy-import-attempted"
@@ -89,7 +83,6 @@ CASES = {
 }
 
 
-@needs_native
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_invocation_never_imports_numpy(case, tmp_path):
     proc = run_cold(CASES[case](tmp_path), tmp_path)
@@ -97,8 +90,7 @@ def test_invocation_never_imports_numpy(case, tmp_path):
     assert MARKER not in proc.stderr, proc.stderr
 
 
-@needs_native
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+@pytest.mark.skipif(not lazynumpy.installed(), reason="needs numpy")
 def test_gate_trips_on_a_numpy_import(tmp_path):
     """The hook is live: a process that does import numpy is reported."""
     prelude = PRELUDE.replace("import repro.cli", "import repro.cli, numpy")
