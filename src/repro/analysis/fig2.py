@@ -130,9 +130,8 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     strategy = SimpleStrategy(spec.constant("n"), spec.constant("r"), spec.constant("x"))
     placement = strategy.place(b)
     # The shard's k-ladder goes through the batch engine in one pass: one
-    # warm engine per placement structure (shared across the sibling
-    # (b, s') shard when it lands in the same process), a k-attack seeds
-    # the (k+1)-search, and same-process replays come out of the memo.
+    # engine for the shard's placement, and a k-attack seeds the
+    # (k+1)-search.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
     attacks = batch_attack(placement, grid, seed=b)
     return [
@@ -173,9 +172,6 @@ KERNELS = {
         assemble=_assemble,
         render=lambda result: result.render(),
         group_cost=lambda spec, key, cells: key[0] * len(cells),
-        # The placement depends only on b — (b, s) and (b, s') shards
-        # attack the same structure, so route them to one pool worker.
-        affinity=lambda spec, key, cells: key[0],
     )
 }
 

@@ -135,8 +135,8 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
         b, derive_rng(seed, "fig7", n, r, b, rep)
     )
     # One batched pass per Monte-Carlo sample: the sample's k-ladder
-    # shares its warm engine (incidence + per-threshold kernel) and
-    # chains incumbents; identical re-runs come out of the attack memo.
+    # shares one engine (incidence + threshold kernel) and chains
+    # incumbents.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
     [cell_seed] = spawn_seeds(seed, 1, "fig7-attack", n, r, b, rep)
     attacks = batch_attack(placement, grid, seed=cell_seed)
@@ -185,10 +185,6 @@ KERNELS = {
         assemble=_assemble,
         render=lambda result: result.render(),
         group_cost=lambda spec, key, cells: key[3] * len(cells),
-        # The placement is drawn from (n, r, b, rep) alone — shards that
-        # differ only in s attack the same structure; keep them on one
-        # pool worker so the engine cache serves every s.
-        affinity=lambda spec, key, cells: (key[0], key[1], key[3], key[4]),
     )
 }
 

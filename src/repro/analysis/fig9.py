@@ -174,12 +174,10 @@ def generate_empirical(
     """Materialize Combo placements and attack them through the batch engine.
 
     For each planned ``k`` the placement is attacked at *every* k in
-    ``k_values`` in one batched pass (one warm engine per placement,
-    chained incumbents, memoized repeats); the diagonal validates Fig. 9's
-    lower bounds, the rest measures sensitivity to planning for the wrong
-    failure count. Combo plans for different ``k_plan`` frequently yield
-    structurally identical placements, in which case the engine cache
-    collapses their attack work entirely. The sweep is not a runner
+    ``k_values`` in one batched pass (one engine per placement, chained
+    incumbents); the diagonal validates Fig. 9's lower bounds, the rest
+    measures sensitivity to planning for the wrong failure count. The
+    sweep is not a runner
     experiment, so it runs serially in the calling process whatever
     ``REPRO_WORKERS`` says.
     """

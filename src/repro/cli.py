@@ -615,6 +615,12 @@ def _run_chaos_soak(args) -> int:
         f"{report['cells']} cells, {report['recomputed']} recomputed "
         f"on resume, {report['elapsed']:.1f}s"
     )
+    fired = report["fired"]
+    print(
+        f"  fired {sum(fired.values())} faults ({fired['worker_died']} "
+        f"worker deaths, {fired['watchdog_timeout']} watchdog timeouts, "
+        f"{fired['error']} errors, {fired['torn_writes']} torn writes)"
+    )
     print("  final store byte-identical to the fault-free reference")
     print(f"  plan {report['plan_hash'][:16]} under {args.root}/")
     return 0

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster, ClusterError
 from repro.cluster.objects import LivenessRule
-from repro.core.batch import AttackCell, AttackEngine, engine_for
+from repro.core.batch import AttackCell, AttackEngine
 
 
 class RandomInjector:
@@ -63,19 +63,15 @@ class CorrelatedInjector:
 class WorstCaseInjector:
     """The paper's adversary: fail the k nodes that disable the most objects.
 
-    Search runs through the warm attack-engine layer.
-    Cluster snapshots are keyed structurally in the engine's warm cache,
-    so re-attacking an unchanged population — the common case in churn
-    scenarios, which re-inject every few events — reuses the incidence
-    and, when ``rng`` is None (the deterministic default, deriving cell
-    randomness from ``seed``), returns the memoized attack outright.
-    (Each injection is a single attack cell — use
-    :func:`repro.core.batch.batch_attack` to evaluate whole k-grids in
-    one batched pass that chains incumbents.)
+    Search runs through the warm attack-engine layer. Without a pinned
+    ``engine`` each injection snapshots the cluster and builds one
+    :class:`~repro.core.batch.AttackEngine` for it. (Each injection is a
+    single attack cell — use :func:`repro.core.batch.batch_attack` to
+    evaluate whole k-grids in one batched pass that chains incumbents.)
 
     An *online* adversary — one that re-attacks the same cluster as it
-    mutates — can skip the per-injection snapshot + fingerprint + rebuild
-    entirely by pinning a delta-aware ``engine``
+    mutates — can skip the per-injection snapshot and rebuild entirely by
+    pinning a delta-aware ``engine``
     (:class:`repro.core.batch.AttackEngine`), typically
     :meth:`Cluster.engine() <repro.cluster.cluster.Cluster.engine>`,
     which the cluster keeps aligned with its population through
@@ -108,7 +104,7 @@ class WorstCaseInjector:
     ) -> List[int]:
         engine = self.engine
         if engine is None:
-            engine = engine_for(cluster.placement_snapshot())
+            engine = AttackEngine(cluster.placement_snapshot())
         attack = engine.attack(
             AttackCell(k, rule.s, self.effort),
             seed=self.seed,

@@ -34,7 +34,6 @@ _EXPORTS = {
     "AttackCell": "batch",
     "AttackEngine": "batch",
     "batch_attack": "batch",
-    "engine_for": "batch",
     "CompetitiveConstants": "bounds",
     "lb_avail_combo": "bounds",
     "lb_avail_simple": "bounds",

@@ -44,10 +44,6 @@ reference. All backings return identical results — search trajectories
 counts candidate damage evaluations the same way everywhere, so
 :class:`AttackResult` values can be compared across backings
 bit-for-bit.
-
-Attack results for repeated identical (placement, cell) queries are
-memoized by the batch engine — see ``repro.core.batch`` for the cache
-semantics; the engines here always search when called directly.
 """
 
 from __future__ import annotations
@@ -488,9 +484,8 @@ def best_attack(
         raise ValueError(f"unknown effort {effort!r}; use fast, exact or auto")
     if obs.metrics_enabled():
         # Counted once per completed search, at the dispatch point every
-        # caller (engines, simulator, CLI) funnels through. Memoized
-        # repeats never reach here — engine cache hits return upstream —
-        # so these are pure semantic work counts.
+        # caller (engines, simulator, CLI) funnels through, so these are
+        # pure semantic work counts.
         obs.count("attack.searches")
         obs.count("kernel.evaluations", result.evaluations)
         obs.observe("attack.damage", result.damage)

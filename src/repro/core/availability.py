@@ -1,10 +1,9 @@
 """Availability evaluation: Definition 1 tied to the adversary engines.
 
 Single-cell evaluation routes through the batched attack engine
-(:mod:`repro.core.batch`), so the incidence structure is built once per
-placement (and kept warm across calls via the process engine cache) and
-repeated identical evaluations are served from the attack-result memo.
-Whole grids call :func:`~repro.core.batch.batch_attack` directly.
+(:mod:`repro.core.batch`), which builds one engine per call. Whole grids
+call :func:`~repro.core.batch.batch_attack` directly, so one engine
+serves every cell of the grid.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ def evaluate_availability(
 
     With a heuristic adversary (``exact=False`` on the attack) the reported
     availability is an *upper* bound on the true worst case: the adversary
-    may have missed a better attack, never overstated one. Repeats are
-    served from the attack memo unless ``rng`` is given (see
-    :mod:`repro.core.batch`).
+    may have missed a better attack, never overstated one. With
+    ``rng=None`` the search randomness derives from the cell (see
+    :mod:`repro.core.batch`), so repeats return the same result.
     """
     [attack] = batch_attack(placement, [AttackCell(k, s, effort)], rng=rng)
     return AvailabilityReport(

@@ -23,7 +23,7 @@ optimization tries ``-O3`` and falls back to ``-O2``. :func:`compile_info`
 reports what actually built (or was cached for) the loaded library.
 
 The library is single-threaded. Parallelism lives one level up, in the
-persistent affinity pool of :mod:`repro.exp.runner` (``repro run
+persistent worker pool of :mod:`repro.exp.runner` (``repro run
 --workers``). Within a process, ``gk_polish_chains`` runs a whole
 local-search restart schedule in one foreign call and
 ``gk_branch_and_bound`` a whole exact search.

@@ -452,12 +452,10 @@ class Placement:
         """A structural digest: equal iff ``(n, rows)`` are equal.
 
         One ``sha256.update`` over the raw int32 buffer (plus a shape
-        header) instead of ``b`` per-object string joins. The batch engine
-        keys its warm attack-engine cache and result memo on this, so
-        re-snapshotting an unchanged cluster (or reloading the same
-        placement artifact) reuses incidence structures and prior attack
-        results. The strategy label is deliberately excluded — attacks
-        depend only on structure.
+        header) instead of ``b`` per-object string joins. ``__hash__``
+        uses it, and it names a structure in one string (equal before
+        and after an artifact round trip). The strategy label is
+        deliberately excluded — attacks depend only on structure.
         """
 
         def build() -> str:

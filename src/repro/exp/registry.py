@@ -45,13 +45,7 @@ class ExperimentKernel:
     rebuilds the figure's result object from (cells, metrics);
     ``render`` turns that object into the figure's text artifact.
     ``group_cost`` is an optional scheduling hint (bigger = scheduled
-    earlier when sharding); it never affects results. ``affinity`` is an
-    optional routing hint mapping a group key to the identity of the
-    placement the shard attacks (e.g. drop the axes the placement does
-    not depend on): shards sharing an affinity key are routed to the
-    same persistent pool worker, so its process-local engine cache is
-    hit instead of rebuilt. Like ``group_cost`` it never affects
-    results — only where a shard runs.
+    earlier when sharding); it never affects results.
     """
 
     name: str
@@ -61,7 +55,6 @@ class ExperimentKernel:
     assemble: Callable[[ExperimentSpec, Sequence[Cell], Sequence[Metrics]], Any]
     render: Callable[[Any], str]
     group_cost: Optional[Callable[[ExperimentSpec, Any, Sequence[Cell]], float]] = None
-    affinity: Optional[Callable[[ExperimentSpec, Any, Sequence[Cell]], Any]] = None
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ Execution model:
   Because a shard's randomness derives from the spec alone, results are
   bit-identical for every worker count, including 1. This module is the
   only process-parallel layer of the program;
-* sharded fan-out runs on a persistent affinity pool: one supervised
-  worker process per slot lives for the whole run, and shards are
-  routed by the kernel's *affinity* key, so a worker's process-local
-  engine cache serves every shard attacking the same placement. The
-  supervisor owns the watchdog, bounded retries and the degradation
-  ladder, and the result is bit-identical to the serial run;
+* sharded fan-out runs on a persistent worker pool: one supervised
+  worker process per slot lives for the whole run and serves the shards
+  a fixed longest-first plan assigns to it. The supervisor owns the
+  watchdog, bounded retries and the degradation ladder, and the result
+  is bit-identical to the serial run;
 * shards are scheduled longest-first (``group_cost`` hint) but
   **committed in expansion order**: a shard that finishes early parks in
   memory until every earlier shard has been flushed. The store therefore
@@ -284,7 +283,7 @@ def run_experiment(
     job).
 
     Sharded runs are *supervised*: shards run on a persistent
-    affinity-routed worker pool with a wall-clock watchdog
+    worker pool with a wall-clock watchdog
     (``shard_timeout`` / ``REPRO_SHARD_TIMEOUT``; off by default) and up
     to ``shard_retries`` re-dispatches (``REPRO_SHARD_RETRIES``, default
     2) under seeded decorrelated-jitter backoff. A re-dispatched shard replays its whole
@@ -507,15 +506,12 @@ def _pool_worker(
     """Persistent pool worker: serve shards off the slot's pipe.
 
     One boot (inherited demotions, kernel resolution) amortizes over
-    every shard the supervisor routes here, and the process-local
-    engine cache (:mod:`repro.core.batch`, an LRU of 8 engines)
-    survives between shards — that is the whole
-    point of affinity routing. Each task is answered with one
-    ``(status, payload)`` message, sent synchronously on the slot's own
-    pipe, so a worker that dies can tear nothing but that pipe. A failed
-    attempt rolls its gated recordings back (the retry re-records the
-    work, wherever it runs) and the worker keeps serving, so one
-    injected error never costs a warm cache. The supervisor terminates
+    every shard the supervisor routes here. Each task is answered with
+    one ``(status, payload)`` message, sent synchronously on the slot's
+    own pipe, so a worker that dies can tear nothing but that pipe. A
+    failed attempt rolls its gated recordings back (the retry re-records
+    the work, wherever it runs) and the worker keeps serving, so one
+    injected error never costs a worker boot. The supervisor terminates
     the worker when the run ends.
     """
     from repro.core import kernels
@@ -576,46 +572,22 @@ class _PoolSlot:
         self.epoch = -1
 
 
-def _affinity_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
-    """Deterministic affinity-grouped LPT assignment of shards to slots.
+def _lpt_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
+    """Deterministic longest-processing-time assignment of shards to slots.
 
-    Shards sharing an affinity key (the group key when the kernel
-    declares none) form one *class*; classes are placed whole, heaviest
-    first, onto the least-loaded slot (ties: lowest slot), so every
-    shard attacking one placement lands on one worker and hits its
-    engine cache. Within a slot classes keep their placement order and
-    each class runs its own shards longest-first — the LPT instinct,
-    applied per worker. The plan depends only on
+    Shards go heaviest first (``group_cost`` hint; ties: expansion
+    order) onto the least-loaded slot (ties: lowest slot), so each
+    slot runs its shards longest-first. The plan depends only on
     (spec, kernel, cells), never on timing, so the shard->worker map is
     reproducible run to run and crash to crash.
     """
     costs = [_group_cost(spec, kernel, group, cells) for group in pending]
-    classes: Dict[Any, List[int]] = {}
-    class_order: List[Any] = []
-    for ordinal, group in enumerate(pending):
-        if kernel.affinity is not None:
-            key = kernel.affinity(
-                spec, group.key, cells[group.start:group.end]
-            )
-        else:
-            key = group.key
-        if key not in classes:
-            classes[key] = []
-            class_order.append(key)
-        classes[key].append(ordinal)
-    ranked = sorted(
-        class_order,
-        key=lambda key: (
-            -sum(costs[o] for o in classes[key]), classes[key][0],
-        ),
-    )
     buckets: List[List[int]] = [[] for _ in range(slots)]
     loads = [0.0] * slots
-    for key in ranked:
-        members = classes[key]
+    for ordinal in sorted(range(len(pending)), key=lambda o: (-costs[o], o)):
         slot = min(range(slots), key=lambda i: (loads[i], i))
-        buckets[slot].extend(sorted(members, key=lambda o: (-costs[o], o)))
-        loads[slot] += sum(costs[o] for o in members)
+        buckets[slot].append(ordinal)
+        loads[slot] += costs[ordinal]
     return [bucket for bucket in buckets if bucket]
 
 
@@ -626,10 +598,8 @@ def _run_sharded_pool(
     """Persistent-pool shard fan-out; commit in expansion order. Returns retries.
 
     One supervised worker process per slot lives for the whole run and
-    computes every shard routed to it, so the per-shard fixed cost is a
-    pipe round trip — and because :func:`_affinity_plan` groups shards
-    by the kernel's affinity key, a worker's process-local engine cache
-    serves every shard that attacks the same placement. Each slot owns
+    computes every shard :func:`_lpt_plan` assigns to it, so the
+    per-shard fixed cost is a pipe round trip. Each slot owns
     one duplex pipe; the supervisor multiplexes the busy slots' pipes
     with :func:`multiprocessing.connection.wait`, so no lock or buffer
     is shared between workers and a dying worker cannot stall the
@@ -668,7 +638,7 @@ def _run_sharded_pool(
 
     slots = [
         _PoolSlot(bucket)
-        for bucket in _affinity_plan(spec, kernel, cells, pending, processes)
+        for bucket in _lpt_plan(spec, kernel, cells, pending, processes)
     ]
     slot_of = {
         ordinal: index

@@ -43,7 +43,10 @@ _SUMMARY = re.compile(
     r"(?P<recomputed>\d+) recomputed\)"
 )
 #: one line per scheduled shard retry (``runner._announce_retry``).
-_RETRY_LINE = re.compile(r"^runner: shard retry ", re.MULTILINE)
+_RETRY_LINE = re.compile(
+    r"^runner: shard retry at \S+ \(attempt \d+\): (?P<reason>.*)$",
+    re.MULTILINE,
+)
 
 #: torn writes exit the parent with this code (mirrors SIGKILL's 128+9).
 TORN_EXIT = 137
@@ -51,6 +54,16 @@ TORN_EXIT = 137
 
 class SoakError(RuntimeError):
     """The soak failed to converge or its invariants did not hold."""
+
+
+def _retry_cause(reason: str) -> str:
+    """The ``fired`` bucket of one announced shard retry, read off the
+    reasons :func:`repro.exp.runner._run_sharded_pool` reports."""
+    if reason.startswith("worker died"):
+        return "worker_died"
+    if "shard watchdog" in reason:
+        return "watchdog_timeout"
+    return "error"
 
 
 def build_soak_plan(
@@ -174,8 +187,11 @@ def run_soak(
 
     Returns an accounting dict: subprocess ``runs``, ``restarts`` (runs
     that died, expected to match the torn-write schedule), summed
-    ``computed``/``recomputed`` cells, in-run ``shard_retries``, and the
-    fault counts the child processes reported via their exit behavior.
+    ``computed``/``recomputed`` cells, in-run ``shard_retries``, and
+    ``fired``: the faults that actually went off, by cause — shard
+    retries split into ``worker_died``, ``watchdog_timeout`` and
+    ``error``, plus ``torn_writes`` (runs that exited with
+    :data:`TORN_EXIT`).
     """
     os.makedirs(root, exist_ok=True)
     spec_path = os.path.join(root, "spec.json")
@@ -205,7 +221,12 @@ def run_soak(
     report: Dict[str, Any] = {
         "runs": 0, "restarts": 0, "computed": 0, "recomputed": 0,
         "loaded_final": 0, "shard_retries": 0, "cells": 0,
+        "fired": {
+            "worker_died": 0, "watchdog_timeout": 0, "error": 0,
+            "torn_writes": 0,
+        },
     }
+    fired = report["fired"]
     started = time.perf_counter()
     for _ in range(max_restarts + 1):
         proc = subprocess.run(
@@ -214,7 +235,9 @@ def run_soak(
         report["runs"] += 1
         # Count retry lines, not the summary: a run killed by a torn
         # write never prints its summary.
-        report["shard_retries"] += len(_RETRY_LINE.findall(proc.stderr))
+        for reason in _RETRY_LINE.findall(proc.stderr):
+            report["shard_retries"] += 1
+            fired[_retry_cause(reason)] += 1
         summary = None
         for line in reversed(proc.stderr.splitlines()):
             match = _SUMMARY.search(line)
@@ -239,6 +262,8 @@ def run_soak(
         # Died mid-run (torn write exits TORN_EXIT; anything else is
         # still worth restarting — the store heals on resume).
         report["restarts"] += 1
+        if proc.returncode == TORN_EXIT:
+            fired["torn_writes"] += 1
         if not quiet:
             print(
                 f"chaos-soak: run {report['runs']} died "

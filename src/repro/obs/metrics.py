@@ -1,7 +1,7 @@
 """Process-wide metrics registry: named counters, histograms, events.
 
 The registry is the single accounting surface for the whole stack —
-kernels, adversaries, the warm engine cache, the sharded runner, the
+kernels, adversaries, the attack engine, the sharded runner, the
 simulator, the run store, and the fault injector all report here. Design
 rules, in priority order:
 
@@ -17,7 +17,7 @@ rules, in priority order:
   thread counts, runner worker counts, and chaos retries that succeed,
   which makes them a correctness oracle tests can pin (and the only
   instruments the run-store manifest snapshots). ``ops`` instruments
-  describe *how* the work was executed (cache hits, engine builds,
+  describe *how* the work was executed (engine builds, kernel dispatch,
   retries, demotions, fault fires) and legitimately vary with process
   topology, so they are reported but never pinned.
 * **Gated vs always.** Hot-path instruments record only when metrics
@@ -101,7 +101,7 @@ CATALOG: Dict[str, Instrument] = {
     for inst in (
         # -- deterministic semantic-work counters --------------------------
         _c("attack.searches",
-           "worst-case searches executed (memo hits excluded)", det=True),
+           "worst-case searches executed", det=True),
         _c("attack.restarts",
            "local-search restart chains polished (lane-count invariant)",
            det=True),
@@ -127,12 +127,7 @@ CATALOG: Dict[str, Instrument] = {
         _h("store.commit_bytes", "bytes per committed run-store cell",
            det=True),
         # -- operational counters (vary with process topology) -------------
-        _c("engine.builds", "warm attack engines constructed"),
-        _c("engine.cache.hits", "engine-cache fingerprint hits"),
-        _c("engine.cache.misses", "engine-cache fingerprint misses"),
-        _c("engine.cache.evictions", "warm engines evicted past the LRU cap"),
-        _c("attack.memo.hits", "attack-result memo hits"),
-        _c("attack.memo.misses", "attack-result memo misses"),
+        _c("engine.builds", "attack engines constructed"),
         _c("kernel.dispatch.native", "gain kernels built on the native rung"),
         _c("kernel.dispatch.python", "gain kernels built on the python rung"),
         _c("store.cells_loaded", "cells served from a stored run prefix"),

@@ -26,7 +26,7 @@ it. Engine modes differ only in how a strike reads that state:
 :class:`~repro.core.batch.AttackEngine` the cluster keeps aligned with
 its population — churn between strikes costs one O(changed replicas)
 ``apply_delta`` — while ``"rebuild"`` is the reference oracle (snapshot +
-fingerprint + cold incidence per strike). Both modes draw identical
+cold engine per strike). Both modes draw identical
 randomness and produce bit-identical strike records.
 
 Everything is a pure function of :class:`SimConfig` (all randomness
@@ -339,7 +339,7 @@ class LifetimeSimulator:
         if self.config.engine_mode == "delta":
             self.injector.engine = self.cluster.engine()
         else:
-            self.injector.engine = None  # snapshot + fingerprint per strike
+            self.injector.engine = None  # snapshot + cold engine per strike
         nodes = self._select_strike(process.k)
         obs.count("sim.strikes")
         obs.count(

@@ -36,9 +36,9 @@ def each_backing(request, monkeypatch):
     """Run the test once per gain backing, pinned via ``REPRO_GAIN_BACKING``.
 
     monkeypatch restores the environment on teardown, so a failing test
-    can never leak its backing into the rest of the session. Engines are
-    cached per (fingerprint, backing), so a pinned test never reuses a
-    warm engine of another backing.
+    can never leak its backing into the rest of the session. Every attack
+    builds its own engine, which resolves the pinned backing when it is
+    built.
     """
     monkeypatch.setenv("REPRO_GAIN_BACKING", request.param)
     yield request.param

@@ -4,18 +4,11 @@ import random
 
 import pytest
 
-from repro.core import batch
+from repro import obs
 from repro.core.adversary import best_attack, damage
 from repro.core.availability import evaluate_availability
-from repro.core.batch import (
-    AttackCell,
-    attack_cache_stats,
-    batch_attack,
-    clear_attack_caches,
-    engine_for,
-)
+from repro.core.batch import AttackCell, AttackEngine, batch_attack
 from repro.core.kernels import GAIN_BACKINGS, resolve_gain_backing
-from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
 from repro.exp.runner import worker_count
@@ -123,102 +116,30 @@ class TestAvailabilityGrid:
 
 
 class TestWarmEngine:
-    """The persistent attack pipeline: engines cached per placement
-    structure, attack results memoized per (cell, seed, warm chain)."""
-
-    def setup_method(self):
-        clear_attack_caches()
-
-    def test_engine_shared_across_calls(self):
-        placement = random_placement(12, 3, 40, 20)
-        engine = engine_for(placement)
-        assert engine_for(placement) is engine
-        assert engine.kernel(2) is engine.kernel(2)
-
-    def test_structurally_equal_placements_share_engine(self):
-        placement = random_placement(12, 3, 40, 21)
-        clone = Placement.from_dict(placement.to_dict())
-        assert clone is not placement
-        assert engine_for(clone) is engine_for(placement)
+    """Every engine resolves its gain backing when it is built; nothing
+    is kept between calls."""
 
     def test_gain_backing_pin_is_honoured_after_warmup(self, monkeypatch):
-        # Re-pinning REPRO_GAIN_BACKING mid-process must not silently
-        # reuse an engine (and kernels) built under the previous backing.
+        # Re-pinning REPRO_GAIN_BACKING mid-process takes effect on the
+        # next call, whatever was built before it.
         placement = random_placement(12, 3, 40, 30)
+        cells = [AttackCell(2, 2, "fast")]
         monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
-        warm = engine_for(placement)
-        assert warm.kernel(2).backing == "python"
+        assert AttackEngine(placement).kernel(2).backing == "python"
         other = resolve_gain_backing("auto")
         if other == "python":  # pragma: no cover - no compiler
             pytest.skip("only the python gain backing is available")
+        before = batch_attack(placement, cells, seed=3)
         monkeypatch.setenv("REPRO_GAIN_BACKING", other)
-        pinned = engine_for(placement)
-        assert pinned is not warm
-        assert pinned.kernel(2).backing == other
-
-    def test_repeat_grid_served_from_memo(self):
-        placement = random_placement(14, 3, 50, 23)
-        cells = [AttackCell(k, 2, "fast") for k in (2, 3, 4)]
-        first = batch_attack(placement, cells, seed=9)
-        before = attack_cache_stats()
-        second = batch_attack(placement, cells, seed=9)
-        after = attack_cache_stats()
-        assert second == first
-        assert after["hits"] - before["hits"] == len(cells)
-        assert after["misses"] == before["misses"]
-
-    def test_memo_keyed_on_seed_and_cell(self):
-        placement = random_placement(14, 3, 50, 24)
-        cells = [AttackCell(3, 2, "fast")]
-        batch_attack(placement, cells, seed=1)
-        before = attack_cache_stats()
-        batch_attack(placement, cells, seed=2)  # different derived rng
-        batch_attack(placement, [AttackCell(3, 2, "exact")], seed=1)
-        assert attack_cache_stats()["hits"] == before["hits"]
-
-    def test_caller_rng_bypasses_memo(self):
-        placement = random_placement(14, 3, 50, 27)
-        cells = [AttackCell(3, 2, "fast")]
-        first = batch_attack(placement, cells, rng=random.Random(0))
-        before = attack_cache_stats()
-        second = batch_attack(placement, cells, rng=random.Random(0))
-        after = attack_cache_stats()
-        assert second == first  # identical generator state, recomputed
-        assert after["hits"] == before["hits"]
-
-    def test_memoized_results_match_fresh_engine(self):
-        placement = random_placement(14, 3, 50, 28)
-        cells = [AttackCell(k, s, "fast") for s in (1, 2) for k in (2, 3)]
-        warm = batch_attack(placement, cells, seed=6)
-        warm_again = batch_attack(placement, cells, seed=6)
-        clear_attack_caches()
-        cold = batch_attack(placement, cells, seed=6)
-        assert warm == warm_again == cold
-
-
-class TestEngineCacheCap:
-    def setup_method(self):
-        clear_attack_caches()
-
-    def test_lru_eviction_detaches_the_oldest_engine(self, monkeypatch):
-        monkeypatch.setattr(batch, "_ENGINE_CACHE_CAP", 2)
-        oldest = engine_for(random_placement(10, 3, 20, 40))
-        engine_for(random_placement(10, 3, 22, 41))
-        assert attack_cache_stats()["engines"] == 2
-        engine_for(random_placement(10, 3, 24, 42))  # evicts `oldest`
-        assert attack_cache_stats()["engines"] == 2
-        # A detached engine is gone for good: the same structure now
-        # cold-builds a fresh engine instead of resurrecting the old one.
-        assert engine_for(oldest.placement) is not oldest
-
-    def test_cache_hit_refreshes_recency(self, monkeypatch):
-        monkeypatch.setattr(batch, "_ENGINE_CACHE_CAP", 2)
-        keep = random_placement(10, 3, 20, 43)
-        warm = engine_for(keep)
-        engine_for(random_placement(10, 3, 22, 44))
-        engine_for(keep)  # refresh: `keep` is now most-recent
-        engine_for(random_placement(10, 3, 24, 45))  # evicts the middle one
-        assert engine_for(keep) is warm
+        obs.set_metrics(True)
+        try:
+            mark = obs.checkpoint()
+            after = batch_attack(placement, cells, seed=3)
+            assert obs.delta_value(f"kernel.dispatch.{other}", mark) == 1
+            assert obs.delta_value("kernel.dispatch.python", mark) == 0
+        finally:
+            obs.set_metrics(None)
+        assert after == before
 
 
 class TestWorkerKnob:

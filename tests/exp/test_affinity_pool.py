@@ -1,4 +1,4 @@
-"""Affinity pool: deterministic routing, bit-identity with serial."""
+"""Shard pool: a deterministic LPT plan, bit-identity with serial."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro import faults
 from repro.analysis import fig2
 from repro.exp.registry import kernel as experiment_kernel
 from repro.exp.runner import (
-    _affinity_plan,
     _contiguous_groups,
+    _lpt_plan,
     run_experiment,
 )
 from repro.exp.store import RunStore
@@ -29,42 +29,35 @@ def _store_bytes(store, spec):
         return handle.read()
 
 
-class TestAffinityPlan:
+class TestLptPlan:
     def test_plan_is_deterministic_and_covers_every_shard_once(self):
         spec = _spec()
         definition, cells, groups = _cells_and_groups(spec)
-        first = _affinity_plan(spec, definition, cells, groups, 3)
-        second = _affinity_plan(spec, definition, cells, groups, 3)
+        first = _lpt_plan(spec, definition, cells, groups, 3)
+        second = _lpt_plan(spec, definition, cells, groups, 3)
         assert first == second
         dispatched = sorted(o for bucket in first for o in bucket)
         assert dispatched == list(range(len(groups)))
 
-    def test_affinity_classes_are_never_split_across_workers(self):
-        # fig2's affinity key is b: every shard attacking one placement
-        # must land on one worker so its engine cache serves them all.
+    def test_heaviest_shard_first_onto_the_least_loaded_slot(self):
         spec = _spec()
         definition, cells, groups = _cells_and_groups(spec)
-        assert definition.affinity is not None
-        plan = _affinity_plan(spec, definition, cells, groups, 3)
-        home = {}
-        for slot, bucket in enumerate(plan):
-            for ordinal in bucket:
-                group = groups[ordinal]
-                key = definition.affinity(
-                    spec, group.key, cells[group.start:group.end]
-                )
-                assert home.setdefault(key, slot) == slot
+        costs = [
+            definition.group_cost(spec, g.key, cells[g.start:g.end])
+            for g in groups
+        ]
+        # Shards (b, s): (600, 2), (600, 3), (1200, 2), (1200, 3).
+        assert costs == [1800, 1200, 3600, 2400]
+        # 3600 -> slot 0, 2400 -> slot 1, 1800 -> slot 1 (2400 < 3600),
+        # 1200 -> slot 0 (3600 < 4200): shards of one b are split.
+        plan = _lpt_plan(spec, definition, cells, groups, 2)
+        assert plan == [[2, 1], [3, 0]]
 
     def test_single_slot_gets_everything(self):
         spec = _spec()
         definition, cells, groups = _cells_and_groups(spec)
-        (bucket,) = _affinity_plan(spec, definition, cells, groups, 1)
+        (bucket,) = _lpt_plan(spec, definition, cells, groups, 1)
         assert sorted(bucket) == list(range(len(groups)))
-
-    def test_fig7_declares_placement_affinity(self):
-        from repro.analysis import fig7  # noqa: F401 - registers the kernel
-
-        assert experiment_kernel("fig7").affinity is not None
 
 
 class TestBitIdentity:

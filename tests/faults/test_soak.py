@@ -129,3 +129,30 @@ class TestRetryAccounting:
         )
         assert (report["runs"], report["restarts"]) == (2, 1)
         assert report["shard_retries"] == 1
+        assert report["fired"] == {
+            "worker_died": 1, "watchdog_timeout": 0, "error": 0,
+            "torn_writes": 1,
+        }
+
+    def test_fired_faults_are_tallied_by_cause(self, tmp_path):
+        # One shard reports an injected error, another hangs until the
+        # watchdog kills its worker; nothing kills the run itself.
+        spec = _spec()
+        plan = FaultPlan.build(seed=0, rules=[
+            {"site": "runner.shard_start", "kind": "error",
+             "when": {"start": 0, "attempt": 0, "mode": "shard"},
+             "times": 1},
+            {"site": "runner.shard_start", "kind": "hang",
+             "when": {"start": 3, "attempt": 0, "mode": "shard"},
+             "times": 1, "args": {"seconds": 60.0}},
+        ])
+        report = run_soak(
+            spec, plan, str(tmp_path / "soak"), workers=2,
+            shard_timeout=1.0, quiet=True,
+        )
+        assert (report["runs"], report["restarts"]) == (1, 0)
+        assert report["shard_retries"] == 2
+        assert report["fired"] == {
+            "worker_died": 0, "watchdog_timeout": 1, "error": 1,
+            "torn_writes": 0,
+        }

@@ -6,7 +6,6 @@ import pytest
 
 from repro import faults, obs
 from repro.core import kernels
-from repro.core.batch import clear_attack_caches
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +19,6 @@ def clean_obs(monkeypatch):
     obs.reset_trace()
     faults.clear()
     kernels.restore_backings()
-    clear_attack_caches()
     yield
     # The CLI's _arm_obs exports these for forked workers; monkeypatch
     # can't undo writes it didn't make, so pop them here.
@@ -31,7 +29,6 @@ def clean_obs(monkeypatch):
     obs.reset_trace()
     faults.clear()
     kernels.restore_backings()
-    clear_attack_caches()
 
 
 @pytest.fixture

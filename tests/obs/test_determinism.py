@@ -15,7 +15,6 @@ import pytest
 from repro import faults, obs
 from repro.analysis import fig2
 from repro.core import native
-from repro.core.batch import clear_attack_caches
 from repro.core.kernels import GAIN_BACKINGS
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
@@ -38,7 +37,6 @@ def _spec():
 
 def _det_delta(workers):
     """One fresh instrumented run; returns its deterministic delta."""
-    clear_attack_caches()
     obs.reset_metrics()
     obs.set_metrics(True)
     mark = obs.checkpoint()
@@ -66,7 +64,6 @@ class TestSnapshotIdentity:
                     ), (key, reference_key)
 
     def test_invariant_under_absorbed_chaos_retries(self, tmp_path):
-        clear_attack_caches()
         obs.reset_metrics()
         obs.set_metrics(True)
         mark = obs.checkpoint()
@@ -89,7 +86,6 @@ class TestSnapshotIdentity:
         )
         for workers in WORKER_COUNTS:
             faults.configure(plan)
-            clear_attack_caches()
             obs.reset_metrics()
             obs.set_metrics(True)
             mark = obs.checkpoint()
@@ -109,7 +105,6 @@ class TestSnapshotIdentity:
         reference = None
         for backing in available_gain_backings():
             monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
-            clear_attack_caches()
             obs.reset_metrics()
             obs.set_metrics(True)
             mark = obs.checkpoint()
@@ -129,7 +124,6 @@ class TestStoreByteIdentity:
         assert not obs.metrics_enabled()
         plain = run_experiment(spec, store=plain_store, workers=2)
 
-        clear_attack_caches()
         obs.set_metrics(True)
         instrumented_store = RunStore(str(tmp_path / "obs"))
         instrumented = run_experiment(spec, store=instrumented_store, workers=2)

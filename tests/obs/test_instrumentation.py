@@ -10,7 +10,7 @@ from repro import faults, obs
 from repro.analysis import fig2
 from repro.core import artifact, kernels, native
 from repro.core.adversary import best_attack
-from repro.core.batch import AttackCell, clear_attack_caches, engine_for
+from repro.core.batch import AttackCell, AttackEngine, batch_attack
 from repro.core.random_placement import RandomStrategy
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
@@ -58,38 +58,43 @@ class TestAdversaryCounts:
 
 
 class TestEngineCounts:
-    def test_memo_hit_skips_the_search_counters(self, metrics_on):
-        engine = engine_for(_placement())
-        cell = AttackCell(k=2, s=2, effort="fast")
-        first = engine.attack(cell)
-        assert obs.counter_value("attack.searches") == 1
-        assert obs.counter_value("attack.memo.misses") == 1
-        again = engine.attack(cell)
-        assert again == first
-        assert obs.counter_value("attack.memo.hits") == 1
-        # The hit returned upstream of best_attack: no second search.
-        assert obs.counter_value("attack.searches") == 1
+    def test_every_engine_construction_counts_a_build(self, metrics_on):
+        AttackEngine(_placement())
+        AttackEngine(_placement())
+        assert obs.counter_value("engine.builds") == 2
 
-    def test_engine_cache_counts_builds_and_hits(self, metrics_on):
-        placement = _placement()
-        engine_for(placement)
-        engine_for(placement)
+    def test_multi_threshold_grid_builds_one_engine(self, metrics_on):
+        cells = [AttackCell(k, s, "fast") for s in (1, 2, 3) for k in (2, 3)]
+        batch_attack(_placement(), cells, seed=5)
         assert obs.counter_value("engine.builds") == 1
-        assert obs.counter_value("engine.cache.hits") == 1
-        assert obs.counter_value("engine.cache.misses") == 1
+
+    def test_repeat_grid_records_the_same_counters(self, metrics_on):
+        # Counters describe the call, not the history of the process:
+        # a repeated grid searches again and counts the same work.
+        placement = _placement()
+        cells = [AttackCell(k, s, "fast") for s in (1, 2) for k in (2, 3, 4)]
+        deltas = []
+        for _ in range(2):
+            mark = obs.checkpoint()
+            batch_attack(placement, cells, seed=9)
+            deltas.append({
+                name: obs.delta_value(name, mark)
+                for name in ("attack.searches", "kernel.evaluations")
+            })
+        assert deltas[0] == deltas[1]
+        assert deltas[0]["attack.searches"] == len(cells)
 
     def test_worker_deltas_merge_to_one_report_in_any_order(
         self, metrics_on
     ):
-        # Two workers end a run holding different numbers of warm
+        # Two workers end a run having built different numbers of
         # engines; the supervisor merges their deltas in completion
         # order, which varies run to run. The merged report must not.
         deltas = []
         for seeds in ((1, 2), (3,)):
-            clear_attack_caches()
             mark = obs.checkpoint()
             for seed in seeds:
-                engine_for(_placement(seed))
+                AttackEngine(_placement(seed))
             deltas.append(obs.delta_since(mark))
         reports = []
         for order in (deltas, deltas[::-1]):

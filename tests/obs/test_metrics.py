@@ -34,7 +34,6 @@ class TestCatalog:
         assert "attack.searches" in names
         assert "kernel.evaluations" in names
         # Topology-dependent instruments must never be pinned.
-        assert "attack.memo.hits" not in names
         assert "engine.builds" not in names
         assert "runner.shard_retries" not in names
 
@@ -112,7 +111,7 @@ class TestDeltas:
         mark = obs.checkpoint()
         obs.count("kernel.evaluations", 2)
         obs.count("attack.searches", 1)
-        obs.count("attack.memo.hits", 9)  # ops: must not appear
+        obs.count("engine.builds", 9)  # ops: must not appear
         obs.count("runner.shard_retries")  # ops/always: must not appear
         obs.observe("attack.damage", 3)
         det = obs.deterministic_delta(mark)

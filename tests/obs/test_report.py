@@ -92,12 +92,12 @@ class TestRenderMetrics:
 
     def test_tables_and_events(self, metrics_on):
         obs.count("attack.searches", 3)
-        obs.count("engine.cache.hits", 2)
+        obs.count("engine.builds", 2)
         obs.observe("attack.damage", 10)
         obs.record_event("kernel.demotion", backing="native", reason="test")
         text = render_metrics(obs.snapshot())
         assert "attack.searches" in text
-        assert "engine.cache.hits" in text
+        assert "engine.builds" in text
         assert "attack.damage" in text
         assert "kernel.demotion backing='native' reason='test'" in text
         # Catalog descriptions ride along.

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.core.batch import clear_attack_caches
 from repro.sim import (
     LifetimeSimulator,
     SimConfig,
@@ -34,12 +33,8 @@ BASE = dict(
 
 
 class TestDeterminismAndEquivalence:
-    def setup_method(self):
-        clear_attack_caches()
-
     def test_replay_is_bit_for_bit(self):
         first = simulate(**BASE)
-        clear_attack_caches()
         second = simulate(**BASE)
         assert strike_tuples(first) == strike_tuples(second)
         assert sample_dicts(first) == sample_dicts(second)
@@ -50,7 +45,6 @@ class TestDeterminismAndEquivalence:
         config = {**BASE, "rack_failure_rate": 0.02, "repair": repair}
         sim = LifetimeSimulator(SimConfig(**config, engine_mode="delta"))
         delta = sim.run()
-        clear_attack_caches()
         rebuild = simulate(**config, engine_mode="rebuild")
         assert delta.event_counts.get("rack-fail", 0) > 0
         assert strike_tuples(delta) == strike_tuples(rebuild)
@@ -94,9 +88,6 @@ class TestDeterminismAndEquivalence:
 
 
 class TestGuarantees:
-    def setup_method(self):
-        clear_attack_caches()
-
     def test_certified_strikes_respect_lemma3(self):
         # No re-replication => the packing certificate holds for the whole
         # run, and every strike must leave at least the Lemma-3 floor.
@@ -148,9 +139,6 @@ class TestGuarantees:
 
 
 class TestSimulatorMechanics:
-    def setup_method(self):
-        clear_attack_caches()
-
     def test_event_budget_is_respected(self):
         report = simulate(**{**BASE, "events": 123})
         assert report.events == 123

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.batch import clear_attack_caches
 
 
 class TestFigureCommand:
@@ -210,7 +209,6 @@ class TestAttackCommand:
         outputs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("REPRO_WORKERS", workers)
-            clear_attack_caches()  # each invocation starts cold
             assert main([
                 "attack", str(target), "--s", "2", "--effort", "fast",
                 *ladder,
@@ -441,7 +439,6 @@ class TestNpzArtifacts:
                   "--effort", "fast"]
 
         def stdout(*extra):
-            clear_attack_caches()  # each attack builds its own CSR
             capsys.readouterr()
             assert main([*attack, *extra]) == 0
             return capsys.readouterr().out
