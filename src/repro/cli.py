@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "(default: fig2)")
     soak.add_argument("--faults", type=int, default=20,
                       help="injected-fault budget, split across worker "
-                      "crashes, torn store writes, transient kernel "
-                      "errors, and (with --shard-timeout) hangs")
+                      "crashes, torn store writes, worker errors, and "
+                      "(with --shard-timeout) hangs; the soak plans the "
+                      "share that fits the grid")
     soak.add_argument("--seed", type=int, default=0,
                       help="fault-schedule seed (same seed, same faults)")
     soak.add_argument("--workers", type=int, default=2,
@@ -606,7 +607,7 @@ def _run_chaos_soak(args) -> int:
     print(
         f"chaos-soak: {spec.experiment} survived {planned['total']} planned "
         f"faults ({planned['crashes']} crashes, {planned['torn_writes']} "
-        f"torn writes, {planned['dispatch_errors']} transient errors, "
+        f"torn writes, {planned['errors']} errors, "
         f"{planned['hangs']} hangs)"
     )
     print(

@@ -88,6 +88,11 @@ def restore_backings() -> None:
     _DEMOTED.clear()
 
 
+def gain_backing_setting() -> str:
+    """``REPRO_GAIN_BACKING`` as requested: ``auto`` when unset or empty."""
+    return os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
+
+
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
     """The concrete gain-engine backing: argument > ``REPRO_GAIN_BACKING``.
 
@@ -97,7 +102,7 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
     degrading, so a pinned configuration never silently measures the
     wrong thing.
     """
-    choice = requested or os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
+    choice = requested or gain_backing_setting()
     if choice == "auto":
         if "native" in _DEMOTED or not _native.available():
             return "python"  # the demote-proof floor
@@ -862,50 +867,40 @@ def make_kernel(
 def _dispatch_gain_kernel(
     incidence: Incidence, s: int, gain_backing: Optional[str]
 ) -> GainKernel:
-    """Build a gain kernel, riding the degradation ladder on faults.
+    """Build a gain kernel, stepping down the degradation ladder once.
 
-    This is the ``kernels.dispatch`` injection point. Per attempt: resolve
-    the backing (honoring demotions made meanwhile), evaluate the chaos
-    plan, construct. An injected ``backend`` fault — or a *real*
-    infrastructure failure under ``auto`` — demotes the rung and
-    re-resolves, so the ladder degrades native -> python instead of
-    failing the run; transient ``error`` faults just retry.
-    ``ValueError``/``TypeError`` are bad arguments, not a broken
-    backing — every rung rejects them identically, so they propagate
-    without demoting. Explicit (non-auto) requests propagate all real
-    failures unchanged: pins never silently degrade. All backings are
-    bit-identical by contract, so a demotion changes speed, never
-    results.
+    This is the ``kernels.dispatch`` injection point: resolve the backing
+    (honoring demotions), evaluate the chaos plan, construct. An injected
+    ``backend`` fault — or a *real* infrastructure failure under ``auto``
+    on a rung above the floor — demotes that rung and builds the python
+    floor instead, so the ladder degrades native -> python rather than
+    failing the run. Everything else propagates, injected ``error``
+    faults included: the shard supervisor is the one layer that retries.
+    ``ValueError``/``TypeError`` are bad arguments, not a broken backing
+    — every rung rejects them identically — and explicit (non-auto)
+    requests never silently degrade. All backings are bit-identical by
+    contract, so a demotion changes speed, never results.
     """
     from repro import faults
 
-    choice = (
-        gain_backing or os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
-    )
-    last: Optional[BaseException] = None
-    for attempt in range(4):
-        backing = resolve_gain_backing(gain_backing)
-        try:
-            faults.inject("kernels.dispatch", backing=backing, s=s, attempt=attempt)
-            with obs.span("kernels.dispatch", backing=backing, s=s):
-                kernel = _GAIN_KERNELS[backing](incidence, s)
-            obs.count("kernel.dispatch." + backing)
-            return kernel
-        except faults.InjectedFault as fault:
-            last = fault
-            if (
-                fault.kind == "backend"
-                and choice == "auto"
-                and backing != GAIN_BACKINGS[-1]
-            ):
-                demote_backing(backing, f"injected backend fault ({fault})")
-        except (ValueError, TypeError):
+    choice = gain_backing or gain_backing_setting()
+    backing = resolve_gain_backing(gain_backing)
+    try:
+        faults.inject("kernels.dispatch", backing=backing, s=s)
+        with obs.span("kernels.dispatch", backing=backing, s=s):
+            kernel = _GAIN_KERNELS[backing](incidence, s)
+    except (ValueError, TypeError):
+        raise
+    except Exception as exc:
+        if (
+            (isinstance(exc, faults.InjectedFault) and exc.kind != "backend")
+            or choice != "auto"
+            or backing == GAIN_BACKINGS[-1]
+        ):
             raise
-        except Exception as exc:
-            if choice != "auto" or backing == GAIN_BACKINGS[-1]:
-                raise
-            demote_backing(backing, f"{type(exc).__name__}: {exc}")
-            last = exc
-    raise RuntimeError(
-        f"gain kernel dispatch failed after 4 attempts: {last}"
-    ) from last
+        demote_backing(backing, f"{type(exc).__name__}: {exc}")
+        backing = GAIN_BACKINGS[-1]
+        with obs.span("kernels.dispatch", backing=backing, s=s):
+            kernel = _GAIN_KERNELS[backing](incidence, s)
+    obs.count("kernel.dispatch." + backing)
+    return kernel

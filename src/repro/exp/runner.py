@@ -121,8 +121,7 @@ def _demote_after_watchdog(reason: str) -> Optional[Dict[str, str]]:
     """
     from repro.core import kernels
 
-    pinned = os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
-    if pinned != "auto":
+    if kernels.gain_backing_setting() != "auto":
         return None
     backing = kernels.resolve_gain_backing("auto")
     if backing == kernels.GAIN_BACKINGS[-1]:
@@ -207,15 +206,6 @@ class RunResult:
             demoted = ",".join(entry["backing"] for entry in self.demotions)
             text += f" [demoted: {demoted}]"
         return text
-
-    def faults_record(self) -> Dict[str, Any]:
-        """Manifest-ready fault metadata; empty dict for a fault-free run."""
-        record: Dict[str, Any] = {}
-        if self.retries:
-            record["shard_retries"] = self.retries
-        if self.demotions:
-            record["demotions"] = [dict(entry) for entry in self.demotions]
-        return record
 
 
 def _normalize(metrics: Any) -> Dict[str, Any]:
@@ -365,10 +355,9 @@ def run_experiment(
             )
         else:
             for group in pending:
-                chunk, _attempts = _run_group_serial(
+                flush(group, _run_group_serial(
                     spec, kernel, group, cells, shard_retries
-                )
-                flush(group, chunk)
+                ))
         computed = sum(
             group.end - max(group.start, prefix) for group in pending
         ) + recomputed
@@ -431,12 +420,12 @@ def _announce_retry(group, attempt: int, reason: str) -> None:
 
 def _run_group_serial(
     spec, kernel, group, cells, shard_retries
-) -> Tuple[Sequence[Any], int]:
+) -> Sequence[Any]:
     """One shard in-process, retrying injected transient faults.
 
     Only :class:`~repro.faults.InjectedFault` is retried — a genuine
     kernel exception propagates unchanged, exactly as before the chaos
-    harness existed. Returns ``(chunk, retries_used)``.
+    harness existed. Returns the shard's metric dicts.
     """
     spec_hash = spec.spec_hash()
     delay = _BACKOFF_BASE
@@ -454,8 +443,7 @@ def _run_group_serial(
                 "runner.shard", start=group.start, end=group.end,
                 attempt=attempt, mode="serial",
             ):
-                chunk = kernel.run_group(spec, cells[group.start:group.end])
-            return chunk, attempt
+                return kernel.run_group(spec, cells[group.start:group.end])
         except faults.InjectedFault as exc:
             # Discard the failed attempt's gated recordings — the retry
             # re-records the work — while always-counters (the retry
@@ -594,8 +582,8 @@ def _lpt_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
 def _run_sharded_pool(
     spec, kernel, cells, pending, workers, flush,
     shard_timeout=None, shard_retries=2,
-) -> int:
-    """Persistent-pool shard fan-out; commit in expansion order. Returns retries.
+) -> None:
+    """Persistent-pool shard fan-out; commit in expansion order.
 
     One supervised worker process per slot lives for the whole run and
     computes every shard :func:`_lpt_plan` assigns to it, so the
@@ -650,7 +638,6 @@ def _run_sharded_pool(
     delays: Dict[int, float] = {}
     blocked: List[Tuple[float, int]] = []  # (not-before, ordinal) backoffs
     next_flush = 0
-    retries = 0
     epoch = 0
 
     def spawn(slot: _PoolSlot) -> None:
@@ -694,7 +681,7 @@ def _run_sharded_pool(
             pass  # the worker died: its pipe reads end-of-file next
 
     def fail(ordinal: int, reason: str, watchdog: bool) -> None:
-        nonlocal retries, epoch
+        nonlocal epoch
         group = pending[ordinal]
         count = attempts.get(ordinal, 0) + 1
         attempts[ordinal] = count
@@ -703,7 +690,6 @@ def _run_sharded_pool(
                 f"shard at cells[{group.start}:{group.end}] of "
                 f"{spec.experiment!r} failed after {count} attempts: {reason}"
             )
-        retries += 1
         obs.count("runner.shard_retries")
         obs.record_event(
             "runner.shard_retry", start=group.start, attempt=count,
@@ -811,7 +797,6 @@ def _run_sharded_pool(
             if slot.proc.is_alive():
                 slot.proc.kill()
                 slot.proc.join(timeout=5)
-    return retries
 
 
 def run_figure(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import warnings
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence
 
@@ -296,30 +295,6 @@ class RunState:
             stacklevel=3,
         )
 
-    def _commit_fault(self, length: int, index: int) -> Optional[faults.TornWrite]:
-        """The ``store.commit`` injection point, with bounded retry.
-
-        Transient injected errors model an append that failed before any
-        byte hit the file; retrying re-evaluates the plan (each visit is
-        a fresh deterministic draw), so low-probability chaos never kills
-        a run here. Deterministic ``when``-rules exhaust the retries and
-        propagate — targeted plans can still force a commit failure.
-        """
-        last: Optional[faults.InjectedFault] = None
-        for attempt in range(4):
-            try:
-                return faults.inject(
-                    "store.commit",
-                    path=self.path,
-                    length=length,
-                    index=index,
-                    attempt=attempt,
-                )
-            except faults.InjectedFault as exc:
-                last = exc
-                time.sleep(0.01 * (attempt + 1))
-        raise last  # type: ignore[misc]  # loop always set it
-
     def append(
         self,
         cell: Mapping[str, Any],
@@ -331,10 +306,14 @@ class RunState:
         ``index`` is the cell's absolute expansion index when the caller
         knows it; fault plans use it to target specific commits in a way
         that stays stable across process restarts (unlike hit counters,
-        which reset per process).
+        which reset per process). This is the ``store.commit`` injection
+        point: an injected ``error`` propagates exactly as a failed write
+        would, and ``--resume`` heals the run from the committed prefix.
         """
         data = _dump_line(cell, metrics).encode("utf-8")
-        action = self._commit_fault(len(data), index)
+        action = faults.inject(
+            "store.commit", path=self.path, length=len(data), index=index
+        )
         if self._handle is None:
             self._handle = open(self.cells_path, "ab")
         if action is not None:

@@ -8,14 +8,18 @@ The package has two halves:
 * :mod:`repro.faults.injector` — the runtime: consumers call
   :func:`inject` at named sites; with no active plan this is a cheap
   no-op, with one it deterministically crashes, hangs, tears a write,
-  raises a transient :class:`InjectedFault`, or forces a backend failure.
+  raises an :class:`InjectedFault`, or forces a backend failure.
 
 Sites threaded through the stack: ``store.commit`` (run-store appends),
 ``runner.shard_start`` (shard workers), ``native.compile`` (the C
-accelerator build), ``kernels.dispatch`` (gain-backing selection) and
-``sim.strike`` (the simulator's adversary step). The consumers are
-hardened — supervised retries, quarantine-and-truncate, a degradation
-ladder — so an injected fault degrades a run instead of corrupting it.
+accelerator build) and ``kernels.dispatch`` (gain-backing selection).
+One layer retries: the shard supervisor (and its serial replay) in
+:mod:`repro.exp.runner` re-runs a shard whose attempt failed, wherever
+in the shard the fault fired. The other consumers do what they would do
+on a real failure: a torn or failed store append ends the run and
+``--resume`` heals it from the committed prefix, and a failed compile or
+an injected ``backend`` fault steps the gain ladder down to python. An
+injected fault therefore degrades a run instead of corrupting it.
 """
 
 from repro.faults.injector import (
@@ -30,6 +34,7 @@ from repro.faults.injector import (
     reset_counters,
 )
 from repro.faults.plan import (
+    ABSORBED_SITES,
     FAULT_KINDS,
     SITES,
     FaultPlan,
@@ -39,6 +44,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
+    "ABSORBED_SITES",
     "FAULT_KINDS",
     "SITES",
     "FaultPlan",

@@ -12,7 +12,7 @@ Kinds ``crash``/``hang``/``error`` are handled here (die, sleep, raise
 cooperation: ``torn`` returns a :class:`TornWrite` telling the store how
 many bytes to write before dying mid-append, and ``backend`` raises an
 :class:`InjectedFault` whose ``kind`` tells the kernel ladder to demote
-the backing rather than retry it.
+the backing rather than let it propagate.
 
 The active plan comes from :func:`configure` (tests, the soak driver) or
 else the ``REPRO_CHAOS`` environment variable (parsed once per value, so
@@ -36,7 +36,7 @@ _EXIT_TORN = 137  # what a SIGKILL mid-append looks like to a supervisor
 
 
 class InjectedFault(RuntimeError):
-    """A transient (``error``) or backend-demoting (``backend``) fault."""
+    """An injected ``error`` or backend-demoting (``backend``) fault."""
 
     def __init__(self, site: str, kind: str):
         super().__init__(f"injected {kind} fault at {site}")

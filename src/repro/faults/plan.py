@@ -22,9 +22,11 @@ when it fires:
 
 ``REPRO_CHAOS`` accepts a plan three ways: a path to a plan JSON file,
 inline JSON (starts with ``{``), or the shorthand ``prob:<p>[:<seed>]``
-— transient-error rules at every site with probability ``p``, the form
-the chaos-smoke CI job uses (only ``error`` faults, which every hardened
-consumer retries, so suites still pass underneath it).
+— ``error`` rules with probability ``p`` at the
+:data:`ABSORBED_SITES`, the form the chaos-smoke CI job uses. Those are
+the sites whose injected ``error`` something absorbs, so suites still
+pass underneath it; an error at any other site propagates, exactly as a
+real failure there would.
 """
 
 from __future__ import annotations
@@ -43,12 +45,16 @@ SITES: Tuple[str, ...] = (
     "runner.shard_start",
     "native.compile",
     "kernels.dispatch",
-    "sim.strike",
 )
+
+#: The sites whose injected ``error`` is absorbed: the shard supervisor
+#: retries ``runner.shard_start``, and a failed ``native.compile`` makes
+#: the gain ladder fall back to python. ``prob_plan`` defaults to these.
+ABSORBED_SITES: Tuple[str, ...] = ("runner.shard_start", "native.compile")
 
 #: ``crash`` calls ``os._exit`` (or SIGKILLs itself with
 #: ``args={"signal": "kill"}``); ``hang`` sleeps ``args["seconds"]``;
-#: ``error`` raises a transient :class:`~repro.faults.injector.InjectedFault`;
+#: ``error`` raises an :class:`~repro.faults.injector.InjectedFault`;
 #: ``torn`` makes the cooperating site write a prefix of its payload and
 #: die mid-append; ``backend`` forces a backing failure that the kernel
 #: degradation ladder must absorb.
@@ -243,15 +249,16 @@ class FaultPlan:
 def prob_plan(
     probability: float,
     seed: int = 0,
-    sites: Sequence[str] = SITES,
+    sites: Sequence[str] = ABSORBED_SITES,
     kind: str = "error",
 ) -> FaultPlan:
     """A uniform low-probability plan: one ``kind`` rule per site.
 
-    The default (transient ``error`` faults everywhere) is the only shape
-    safe to run underneath an arbitrary process — every hardened consumer
-    retries transient faults, while crash/torn/hang faults would kill the
-    host process and belong in explicit targeted plans.
+    The default (``error`` faults at the :data:`ABSORBED_SITES`) is the
+    only shape safe to run underneath an arbitrary process: the runner
+    retries those errors and the gain ladder absorbs a failed compile,
+    while crash/torn/hang faults would kill the host process and belong
+    in explicit targeted plans.
     """
     if not 0.0 <= probability <= 1.0:
         raise FaultPlanError(

@@ -2,19 +2,21 @@
 
 The soak is the end-to-end proof behind the fault framework: build a
 :class:`~repro.faults.plan.FaultPlan` that schedules worker crashes,
-torn store writes, hangs, and transient kernel failures across a real
-figure grid, then drive ``repro run --resume`` in a subprocess restart
-loop until the store completes.  Because shards are pure functions of
-the spec and the store commits in expansion order, the final
-``cells.jsonl`` must be **byte-identical** to a fault-free run — the
-soak verifies exactly that, and accounts for how much work the faults
-cost (restarts, shard retries, recomputed cells).
+hangs and errors and torn store writes across a real figure grid, then
+drive ``repro run --resume`` in a subprocess restart loop until the
+store completes.  Because shards are pure functions of the spec and the
+store commits in expansion order, the final ``cells.jsonl`` must be
+**byte-identical** to a fault-free run — the soak verifies exactly that,
+and accounts for how much work the faults cost (restarts, shard
+retries, recomputed cells).
 
-Faults that kill a *worker* (crash, hang + watchdog) are absorbed
-in-process by the shard supervisor; faults that kill the *parent*
-(torn writes fsync a strict prefix of one line, then ``os._exit``)
-surface as a non-zero subprocess exit and are healed by the next
-``--resume`` iteration.  Both paths are exercised deliberately.
+Faults that kill or fail a *worker* (crash, hang + watchdog, error) are
+absorbed in-process by the shard supervisor; faults that kill the
+*parent* (torn writes fsync a strict prefix of one line, then
+``os._exit``) surface as a non-zero subprocess exit and are healed by
+the next ``--resume`` iteration.  The plan holds only faults that fire
+exactly once across the whole restart loop, and the soak fails unless
+the faults that fired match the plan kind for kind.
 
 Used by ``repro chaos-soak``; ``tests/faults/test_soak.py`` runs a
 fig7 soak end to end.
@@ -51,6 +53,15 @@ _RETRY_LINE = re.compile(
 #: torn writes exit the parent with this code (mirrors SIGKILL's 128+9).
 TORN_EXIT = 137
 
+#: (planned_faults key, rule kind, ``fired`` key): how each planned
+#: fault shows up once it fires.
+_KINDS = (
+    ("crashes", "crash", "worker_died"),
+    ("hangs", "hang", "watchdog_timeout"),
+    ("errors", "error", "error"),
+    ("torn_writes", "torn", "torn_writes"),
+)
+
 
 class SoakError(RuntimeError):
     """The soak failed to converge or its invariants did not hold."""
@@ -71,20 +82,26 @@ def build_soak_plan(
     *,
     crashes: int = 0,
     torn_writes: int = 0,
-    dispatch_errors: int = 0,
+    errors: int = 0,
     hangs: int = 0,
     hang_seconds: float = 30.0,
+    shard_retries: int = 3,
     seed: int = 0,
 ) -> FaultPlan:
-    """Schedule faults against a spec's actual shard/cell layout.
+    """Schedule faults that each fire exactly once, pinned to the spec's
+    shard and cell layout so the schedule survives process restarts.
 
-    Every rule is pinned to stable coordinates — shard ``start`` offsets
-    for crashes/hangs, absolute cell ``index`` values for torn writes —
-    so the schedule survives process restarts: a fault fires exactly
-    where planned no matter how many times the run is resumed.
-    Dispatch errors are keyed on per-process visit counters instead
-    (``hit``), so they re-arm after a restart; the dispatch retry loop
-    absorbs them either way.
+    Worker faults (crashes, hangs, errors) are ``runner.shard_start``
+    rules keyed on ``(start, attempt, mode="shard")`` over one (shard,
+    attempt) grid: the first ``m`` shards in expansion order, attempts
+    ``0 .. shard_retries - 1``. The grid fills attempt by attempt —
+    attempt ``a`` of a shard runs only after its attempts ``0 .. a - 1``
+    failed — so no shard exhausts its retries. Torn writes go on cells of
+    the later shards: the first run commits every worker-fault shard
+    before its first torn write kills it, so no resumed run dispatches
+    those shards again. ``m`` is the split that fits the most requested
+    faults while leaving each side a shard; the rest are not planned, so
+    count the plan's rules (:func:`planned_faults`), not the request.
     """
     kernel = registry.kernel(spec.experiment)
     cells = [dict(cell) for cell in kernel.expand(spec)]
@@ -93,38 +110,48 @@ def build_soak_plan(
     groups = _contiguous_groups(spec, kernel, cells)
     rng = derive_rng(seed, "chaos-soak", spec.spec_hash())
 
-    rules: List[Dict[str, Any]] = []
-    # Crashes: distinct shards first, then a second strike at attempt 1
-    # on the earliest-hit shards (exercises the demotion-after-repeat
-    # path without ever exceeding the retry budget).
-    starts = [group.start for group in groups]
+    pool = len(groups) > 1  # worker faults need the pool: >= 2 shards
+    worker_faults = crashes + hangs + errors
+
+    def torn_from(split: int) -> int:
+        # Torn indices exclude 0: the hit delta below must be >= 1.
+        return max(1, groups[split].start if split < len(groups) else len(cells))
+
+    def fits(split: int) -> Tuple[int, int]:
+        worker = min(worker_faults, split * shard_retries) if pool else 0
+        return worker, min(torn_writes, len(cells) - torn_from(split))
+
+    # Leave each side that was asked for at least one shard.
+    low = 1 if pool and worker_faults else 0
+    high = len(groups) - 1 if pool and torn_writes else len(groups)
+    m = max(range(low, high + 1), key=lambda split: (sum(fits(split)), -split))
+    worker_fit, torn_fit = fits(m)
+
+    wanted = {"crash": crashes, "hang": hangs, "error": errors}
+    kinds: List[str] = []
+    while len(kinds) < worker_fit:  # interleave, so a cut keeps the mix
+        for kind in wanted:
+            if wanted[kind] and len(kinds) < worker_fit:
+                kinds.append(kind)
+                wanted[kind] -= 1
+    starts = [group.start for group in groups[:m]]
     rng.shuffle(starts)
-    for ordinal in range(crashes):
-        attempt, slot = divmod(ordinal, len(starts))
-        if attempt >= 2:  # never schedule past the default retry budget
-            break
-        rules.append({
+    rules: List[Dict[str, Any]] = []
+    for ordinal, kind in enumerate(kinds):
+        attempt, slot = divmod(ordinal, m)
+        rule: Dict[str, Any] = {
             "site": "runner.shard_start",
-            "kind": "crash",
-            # mode=shard: only supervised worker dispatches crash.  A
+            "kind": kind,
+            # mode=shard: only supervised worker dispatches fault.  A
             # resume that leaves one pending shard runs serially in the
             # parent — crashing there would loop the restart forever.
             "when": {"start": starts[slot], "attempt": attempt,
                      "mode": "shard"},
             "times": 1,
-        })
-    for ordinal in range(hangs):
-        attempt, slot = divmod(crashes + ordinal, len(starts))
-        if attempt >= 2:
-            break
-        rules.append({
-            "site": "runner.shard_start",
-            "kind": "hang",
-            "when": {"start": starts[slot], "attempt": attempt,
-                     "mode": "shard"},
-            "times": 1,
-            "args": {"seconds": hang_seconds},
-        })
+        }
+        if kind == "hang":
+            rule["args"] = {"seconds": hang_seconds}
+        rules.append(rule)
     # Torn writes: distinct absolute cell indices, each fired exactly
     # once across the whole soak.  A rule keyed on ``index`` alone would
     # never converge — tearing at index i leaves i off disk, so every
@@ -134,12 +161,8 @@ def build_soak_plan(
     # first-ever commit of that index: after the restart the resumed
     # process reaches index i at hit 0, never at the pinned delta
     # (deltas are >= 1 because indices are distinct and exclude 0).
-    population = range(1, len(cells))
-    indices = sorted(
-        rng.sample(population, min(torn_writes, len(population)))
-    )
     previous = 0
-    for index in indices:
+    for index in sorted(rng.sample(range(torn_from(m), len(cells)), torn_fit)):
         rules.append({
             "site": "store.commit",
             "kind": "torn",
@@ -147,14 +170,15 @@ def build_soak_plan(
             "times": 1,
         })
         previous = index
-    for ordinal in range(dispatch_errors):
-        rules.append({
-            "site": "kernels.dispatch",
-            "kind": "error",
-            "when": {"hit": 2 * ordinal},
-            "times": 1,
-        })
     return FaultPlan.build(seed=seed, rules=rules)
+
+
+def planned_faults(plan: FaultPlan) -> Dict[str, int]:
+    """The plan's faults by kind, counted from its rules."""
+    kinds = [rule.kind for rule in plan.rules]
+    counts = {key: kinds.count(kind) for key, kind, _ in _KINDS}
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def _python_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
@@ -323,32 +347,37 @@ def soak(
     hang_seconds: float = 30.0,
     quiet: bool = False,
 ) -> Dict[str, Any]:
-    """Plan ``faults`` injections, soak the spec, verify byte-identity.
+    """Plan up to ``faults`` injections, soak the spec, verify byte-identity.
 
     The fault budget is split roughly 40% worker crashes / 30% torn
-    writes / 20% transient dispatch errors, with the remainder as hangs
-    when a ``shard_timeout`` watchdog is armed (hangs without a watchdog
-    would stall the soak instead of testing it).
+    writes / 20% worker errors, with the remainder as hangs when a
+    ``shard_timeout`` watchdog is armed (hangs without a watchdog would
+    stall the soak instead of testing it). Worker faults fire only in
+    pool workers, so a ``workers=1`` soak plans torn writes alone.
+    :func:`build_soak_plan` keeps what fits the spec's layout; the report
+    states those ``planned_faults``, and the soak fails unless exactly
+    they fired.
     """
     if faults < 1:
         raise SoakError("need at least one fault to soak")
     crashes = max(1, (2 * faults) // 5)
     torn_writes = max(1, (3 * faults) // 10)
-    dispatch_errors = max(1, faults // 5)
+    errors = max(1, faults // 5)
     hangs = 0
     if shard_timeout is not None:
-        hangs = max(0, faults - crashes - torn_writes - dispatch_errors)
+        hangs = max(0, faults - crashes - torn_writes - errors)
     else:
-        dispatch_errors = max(
-            dispatch_errors, faults - crashes - torn_writes
-        )
+        errors = max(errors, faults - crashes - torn_writes)
+    if workers < 2:
+        crashes = errors = hangs = 0
     plan = build_soak_plan(
         spec,
         crashes=crashes,
         torn_writes=torn_writes,
-        dispatch_errors=dispatch_errors,
+        errors=errors,
         hangs=hangs,
         hang_seconds=hang_seconds,
+        shard_retries=shard_retries,
         seed=seed,
     )
     report = run_soak(
@@ -362,23 +391,26 @@ def soak(
         spec, report["store"], os.path.join(root, "reference")
     )
     report["byte_identical"] = True
-    report["planned_faults"] = {
-        "crashes": crashes,
-        "torn_writes": torn_writes,
-        "dispatch_errors": dispatch_errors,
-        "hangs": hangs,
-        "total": crashes + torn_writes + dispatch_errors + hangs,
-    }
-    # Fault-cost invariants.  Worker faults (crashes, hangs, dispatch
-    # errors) are absorbed in-run by the supervisor; only torn writes
-    # kill the parent, so restarts must match the torn schedule exactly.
-    torn = report["planned_faults"]["torn_writes"]
+    planned = report["planned_faults"] = planned_faults(plan)
+    # Fault-cost invariants.  Worker faults are absorbed in-run by the
+    # supervisor; only torn writes kill the parent, so restarts must
+    # match the torn schedule exactly, and every planned fault must have
+    # fired exactly once.
+    torn = planned["torn_writes"]
     if report["restarts"] != torn:
         raise SoakError(
             f"expected exactly {torn} restarts (one per torn write), "
             f"saw {report['restarts']} — a fault escaped the supervisor "
             "or a torn rule misfired"
         )
+    fired = report["fired"]
+    off_plan = [
+        f"{planned[key]} {key} planned, {fired[cause]} {cause} fired"
+        for key, _, cause in _KINDS
+        if planned[key] != fired[cause]
+    ]
+    if off_plan:
+        raise SoakError("faults fired off plan: " + "; ".join(off_plan))
     # Only fault-straddling shards may be recomputed on resume: each
     # restart re-runs at most one shard's prefix overlap.
     kernel = registry.kernel(spec.experiment)

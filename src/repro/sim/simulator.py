@@ -31,6 +31,8 @@ randomness and produce bit-identical strike records.
 
 Everything is a pure function of :class:`SimConfig` (all randomness
 derives from ``seed`` via labelled streams), so runs replay bit-for-bit.
+The loop has no fault-injection site and retries nothing: an exception
+in a strike propagates to the caller.
 """
 
 from __future__ import annotations
@@ -340,7 +342,10 @@ class LifetimeSimulator:
             self.injector.engine = self.cluster.engine()
         else:
             self.injector.engine = None  # snapshot + cold engine per strike
-        nodes = self._select_strike(process.k)
+        with obs.span("sim.strike", k=process.k):
+            nodes = self.injector.select(
+                self.cluster, process.k, self.rule, warm_start=self._warm
+            )
         obs.count("sim.strikes")
         obs.count(
             "sim.strikes.delta"
@@ -362,33 +367,6 @@ class LifetimeSimulator:
                 certified=self._certified,
             )
         )
-
-    def _select_strike(self, k: int):
-        """Run the adversary once, retrying injected transient faults.
-
-        The ``sim.strike`` injection point. Selection is a pure function
-        of the cluster state and warm start, so a retry recomputes the
-        identical strike — a chaos-injected hiccup perturbs timing, never
-        the simulated trajectory.
-        """
-        from repro import faults
-
-        last = None
-        for attempt in range(4):
-            mark = obs.checkpoint()
-            try:
-                faults.inject("sim.strike", k=k, attempt=attempt)
-                with obs.span("sim.strike", k=k):
-                    return self.injector.select(
-                        self.cluster, k, self.rule, warm_start=self._warm
-                    )
-            except faults.InjectedFault as exc:
-                # A retried strike re-records its work; drop the failed
-                # attempt's gated recordings so totals stay invariant
-                # under chaos retries that succeed.
-                obs.rollback(mark)
-                last = exc
-        raise last
 
     # -- measurement ---------------------------------------------------------
 

@@ -28,97 +28,97 @@ class TestDisabled:
     def test_configure_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "prob:1.0")
         faults.configure(None)
-        assert faults.inject("sim.strike", k=3) is None
+        assert faults.inject("runner.shard_start", start=0) is None
 
     def test_clear_restores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "prob:1.0")
         faults.configure(None)
         faults.clear()
         with pytest.raises(InjectedFault):
-            faults.inject("sim.strike", k=3)
+            faults.inject("runner.shard_start", start=0)
 
 
 class TestMatching:
     def test_when_matches_context_subset(self):
         plan = FaultPlan.build(
-            [{"site": "sim.strike", "kind": "error", "when": {"k": 3}}]
+            [{"site": "kernels.dispatch", "kind": "error", "when": {"k": 3}}]
         )
         faults.configure(plan)
-        assert faults.inject("sim.strike", k=2, attempt=0) is None
+        assert faults.inject("kernels.dispatch", k=2, attempt=0) is None
         with pytest.raises(InjectedFault):
-            faults.inject("sim.strike", k=3, attempt=0)
+            faults.inject("kernels.dispatch", k=3, attempt=0)
 
     def test_missing_when_key_never_matches(self):
         plan = FaultPlan.build(
-            [{"site": "sim.strike", "kind": "error", "when": {"rack": 1}}]
+            [{"site": "kernels.dispatch", "kind": "error", "when": {"rack": 1}}]
         )
         faults.configure(plan)
-        assert faults.inject("sim.strike", k=3) is None
+        assert faults.inject("kernels.dispatch", k=3) is None
 
     def test_hit_pseudo_key_counts_site_visits(self):
         plan = FaultPlan.build(
-            [{"site": "sim.strike", "kind": "error", "when": {"hit": 2}}]
+            [{"site": "kernels.dispatch", "kind": "error", "when": {"hit": 2}}]
         )
-        assert _fires(plan, "sim.strike", 5, k=1) == [
+        assert _fires(plan, "kernels.dispatch", 5, k=1) == [
             False, False, True, False, False,
         ]
 
     def test_times_caps_firing(self):
         plan = FaultPlan.build(
-            [{"site": "sim.strike", "kind": "error", "times": 2}]
+            [{"site": "kernels.dispatch", "kind": "error", "times": 2}]
         )
-        assert _fires(plan, "sim.strike", 5, k=1) == [
+        assert _fires(plan, "kernels.dispatch", 5, k=1) == [
             True, True, False, False, False,
         ]
 
     def test_sites_are_independent(self):
         plan = prob_plan(1.0, sites=("store.commit",))
         faults.configure(plan)
-        assert faults.inject("sim.strike", k=1) is None
+        assert faults.inject("kernels.dispatch", k=1) is None
         with pytest.raises(InjectedFault):
             faults.inject("store.commit", length=5)
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan.build([
-            {"site": "sim.strike", "kind": "error", "times": 1},
-            {"site": "sim.strike", "kind": "backend"},
+            {"site": "kernels.dispatch", "kind": "error", "times": 1},
+            {"site": "kernels.dispatch", "kind": "backend"},
         ])
         faults.configure(plan)
         with pytest.raises(InjectedFault) as first:
-            faults.inject("sim.strike", k=1)
+            faults.inject("kernels.dispatch", k=1)
         with pytest.raises(InjectedFault) as second:
-            faults.inject("sim.strike", k=1)
+            faults.inject("kernels.dispatch", k=1)
         assert first.value.kind == "error"
         assert second.value.kind == "backend"
 
 
 class TestDeterminism:
     def test_same_plan_same_schedule(self):
-        plan = prob_plan(0.5, seed=7, sites=("sim.strike",))
-        first = _fires(plan, "sim.strike", 50, k=1)
-        second = _fires(plan, "sim.strike", 50, k=1)
+        plan = prob_plan(0.5, seed=7, sites=("kernels.dispatch",))
+        first = _fires(plan, "kernels.dispatch", 50, k=1)
+        second = _fires(plan, "kernels.dispatch", 50, k=1)
         assert first == second
         assert any(first) and not all(first)
 
     def test_different_seed_different_schedule(self):
-        one = _fires(prob_plan(0.5, seed=1, sites=("sim.strike",)),
-                     "sim.strike", 50, k=1)
-        two = _fires(prob_plan(0.5, seed=2, sites=("sim.strike",)),
-                     "sim.strike", 50, k=1)
+        one = _fires(prob_plan(0.5, seed=1, sites=("kernels.dispatch",)),
+                     "kernels.dispatch", 50, k=1)
+        two = _fires(prob_plan(0.5, seed=2, sites=("kernels.dispatch",)),
+                     "kernels.dispatch", 50, k=1)
         assert one != two
 
     def test_context_changes_the_draw(self):
-        plan = prob_plan(0.5, seed=7, sites=("sim.strike",))
-        one = _fires(plan, "sim.strike", 50, k=1)
-        two = _fires(plan, "sim.strike", 50, k=2)
+        plan = prob_plan(0.5, seed=7, sites=("kernels.dispatch",))
+        one = _fires(plan, "kernels.dispatch", 50, k=1)
+        two = _fires(plan, "kernels.dispatch", 50, k=2)
         assert one != two
 
     def test_fired_counters_account_by_rule(self):
         plan = FaultPlan.build([
-            {"site": "sim.strike", "kind": "error", "when": {"hit": 0}},
-            {"site": "sim.strike", "kind": "error", "when": {"hit": 2}},
+            {"site": "kernels.dispatch", "kind": "error", "when": {"hit": 0}},
+            {"site": "kernels.dispatch", "kind": "error", "when": {"hit": 2}},
         ])
-        _fires(plan, "sim.strike", 4, k=1)
+        _fires(plan, "kernels.dispatch", 4, k=1)
         assert faults.fired_by_rule() == {0: 1, 1: 1}
         assert faults.fired_total() == 2
         faults.reset_counters()

@@ -104,3 +104,37 @@ def test_torn_offsets_differ_across_seeds(tmp_path):
         with open(RunStore(store_root).cells_file(spec), "rb") as handle:
             sizes.add(len(handle.read()))
     assert len(sizes) > 1
+
+
+def test_failed_commit_keeps_the_prefix_and_resume_is_byte_identical(
+    tmp_path,
+):
+    """An injected ``store.commit`` error propagates like a failed write;
+    the lines already written stay a prefix and ``--resume`` heals it."""
+    from repro import faults
+
+    spec = _spec()
+    reference_store = RunStore(str(tmp_path / "reference"))
+    run_experiment(spec, store=reference_store, workers=1)
+    with open(reference_store.cells_file(spec), "rb") as handle:
+        reference_bytes = handle.read()
+
+    # Cell 6 sits inside the shard cells[5:8]: cell 5 is written, the
+    # commit of cell 6 fails.
+    faults.configure(FaultPlan.build([{
+        "site": "store.commit", "kind": "error", "when": {"index": 6},
+    }]))
+    store = RunStore(str(tmp_path / "store"))
+    with pytest.raises(faults.InjectedFault):
+        run_experiment(spec, store=store, workers=1)
+    with open(store.cells_file(spec), "rb") as handle:
+        prefix = handle.read()
+    assert prefix.count(b"\n") == 6
+    assert reference_bytes.startswith(prefix)
+
+    faults.configure(None)
+    resumed = run_experiment(spec, store=store, resume=True, workers=1)
+    assert resumed.complete
+    assert (resumed.loaded, resumed.recomputed) == (5, 1)
+    with open(store.cells_file(spec), "rb") as handle:
+        assert handle.read() == reference_bytes

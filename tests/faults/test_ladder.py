@@ -16,7 +16,7 @@ from repro.core.kernels import (
     restore_backings,
 )
 from repro.core.random_placement import RandomStrategy
-from repro.faults import FaultPlan, prob_plan
+from repro.faults import FaultPlan, InjectedFault
 
 
 def _placement():
@@ -89,19 +89,17 @@ class TestForcedBackendFault:
         nodes = [0, 3, 7]
         assert kernel.damage_for(nodes) == damage(placement, nodes, 2)
 
-    def test_transient_errors_retry_without_demotion(self):
+    def test_injected_errors_propagate_without_demotion(self):
+        """Dispatch retries nothing: the shard supervisor is the one
+        layer that retries an injected error."""
         faults.configure(FaultPlan.build([{
             "site": "kernels.dispatch", "kind": "error",
             "when": {"hit": 0}, "times": 1,
         }]))
-        kernel = make_kernel(_placement(), 2)
-        assert demoted_backings() == {}
-        assert kernel is not None
-
-    def test_persistent_faults_exhaust_the_ladder(self):
-        faults.configure(prob_plan(1.0, sites=("kernels.dispatch",)))
-        with pytest.raises(RuntimeError, match="after 4 attempts"):
+        with pytest.raises(InjectedFault) as raised:
             make_kernel(_placement(), 2)
+        assert raised.value.kind == "error"
+        assert demoted_backings() == {}
 
     def test_bad_arguments_propagate_without_demoting(self, monkeypatch):
         """A ValueError is a caller bug, not a broken backing."""

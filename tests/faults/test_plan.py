@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.faults import (
+    ABSORBED_SITES,
     FAULT_KINDS,
     SITES,
     FaultPlan,
@@ -57,7 +58,12 @@ class TestEnvParsing:
     def test_prob_shorthand(self):
         plan = FaultPlan.from_env("prob:0.02:1234")
         assert plan.seed == 1234
-        assert {rule.site for rule in plan.rules} == set(SITES)
+        # Only the sites whose injected error something absorbs: an
+        # error anywhere else propagates, as a real failure would.
+        assert [rule.site for rule in plan.rules] == [
+            "runner.shard_start", "native.compile",
+        ]
+        assert set(ABSORBED_SITES) <= set(SITES)
         assert all(rule.kind == "error" for rule in plan.rules)
         assert all(rule.prob == 0.02 for rule in plan.rules)
 

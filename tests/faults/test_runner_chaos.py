@@ -101,6 +101,42 @@ class TestCrashRetry:
             run_experiment(spec, workers=3, shard_retries=1)
 
 
+class TestDispatchError:
+    def test_dispatch_error_in_a_pool_shard_is_retried_by_the_supervisor(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Each forked worker fires the rule on its first kernel build;
+        # dispatch itself retries nothing, so the error reaches the
+        # supervisor, which re-dispatches the shard and says so.
+        spec = _spec()
+        plan = FaultPlan.build([{
+            "site": "kernels.dispatch", "kind": "error", "times": 1,
+        }])
+        _chaos_env(plan, monkeypatch)
+        store = RunStore(str(tmp_path / "chaos"))
+        run = run_experiment(spec, workers=3, store=store)
+        assert run.complete
+        assert run.retries >= 1
+        assert run.demotions == []
+        retry_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("runner: shard retry")
+        ]
+        assert len(retry_lines) == run.retries
+        assert all(
+            "InjectedFault: injected error fault at kernels.dispatch" in line
+            for line in retry_lines
+        )
+
+        monkeypatch.delenv("REPRO_CHAOS")
+        clean = RunStore(str(tmp_path / "clean"))
+        run_experiment(spec, workers=3, store=clean)
+        with open(store.cells_file(spec), "rb") as handle:
+            chaos_bytes = handle.read()
+        with open(clean.cells_file(spec), "rb") as handle:
+            assert handle.read() == chaos_bytes
+
+
 class TestWatchdog:
     def test_hung_shard_is_killed_and_retried(self, tmp_path, monkeypatch):
         spec = _spec()

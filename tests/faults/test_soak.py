@@ -2,6 +2,7 @@
 one soak run end to end through the CLI."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,11 +11,51 @@ import pytest
 
 from repro.analysis import fig2, fig7
 from repro.faults.plan import FaultPlan
-from repro.faults.soak import SoakError, _python_env, build_soak_plan, run_soak
+from repro.faults.soak import (
+    SoakError,
+    _python_env,
+    build_soak_plan,
+    planned_faults,
+    run_soak,
+)
 
 
 def _spec():
     return fig2.default_spec(b_values=(600, 1200), s_values=(2, 3), k_max=4)
+
+
+def _shard_bounds(spec):
+    from repro.exp.registry import kernel as experiment_kernel
+    from repro.exp.runner import _contiguous_groups
+
+    definition = experiment_kernel(spec.experiment)
+    cells = [dict(cell) for cell in definition.expand(spec)]
+    return [
+        (group.start, group.end)
+        for group in _contiguous_groups(spec, definition, cells)
+    ]
+
+
+_PLANNED = re.compile(
+    r"\((\d+) crashes, (\d+) torn writes, (\d+) errors, (\d+) hangs\)"
+)
+_FIRED = re.compile(
+    r"\((\d+) worker deaths, (\d+) watchdog timeouts, (\d+) errors, "
+    r"(\d+) torn writes\)"
+)
+
+
+def _planned_and_fired(output):
+    """(crashes, torn, errors, hangs) as planned and as fired."""
+    crashes, torn, errors, hangs = map(
+        int, _PLANNED.search(output).groups()
+    )
+    deaths, timeouts, fired_errors, fired_torn = map(
+        int, _FIRED.search(output).groups()
+    )
+    return (crashes, torn, errors, hangs), (
+        deaths, fired_torn, fired_errors, timeouts,
+    )
 
 
 def _kinds(plan):
@@ -26,13 +67,60 @@ def _kinds(plan):
 
 class TestPlanShape:
     def test_fault_mix_matches_the_request(self):
+        # Everything requested fits this 4-shard grid, so all of it is
+        # planned, and the planned counts are the plan's own rules.
         plan = build_soak_plan(
-            _spec(), crashes=3, torn_writes=2, dispatch_errors=4,
-            hangs=1, seed=0,
+            _spec(), crashes=3, torn_writes=2, errors=4, hangs=1, seed=0,
         )
         assert _kinds(plan) == {
             "crash": 3, "torn": 2, "error": 4, "hang": 1,
         }
+        assert planned_faults(plan) == {
+            "crashes": 3, "torn_writes": 2, "errors": 4, "hangs": 1,
+            "total": 10,
+        }
+
+    def test_planned_counts_are_the_rules_built_not_the_request(self):
+        # 20 faults cannot each fire exactly once on 10 cells: the plan
+        # keeps the split that fits most, with every kind still present.
+        plan = build_soak_plan(
+            _spec(), crashes=8, torn_writes=6, errors=4, hangs=2, seed=0,
+        )
+        planned = planned_faults(plan)
+        kinds = _kinds(plan)
+        assert planned == {
+            "crashes": kinds["crash"], "torn_writes": kinds["torn"],
+            "errors": kinds["error"], "hangs": kinds["hang"],
+            "total": len(plan.rules),
+        }
+        assert min(kinds.values()) >= 1
+        assert planned["total"] < 20
+
+    @pytest.mark.parametrize("shard_retries", [1, 2, 3])
+    def test_worker_faults_precede_the_first_torn_write(self, shard_retries):
+        spec = _spec()
+        plan = build_soak_plan(
+            spec, crashes=6, torn_writes=3, errors=4, hangs=2,
+            shard_retries=shard_retries, seed=3,
+        )
+        ends = dict(_shard_bounds(spec))
+        first_torn = min(
+            dict(rule.when)["index"] for rule in plan.rules
+            if rule.kind == "torn"
+        )
+        attempts = {}
+        for rule in plan.rules:
+            if rule.kind == "torn":
+                continue
+            when = dict(rule.when)
+            assert rule.site == "runner.shard_start"
+            assert ends[when["start"]] <= first_torn
+            attempts.setdefault(when["start"], []).append(when["attempt"])
+        for used in attempts.values():
+            # Attempt a runs only after attempts 0..a-1 failed, and the
+            # shard keeps one attempt to succeed on.
+            assert sorted(used) == list(range(len(used)))
+            assert len(used) <= shard_retries
 
     def test_same_seed_same_plan(self):
         one = build_soak_plan(_spec(), crashes=2, torn_writes=2, seed=5)
@@ -77,25 +165,17 @@ class TestPlanShape:
 
 
 class TestSoakEndToEnd:
-    #: Far above the soak's ~1 s, so only a wedged pool reaches it.
+    #: Far above the soaks' few seconds, so only a wedged pool reaches it.
     TIMEOUT = 60
 
-    def test_worker_crash_after_a_delivered_result_cannot_wedge_the_pool(
-        self, tmp_path
-    ):
-        # Seed 11 crashes a worker at shard start right after the
-        # supervisor read its previous result; the other worker must
-        # keep delivering. The soak runs in its own process group, so a
-        # hang fails the test and takes every worker down with it.
-        spec = fig7.default_spec(
-            configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=3
-        )
-        spec_path = tmp_path / "fig7.json"
+    def _soak(self, tmp_path, spec, *args):
+        """Run ``repro chaos-soak`` on ``spec`` in its own process group,
+        so a hang fails the test and takes every worker down with it."""
+        spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.canonical_json() + "\n", encoding="utf-8")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "chaos-soak", str(spec_path),
-             "--faults", "6", "--seed", "11", "--workers", "2",
-             "--root", str(tmp_path / "soak")],
+             "--workers", "2", "--root", str(tmp_path / "soak"), *args],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=_python_env(), start_new_session=True,
         )
@@ -107,6 +187,32 @@ class TestSoakEndToEnd:
             pytest.fail(f"chaos soak hung for {self.TIMEOUT}s")
         assert proc.returncode == 0, output
         assert "final store byte-identical to the fault-free reference" in output
+        return output
+
+    def test_worker_crash_after_a_delivered_result_cannot_wedge_the_pool(
+        self, tmp_path
+    ):
+        # Seed 11 crashes a worker at shard start right after the
+        # supervisor read its previous result; the other worker must
+        # keep delivering. Every planned fault fires exactly once.
+        spec = fig7.default_spec(
+            configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=3
+        )
+        output = self._soak(tmp_path, spec, "--faults", "6", "--seed", "11")
+        planned, fired = _planned_and_fired(output)
+        assert fired == planned
+        crashes, torn, errors, hangs = planned
+        assert min(crashes, torn, errors) >= 1 and hangs == 0
+
+    def test_armed_watchdog_plans_hangs_that_fire_as_timeouts(
+        self, tmp_path
+    ):
+        output = self._soak(
+            tmp_path, _spec(), "--faults", "6", "--shard-timeout", "2",
+        )
+        planned, fired = _planned_and_fired(output)
+        assert fired == planned
+        assert min(planned) >= 1  # crashes, torn writes, errors, hangs
 
 
 class TestRetryAccounting:
