@@ -22,8 +22,9 @@ and return bit-identical results:
   ``polish_chain`` loops.
 
 Backing choice: the ``gain_backing`` argument > ``REPRO_GAIN_BACKING`` >
-``auto``, which walks the ladder native -> python, skipping an
-unavailable or fault-demoted native rung.
+``auto``, which is native when the C library loads and python otherwise.
+:func:`resolve_gain_backing` is the one place that choice is made; no
+fault at run time changes it.
 
 Kernels bind an :class:`Incidence` — the placement's CSR, the one
 incidence structure every backing reads, edited in place by deltas — to
@@ -47,74 +48,26 @@ from repro import obs
 from repro.core import native as _native
 from repro.core.placement import Placement
 
-#: Recognized gain-engine backings, fastest-first: the degradation
-#: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
-#: the failing rung for the rest of the process (see demote_backing).
+#: Recognized gain-engine backings, fastest first. ``auto`` takes the
+#: first one this process can load; the choice never changes a number.
 GAIN_BACKINGS: Tuple[str, ...] = ("native", "python")
-
-# Backings demoted after a fault (backing -> reason). Process-wide: once
-# a rung is demoted, ``auto`` never climbs back to it; forked workers
-# inherit the parent's demotions at fork time.
-_DEMOTED: Dict[str, str] = {}
-
-
-def demote_backing(backing: str, reason: str) -> None:
-    """Take one gain-backing rung out of the ``auto`` ladder.
-
-    Called by the shard supervisor after a watchdog-detected fault and by
-    the dispatch ladder when a backing fails to construct. The last rung
-    (pure python) is never demotable — it is the floor the ladder
-    degrades *to*. The first reason wins; re-demoting is a no-op.
-    """
-    if backing not in GAIN_BACKINGS:
-        raise ValueError(
-            f"unknown gain backing {backing!r}; use one of {GAIN_BACKINGS}"
-        )
-    if backing == GAIN_BACKINGS[-1]:
-        raise ValueError("the python gain backing is the floor; cannot demote it")
-    if backing not in _DEMOTED:
-        _DEMOTED[backing] = str(reason)
-        obs.count("kernel.demotions")
-        obs.record_event("kernel.demotion", backing=backing, reason=str(reason))
-
-
-def demoted_backings() -> Dict[str, str]:
-    """The demoted rungs and why (empty in a fault-free process)."""
-    return dict(_DEMOTED)
-
-
-def restore_backings() -> None:
-    """Clear all demotions (tests / explicit operator reset)."""
-    _DEMOTED.clear()
-
-
-def gain_backing_setting() -> str:
-    """``REPRO_GAIN_BACKING`` as requested: ``auto`` when unset or empty."""
-    return os.environ.get("REPRO_GAIN_BACKING", "auto") or "auto"
 
 
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
-    """The concrete gain-engine backing: argument > ``REPRO_GAIN_BACKING``.
+    """The concrete gain-engine backing: argument > ``REPRO_GAIN_BACKING``
+    > ``auto`` (unset or empty means ``auto``).
 
-    ``auto`` walks the degradation ladder native -> python, skipping
-    an unavailable or fault-demoted native rung; an *explicit*
-    request for an unavailable (or demoted) backing raises instead of
-    degrading, so a pinned configuration never silently measures the
-    wrong thing.
+    ``auto`` is native when the C library loads (a compiler is present
+    and ``native.compile`` succeeded) and python otherwise. An *explicit*
+    request for an unknown or unavailable backing raises instead, so a
+    pinned configuration never silently measures the wrong thing.
     """
-    choice = requested or gain_backing_setting()
+    choice = requested or os.environ.get("REPRO_GAIN_BACKING") or "auto"
     if choice == "auto":
-        if "native" in _DEMOTED or not _native.available():
-            return "python"  # the demote-proof floor
-        return "native"
+        return "native" if _native.available() else "python"
     if choice not in GAIN_BACKINGS:
         raise ValueError(
             f"unknown gain backing {choice!r}; use auto or one of {GAIN_BACKINGS}"
-        )
-    if choice in _DEMOTED:
-        raise ValueError(
-            f"gain backing {choice!r} was demoted after a fault: "
-            f"{_DEMOTED[choice]}"
         )
     if choice == "native" and not _native.available():
         raise ValueError(
@@ -856,51 +809,20 @@ def make_kernel(
     Pass ``incidence`` to share one :class:`Incidence` across several
     kernels (different ``s``) over the same placement. ``gain_backing``
     pins the backing (default: ``REPRO_GAIN_BACKING``/auto).
+
+    This is the ``kernels.dispatch`` injection point. An injected error
+    propagates like a real one; the shard supervisor is the layer that
+    retries it.
     """
+    from repro import faults
+
     if incidence is None:
         incidence = Incidence(placement)
     elif incidence.placement is not placement:
         raise ValueError("incidence was built for a different placement")
-    return _dispatch_gain_kernel(incidence, s, gain_backing)
-
-
-def _dispatch_gain_kernel(
-    incidence: Incidence, s: int, gain_backing: Optional[str]
-) -> GainKernel:
-    """Build a gain kernel, stepping down the degradation ladder once.
-
-    This is the ``kernels.dispatch`` injection point: resolve the backing
-    (honoring demotions), evaluate the chaos plan, construct. An injected
-    ``backend`` fault — or a *real* infrastructure failure under ``auto``
-    on a rung above the floor — demotes that rung and builds the python
-    floor instead, so the ladder degrades native -> python rather than
-    failing the run. Everything else propagates, injected ``error``
-    faults included: the shard supervisor is the one layer that retries.
-    ``ValueError``/``TypeError`` are bad arguments, not a broken backing
-    — every rung rejects them identically — and explicit (non-auto)
-    requests never silently degrade. All backings are bit-identical by
-    contract, so a demotion changes speed, never results.
-    """
-    from repro import faults
-
-    choice = gain_backing or gain_backing_setting()
     backing = resolve_gain_backing(gain_backing)
-    try:
-        faults.inject("kernels.dispatch", backing=backing, s=s)
-        with obs.span("kernels.dispatch", backing=backing, s=s):
-            kernel = _GAIN_KERNELS[backing](incidence, s)
-    except (ValueError, TypeError):
-        raise
-    except Exception as exc:
-        if (
-            (isinstance(exc, faults.InjectedFault) and exc.kind != "backend")
-            or choice != "auto"
-            or backing == GAIN_BACKINGS[-1]
-        ):
-            raise
-        demote_backing(backing, f"{type(exc).__name__}: {exc}")
-        backing = GAIN_BACKINGS[-1]
-        with obs.span("kernels.dispatch", backing=backing, s=s):
-            kernel = _GAIN_KERNELS[backing](incidence, s)
+    faults.inject("kernels.dispatch", backing=backing, s=s)
+    with obs.span("kernels.dispatch", backing=backing, s=s):
+        kernel = _GAIN_KERNELS[backing](incidence, s)
     obs.count("kernel.dispatch." + backing)
     return kernel

@@ -672,8 +672,8 @@ def load() -> ctypes.CDLL:
     try:
         # The ``native.compile`` injection point: an injected fault here
         # makes the backing "unavailable" for the rest of the process,
-        # which is exactly what a broken toolchain looks like — the gain
-        # ladder must degrade to python, never abort the run.
+        # which is exactly what a broken toolchain looks like — ``auto``
+        # must resolve to python, never abort the run.
         from repro.faults import injector as _chaos
 
         _chaos.inject("native.compile")

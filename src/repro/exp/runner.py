@@ -17,8 +17,10 @@ Execution model:
 * sharded fan-out runs on a persistent worker pool: one supervised
   worker process per slot lives for the whole run and serves the shards
   a fixed longest-first plan assigns to it. The supervisor owns the
-  watchdog, bounded retries and the degradation ladder, and the result
-  is bit-identical to the serial run;
+  watchdog and bounded retries, and the result is bit-identical to the
+  serial run. Serial and pool shards share one attempt
+  (:func:`_run_attempt`) and one retry rule (:func:`_retry_or_raise`):
+  only an injected fault is retried, anything else ends the run;
 * shards are scheduled longest-first (``group_cost`` hint) but
   **committed in expansion order**: a shard that finishes early parks in
   memory until every earlier shard has been flushed. The store therefore
@@ -39,7 +41,7 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
@@ -111,25 +113,6 @@ def _backoff_delay(spec_hash: str, start: int, attempt: int, previous: float) ->
     return min(_BACKOFF_CAP, rng.uniform(_BACKOFF_BASE, max(_BACKOFF_BASE, previous) * 3))
 
 
-def _demote_after_watchdog(reason: str) -> Optional[Dict[str, str]]:
-    """Degradation ladder: step the auto gain backing down to python.
-
-    Only an *auto* selection is demoted — an explicitly pinned backing
-    never silently measures the wrong thing. Workers fork from the
-    supervisor after the demotion, so re-dispatched shards inherit it;
-    backings are bit-identical by contract, so results are unchanged.
-    """
-    from repro.core import kernels
-
-    if kernels.gain_backing_setting() != "auto":
-        return None
-    backing = kernels.resolve_gain_backing("auto")
-    if backing == kernels.GAIN_BACKINGS[-1]:
-        return None  # already on the last rung
-    kernels.demote_backing(backing, reason)
-    return {"backing": backing, "reason": reason}
-
-
 @dataclass(frozen=True)
 class _Group:
     """One contiguous shard: expansion slice [start, end) sharing a key."""
@@ -166,7 +149,6 @@ class RunResult:
     elapsed: float = 0.0
     store_path: Optional[str] = None
     retries: int = 0
-    demotions: List[Dict[str, str]] = field(default_factory=list)
     #: Deterministic metrics delta of this invocation (None when metrics
     #: are off); the same dict the store manifest records under "obs".
     obs: Optional[Dict[str, Any]] = None
@@ -202,9 +184,6 @@ class RunResult:
         )
         if self.retries:
             text += f" [{self.retries} shard retries]"
-        if self.demotions:
-            demoted = ",".join(entry["backing"] for entry in self.demotions)
-            text += f" [demoted: {demoted}]"
         return text
 
 
@@ -278,11 +257,10 @@ def run_experiment(
     to ``shard_retries`` re-dispatches (``REPRO_SHARD_RETRIES``, default
     2) under seeded decorrelated-jitter backoff. A re-dispatched shard replays its whole
     incumbent chain from the spec, so retried results are bit-identical
-    to fault-free ones; repeated watchdog faults demote the auto gain
-    backing one ladder rung (recorded in the run metadata).
+    to fault-free ones. Only an injected fault (or, on the pool, a
+    worker's death or watchdog timeout) is retried; a genuine exception
+    ends the run at once, whatever the worker count.
     """
-    from repro.core import kernels
-
     started = time.perf_counter()
     run_mark = obs.checkpoint()
     kernel = registry.kernel(spec.experiment)
@@ -301,7 +279,6 @@ def run_experiment(
     if shard_timeout is not None and not shard_timeout > 0:
         # ``not > 0`` also rejects NaN, whose deadline would never fire.
         raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
-    demoted_before = set(kernels.demoted_backings())
 
     cells = [dict(cell) for cell in kernel.expand(spec)]
     groups = _contiguous_groups(spec, kernel, cells)
@@ -366,16 +343,7 @@ def run_experiment(
         # records runner.shard_retries, and both RunResult.summary and
         # the manifest "faults" record read this one counter delta.
         retries = obs.delta_value("runner.shard_retries", run_mark)
-        demotions = [
-            {"backing": backing, "reason": reason}
-            for backing, reason in kernels.demoted_backings().items()
-            if backing not in demoted_before
-        ]
-        faults_record: Dict[str, Any] = {}
-        if retries:
-            faults_record["shard_retries"] = retries
-        if demotions:
-            faults_record["demotions"] = [dict(entry) for entry in demotions]
+        faults_record = {"shard_retries": retries} if retries else None
         obs_record: Optional[Dict[str, Any]] = None
         if obs.metrics_enabled():
             det = obs.deterministic_delta(run_mark)
@@ -383,7 +351,7 @@ def run_experiment(
                 obs_record = det
         complete = all(entry is not None for entry in metrics)
         if state is not None and complete and not state.complete:
-            state.finalize(len(cells), faults_record or None, obs_record)
+            state.finalize(len(cells), faults_record, obs_record)
     finally:
         if state is not None:
             state.close()
@@ -399,7 +367,6 @@ def run_experiment(
         elapsed=time.perf_counter() - started,
         store_path=state.path if state is not None else None,
         retries=retries,
-        demotions=demotions,
         obs=obs_record,
     )
 
@@ -418,6 +385,59 @@ def _announce_retry(group, attempt: int, reason: str) -> None:
     )
 
 
+def _retry_or_raise(
+    spec, group, count: int, shard_retries: int, reason: str,
+    watchdog: bool, previous: float,
+) -> float:
+    """The one retry rule: book the ``count``-th failed attempt of a shard.
+
+    Raises :class:`ExperimentError` once ``count`` exceeds
+    ``shard_retries``; otherwise counts the retry, records its event,
+    announces it, and returns the seeded backoff delay before the next
+    attempt (``previous`` is the last delay, or ``_BACKOFF_BASE``).
+    """
+    if count > shard_retries:
+        raise ExperimentError(
+            f"shard at cells[{group.start}:{group.end}] of "
+            f"{spec.experiment!r} failed after {count} attempts: {reason}"
+        )
+    obs.count("runner.shard_retries")
+    obs.record_event(
+        "runner.shard_retry", start=group.start, attempt=count,
+        reason=reason, watchdog=watchdog,
+    )
+    _announce_retry(group, count, reason)
+    return _backoff_delay(spec.spec_hash(), group.start, count, previous)
+
+
+def _run_attempt(
+    spec, kernel, task_cells, start: int, ordinal: int, attempt: int,
+    mode: str,
+) -> List[Any]:
+    """One attempt at one shard, serial or on a pool worker.
+
+    Fires the ``runner.shard_start`` site, runs the kernel's group under
+    a ``runner.shard`` span and returns its metric dicts. A failed
+    attempt rolls its gated recordings back — the retry re-records the
+    work, wherever it runs — while always-counters (the retry itself,
+    fault fires) keep counting; the exception propagates.
+    """
+    mark = obs.checkpoint()
+    try:
+        faults.inject(
+            "runner.shard_start", start=start, ordinal=ordinal,
+            attempt=attempt, mode=mode,
+        )
+        with obs.span(
+            "runner.shard", start=start, end=start + len(task_cells),
+            ordinal=ordinal, attempt=attempt, mode=mode,
+        ):
+            return list(kernel.run_group(spec, task_cells))
+    except BaseException:
+        obs.rollback(mark)
+        raise
+
+
 def _run_group_serial(
     spec, kernel, group, cells, shard_retries
 ) -> Sequence[Any]:
@@ -427,43 +447,20 @@ def _run_group_serial(
     kernel exception propagates unchanged, exactly as before the chaos
     harness existed. Returns the shard's metric dicts.
     """
-    spec_hash = spec.spec_hash()
     delay = _BACKOFF_BASE
-    for attempt in range(shard_retries + 1):
-        mark = obs.checkpoint()
+    attempt = 0
+    while True:
         try:
-            faults.inject(
-                "runner.shard_start",
-                start=group.start,
-                ordinal=-1,
-                attempt=attempt,
-                mode="serial",
+            return _run_attempt(
+                spec, kernel, cells[group.start:group.end], group.start,
+                -1, attempt, "serial",
             )
-            with obs.span(
-                "runner.shard", start=group.start, end=group.end,
-                attempt=attempt, mode="serial",
-            ):
-                return kernel.run_group(spec, cells[group.start:group.end])
         except faults.InjectedFault as exc:
-            # Discard the failed attempt's gated recordings — the retry
-            # re-records the work — while always-counters (the retry
-            # itself, fault fires) keep counting.
-            obs.rollback(mark)
-            if attempt >= shard_retries:
-                raise ExperimentError(
-                    f"shard at cells[{group.start}:{group.end}] of "
-                    f"{spec.experiment!r} failed after {attempt + 1} "
-                    f"attempts: {exc}"
-                ) from exc
-            obs.count("runner.shard_retries")
-            obs.record_event(
-                "runner.shard_retry", start=group.start,
-                attempt=attempt + 1, reason=str(exc), watchdog=False,
+            attempt += 1
+            delay = _retry_or_raise(
+                spec, group, attempt, shard_retries, str(exc), False, delay
             )
-            _announce_retry(group, attempt + 1, str(exc))
-            delay = _backoff_delay(spec_hash, group.start, attempt + 1, delay)
             time.sleep(delay)
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def _bind_to_supervisor() -> None:
@@ -486,31 +483,21 @@ def _bind_to_supervisor() -> None:
         pass
 
 
-def _pool_worker(
-    spec_json: str,
-    demotions: Sequence[Tuple[str, str]],
-    conn: Any,
-) -> None:
+def _pool_worker(spec_json: str, conn: Any) -> None:
     """Persistent pool worker: serve shards off the slot's pipe.
 
-    One boot (inherited demotions, kernel resolution) amortizes over
-    every shard the supervisor routes here. Each task is answered with
-    one ``(status, payload)`` message, sent synchronously on the slot's
-    own pipe, so a worker that dies can tear nothing but that pipe. A
-    failed attempt rolls its gated recordings back (the retry re-records
-    the work, wherever it runs) and the worker keeps serving, so one
-    injected error never costs a worker boot. The supervisor terminates
-    the worker when the run ends.
+    One boot (spec parse, kernel lookup) amortizes over every shard the
+    supervisor routes here. Each task is answered with one
+    ``(status, payload)`` message, sent synchronously on the slot's own
+    pipe, so a worker that dies can tear nothing but that pipe. The
+    status is ``ok`` (the chunk and the attempt's metrics delta),
+    ``retry`` for an injected fault, or ``fatal`` for any other
+    exception — the same split serial replay makes. The worker keeps
+    serving after a failed attempt, so one injected error never costs a
+    worker boot. The supervisor terminates the worker when the run ends.
     """
-    from repro.core import kernels
-
     try:
         _bind_to_supervisor()
-        for backing, reason in demotions:
-            try:
-                kernels.demote_backing(backing, reason)
-            except ValueError:
-                pass
         spec = ExperimentSpec.from_dict(json.loads(spec_json))
         kernel = registry.kernel(spec.experiment)
     except BaseException:  # noqa: BLE001 - the supervisor sees the EOF
@@ -527,19 +514,13 @@ def _pool_worker(
             os._exit(0)
         mark = obs.checkpoint()
         try:
-            faults.inject(
-                "runner.shard_start", start=start, ordinal=ordinal,
-                attempt=attempt, mode="shard",
+            chunk = _run_attempt(
+                spec, kernel, task_cells, start, ordinal, attempt, "shard"
             )
-            with obs.span(
-                "runner.shard", start=start, ordinal=ordinal,
-                attempt=attempt, mode="shard",
-            ):
-                chunk = list(kernel.run_group(spec, task_cells))
             message = ("ok", (chunk, obs.delta_since(mark)))
-        except BaseException as exc:  # noqa: BLE001 - reported, then retried
-            obs.rollback(mark)
-            message = ("error", f"{type(exc).__name__}: {exc}")
+        except BaseException as exc:  # noqa: BLE001 - reported to the supervisor
+            status = "retry" if isinstance(exc, faults.InjectedFault) else "fatal"
+            message = (status, f"{type(exc).__name__}: {exc}")
         try:
             conn.send(message)
         except BaseException:  # noqa: BLE001 - dead pipe: the supervisor acts
@@ -549,7 +530,7 @@ def _pool_worker(
 class _PoolSlot:
     """Supervision state for one persistent pool worker and its pipe."""
 
-    __slots__ = ("proc", "conn", "work", "current", "deadline", "epoch")
+    __slots__ = ("proc", "conn", "work", "current", "deadline")
 
     def __init__(self, work):
         self.proc = None
@@ -557,7 +538,6 @@ class _PoolSlot:
         self.work = list(work)  # ordinals, dispatch order; retries jump in
         self.current = None  # ordinal while a task is in flight
         self.deadline = None
-        self.epoch = -1
 
 
 def _lpt_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
@@ -591,35 +571,31 @@ def _run_sharded_pool(
     one duplex pipe; the supervisor multiplexes the busy slots' pipes
     with :func:`multiprocessing.connection.wait`, so no lock or buffer
     is shared between workers and a dying worker cannot stall the
-    others. The supervisor watches for three failure shapes:
+    others. The supervisor watches for four failure shapes:
 
-    * an ``error`` message — the worker caught an exception (injected or
-      real) and reported it;
+    * a ``retry`` message — the worker's attempt raised an injected
+      fault, which serial replay would retry too;
+    * a ``fatal`` message — any other exception: a genuine bug, so the
+      run ends at once with a :class:`RuntimeError` naming the shard and
+      the worker's ``Type: message``, as serial replay would end it;
     * a watchdog timeout — the shard exceeded ``shard_timeout`` wall
       clock and its worker is killed (hung kernel, injected hang);
     * a silent death — the worker exited without sending a result
       (SIGKILL, ``os._exit``, segfault), seen as end-of-file on its pipe.
 
-    Failed shards are re-dispatched up to ``shard_retries`` times under
-    seeded decorrelated-jitter backoff; because a shard's randomness
-    derives from the spec alone, a replayed shard recomputes the exact
-    incumbent chain and the run stays bit-identical to a fault-free one.
-    Repeated watchdog faults (timeout / silent death) on one shard demote
-    the auto gain backing one ladder rung. A failed worker is replaced
-    in place — fresh fork, fresh pipe, same slot — and its shard
-    retries at the front of that slot's queue, so the deterministic
-    shard->worker map survives any crash schedule. Demotions bump an
-    epoch; idle workers older than the current epoch are refreshed
-    before their next task, so re-dispatched shards inherit the demoted
-    ladder.
+    Retryable failures are re-dispatched up to ``shard_retries`` times
+    under seeded decorrelated-jitter backoff (:func:`_retry_or_raise`);
+    because a shard's randomness derives from the spec alone, a replayed
+    shard recomputes the exact incumbent chain and the run stays
+    bit-identical to a fault-free one. A failed worker is replaced in
+    place — fresh fork, fresh pipe, same slot — and its shard retries at
+    the front of that slot's queue, so the deterministic shard->worker
+    map survives any crash schedule.
     """
     import multiprocessing
     from multiprocessing.connection import wait
 
-    from repro.core import kernels
-
     spec_json = json.dumps(spec.to_dict())
-    spec_hash = spec.spec_hash()
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
     processes = min(workers, len(pending))
@@ -638,22 +614,16 @@ def _run_sharded_pool(
     delays: Dict[int, float] = {}
     blocked: List[Tuple[float, int]] = []  # (not-before, ordinal) backoffs
     next_flush = 0
-    epoch = 0
 
     def spawn(slot: _PoolSlot) -> None:
         slot.conn, child = context.Pipe()
         slot.proc = context.Process(
-            target=_pool_worker,
-            args=(
-                spec_json, sorted(kernels.demoted_backings().items()), child,
-            ),
-            daemon=True,
+            target=_pool_worker, args=(spec_json, child), daemon=True,
         )
         slot.proc.start()
         # Only the worker may hold the child end, so that its death is
         # an end-of-file on slot.conn.
         child.close()
-        slot.epoch = epoch
         slot.current = None
         slot.deadline = None
 
@@ -681,29 +651,11 @@ def _run_sharded_pool(
             pass  # the worker died: its pipe reads end-of-file next
 
     def fail(ordinal: int, reason: str, watchdog: bool) -> None:
-        nonlocal epoch
-        group = pending[ordinal]
         count = attempts.get(ordinal, 0) + 1
         attempts[ordinal] = count
-        if count > shard_retries:
-            raise ExperimentError(
-                f"shard at cells[{group.start}:{group.end}] of "
-                f"{spec.experiment!r} failed after {count} attempts: {reason}"
-            )
-        obs.count("runner.shard_retries")
-        obs.record_event(
-            "runner.shard_retry", start=group.start, attempt=count,
-            reason=reason, watchdog=watchdog,
-        )
-        _announce_retry(group, count, reason)
-        if watchdog and count >= 2:
-            demoted = _demote_after_watchdog(
-                f"shard at cells[{group.start}:{group.end}]: {reason}"
-            )
-            if demoted is not None:
-                epoch += 1  # stale idle workers refresh before the next task
-        delay = _backoff_delay(
-            spec_hash, group.start, count, delays.get(ordinal, _BACKOFF_BASE)
+        delay = _retry_or_raise(
+            spec, pending[ordinal], count, shard_retries, reason, watchdog,
+            delays.get(ordinal, _BACKOFF_BASE),
         )
         delays[ordinal] = delay
         blocked.append((time.monotonic() + delay, ordinal))
@@ -720,7 +672,7 @@ def _run_sharded_pool(
                     slots[slot_of[entry[1]]].work.insert(0, entry[1])
             for slot in slots:
                 if slot.current is None and slot.work:
-                    if slot.epoch != epoch or not slot.proc.is_alive():
+                    if not slot.proc.is_alive():
                         respawn(slot)
                     dispatch(slot)
             busy = {slot.conn: slot for slot in slots if slot.current is not None}
@@ -765,8 +717,14 @@ def _run_sharded_pool(
                     # never skews the totals.
                     obs.merge_delta(delta)
                     finished[ordinal] = chunk
-                else:
+                elif status == "retry":
                     fail(ordinal, payload, watchdog=False)
+                else:
+                    group = pending[ordinal]
+                    raise RuntimeError(
+                        f"shard at cells[{group.start}:{group.end}] of "
+                        f"{spec.experiment!r} failed: {payload}"
+                    )
             now = time.monotonic()
             for slot in slots:
                 if (

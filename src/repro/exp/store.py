@@ -357,7 +357,7 @@ class RunState:
     ) -> None:
         """Mark the run complete: record cell count + cells.jsonl checksum.
 
-        ``faults_record`` (retries, backing demotions) and ``obs_record``
+        ``faults_record`` (shard retries) and ``obs_record``
         (the deterministic metrics delta of this invocation, see
         :func:`repro.obs.deterministic_delta`) land in the manifest only
         when non-empty, so fault-free uninstrumented manifests are

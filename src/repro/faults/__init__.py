@@ -8,7 +8,7 @@ The package has two halves:
 * :mod:`repro.faults.injector` — the runtime: consumers call
   :func:`inject` at named sites; with no active plan this is a cheap
   no-op, with one it deterministically crashes, hangs, tears a write,
-  raises an :class:`InjectedFault`, or forces a backend failure.
+  or raises an :class:`InjectedFault`.
 
 Sites threaded through the stack: ``store.commit`` (run-store appends),
 ``runner.shard_start`` (shard workers), ``native.compile`` (the C
@@ -17,9 +17,9 @@ One layer retries: the shard supervisor (and its serial replay) in
 :mod:`repro.exp.runner` re-runs a shard whose attempt failed, wherever
 in the shard the fault fired. The other consumers do what they would do
 on a real failure: a torn or failed store append ends the run and
-``--resume`` heals it from the committed prefix, and a failed compile or
-an injected ``backend`` fault steps the gain ladder down to python. An
-injected fault therefore degrades a run instead of corrupting it.
+``--resume`` heals it from the committed prefix, and after a failed
+compile ``auto`` resolves to python. An injected fault therefore delays
+a run or ends it, but never corrupts it.
 """
 
 from repro.faults.injector import (

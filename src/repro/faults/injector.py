@@ -8,11 +8,9 @@ hot paths. With one, every decision is a deterministic function of
 run replays bit-identically: same plan, same faults, same places.
 
 Kinds ``crash``/``hang``/``error`` are handled here (die, sleep, raise
-:class:`InjectedFault`). ``torn`` and ``backend`` need the site's
-cooperation: ``torn`` returns a :class:`TornWrite` telling the store how
-many bytes to write before dying mid-append, and ``backend`` raises an
-:class:`InjectedFault` whose ``kind`` tells the kernel ladder to demote
-the backing rather than let it propagate.
+:class:`InjectedFault`). ``torn`` needs the site's cooperation: it
+returns a :class:`TornWrite` telling the store how many bytes to write
+before dying mid-append.
 
 The active plan comes from :func:`configure` (tests, the soak driver) or
 else the ``REPRO_CHAOS`` environment variable (parsed once per value, so
@@ -36,12 +34,11 @@ _EXIT_TORN = 137  # what a SIGKILL mid-append looks like to a supervisor
 
 
 class InjectedFault(RuntimeError):
-    """An injected ``error`` or backend-demoting (``backend``) fault."""
+    """An injected ``error`` fault."""
 
-    def __init__(self, site: str, kind: str):
-        super().__init__(f"injected {kind} fault at {site}")
+    def __init__(self, site: str):
+        super().__init__(f"injected error fault at {site}")
         self.site = site
-        self.kind = kind
 
 
 class TornWrite:
@@ -133,7 +130,7 @@ def inject(site: str, **context: Any) -> Optional[TornWrite]:
     """Evaluate the active plan at ``site``; act on the first firing rule.
 
     Returns None (no fault, or a handled hang), raises
-    :class:`InjectedFault` for ``error``/``backend`` kinds, never returns
+    :class:`InjectedFault` for the ``error`` kind, never returns
     for ``crash``, and returns a :class:`TornWrite` for ``torn`` — the
     caller must then write that prefix and exit with the action's code.
     """
@@ -167,8 +164,8 @@ def _act(
     context: Mapping[str, Any], seed: int,
 ) -> Optional[TornWrite]:
     args = dict(rule.args)
-    if rule.kind in ("error", "backend"):
-        raise InjectedFault(site, rule.kind)
+    if rule.kind == "error":
+        raise InjectedFault(site)
     if rule.kind == "hang":
         time.sleep(float(args.get("seconds", 30.0)))
         return None

@@ -48,17 +48,16 @@ SITES: Tuple[str, ...] = (
 )
 
 #: The sites whose injected ``error`` is absorbed: the shard supervisor
-#: retries ``runner.shard_start``, and a failed ``native.compile`` makes
-#: the gain ladder fall back to python. ``prob_plan`` defaults to these.
+#: retries ``runner.shard_start``, and after a failed ``native.compile``
+#: ``auto`` resolves to python. ``prob_plan`` defaults to these.
 ABSORBED_SITES: Tuple[str, ...] = ("runner.shard_start", "native.compile")
 
 #: ``crash`` calls ``os._exit`` (or SIGKILLs itself with
 #: ``args={"signal": "kill"}``); ``hang`` sleeps ``args["seconds"]``;
 #: ``error`` raises an :class:`~repro.faults.injector.InjectedFault`;
-#: ``torn`` makes the cooperating site write a prefix of its payload and
-#: die mid-append; ``backend`` forces a backing failure that the kernel
-#: degradation ladder must absorb.
-FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "error", "torn", "backend")
+#: and ``torn`` makes the cooperating site write a prefix of its payload
+#: and die mid-append.
+FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "error", "torn")
 
 
 class FaultPlanError(ValueError):
@@ -256,7 +255,8 @@ def prob_plan(
 
     The default (``error`` faults at the :data:`ABSORBED_SITES`) is the
     only shape safe to run underneath an arbitrary process: the runner
-    retries those errors and the gain ladder absorbs a failed compile,
+    retries those errors and ``auto`` resolves to python after a failed
+    compile,
     while crash/torn/hang faults would kill the host process and belong
     in explicit targeted plans.
     """

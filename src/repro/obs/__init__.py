@@ -7,7 +7,8 @@ Four small pieces, composable and individually optional:
   hard split between *deterministic* instruments (semantic work counts,
   bit-identical across backings/workers/successful retries —
   snapshotted into run-store manifests and pinned by tests) and *ops*
-  instruments (caches, retries, demotions — reported, never pinned).
+  instruments (kernel dispatch, retries, fault fires — reported, never
+  pinned).
   Off by default; ``REPRO_METRICS=1`` / ``--stats`` turns the gated
   instruments on, control-plane counters record always.
 * :mod:`repro.obs.trace` — nestable timing spans with a ring buffer

@@ -18,13 +18,13 @@ rules, in priority order:
   which makes them a correctness oracle tests can pin (and the only
   instruments the run-store manifest snapshots). ``ops`` instruments
   describe *how* the work was executed (engine builds, kernel dispatch,
-  retries, demotions, fault fires) and legitimately vary with process
+  retries, fault fires) and legitimately vary with process
   topology, so they are reported but never pinned.
 * **Gated vs always.** Hot-path instruments record only when metrics
   are enabled (``REPRO_METRICS=1`` / :func:`set_metrics`), so the
   default-off overhead is one flag check per coarse operation.
-  Control-plane instruments (``always=True``: shard retries, backing
-  demotions, fault fires, mmap fallbacks, native compiles) are so rare
+  Control-plane instruments (``always=True``: shard retries, fault
+  fires, mmap fallbacks, native compiles) are so rare
   and so diagnostic that they record unconditionally — they are the
   single source of truth the runner's fault record is built from.
 * **Fork-aware by protocol, not by magic.** A forked worker inherits
@@ -128,16 +128,14 @@ CATALOG: Dict[str, Instrument] = {
            det=True),
         # -- operational counters (vary with process topology) -------------
         _c("engine.builds", "attack engines constructed"),
-        _c("kernel.dispatch.native", "gain kernels built on the native rung"),
-        _c("kernel.dispatch.python", "gain kernels built on the python rung"),
+        _c("kernel.dispatch.native", "gain kernels built on the native backing"),
+        _c("kernel.dispatch.python", "gain kernels built on the python backing"),
         _c("store.cells_loaded", "cells served from a stored run prefix"),
         _c("store.cells_recomputed",
            "stored cells re-executed because their shard straddled the prefix"),
         # -- control-plane counters (always on) ----------------------------
         _c("runner.shard_retries",
            "shard attempts re-dispatched after a failure", always=True),
-        _c("kernel.demotions",
-           "gain-backing degradation-ladder demotions", always=True),
         _c("faults.injected", "fault-plan rules fired", always=True),
         _c("artifact.mmap_fallback",
            "mmap placement loads that fell back to the eager loader",

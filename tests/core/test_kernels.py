@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.core import native
 from repro.core.adversary import (
     BranchAndBoundAdversary,
@@ -546,6 +547,60 @@ class TestSelection:
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)
+
+
+class TestBackingChoice:
+    """One backing per process: ``auto`` is decided by availability
+    alone, and no failure at run time changes it."""
+
+    @pytest.fixture(autouse=True)
+    def _clean(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
+        faults.clear()
+        yield
+        faults.clear()
+
+    @pytest.mark.parametrize("loadable", [True, False])
+    def test_auto_picks_native_when_available(self, monkeypatch, loadable):
+        monkeypatch.setattr(native, "available", lambda: loadable)
+        expected = "native" if loadable else "python"
+        assert resolve_gain_backing() == expected
+        assert resolve_gain_backing("auto") == expected
+
+    def test_explicit_unknown_backing_raises(self):
+        with pytest.raises(ValueError, match="unknown gain backing"):
+            resolve_gain_backing("gpu")
+        with pytest.raises(ValueError, match="unknown gain backing"):
+            make_kernel(random_placement(8, 3, 12, 5), 2, gain_backing="numpy")
+
+    def test_explicit_unavailable_backing_raises(self, monkeypatch):
+        monkeypatch.setattr(native, "available", lambda: False)
+        with pytest.raises(ValueError, match="unavailable"):
+            resolve_gain_backing("native")
+        assert resolve_gain_backing("python") == "python"
+
+    def test_injected_dispatch_error_propagates(self):
+        faults.configure(faults.FaultPlan.build([{
+            "site": "kernels.dispatch", "kind": "error",
+            "when": {"hit": 0}, "times": 1,
+        }]))
+        before = resolve_gain_backing()
+        placement = random_placement(11, 3, 40, 7)
+        with pytest.raises(faults.InjectedFault) as raised:
+            make_kernel(placement, 2)
+        assert raised.value.site == "kernels.dispatch"
+        # The next build runs on the same backing: nothing was demoted.
+        assert resolve_gain_backing() == before
+        assert make_kernel(placement, 2).backing == before
+
+    @pytest.mark.parametrize("backing", available_gain_backings())
+    def test_bad_arguments_propagate(self, backing):
+        placement = random_placement(8, 3, 12, 6)
+        with pytest.raises(ValueError):
+            make_kernel(placement, 0, gain_backing=backing)
+        with pytest.raises(TypeError):
+            make_kernel(placement, "2", gain_backing=backing)
+        assert resolve_gain_backing() == resolve_gain_backing("auto")
 
 
 def cyclic_buffers(work):

@@ -3,14 +3,11 @@
 import pytest
 
 from repro import faults
-from repro.core import kernels
 
 
 @pytest.fixture(autouse=True)
 def clean_chaos():
-    """Fresh injector + ladder before and after every chaos test."""
+    """Fresh injector before and after every chaos test."""
     faults.clear()
-    kernels.restore_backings()
     yield
     faults.clear()
-    kernels.restore_backings()

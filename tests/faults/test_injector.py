@@ -81,15 +81,14 @@ class TestMatching:
     def test_first_matching_rule_wins(self):
         plan = FaultPlan.build([
             {"site": "kernels.dispatch", "kind": "error", "times": 1},
-            {"site": "kernels.dispatch", "kind": "backend"},
+            {"site": "kernels.dispatch", "kind": "torn"},
         ])
         faults.configure(plan)
         with pytest.raises(InjectedFault) as first:
             faults.inject("kernels.dispatch", k=1)
-        with pytest.raises(InjectedFault) as second:
-            faults.inject("kernels.dispatch", k=1)
-        assert first.value.kind == "error"
-        assert second.value.kind == "backend"
+        second = faults.inject("kernels.dispatch", k=1)
+        assert first.value.site == "kernels.dispatch"
+        assert isinstance(second, TornWrite)
 
 
 class TestDeterminism:

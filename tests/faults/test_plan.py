@@ -101,8 +101,9 @@ class TestValidation:
             FaultPlan.build([{"site": "nowhere", "kind": "error"}])
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FaultPlanError, match="kind"):
-            FaultPlan.build([{"site": SITES[0], "kind": "meltdown"}])
+        for kind in ("meltdown", "backend"):
+            with pytest.raises(FaultPlanError, match="kind"):
+                FaultPlan.build([{"site": SITES[0], "kind": kind}])
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(FaultPlanError, match="unknown"):

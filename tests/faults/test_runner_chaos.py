@@ -1,11 +1,11 @@
-"""Supervised runner under chaos: retries, watchdog, demotion, identity."""
+"""Supervised runner under chaos: retries, watchdog, identity."""
 
 import json
 import os
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.analysis import fig2
 from repro.core import kernels
 from repro.exp.runner import ExperimentError, run_experiment
@@ -117,7 +117,6 @@ class TestDispatchError:
         run = run_experiment(spec, workers=3, store=store)
         assert run.complete
         assert run.retries >= 1
-        assert run.demotions == []
         retry_lines = [
             line for line in capsys.readouterr().err.splitlines()
             if line.startswith("runner: shard retry")
@@ -174,14 +173,12 @@ class TestWatchdog:
             run_experiment(_spec(), workers=3)
 
 
-class TestDemotion:
-    def test_repeated_watchdog_faults_demote_the_auto_backing(
-        self, tmp_path, monkeypatch
-    ):
+class TestOneBackingPerProcess:
+    def test_repeated_crashes_keep_the_backing(self, tmp_path, monkeypatch):
+        """Two worker deaths on one shard are retried on the backing the
+        process chose at start; nothing steps it down."""
         monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
         before = kernels.resolve_gain_backing()
-        if before == kernels.GAIN_BACKINGS[-1]:
-            pytest.skip("auto already resolves to the python floor")
         spec = _spec()
         start = _shard_starts(spec)[0]
         plan = FaultPlan.build([
@@ -191,17 +188,37 @@ class TestDemotion:
             for attempt in (0, 1)
         ])
         _chaos_env(plan, monkeypatch)
-        store = RunStore(str(tmp_path))
-        run = run_experiment(spec, workers=3, store=store, shard_retries=3)
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        obs.set_metrics(True)
+        try:
+            mark = obs.checkpoint()
+            store = RunStore(str(tmp_path / "chaos"))
+            run = run_experiment(spec, workers=3, store=store, shard_retries=3)
+            dispatched = {
+                backing: obs.delta_value("kernel.dispatch." + backing, mark)
+                for backing in kernels.GAIN_BACKINGS
+            }
+        finally:
+            obs.set_metrics(None)
         assert run.complete
-        assert [entry["backing"] for entry in run.demotions] == [before]
-        assert "[demoted: " in run.summary()
-        assert before in kernels.demoted_backings()
+        assert run.retries == 2
+        assert kernels.resolve_gain_backing() == before
+        assert dispatched[before] > 0
+        if before == "native":
+            assert dispatched["python"] == 0
 
         manifest_path = os.path.join(store.run_path(spec), "manifest.json")
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-        assert manifest["faults"]["demotions"] == run.demotions
+        assert manifest["faults"] == {"shard_retries": 2}
+
+        monkeypatch.delenv("REPRO_CHAOS")
+        clean = RunStore(str(tmp_path / "clean"))
+        run_experiment(spec, workers=1, store=clean)
+        with open(store.cells_file(spec), "rb") as handle:
+            chaos_bytes = handle.read()
+        with open(clean.cells_file(spec), "rb") as handle:
+            assert handle.read() == chaos_bytes
 
 
 class TestSerialPath:
@@ -216,8 +233,12 @@ class TestSerialPath:
         assert run.complete
         assert run.retries >= 1
 
-    def test_real_exceptions_are_not_retried(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_real_exceptions_are_not_retried(self, workers, capsys):
+        """A genuine kernel exception ends the run at once, serial or
+        pooled: same exception type, no retry line."""
         from repro.exp.registry import ExperimentKernel, register_kernel
+        from repro.exp.spec import ExperimentSpec
 
         calls = []
 
@@ -225,17 +246,19 @@ class TestSerialPath:
             calls.append(1)
             raise RuntimeError("genuine bug, not chaos")
 
+        # Forked pool workers inherit this in-process registration.
         register_kernel(ExperimentKernel(
             name="_test_explode",
-            expand=lambda spec: [{"i": 0}],
-            group_key=lambda spec, cell: 0,
+            expand=lambda spec: [{"i": 0}, {"i": 1}],
+            group_key=lambda spec, cell: cell["i"],
             run_group=explode,
             assemble=lambda spec, cells, metrics: None,
             render=lambda result: "",
         ))
-        from repro.exp.spec import ExperimentSpec
-
-        spec = ExperimentSpec.build("_test_explode", axes={"i": (0,)})
+        spec = ExperimentSpec.build("_test_explode", axes={"i": (0, 1)})
+        # ExperimentError is a ValueError, so it cannot pass this check.
         with pytest.raises(RuntimeError, match="genuine bug"):
-            run_experiment(spec, shard_retries=5)
-        assert len(calls) == 1
+            run_experiment(spec, workers=workers, shard_retries=5)
+        assert "runner: shard retry" not in capsys.readouterr().err
+        if workers == 1:
+            assert len(calls) == 1  # the second shard never started

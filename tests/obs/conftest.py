@@ -5,12 +5,11 @@ import os
 import pytest
 
 from repro import faults, obs
-from repro.core import kernels
 
 
 @pytest.fixture(autouse=True)
 def clean_obs(monkeypatch):
-    """Fresh registry, trace, injector, ladder around every test."""
+    """Fresh registry, trace and injector around every test."""
     monkeypatch.delenv("REPRO_METRICS", raising=False)
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
@@ -18,7 +17,6 @@ def clean_obs(monkeypatch):
     obs.set_metrics(None)
     obs.reset_trace()
     faults.clear()
-    kernels.restore_backings()
     yield
     # The CLI's _arm_obs exports these for forked workers; monkeypatch
     # can't undo writes it didn't make, so pop them here.
@@ -28,7 +26,6 @@ def clean_obs(monkeypatch):
     obs.set_metrics(None)
     obs.reset_trace()
     faults.clear()
-    kernels.restore_backings()
 
 
 @pytest.fixture

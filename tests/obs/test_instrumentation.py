@@ -8,7 +8,7 @@ import pytest
 
 from repro import faults, obs
 from repro.analysis import fig2
-from repro.core import artifact, kernels, native
+from repro.core import artifact
 from repro.core.adversary import best_attack
 from repro.core.batch import AttackCell, AttackEngine, batch_attack
 from repro.core.random_placement import RandomStrategy
@@ -103,28 +103,6 @@ class TestEngineCounts:
                 obs.merge_delta(delta)
             reports.append(render_metrics(obs.snapshot()))
         assert reports[0] == reports[1]
-
-
-needs_native = pytest.mark.skipif(
-    not native.available(), reason="native is the only demotable rung"
-)
-
-
-@needs_native
-class TestKernelLadder:
-    def test_demotion_counts_even_with_metrics_off(self):
-        assert not obs.metrics_enabled()
-        kernels.demote_backing("native", "test-induced")
-        assert obs.counter_value("kernel.demotions") == 1
-        (entry,) = [
-            e for e in obs.events() if e["event"] == "kernel.demotion"
-        ]
-        assert entry["fields"] == {"backing": "native", "reason": "test-induced"}
-
-    def test_redemotion_is_not_recounted(self):
-        kernels.demote_backing("native", "first")
-        kernels.demote_backing("native", "second")
-        assert obs.counter_value("kernel.demotions") == 1
 
 
 class TestStoreCounts:

@@ -63,10 +63,10 @@ class TestGating:
         assert obs.counter_value("runner.shard_retries") == 1
 
     def test_events_record_when_off(self):
-        obs.record_event("kernel.demotion", backing="native", reason="test")
+        obs.record_event("runner.shard_retry", start=4, reason="test")
         (entry,) = obs.events()
-        assert entry["event"] == "kernel.demotion"
-        assert entry["fields"]["backing"] == "native"
+        assert entry["event"] == "runner.shard_retry"
+        assert entry["fields"]["start"] == 4
         assert entry["seq"] == 1
 
 

@@ -94,12 +94,12 @@ class TestRenderMetrics:
         obs.count("attack.searches", 3)
         obs.count("engine.builds", 2)
         obs.observe("attack.damage", 10)
-        obs.record_event("kernel.demotion", backing="native", reason="test")
+        obs.record_event("runner.shard_retry", start=4, reason="test")
         text = render_metrics(obs.snapshot())
         assert "attack.searches" in text
         assert "engine.builds" in text
         assert "attack.damage" in text
-        assert "kernel.demotion backing='native' reason='test'" in text
+        assert "runner.shard_retry reason='test' start=4" in text
         # Catalog descriptions ride along.
         assert "description" in text
 
