@@ -1,8 +1,11 @@
 """Figure/table generators: one module per experiment in the paper.
 
-Each ``figN.generate(...)`` returns a structured result with a ``render()``
-text view. The catalog renders are recorded in ``benchmarks/output/`` for
-side-by-side comparison with the paper;
+Each module builds its experiment's spec (``figN.default_spec(...)``) and
+registers the kernel that computes it (``KERNELS``); it never runs one. A
+figure runs as ``run_experiment(figN.default_spec(...)).result()`` (see
+:mod:`repro.exp.runner`) or as ``repro run <fig>``, and its result has a
+``render()`` text view. The catalog renders are recorded in
+``benchmarks/output/`` for side-by-side comparison with the paper;
 ``tests/exp/test_catalog_parity.py`` reproduces them byte for byte and
 checks each figure's paper trend.
 

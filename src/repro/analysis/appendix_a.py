@@ -16,7 +16,6 @@ from typing import List, Tuple
 from repro.core.combo import ComboStrategy
 from repro.core.rand_analysis import lemma4_upper_bound, pr_avail_rnd
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -129,14 +128,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    systems: Tuple[Tuple[int, int], ...] = ((71, 3), (71, 5), (257, 3), (257, 5)),
-    b_values: Tuple[int, ...] = (600, 2400, 9600, 38400),
-    k_values: Tuple[int, ...] = (1, 2, 3, 4, 5),
-) -> AppendixAResult:
-    """Compatibility wrapper: run the Appendix A spec through the exp engine."""
-    return run_figure(
-        default_spec(systems=systems, b_values=b_values, k_values=k_values)
-    )

@@ -1,19 +1,21 @@
 """Shared experiment configuration and environment knobs.
 
-Every figure generator reads its effort/repetition knobs from here so that
-the whole ``repro run`` catalog takes seconds by default while
+Every figure's spec builder reads its effort/repetition knobs from here so
+that the whole ``repro run`` catalog takes seconds by default while
 ``REPRO_EFFORT=exact REPRO_REPS=20`` reproduces the paper's full procedure.
+An empty value means the knob is unset.
 
 Two knobs live elsewhere and never change a result: ``REPRO_WORKERS``
-(shards of ``repro run``/``repro figure``) is read by the experiment
-runner, and ``REPRO_GAIN_BACKING`` (the damage kernel's backing) by the
-attack engine.
+(shards of ``repro run``) is read by the experiment runner, and
+``REPRO_GAIN_BACKING`` (the damage kernel's backing) by the attack engine.
 """
 
 from __future__ import annotations
 
 import os
 from typing import List
+
+from repro.exp.spec import env_int
 
 #: The paper's object-count ladder (Figs. 9-10 start at 600; Fig. 7 at 150).
 PAPER_B_LADDER: List[int] = [600, 1200, 2400, 4800, 9600, 19200, 38400]
@@ -23,27 +25,9 @@ FIG7_B_LADDER: List[int] = [150, 300, 600, 1200, 2400, 4800, 9600]
 PAPER_N_VALUES: List[int] = [31, 71, 257]
 
 
-def _int_knob(name: str, default: int) -> int:
-    """Parse an integer env knob, naming the variable on bad input.
-
-    A bare ``int()`` would raise an anonymous ``ValueError`` (e.g.
-    ``REPRO_REPS=many``) before any guarded range check runs; wrapping it
-    keeps the error actionable without knowing the call site.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-
-
 def adversary_effort() -> str:
     """Adversary effort for simulation figures: fast (default), auto, exact."""
-    effort = os.environ.get("REPRO_EFFORT", "fast")
+    effort = os.environ.get("REPRO_EFFORT") or "fast"
     if effort not in ("fast", "auto", "exact"):
         raise ValueError(f"REPRO_EFFORT must be fast, auto or exact, got {effort!r}")
     return effort
@@ -51,18 +35,12 @@ def adversary_effort() -> str:
 
 def monte_carlo_reps(default: int = 5) -> int:
     """Monte-Carlo repetitions for Random-placement figures (paper used 20)."""
-    value = _int_knob("REPRO_REPS", default)
-    if value < 1:
-        raise ValueError(f"REPRO_REPS must be >= 1, got {value}")
-    return value
+    return env_int("REPRO_REPS", default, 1)
 
 
 def object_scale_cap(default: int = 9600) -> int:
     """Cap on b for simulation-heavy figures (analysis figures ignore this)."""
-    value = _int_knob("REPRO_B_MAX", default)
-    if value < 1:
-        raise ValueError(f"REPRO_B_MAX must be >= 1, got {value}")
-    return value
+    return env_int("REPRO_B_MAX", default, 1)
 
 
 def percent(numerator: float, denominator: float) -> float:

@@ -7,8 +7,7 @@ tables annotate), and the DP-optimized Combo. The Combo column dominates:
 it tracks whichever stratum wins and sometimes beats both by mixing.
 
 The registered ``fig10`` experiment sweeps all three cluster sizes in one
-spec (one shard per (n, b) row); :func:`generate` keeps the historical
-one-``n``-at-a-time signature on top of it.
+spec (one shard per (n, b) row) and assembles one result per ``n``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core.rand_analysis import pr_avail_rnd
 from repro.core.subsystems import select_subsystem
 from repro.designs.catalog import Existence
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -201,22 +199,3 @@ KERNELS = {
         ),
     )
 }
-
-
-def generate(
-    n: int,
-    r: int = 3,
-    s: int = 3,
-    x_values: Tuple[int, ...] = (1, 2),
-    k_values: Optional[Tuple[int, ...]] = None,
-    b_values: Tuple[int, ...] = tuple(PAPER_B_LADDER),
-    tier: Existence = Existence.KNOWN,
-) -> Fig10Result:
-    """Compatibility wrapper: one cluster size of the ``fig10`` sweep."""
-    (result,) = run_figure(
-        default_spec(
-            n_values=(n,), r=r, s=s, x_values=x_values,
-            k_values=k_values, b_values=b_values, tier=tier,
-        )
-    )
-    return result

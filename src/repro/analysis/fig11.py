@@ -14,7 +14,6 @@ from typing import List, Tuple
 
 from repro.core.rand_analysis import lemma4_upper_bound
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.asciiplot import Series, line_plot
 from repro.util.tables import TextTable
@@ -121,12 +120,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    b: int = 38400,
-    systems: Tuple[Tuple[int, int], ...] = ((71, 3), (71, 5), (257, 3), (257, 5)),
-    k_max: int = 10,
-) -> Fig11Result:
-    """Compatibility wrapper: run the Fig. 11 spec through the exp engine."""
-    return run_figure(default_spec(b=b, systems=systems, k_max=k_max))

@@ -13,8 +13,6 @@ The sweep itself is an :class:`~repro.exp.spec.ExperimentSpec` (axes b and
 s, k derived from s) run through :mod:`repro.exp.runner`: one shard per
 ``(b, s)`` — a placement structure plus one warm-start k-chain — so the
 experiment parallelizes across shards without perturbing any result.
-:func:`generate` remains the compatibility entry point with bit-identical
-output.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.analysis.common import adversary_effort, object_scale_cap
 from repro.core.batch import AttackCell, batch_attack
 from repro.core.simple import SimpleStrategy
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -174,21 +171,3 @@ KERNELS = {
         group_cost=lambda spec, key, cells: key[0] * len(cells),
     )
 }
-
-
-def generate(
-    n: int = 71,
-    r: int = 3,
-    x: int = 1,
-    b_values: Tuple[int, ...] = (600, 1200, 2400, 4800, 9600),
-    s_values: Tuple[int, ...] = (2, 3),
-    k_max: int = 5,
-    effort: str = "",
-) -> Fig2Result:
-    """Compatibility wrapper: run the Fig. 2 spec through the exp engine."""
-    return run_figure(
-        default_spec(
-            n=n, r=r, x=x, b_values=b_values, s_values=s_values,
-            k_max=k_max, effort=effort,
-        )
-    )

@@ -18,7 +18,6 @@ from typing import List, Tuple
 from repro.core.combo import ComboStrategy
 from repro.designs.catalog import Existence
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -144,20 +143,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    r: int = 5,
-    s: int = 3,
-    k: int = 6,
-    systems: Tuple[Tuple[int, int], ...] = ((31, 4800), (71, 1200), (257, 9600)),
-    k_prime_range: Tuple[int, int] = (4, 8),
-    tier: Existence = Existence.KNOWN,
-) -> Fig3Result:
-    """Compatibility wrapper: run the Fig. 3 spec through the exp engine."""
-    return run_figure(
-        default_spec(
-            r=r, s=s, k=k, systems=systems,
-            k_prime_range=k_prime_range, tier=tier,
-        )
-    )

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.designs.catalog import Existence, largest_order
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -142,11 +141,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    n_values: Tuple[int, ...] = (31, 71, 257),
-    r_values: Tuple[int, ...] = (2, 3, 4, 5),
-) -> Fig4Result:
-    """Compatibility wrapper: run the Fig. 4 spec through the exp engine."""
-    return run_figure(default_spec(n_values=n_values, r_values=r_values))

@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 from repro.core.subsystems import capacity_gap
 from repro.designs.catalog import Existence
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.tables import TextTable
 
@@ -212,37 +211,3 @@ KERNELS = {
         ),
     ),
 }
-
-
-def generate(
-    combos: Sequence[Tuple[int, int]] = (
-        (2, 0), (2, 1),
-        (3, 0), (3, 1), (3, 2),
-        (4, 0), (4, 1), (4, 2), (4, 3),
-        (5, 0), (5, 1), (5, 2), (5, 3), (5, 4),
-    ),
-    n_range: Tuple[int, int] = (50, 800),
-    max_chunks: int = 3,
-    max_mu: int = 1,
-    tier: Existence = Existence.KNOWN,
-) -> Fig5Result:
-    """Fig. 5's CDFs (defaults) or Fig. 6's (combos/(max_mu, tier) overridden)."""
-    return run_figure(
-        default_spec(
-            combos=combos, n_range=n_range, max_chunks=max_chunks,
-            max_mu=max_mu, tier=tier,
-        )
-    )
-
-
-def generate_fig6(
-    n_range: Tuple[int, int] = (50, 800),
-    max_chunks: int = 3,
-) -> Tuple[Fig5Result, Fig5Result]:
-    """Fig. 6: the r = 5, x in {2, 3} cases with mu <= 5 and mu <= 10.
-
-    Uses the DIVISIBILITY tier: beyond catalogued systems, a (v, mu) pair
-    counts when the necessary conditions hold — the optimistic assumption
-    the paper makes when surveying "numerous additional constructions".
-    """
-    return run_figure(default_spec_fig6(n_range=n_range, max_chunks=max_chunks))

@@ -34,7 +34,6 @@ from repro.core.batch import AttackCell, batch_attack
 from repro.core.rand_analysis import pr_avail_rnd
 from repro.core.random_placement import RandomStrategy
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.rng import derive_rng, spawn_seeds
 from repro.util.tables import TextTable
@@ -187,22 +186,3 @@ KERNELS = {
         group_cost=lambda spec, key, cells: key[3] * len(cells),
     )
 }
-
-
-def generate(
-    configs: Tuple[Tuple[int, int, int, Tuple[int, ...]], ...] = (
-        (31, 5, 3, (3, 4, 5)),
-        (71, 5, 2, (2, 3, 4, 5)),
-    ),
-    b_values: Tuple[int, ...] = tuple(FIG7_B_LADDER),
-    seed: int = 2015,
-    effort: str = "",
-    reps: int = 0,
-) -> Fig7Result:
-    """Compatibility wrapper: run the Fig. 7 spec through the exp engine."""
-    return run_figure(
-        default_spec(
-            configs=configs, b_values=b_values, seed=seed,
-            effort=effort, reps=reps,
-        )
-    )

@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 
 from repro.core.rand_analysis import pr_avail_fraction
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.asciiplot import Series, line_plot
 from repro.util.tables import TextTable
@@ -136,15 +135,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    b: int = 38400,
-    systems: Tuple[Tuple[int, int], ...] = ((71, 3), (71, 5), (257, 3), (257, 5)),
-    s_values: Tuple[int, ...] = (1, 2, 3, 4, 5),
-    k_max: int = 10,
-) -> Fig8Result:
-    """Compatibility wrapper: run the Fig. 8 spec through the exp engine."""
-    return run_figure(
-        default_spec(b=b, systems=systems, s_values=s_values, k_max=k_max)
-    )

@@ -32,7 +32,6 @@ from repro.core.combo import ComboStrategy
 from repro.core.rand_analysis import pr_avail_rnd
 from repro.designs.catalog import Existence
 from repro.exp.registry import ExperimentKernel
-from repro.exp.runner import run_figure
 from repro.exp.spec import ExperimentSpec
 from repro.util.rng import spawn_seeds
 from repro.util.tables import TextTable, format_grid
@@ -297,16 +296,3 @@ KERNELS = {
         render=lambda result: result.render(),
     )
 }
-
-
-def generate(
-    n: int,
-    k_max: int,
-    r_values: Tuple[int, ...] = (2, 3, 4, 5),
-    b_values: Tuple[int, ...] = tuple(PAPER_B_LADDER),
-    tier: Existence = Existence.KNOWN,
-) -> Fig9Result:
-    """Fig. 9a: generate(71, 7). Fig. 9b: generate(257, 8)."""
-    return run_figure(
-        default_spec(n, k_max, r_values=r_values, b_values=b_values, tier=tier)
-    )

@@ -2,8 +2,6 @@
 
 The commands cover the library's workflows without writing Python:
 
-* ``figure``   — regenerate one of the paper's figures/tables as text
-  (``--list`` enumerates them with descriptions);
 * ``run``      — run a registered figure or a custom ``spec.json`` sweep
   through the declarative experiment engine (:mod:`repro.exp`) with a
   resumable content-addressed run store (``--resume``, ``--workers``,
@@ -43,14 +41,6 @@ from repro.core.rand_analysis import pr_avail_rnd
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
 from repro.designs.catalog import Existence, existence, largest_order, steiner_orders
-from repro.exp.registry import describe_figures, figure_names
-
-
-def _print_figure_catalog() -> None:
-    entries = describe_figures()
-    width = max(len(name) for name, _ in entries)
-    for name, description in entries:
-        print(f"{name:<{width}}  {description}")
 
 
 def _add_obs_flags(command: argparse.ArgumentParser) -> None:
@@ -75,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    figure = commands.add_parser("figure", help="regenerate a paper figure/table")
-    figure.add_argument("which", nargs="?", choices=(*figure_names(), "all"),
-                        help="figure name (see --list) or 'all'")
-    figure.add_argument("--list", action="store_true",
-                        help="list registered figures with descriptions")
 
     run = commands.add_parser(
         "run",
@@ -273,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
-        "figure": _run_figure,
         "run": _run_exp,
         "chaos-soak": _run_chaos_soak,
         "place": _run_place,
@@ -473,30 +456,6 @@ def _run_audit(args) -> int:
     return 0
 
 
-def _run_figure(args) -> int:
-    from repro.exp.registry import figure_spec
-    from repro.exp.runner import run_experiment
-
-    if args.list:
-        _print_figure_catalog()
-        return 0
-    if args.which is None:
-        print("figure: name required (or --list to see the catalog)",
-              file=sys.stderr)
-        return 2
-    targets = figure_names() if args.which == "all" else (args.which,)
-    for which in targets:
-        try:
-            run = run_experiment(figure_spec(which))
-        except ValueError as exc:
-            # Bad REPRO_* knob values: user input, not internal state.
-            print(f"figure: {exc}", file=sys.stderr)
-            return 2
-        print(run.render())
-        print()
-    return 0
-
-
 def _load_run_target(target: str, command: str):
     """Resolve a figure name or spec.json path; exits are (None, code)."""
     from repro.exp.registry import figure_spec, spec_from_payload
@@ -516,13 +475,17 @@ def _load_run_target(target: str, command: str):
 
 
 def _run_exp(args) -> int:
+    from repro.exp.registry import describe_figures
     from repro.exp.runner import run_experiment
     from repro.exp.store import RunStoreError
     from repro.faults import FaultPlanError
     from repro.faults.plan import FaultPlan
 
     if args.list:
-        _print_figure_catalog()
+        entries = describe_figures()
+        width = max(len(name) for name, _ in entries)
+        for name, description in entries:
+            print(f"{name:<{width}}  {description}")
         return 0
     if args.target is None:
         print("run: target required (figure name or spec.json; --list "

@@ -11,9 +11,9 @@ Two layers:
 * a :class:`FigureEntry` is a *runnable*: a human-facing name
   (``fig2`` … ``fig11``, ``appendix_a``), a one-line description, and a
   pointer to the module function that builds its default spec. The CLI's
-  ``repro figure --list`` / ``repro run --list`` and name validation both
-  read this table, so unknown names fail up front with the full catalog
-  instead of at dispatch time.
+  ``repro run --list`` and name validation both read this table, so
+  unknown names fail up front with the full catalog instead of at
+  dispatch time.
 
 Specs reference kernels by name (``spec.experiment``), which is what
 makes a spec self-contained data: ``repro run myspec.json`` with a new
@@ -144,10 +144,6 @@ def kernel(name: str) -> ExperimentKernel:
 def figure_names() -> Tuple[str, ...]:
     """Runnable figure names in catalog order."""
     return tuple(entry.name for entry in _FIGURES)
-
-
-def figure_entries() -> Tuple[FigureEntry, ...]:
-    return _FIGURES
 
 
 def describe_figures() -> List[Tuple[str, str]]:

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
 from repro.exp import registry
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, env_int
 from repro.exp.store import RunState, RunStore
 from repro.util.rng import derive_rng
 
@@ -66,30 +66,13 @@ _BACKOFF_CAP = 2.0
 _REAP_GRACE = 0.5
 
 
-def _env_int(name: str, default: int, minimum: int) -> int:
-    """An integer env knob: unset or empty means ``default``; below
-    ``minimum`` is rejected."""
-    raw = os.environ.get(name, "")
-    if raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def worker_count() -> int:
     """Shard workers for ``run_experiment`` (``REPRO_WORKERS``; 1 = serial)."""
-    return _env_int("REPRO_WORKERS", 1, 1)
+    return env_int("REPRO_WORKERS", 1, 1)
 
 
 def _env_shard_retries() -> int:
-    return _env_int("REPRO_SHARD_RETRIES", 2, 0)
+    return env_int("REPRO_SHARD_RETRIES", 2, 0)
 
 
 def _env_shard_timeout() -> Optional[float]:
@@ -756,19 +739,3 @@ def _run_sharded_pool(
                 slot.proc.kill()
                 slot.proc.join(timeout=5)
 
-
-def run_figure(
-    spec: ExperimentSpec,
-    workers: Optional[int] = None,
-    store: Optional[Union[RunStore, str]] = None,
-    resume: bool = False,
-) -> Any:
-    """Run a spec to completion and assemble its figure result object.
-
-    This is the engine behind every ``figN.generate()`` compatibility
-    wrapper: serial by default (``REPRO_WORKERS`` shards it), bit-identical
-    output either way.
-    """
-    return run_experiment(
-        spec, workers=workers, store=store, resume=resume
-    ).result()

@@ -16,7 +16,9 @@ effort). Everything in a spec is JSON-native, so a spec
 * fully determines its results: environment knobs that affect values
   (effort, Monte-Carlo repetitions, the ``b`` cap) are resolved *into*
   the spec when it is built, never read during execution, so a run store
-  keyed by the hash can safely serve cached cells.
+  keyed by the hash can safely serve cached cells. :func:`env_int` is
+  the one parser of the integer ``REPRO_*`` knobs, shared by the spec
+  builders and the runner.
 
 Cells — one parameter point each — are plain ``{axis: value}`` dicts
 produced by the kernel's expansion (defaulting to
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
@@ -189,3 +192,20 @@ def cartesian_cells(spec: ExperimentSpec) -> List[Dict[str, Any]]:
             {**cell, name: value} for cell in cells for value in values
         ]
     return cells
+
+
+def env_int(name: str, default: int, minimum: int) -> int:
+    """An integer env knob: unset or empty means ``default``; below
+    ``minimum`` is rejected."""
+    raw = os.environ.get(name, "")
+    if raw == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {raw!r}"
+        ) from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value

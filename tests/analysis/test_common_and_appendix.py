@@ -16,6 +16,12 @@ class TestCommonKnobs:
         assert common.adversary_effort() == "fast"
         assert common.monte_carlo_reps() == 5
         assert common.object_scale_cap() == 9600
+        # An empty value means the knob is unset.
+        for knob in ("REPRO_EFFORT", "REPRO_REPS", "REPRO_B_MAX"):
+            monkeypatch.setenv(knob, "")
+        assert common.adversary_effort() == "fast"
+        assert common.monte_carlo_reps() == 5
+        assert common.object_scale_cap() == 9600
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_EFFORT", "exact")
@@ -51,7 +57,6 @@ class TestCommonKnobs:
         [
             ("REPRO_EFFORT", "turbo", lambda: common.adversary_effort()),
             ("REPRO_REPS", "many", lambda: common.monte_carlo_reps()),
-            ("REPRO_REPS", "", lambda: common.monte_carlo_reps()),
             ("REPRO_REPS", "0", lambda: common.monte_carlo_reps()),
             ("REPRO_B_MAX", "huge", lambda: common.object_scale_cap()),
             ("REPRO_B_MAX", "-5", lambda: common.object_scale_cap()),
@@ -78,9 +83,9 @@ class TestCommonKnobs:
 
 class TestAppendixA:
     def test_small_generation(self):
-        result = appendix_a.generate(
+        result = runner.run_experiment(appendix_a.default_spec(
             systems=((71, 5),), b_values=(600, 38400), k_values=(1, 3, 5)
-        )
+        )).result()
         assert len(result.cells) == 6
         for cell in result.cells:
             # Lemma 4 bounds prAvail from above (integer rounding slack).
@@ -88,16 +93,16 @@ class TestAppendixA:
             assert 0 <= cell.lb_simple0 <= cell.b
 
     def test_paper_regime_random_wins(self):
-        result = appendix_a.generate(
+        result = runner.run_experiment(appendix_a.default_spec(
             systems=((71, 5),), b_values=(38400,), k_values=(3, 4, 5)
-        )
+        )).result()
         assert all(cell.margin < 0 for cell in result.cells)
         assert 0 < result.random_win_fraction() <= 1.0
 
     def test_render(self):
-        result = appendix_a.generate(
+        result = runner.run_experiment(appendix_a.default_spec(
             systems=((71, 3),), b_values=(600,), k_values=(2,)
-        )
+        )).result()
         text = result.render()
         assert "Appendix A" in text
         assert "margin" in text

@@ -7,7 +7,9 @@ bench asserts the paper's trends; these pin the cell semantics).
 
 import math
 
-from repro.analysis.fig9 import Fig9Cell, generate
+from repro.analysis import fig9
+from repro.analysis.fig9 import Fig9Cell
+from repro.exp.runner import run_experiment
 
 
 class TestCellSemantics:
@@ -38,7 +40,9 @@ class TestCellSemantics:
 
 class TestGenerateContract:
     def test_tables_cover_requested_grid(self):
-        result = generate(31, 4, r_values=(3,), b_values=(600, 1200))
+        result = run_experiment(
+            fig9.default_spec(31, 4, r_values=(3,), b_values=(600, 1200))
+        ).result()
         shapes = {(t.r, t.s) for t in result.tables}
         assert shapes == {(3, 2), (3, 3)}
         for table in result.tables:
@@ -46,13 +50,17 @@ class TestGenerateContract:
             assert len(table.cells) == 2 * len(table.k_values)
 
     def test_lb_never_exceeds_b(self):
-        result = generate(31, 4, r_values=(2, 3), b_values=(600, 4800))
+        result = run_experiment(
+            fig9.default_spec(31, 4, r_values=(2, 3), b_values=(600, 4800))
+        ).result()
         for table in result.tables:
             for cell in table.cells.values():
                 assert 0 <= cell.lb_combo <= cell.b
                 assert 0 <= cell.pr_avail <= cell.b
 
     def test_grid_render_marks_nan_cells(self):
-        result = generate(31, 4, r_values=(2,), b_values=(600,))
+        result = run_experiment(
+            fig9.default_spec(31, 4, r_values=(2,), b_values=(600,))
+        ).result()
         text = result.render()
         assert "Fig 9 (n=31)" in text

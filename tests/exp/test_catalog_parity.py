@@ -62,7 +62,9 @@ def _check_fig5(result) -> None:
 def _check_fig6(result) -> None:
     # mu <= 5 dramatically improves x = 3; mu <= 10 additionally x = 2.
     mu5, mu10 = result
-    strict = fig5_module.generate(combos=((5, 2), (5, 3)))
+    strict = run_experiment(
+        fig5_module.default_spec(combos=((5, 2), (5, 3)))
+    ).result()
     strict_by_x = {cdf.x: cdf for cdf in strict.cdfs}
     mu5_by_x = {cdf.x: cdf for cdf in mu5.cdfs}
     mu10_by_x = {cdf.x: cdf for cdf in mu10.cdfs}

@@ -31,7 +31,7 @@ class TestAttackBackedFigures:
 
     def test_fig2_small(self):
         spec = fig2.default_spec(b_values=(600, 1200), s_values=(2, 3), k_max=4)
-        serial = fig2.generate(b_values=(600, 1200), s_values=(2, 3), k_max=4)
+        serial = run_experiment(spec).result()
         assert _digest(serial.render()) == "e01e0db2cfd4b61f"
         sharded = run_experiment(spec, workers=2).result()
         assert sharded == serial
@@ -40,17 +40,15 @@ class TestAttackBackedFigures:
         spec = fig7.default_spec(
             configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=2
         )
-        serial = fig7.generate(
-            configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=2
-        )
+        serial = run_experiment(spec).result()
         assert _digest(serial.render()) == "e0d640b829d49e2c"
         sharded = run_experiment(spec, workers=2).result()
         assert sharded == serial
 
     def test_fig7_small_values(self):
-        result = fig7.generate(
+        result = run_experiment(fig7.default_spec(
             configs=((31, 5, 3, (3, 4)),), b_values=(150, 300), reps=2
-        )
+        )).result()
         pinned = [
             (31, 5, 3, 3, 150, 146, 146.5, 0.5, 2),
             (31, 5, 3, 4, 150, 142, 144.5, 0.5, 2),
@@ -64,7 +62,9 @@ class TestAttackBackedFigures:
         ] == pinned
 
     def test_fig2_small_values(self):
-        result = fig2.generate(b_values=(600,), s_values=(2, 3), k_max=4)
+        result = run_experiment(
+            fig2.default_spec(b_values=(600,), s_values=(2, 3), k_max=4)
+        ).result()
         pinned = [
             (600, 2, 2, 599, 599, False),
             (600, 2, 3, 597, 597, False),
@@ -82,33 +82,45 @@ class TestAnalyticFigures:
     """Deterministic DP/catalog figures pinned at small parameters."""
 
     def test_fig3_small(self):
-        result = fig3.generate(systems=((31, 4800), (71, 1200)))
+        result = run_experiment(
+            fig3.default_spec(systems=((31, 4800), (71, 1200)))
+        ).result()
         assert _digest(result.render()) == "5fbe9d9caf5c5ee1"
 
     def test_fig5_small(self):
-        result = fig5.generate(combos=((3, 1), (3, 2)), n_range=(50, 120))
+        result = run_experiment(
+            fig5.default_spec(combos=((3, 1), (3, 2)), n_range=(50, 120))
+        ).result()
         assert _digest(result.render()) == "76c00c5680ff87c8"
 
     def test_fig8_small(self):
-        result = fig8.generate(systems=((71, 3), (71, 5)), k_max=6)
+        result = run_experiment(
+            fig8.default_spec(systems=((71, 3), (71, 5)), k_max=6)
+        ).result()
         assert _digest(result.render()) == "c11f9e63c163cbeb"
 
     def test_fig9a_small(self):
-        result = fig9.generate(71, 7, r_values=(2, 3), b_values=(600, 1200))
+        result = run_experiment(
+            fig9.default_spec(71, 7, r_values=(2, 3), b_values=(600, 1200))
+        ).result()
         assert _digest(result.render()) == "a198ed13f8904e47"
 
     def test_fig10_small(self):
-        result = fig10.generate(31, b_values=(600, 1200))
+        (result,) = run_experiment(
+            fig10.default_spec((31,), b_values=(600, 1200))
+        ).result()
         assert _digest(result.render()) == "5141f97df123e74b"
 
     def test_fig11_small(self):
-        result = fig11.generate(systems=((71, 3), (71, 5)), k_max=6)
+        result = run_experiment(
+            fig11.default_spec(systems=((71, 3), (71, 5)), k_max=6)
+        ).result()
         assert _digest(result.render()) == "bdd62e6fe5402190"
 
     def test_appendix_a_small(self):
-        result = appendix_a.generate(
+        result = run_experiment(appendix_a.default_spec(
             systems=((71, 5),), b_values=(600, 2400), k_values=(1, 2, 3)
-        )
+        )).result()
         assert _digest(result.render()) == "409c2e96c2f312cd"
 
     def test_analytic_sharding_is_invisible(self):

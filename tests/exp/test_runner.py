@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import fig2, fig4
+from repro.analysis import fig2
 from repro.exp.registry import ExperimentKernel, figure_spec, register_kernel
 from repro.exp.runner import ExperimentError, run_experiment
 from repro.exp.spec import ExperimentSpec
@@ -20,10 +20,6 @@ class TestDeterminism:
         sharded = run_experiment(spec, workers=3)
         assert serial.metrics == sharded.metrics
         assert serial.result() == sharded.result()
-
-    def test_wrapper_equals_engine(self):
-        spec = fig4.default_spec()
-        assert run_experiment(spec).result() == fig4.generate()
 
 
 class TestStoreIntegration:
@@ -154,7 +150,9 @@ class TestEdgeExpansions:
         # back empty, as the pre-refactor generator produced it.
         from repro.analysis import fig9
 
-        result = fig9.generate(71, 2, r_values=(2, 3), b_values=(600,))
+        result = run_experiment(
+            fig9.default_spec(71, 2, r_values=(2, 3), b_values=(600,))
+        ).result()
         empty = result.table_for(3, 3)
         assert empty is not None and empty.cells == {}
         assert result.table_for(2, 2).cells

@@ -8,34 +8,50 @@ from repro.cli import main
 
 
 class TestFigureCommand:
+    """One catalog figure printed by ``repro run <fig> --no-store``."""
+
     def test_fig4(self, capsys):
-        assert main(["figure", "fig4"]) == 0
+        assert main(["run", "fig4", "--no-store"]) == 0
         out = capsys.readouterr().out
         assert "Fig 4" in out
         assert "DIFFERS" in out
 
     def test_fig3(self, capsys):
-        assert main(["figure", "fig3"]) == 0
+        assert main(["run", "fig3", "--no-store"]) == 0
         assert "Fig 3" in capsys.readouterr().out
 
     def test_fig11(self, capsys):
-        assert main(["figure", "fig11"]) == 0
+        assert main(["run", "fig11", "--no-store"]) == 0
         assert "Fig 11" in capsys.readouterr().out
 
-    def test_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["figure", "fig99"])
+    def test_unknown_rejected(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err and "fig2" in err
+        # The old ``repro figure`` subcommand is gone: argparse rejects it.
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig4"])
+        assert exc.value.code == 2
 
     def test_list_catalog(self, capsys):
-        assert main(["figure", "--list"]) == 0
+        assert main(["run", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("fig2", "fig9a", "fig11", "appendix_a"):
             assert name in out
         assert "Lemma-4" in out  # descriptions, not just names
 
     def test_no_name_and_no_list_is_an_error(self, capsys):
-        assert main(["figure"]) == 2
+        assert main(["run"]) == 2
         assert "--list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob", [
+        "REPRO_REPS", "REPRO_B_MAX", "REPRO_EFFORT", "REPRO_WORKERS",
+        "REPRO_SHARD_RETRIES",
+    ])
+    def test_empty_knob_means_unset(self, capsys, monkeypatch, knob):
+        monkeypatch.setenv(knob, "")
+        assert main(["run", "fig7", "--no-store", "--limit", "1"]) == 0
+        assert "partial" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -303,7 +319,8 @@ class TestSimulateCommand:
          {}),
         ([], "unknown gain backing 'garbage'; use auto or one of "
          "('native', 'python')", {"REPRO_GAIN_BACKING": "garbage"}),
-        (["figure", "fig3"], "REPRO_WORKERS must be an integer >= 1, got 'x'",
+        (["run", "fig3", "--no-store"],
+         "REPRO_WORKERS must be an integer >= 1, got 'x'",
          {"REPRO_WORKERS": "x"}),
         (["run", "fig2", "--workers", "2", "--no-store",
           "--shard-timeout", "nan"], "shard_timeout must be > 0, got nan",
@@ -319,7 +336,7 @@ class TestSimulateCommand:
     ):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        if flags[:1] not in (["figure"], ["run"]):
+        if flags[:1] != ["run"]:
             flags = ["simulate", "--events", "50", *flags]
         assert main(flags) == 2
         captured = capsys.readouterr()
