@@ -19,13 +19,12 @@ import os
 import random
 import statistics
 
-from repro import ComboStrategy, RandomStrategy
-from repro.cluster import (
-    Cluster,
-    CorrelatedInjector,
-    RandomInjector,
-    WorstCaseInjector,
-    majority_quorum_rule,
+from repro import (
+    AttackCell,
+    AttackEngine,
+    ComboStrategy,
+    RandomStrategy,
+    majority_threshold,
 )
 from repro.designs.catalog import Existence
 from repro.util.tables import TextTable
@@ -33,45 +32,39 @@ from repro.util.tables import TextTable
 SMALL = os.environ.get("REPRO_EXAMPLE_SCALE", "") == "small"
 N, B, RACKS = (71, 600, 8) if SMALL else (257, 2400, 16)
 R = 3
-RULE = majority_quorum_rule(R)  # s = 2
+S = majority_threshold(R)  # s = 2
 K = 5
 
 
-def fresh_cluster(placement) -> Cluster:
-    cluster = Cluster(N, racks=RACKS)
-    cluster.apply_placement(placement)
-    return cluster
+def chunks_lost(placement, failed_nodes) -> int:
+    return len(placement.failed_objects(failed_nodes, S))
 
 
 def chunks_lost_random(placement, reps=10) -> float:
-    losses = []
-    for rep in range(reps):
-        cluster = fresh_cluster(placement)
-        RandomInjector(random.Random(rep)).inject(cluster, K, RULE)
-        losses.append(len(cluster.dead_objects(RULE)))
-    return statistics.fmean(losses)
+    return statistics.fmean(
+        chunks_lost(placement, random.Random(rep).sample(range(N), K))
+        for rep in range(reps)
+    )
 
 
 def chunks_lost_rack(placement, reps=8) -> float:
-    losses = []
-    for rack in range(min(reps, RACKS)):
-        cluster = fresh_cluster(placement)
-        CorrelatedInjector().inject(cluster, rack=rack)
-        losses.append(len(cluster.dead_objects(RULE)))
-    return statistics.fmean(losses)
+    # Node i sits in rack i % RACKS.
+    return statistics.fmean(
+        chunks_lost(placement, range(rack, N, RACKS))
+        for rack in range(min(reps, RACKS))
+    )
 
 
 def chunks_lost_worst(placement) -> int:
-    cluster = fresh_cluster(placement)
-    WorstCaseInjector(effort="fast").inject(cluster, K, RULE)
-    return len(cluster.dead_objects(RULE))
+    attack = AttackEngine(placement).attack(AttackCell(K, S, "fast"), seed=0)
+    return chunks_lost(placement, attack.nodes)
 
 
 def main() -> None:
     print(f"Cluster: {N} nodes / {RACKS} racks, {B} chunks x {R} replicas, "
-          f"majority quorum (chunk dies at s={RULE.s} replica losses)\n")
+          f"majority quorum (chunk dies at s={S} replica losses)\n")
 
-    combo = ComboStrategy(N, R, RULE.s, tier=Existence.CONSTRUCTIBLE)
+    combo = ComboStrategy(N, R, S, tier=Existence.CONSTRUCTIBLE)
     plan = combo.plan(B, K)
     placements = {
         "Combo": combo.place(B, K, plan=plan),

@@ -20,8 +20,13 @@ Run:  python examples/vm_fault_tolerance.py
 import os
 import random
 
-from repro import ComboStrategy, Placement, RandomStrategy
-from repro.cluster import Cluster, WorstCaseInjector, read_one_rule
+from repro import (
+    AttackCell,
+    AttackEngine,
+    ComboStrategy,
+    Placement,
+    RandomStrategy,
+)
 from repro.designs.catalog import Existence
 from repro.util.tables import TextTable
 
@@ -40,19 +45,18 @@ def naive_adjacent_pairs(n: int, b: int) -> Placement:
     return Placement.from_replica_sets(n, sets, strategy="naive-adjacent")
 
 
-def attack(placement: Placement, k: int, rule) -> int:
-    cluster = Cluster(placement.n)
-    cluster.apply_placement(placement)
-    WorstCaseInjector(effort="auto").inject(cluster, k, rule)
-    return len(cluster.dead_objects(rule))
+def attack(placement: Placement, k: int, s: int) -> int:
+    """VMs lost when the worst-case adversary powers off ``k`` hosts."""
+    result = AttackEngine(placement).attack(AttackCell(k, s, "auto"), seed=0)
+    return len(placement.failed_objects(result.nodes, s))
 
 
 def main() -> None:
     n, b, r = 31, (150 if SMALL else 600), 2
-    rule = read_one_rule(r)  # VM dies only if BOTH replicas die (s = 2)
+    s = r  # read-one: a VM dies only if BOTH replicas die
     k_values = (2, 3) if SMALL else (2, 3, 4, 5)
 
-    combo = ComboStrategy(n, r, rule.s, tier=Existence.CONSTRUCTIBLE)
+    combo = ComboStrategy(n, r, s, tier=Existence.CONSTRUCTIBLE)
     placements = {
         "Combo": combo.place(b, k=3),
         "Random": RandomStrategy(n, r).place(b, random.Random(7)),
@@ -64,7 +68,7 @@ def main() -> None:
         title=f"Worst-case VM loss out of {b} VM pairs on {n} hosts",
     )
     for name, placement in placements.items():
-        losses = [attack(placement, k, rule) for k in k_values]
+        losses = [attack(placement, k, s) for k in k_values]
         table.add_row([name, *losses, placement.max_load()])
     print(table.render())
 

@@ -18,15 +18,15 @@ Quickstart::
     report = evaluate_availability(placement, k=3, s=2)
     assert report.available >= plan.lower_bound
 
-See README.md for the architecture tour and DESIGN.md for the
-paper-to-module map.
+See the "Architecture" section of README.md for the module map and a
+tour of each layer.
 """
 
 __version__ = "1.0.0"
 
-#: Served from :mod:`repro.sim` on first access. The simulator and the
-#: cluster model under it cost ~24 ms of import that ``repro run`` and
-#: most library use never need.
+#: Served from :mod:`repro.sim` on first access. The simulator, with its
+#: cluster state and the attack engine under it, costs ~20 ms of import
+#: that ``repro run`` and most library use never need.
 _SIM_NAMES = frozenset({"LifetimeSimulator", "SimConfig", "SimReport", "simulate"})
 
 

@@ -3,7 +3,7 @@
 For each cluster size n in {31, 71, 257} and r in [2, 5], the paper lists
 the Steiner-system order ``n_x <= n`` used for each stratum x (with
 mu_x = 1). We recompute the table from the existence catalog and flag the
-two cells where the source text is internally inconsistent (see DESIGN.md):
+two cells where the source text is internally inconsistent:
 the catalog yields 64 where the text prints "70" for (n=71, r=4, x=1) —
 70 violates the v = 1, 4 (mod 12) divisibility condition — and 47 where it
 prints "71" for (n=71, r=5, x=3) — no S(4,5,71) is known.

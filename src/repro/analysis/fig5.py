@@ -4,8 +4,9 @@ For each (r, x) the paper asks: decomposing n nodes into at most m = 3
 chunks carrying known Steiner systems, what fraction of the ideal Lemma-1
 capacity is lost ("capacity gap")? Fig. 5 uses mu = 1; Fig. 6 revisits the
 hard cases (r = 5, x in {2, 3}) allowing mu <= 5 and mu <= 10, where the
-catalog falls back to divisibility-admissible parameter sets (documented
-as the optimistic tier in DESIGN.md/EXPERIMENTS.md).
+catalog falls back to divisibility-admissible parameter sets: the
+``DIVISIBILITY`` tier of :class:`~repro.designs.catalog.Existence`, which
+is optimistic, since the necessary conditions do not prove a design exists.
 
 Both figures are experiment specs over the ``fig5``/``fig6`` kernels: one
 cell per (r, x, n) capacity-gap evaluation, one shard per CDF curve.

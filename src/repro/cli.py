@@ -529,15 +529,20 @@ def _run_exp(args) -> int:
     if run.complete:
         print(run.render())
     else:
-        resume_cmd = ["repro", "run", args.target, "--resume"]
-        if args.store:
-            resume_cmd += ["--store", args.store]
+        if store is None:
+            # Nothing was stored, so --resume would recompute every cell.
+            advice = "nothing was stored (--no-store); rerun without --limit:"
+            rerun = ["repro", "run", args.target, "--no-store"]
+        else:
+            advice = "finish with"
+            rerun = ["repro", "run", args.target, "--resume"]
+            if args.store:
+                rerun += ["--store", args.store]
         if args.workers is not None:
-            resume_cmd += ["--workers", str(args.workers)]
+            rerun += ["--workers", str(args.workers)]
         print(
             f"partial run: {len(run.cells) - run.loaded - run.computed} "
-            f"cells still missing; finish with "
-            f"`{' '.join(resume_cmd)}`",
+            f"cells still missing; {advice} `{' '.join(rerun)}`",
             file=sys.stderr,
         )
     print(run.summary(), file=sys.stderr)

@@ -51,9 +51,7 @@ _EXPORTS = {
     "Incidence": "kernels",
     "make_kernel": "kernels",
     "majority_threshold": "params",
-    "read_one_threshold": "params",
     "SystemParams": "params",
-    "write_all_threshold": "params",
     "Placement": "placement",
     "PlacementError": "placement",
     "alpha": "rand_analysis",

@@ -75,15 +75,3 @@ def majority_threshold(r: int) -> int:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     return (r + 1) // 2
-
-
-def read_one_threshold(r: int) -> int:
-    """The ``s`` for read-any / primary-backup objects: all replicas must die."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    return r
-
-
-def write_all_threshold() -> int:
-    """The ``s`` for write-all objects: any replica failure disables writes."""
-    return 1

@@ -8,7 +8,8 @@ lies on exactly one line, giving a Steiner system ``S(2, q, q^d)``:
 * ``d = 2`` is the affine plane of order ``q`` (e.g. the 2-(25, 5, 1) the
   paper uses as ``n1`` for ``n = 31, r = 5``);
 * ``d = 3, q = 4`` gives 2-(64, 4, 1) (our corrected ``n1`` for
-  ``n = 71, r = 4``; see DESIGN.md on the source table's corrupted cell).
+  ``n = 71, r = 4``: the paper's Fig. 4 prints 70 there, but an S(2, 4, v)
+  needs v = 1, 4 (mod 12); see :mod:`repro.analysis.fig4`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Discrete-event cluster lifetime simulation.
 
-The layer above the static scenario drivers: a seeded event loop that
-advances one cluster through object churn, random/correlated node
-failures with repair and re-replication, and a recurring online
-worst-case adversary. The :class:`~repro.cluster.cluster.Cluster` holds
-the only copy of the state; its warm attack engine
-(:meth:`~repro.cluster.cluster.Cluster.engine`) absorbs the churn
-between strikes as one
+A seeded event loop that advances one cluster through object churn,
+random/correlated node failures with repair and re-replication, and a
+recurring online worst-case adversary. The
+:class:`~repro.sim.cluster.Cluster` holds the only copy of the state;
+its warm attack engine (:meth:`~repro.sim.cluster.Cluster.engine`)
+absorbs the churn between strikes as one
 :meth:`~repro.core.batch.AttackEngine.apply_delta` in O(changed
 replicas) instead of rebuilding per strike.
 

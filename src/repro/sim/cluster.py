@@ -1,6 +1,6 @@
 """The simulated cluster: one array-backed state for replicas and failures.
 
-:class:`Cluster` is the single owner of a simulated cluster's state:
+:class:`Cluster` is the single owner of the lifetime simulator's state:
 ``objects`` maps each object id to its sorted replica-node tuple
 (insertion-ordered), and per-node lists hold the hosted object ids, the
 replica load and the up/failed flag, all maintained in place on every
@@ -15,9 +15,9 @@ churn between strikes costs a single O(changed replicas) delta.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.cluster.objects import LivenessRule
 from repro.core.batch import AttackEngine
 from repro.core.placement import Placement
 
@@ -27,12 +27,10 @@ class ClusterError(RuntimeError):
 
 
 class Cluster:
-    """``n`` nodes hosting replicated objects, with failure injection.
+    """``n`` nodes hosting replicated objects, some of them failed.
 
-    The cluster is the execution substrate for placements: apply a
-    :class:`~repro.core.placement.Placement`, fail nodes (by hand or via
-    the injectors in :mod:`repro.cluster.failures`), and query object
-    liveness under a :class:`~repro.cluster.objects.LivenessRule`.
+    An object is dead once ``s`` of its replicas sit on failed nodes (the
+    paper's fatality threshold); :meth:`availability` is the live share.
     """
 
     def __init__(self, n: int, racks: int = 1) -> None:
@@ -58,20 +56,7 @@ class Cluster:
     def racks(self) -> int:
         return min(self._racks, self.n)
 
-    def rack_of(self, node: int) -> int:
-        return node % self._racks
-
-    # -- placement ---------------------------------------------------------
-
-    def apply_placement(self, placement: Placement) -> None:
-        """Host every object of ``placement`` (object ids offset past existing)."""
-        if placement.n != self.n:
-            raise ClusterError(
-                f"placement is for {placement.n} nodes, cluster has {self.n}"
-            )
-        base = max(self.objects) + 1 if self.objects else 0
-        for i, replica_nodes in enumerate(placement.replica_sets):
-            self.add_object(base + i, replica_nodes)
+    # -- objects -------------------------------------------------------------
 
     def add_object(self, obj_id: int, replica_nodes: Iterable[int]) -> None:
         if obj_id in self.objects:
@@ -147,9 +132,6 @@ class Cluster:
         self._check_node(node)
         self._up[node] = True
 
-    def recover_all(self) -> None:
-        self._up[:] = [True] * self.n
-
     def failed_nodes(self) -> FrozenSet[int]:
         return frozenset(node for node, up in enumerate(self._up) if not up)
 
@@ -166,30 +148,17 @@ class Cluster:
     def rack_nodes(self, rack: int) -> List[int]:
         return list(range(rack, self.n, self._racks))
 
-    # -- liveness ------------------------------------------------------------
-
-    def _alive(self, nodes: Tuple[int, ...], rule: LivenessRule) -> bool:
-        up = self._up
-        return rule.object_alive(sum(1 for node in nodes if not up[node]))
-
-    def live_objects(self, rule: LivenessRule) -> List[int]:
-        return [
-            obj_id
-            for obj_id, nodes in self.objects.items()
-            if self._alive(nodes, rule)
-        ]
-
-    def dead_objects(self, rule: LivenessRule) -> List[int]:
-        return [
-            obj_id
-            for obj_id, nodes in self.objects.items()
-            if not self._alive(nodes, rule)
-        ]
-
-    def availability(self, rule: LivenessRule) -> float:
+    def availability(self, s: int) -> float:
+        """The share of objects with fewer than ``s`` replicas on failed nodes."""
         if not self.objects:
             return 1.0
-        return len(self.live_objects(rule)) / len(self.objects)
+        up = self._up
+        live = sum(
+            1
+            for nodes in self.objects.values()
+            if sum(1 for node in nodes if not up[node]) < s
+        )
+        return live / len(self.objects)
 
     # -- introspection ---------------------------------------------------------
 
@@ -205,8 +174,6 @@ class Cluster:
         """The current object population as a Placement (ids renumbered)."""
         if not self.objects:
             raise ClusterError("cluster hosts no objects")
-        from array import array
-
         # Rows were validated at add/move time (in-range, distinct,
         # sorted), so the snapshot takes the trusted array path — no
         # per-object revalidation per attack snapshot.

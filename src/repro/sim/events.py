@@ -42,8 +42,8 @@ class Event:
     when the node has since recovered and failed again. Churn events
     carry no payload — the workload trace decides arrival vs departure
     and the victim draw happens at handling time, keeping queue contents
-    placement-free (the same property :mod:`repro.cluster.workload`
-    keeps for its traces).
+    placement-free (as the trace itself is, see
+    :func:`~repro.sim.processes.churn_trace`).
     """
 
     kind: EventKind

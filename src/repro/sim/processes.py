@@ -7,7 +7,7 @@ per process on the queue at a time and asks the process to reschedule
 after handling — the standard self-scheduling discrete-event pattern, so
 adding a process never perturbs the randomness of the others.
 
-Three adversity levels mirror :mod:`repro.cluster.failures`:
+Failures come at three adversity levels:
 
 * :class:`RandomFailureProcess` — memoryless single-node crashes
   (exponential inter-arrivals), the prior-work failure model;
@@ -15,14 +15,18 @@ Three adversity levels mirror :mod:`repro.cluster.failures`:
   hierarchical failure-domain regime of arXiv:1701.01539;
 * :class:`AdversaryProcess` — the paper's worst-case adversary striking
   on a fixed period, re-planning each strike against the *current*
-  population (arXiv:1605.04069's continuous regime). The strike search
-  itself runs through a :class:`~repro.cluster.failures.WorstCaseInjector`
-  owned by the simulator, warm-started from the previous strike.
+  population (arXiv:1605.04069's continuous regime). The simulator runs
+  the strike search on an :class:`~repro.core.batch.AttackEngine`,
+  warm-started from the previous strike.
+
+Object churn is a :class:`ChurnProcess` clock plus a :func:`churn_trace`
+that says, slot by slot, whether an object arrives or departs.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from repro.sim.events import Event, EventKind
 from repro.util.rng import derive_rng
@@ -51,9 +55,9 @@ class Process:
 class ChurnProcess(Process):
     """Workload churn on a fixed tick; arrival/departure comes from a trace.
 
-    The trace (``repro.cluster.workload.churn_trace``) is consumed at
-    *handling* time by the simulator, keeping this process a pure clock:
-    one churn slot every ``interval`` time units.
+    The trace (:func:`churn_trace`) is consumed at *handling* time by the
+    simulator, keeping this process a pure clock: one churn slot every
+    ``interval`` time units.
     """
 
     label = "churn"
@@ -66,6 +70,29 @@ class ChurnProcess(Process):
 
     def delay(self) -> float:
         return self.interval
+
+
+def churn_trace(
+    steps: int,
+    arrival_probability: float,
+    warmup_arrivals: int,
+    rng: random.Random,
+) -> Iterator[EventKind]:
+    """A biased birth–death trace: warmup arrivals, then mixed churn.
+
+    Yields ``warmup_arrivals`` ARRIVALs, then ``steps`` slots that are an
+    ARRIVAL with ``arrival_probability`` and a DEPARTURE otherwise (the
+    driver picks the departing object). ``arrival_probability > 0.5``
+    grows the population over time, the "new objects come and go" regime
+    of the paper's Sec. IV-D.
+    """
+    for _ in range(warmup_arrivals):
+        yield EventKind.ARRIVAL
+    for _ in range(steps):
+        if rng.random() < arrival_probability:
+            yield EventKind.ARRIVAL
+        else:
+            yield EventKind.DEPARTURE
 
 
 class RandomFailureProcess(Process):

@@ -2,10 +2,10 @@
 
 The paper evaluates placements as static snapshots; this driver evaluates
 them *over time* (the Sec. IV-D future-work regime): a seeded
-discrete-event loop advances one :class:`~repro.cluster.cluster.Cluster`
+discrete-event loop advances one :class:`~repro.sim.cluster.Cluster`
 through interleaved
 
-* **object churn** — a :func:`~repro.cluster.workload.churn_trace` feeds
+* **object churn** — a :func:`~repro.sim.processes.churn_trace` feeds
   arrivals/departures, placed and released by an
   :class:`~repro.core.adaptive.AdaptiveComboPlacement` (so the Lemma-3
   certificate tracks the live population);
@@ -14,15 +14,15 @@ through interleaved
 * **re-replication** — an eager/lazy/none :mod:`repro.sim.repair` policy
   rebuilds lost redundancy on healthy nodes (and, once it moves a
   replica, voids the packing certificate — recorded honestly);
-* **a recurring online adversary** — a
-  :class:`~repro.cluster.failures.WorstCaseInjector` strike every period,
-  warm-started from the previous strike.
+* **a recurring online adversary** — a worst-case
+  :meth:`AttackEngine.attack <repro.core.batch.AttackEngine.attack>`
+  strike every period, warm-started from the previous strike.
 
 The cluster is the one copy of the simulated state, and every mutation
 (arrival, departure, failure, repair, re-replication) goes straight to
 it. Engine modes differ only in how a strike reads that state:
 ``"delta"`` (default) attacks through :meth:`Cluster.engine
-<repro.cluster.cluster.Cluster.engine>`, the warm
+<repro.sim.cluster.Cluster.engine>`, the warm
 :class:`~repro.core.batch.AttackEngine` the cluster keeps aligned with
 its population — churn between strikes costs one O(changed replicas)
 ``apply_delta`` — while ``"rebuild"`` is the reference oracle (snapshot +
@@ -37,18 +37,16 @@ in a strike propagates to the caller.
 
 from __future__ import annotations
 
+import statistics
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.cluster.cluster import Cluster
-from repro.cluster.failures import WorstCaseInjector
-from repro.cluster.metrics import LoadStats
-from repro.cluster.objects import LivenessRule, threshold_rule
-from repro.cluster.workload import ChurnKind, churn_trace
 from repro.core.adaptive import AdaptiveComboPlacement
+from repro.core.batch import AttackCell, AttackEngine
 from repro.core.kernels import resolve_gain_backing
+from repro.sim.cluster import Cluster
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.processes import (
     AdversaryProcess,
@@ -57,6 +55,7 @@ from repro.sim.processes import (
     Process,
     RackFailureProcess,
     RandomFailureProcess,
+    churn_trace,
 )
 from repro.sim.repair import (
     RepairPolicy,
@@ -154,7 +153,6 @@ class LifetimeSimulator:
         # REPRO_GAIN_BACKING is rejected with the rest of the config.
         resolve_gain_backing()
         self.config = config
-        self.rule: LivenessRule = threshold_rule(config.s)
         self.cluster = Cluster(config.n, racks=config.racks)
         self.adaptive = AdaptiveComboPlacement(
             config.n, config.r, config.s, config.k,
@@ -164,7 +162,6 @@ class LifetimeSimulator:
         self.repair_policy: RepairPolicy = make_repair_policy(
             config.repair, grace=config.repair_grace
         )
-        self.injector = WorstCaseInjector(effort=config.effort, seed=config.seed)
         self._trace = churn_trace(
             steps=config.events,
             arrival_probability=config.arrival_probability,
@@ -252,7 +249,7 @@ class LifetimeSimulator:
         if step is None:
             return EventKind.ARRIVAL  # trace exhausted: inert tick
         self._reschedule(EventKind.ARRIVAL, now)
-        if step.kind == ChurnKind.ARRIVAL:
+        if step == EventKind.ARRIVAL:
             obj_id = self.adaptive.add_object()
             nodes = self.adaptive.replica_nodes(obj_id)
             self.cluster.add_object(obj_id, nodes)
@@ -338,21 +335,20 @@ class LifetimeSimulator:
         self._reschedule(EventKind.STRIKE, now)
         if not self._live:
             return
-        if self.config.engine_mode == "delta":
-            self.injector.engine = self.cluster.engine()
-        else:
-            self.injector.engine = None  # snapshot + cold engine per strike
+        config = self.config
+        if config.engine_mode == "delta":
+            engine = self.cluster.engine()
+        else:  # the reference oracle: snapshot + cold engine per strike
+            engine = AttackEngine(self.cluster.placement_snapshot())
         with obs.span("sim.strike", k=process.k):
-            nodes = self.injector.select(
-                self.cluster, process.k, self.rule, warm_start=self._warm
+            attack = engine.attack(
+                AttackCell(process.k, config.s, config.effort),
+                seed=config.seed,
+                warm_start=self._warm,
             )
         obs.count("sim.strikes")
-        obs.count(
-            "sim.strikes.delta"
-            if self.config.engine_mode == "delta"
-            else "sim.strikes.rebuild"
-        )
-        attack = self.injector.last_result
+        obs.count(f"sim.strikes.{config.engine_mode}")
+        nodes = sorted(attack.nodes)
         self._warm = attack.nodes
         for node in nodes:
             if self.cluster.is_up(node):
@@ -373,7 +369,7 @@ class LifetimeSimulator:
     def _handle_measure(self, now: float) -> None:
         loads = self.cluster.loads()
         if self.cluster.objects:
-            imbalance = LoadStats.from_loads(loads).imbalance
+            imbalance = max(loads) / statistics.fmean(loads)
         else:
             imbalance = 1.0
         failed = self.cluster.failed_nodes()
@@ -383,7 +379,7 @@ class LifetimeSimulator:
                 events=self._handled,
                 live_objects=len(self._live),
                 failed_nodes=len(failed),
-                availability=self.cluster.availability(self.rule),
+                availability=self.cluster.availability(self.config.s),
                 load_imbalance=imbalance,
                 repair_backlog=sum(loads[node] for node in failed),
             )

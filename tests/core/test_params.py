@@ -1,15 +1,10 @@
-"""Tests for SystemParams and threshold presets."""
+"""Tests for SystemParams and the majority-quorum threshold."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.params import (
-    SystemParams,
-    majority_threshold,
-    read_one_threshold,
-    write_all_threshold,
-)
+from repro.core.params import SystemParams, majority_threshold
 
 
 class TestSystemParams:
@@ -60,11 +55,7 @@ class TestThresholds:
         assert majority_threshold(3) == 2
         assert majority_threshold(4) == 2  # needs 3 of 4 alive; dies at 2 lost
         assert majority_threshold(5) == 3
-        assert read_one_threshold(4) == 4
-        assert write_all_threshold() == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             majority_threshold(0)
-        with pytest.raises(ValueError):
-            read_one_threshold(-1)

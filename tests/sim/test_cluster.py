@@ -1,15 +1,8 @@
-"""Tests for cluster state, its warm attack engine, and liveness accounting."""
+"""Tests for the simulated cluster's state, validation and warm attack engine."""
 
 import pytest
 
-from repro.cluster.cluster import Cluster, ClusterError
-from repro.cluster.objects import (
-    majority_quorum_rule,
-    read_one_rule,
-    threshold_rule,
-    write_all_rule,
-)
-from repro.core.placement import Placement
+from repro.sim.cluster import Cluster, ClusterError
 
 
 def assert_engine_aligned(cluster):
@@ -64,19 +57,6 @@ class TestNode:
 
 
 class TestCluster:
-    def test_apply_placement(self):
-        cluster = Cluster(5)
-        placement = Placement.from_replica_sets(5, [(0, 1), (2, 3), (3, 4)])
-        cluster.apply_placement(placement)
-        assert len(cluster.objects) == 3
-        assert cluster.loads() == [1, 1, 1, 2, 1]
-
-    def test_apply_mismatched_size(self):
-        cluster = Cluster(4)
-        placement = Placement.from_replica_sets(5, [(0, 4)])
-        with pytest.raises(ClusterError):
-            cluster.apply_placement(placement)
-
     def test_add_remove_object(self):
         cluster = Cluster(4)
         cluster.add_object(7, [0, 1])
@@ -118,29 +98,30 @@ class TestCluster:
         assert cluster.failed_nodes() == frozenset({0, 2})
         with pytest.raises(ClusterError):
             cluster.fail_nodes([2])
-        cluster.recover_all()
+        cluster.recover(0)
+        cluster.recover(2)
         assert cluster.failed_nodes() == frozenset()
 
-    def test_liveness_rules(self):
+    def test_availability_thresholds(self):
+        # An object dies once s of its replicas sit on failed nodes.
         cluster = Cluster(5)
         cluster.add_object(0, [0, 1, 2])
         cluster.fail_nodes([0])
-        assert cluster.live_objects(read_one_rule(3)) == [0]
-        assert cluster.live_objects(write_all_rule()) == []
-        assert cluster.live_objects(majority_quorum_rule(3)) == [0]
+        assert cluster.availability(3) == 1.0  # read-one: s = r
+        assert cluster.availability(1) == 0.0  # write-all: s = 1
+        assert cluster.availability(2) == 1.0  # majority quorum of 3
         cluster.fail_nodes([1])
-        assert cluster.live_objects(majority_quorum_rule(3)) == []
+        assert cluster.availability(2) == 0.0
 
     def test_availability_fraction(self):
         cluster = Cluster(5)
         cluster.add_object(0, [0, 1])
         cluster.add_object(1, [2, 3])
         cluster.fail_nodes([0, 1])
-        rule = threshold_rule(2)
-        assert cluster.availability(rule) == pytest.approx(0.5)
+        assert cluster.availability(2) == pytest.approx(0.5)
 
     def test_empty_cluster_availability(self):
-        assert Cluster(3).availability(threshold_rule(1)) == 1.0
+        assert Cluster(3).availability(1) == 1.0
 
     def test_snapshot_roundtrip(self):
         cluster = Cluster(5)
@@ -157,9 +138,6 @@ class TestCluster:
     def test_racks(self):
         cluster = Cluster(6, racks=3)
         assert cluster.racks == 3
-        assert [cluster.rack_of(node) for node in range(6)] == [
-            0, 1, 2, 0, 1, 2,
-        ]
         assert cluster.rack_nodes(1) == [1, 4]
         # More racks than nodes: only the occupied racks count.
         assert Cluster(2, racks=5).racks == 2

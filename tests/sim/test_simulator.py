@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import statistics
 
 import pytest
 
@@ -85,6 +86,61 @@ class TestDeterminismAndEquivalence:
         first = simulate(**{**BASE, "seed": 1})
         second = simulate(**{**BASE, "seed": 2})
         assert strike_tuples(first) != strike_tuples(second)
+
+
+class TestIndependentRecount:
+    """Samples and strike damage against a recount from a placement snapshot.
+
+    The recount uses only :meth:`Placement.failed_objects` on
+    ``cluster.placement_snapshot()``: neither the warm engine nor the
+    cluster's own liveness count.
+    """
+
+    def test_samples_and_strikes_match_a_snapshot_recount(self):
+        sim = LifetimeSimulator(SimConfig(
+            **BASE, repair="eager", rack_failure_rate=0.02,
+            engine_mode="delta",
+        ))
+        cluster, s = sim.cluster, sim.config.s
+        expected_samples, strike_snapshots = [], {}
+
+        measure, strike = sim._handle_measure, sim._handle_strike
+
+        def recounting_measure(now):
+            if cluster.objects:
+                snap = cluster.placement_snapshot()
+                failed = cluster.failed_nodes()
+                dead = len(snap.failed_objects(failed, s))
+                loads = snap.loads()
+                expected_samples.append((
+                    (snap.b - dead) / snap.b,  # 1 - dead / b
+                    max(loads) / statistics.fmean(loads),
+                    sum(loads[node] for node in failed),
+                ))
+            else:
+                expected_samples.append((1.0, 1.0, 0))
+            measure(now)
+
+        def snapshotting_strike(now):
+            # Taken before the strike fails its nodes.
+            if cluster.objects:
+                strike_snapshots[now] = cluster.placement_snapshot()
+            strike(now)
+
+        sim._handle_measure = recounting_measure
+        sim._handle_strike = snapshotting_strike
+        report = sim.run()
+
+        for kind in ("departure", "rack-fail", "re-replicate"):
+            assert report.event_counts.get(kind, 0) > 0
+        assert report.strikes and len(report.samples) == len(expected_samples)
+        assert [
+            (sample.availability, sample.load_imbalance, sample.repair_backlog)
+            for sample in report.samples
+        ] == expected_samples
+        for record in report.strikes:
+            snap = strike_snapshots[record.time]
+            assert record.damage == len(snap.failed_objects(record.nodes, s))
 
 
 class TestGuarantees:

@@ -89,6 +89,15 @@ class TestRunCommand:
         assert "Fig 4" in resumed.out
         assert "0 recomputed" in resumed.err
 
+    def test_no_store_limit_does_not_offer_resume(self, capsys):
+        # Nothing was stored, so `--resume` would recompute every cell.
+        assert main(["run", "fig4", "--no-store", "--limit", "2"]) == 0
+        err = capsys.readouterr().err
+        assert "partial run" in err
+        assert "--resume" not in err
+        assert "nothing was stored" in err
+        assert "`repro run fig4 --no-store`" in err
+
     def test_run_spec_json(self, tmp_path, capsys):
         from repro.analysis import fig11
 
