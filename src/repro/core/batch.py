@@ -86,19 +86,22 @@ class AttackEngine:
         self,
         added_objects: Sequence[Sequence[int]] = (),
         removed_objects: Sequence[int] = (),
+        moved_replicas: Sequence[Tuple[int, int, int]] = (),
     ) -> Placement:
         """Mutate the engine's placement in place and stay warm.
 
         ``added_objects`` holds replica node sets to append;
-        ``removed_objects`` holds current object ids to drop, under the
-        swap-with-last id semantics of
-        :meth:`~repro.core.kernels.Incidence.apply_delta` (the first
+        ``removed_objects`` holds current object ids to drop;
+        ``moved_replicas`` holds ``(id, old, new)`` single-replica moves
+        that keep the object's id. The id semantics (moves first, then
+        swap-with-last removals, then appends) are those of
+        :meth:`~repro.core.kernels.Incidence.apply_delta`: the first
         delta copies the placement's CSR into a padded layout once, after
-        which a delta costs O(changed replicas)); kernels rebind in place.
-        Returns the resulting placement.
+        which a delta costs O(r) per changed replica; kernels rebind in
+        place. Returns the resulting placement.
         """
         self.placement = self.incidence.apply_delta(
-            added_objects, removed_objects
+            added_objects, removed_objects, moved_replicas
         )
         for kernel in self._kernels.values():
             kernel.rebind()

@@ -93,16 +93,22 @@ class Incidence:
     ``obj_nodes`` *is* its row buffer, and ``node_end[v] == node_off[v +
     1]``. The first :meth:`apply_delta` copies it into a padded layout
     (slack after every node segment, the object region sized past
-    ``b``), so later deltas edit O(changed replicas) words in place.
-    Consumers bound reads by the live ``b`` and by ``node_end``; words
-    past them are stale. Object rows stay sorted ascending (the
-    placement's invariant; deltas sort added rows), so the bounds read
-    "at least ``d`` replicas on nodes >= ``start``" off a row as "its
-    ``d``-th largest node is >= ``start``".
+    ``b``) and builds the replica offset index (the offset of each
+    object's ``j``-th replica inside its node's segment), so later deltas
+    edit O(r) words per changed replica in place and never scan a
+    segment. Cold engines never build the index. Consumers bound reads
+    by the live ``b`` and by ``node_end``; words past them are stale,
+    and the order of ids inside a segment is arbitrary. Object rows stay
+    sorted ascending (the placement's invariant; deltas sort added rows
+    and re-sort moved ones), so the bounds read "at least ``d`` replicas
+    on nodes >= ``start``" off a row as "its ``d``-th largest node is
+    >= ``start``".
 
     Delta semantics, shared verbatim by every mirror of the object-id
     space (:class:`repro.core.batch.AttackEngine` callers track ids too):
 
+    * single-replica moves apply first, in order, and keep the object's
+      id (the row is re-sorted in place);
     * removals are processed in **descending id order**; removing id ``d``
       moves the **last** object into slot ``d`` (swap-with-last keeps ids
       dense, so hit-vector length stays ``b``);
@@ -121,7 +127,9 @@ class Incidence:
         self.b = placement.b
         self.r = placement.r
         self._csr: Optional[Tuple[array, array, array, array]] = None
-        self._padded = False
+        # (object, replica) -> offset of that replica inside its node's
+        # segment, aligned with ``obj_nodes``; built by the first delta.
+        self._offsets: Optional[array] = None
         self._top_degree_prefix: Optional[List[List[int]]] = None
 
     def csr(self) -> Tuple[array, array, array, array]:
@@ -161,14 +169,22 @@ class Incidence:
         prefix = self._top_degree_prefix[start]
         return prefix[min(max(slots, 0), len(prefix) - 1)]
 
-    def _reserve(self, added: Sequence[Tuple[int, ...]]) -> None:
+    def _reserve(
+        self,
+        added: Sequence[Tuple[int, ...]],
+        moved: Sequence[Tuple[int, int, int]],
+    ) -> None:
         """Make room for one batch: at most one copy to a padded layout.
 
         The first call always copies (the tight layout shares the
-        placement's buffers, which must never be written). Later calls
-        copy only when the batch's additions would overflow a node
-        segment or the object region, sizing the copy for the whole batch
-        plus headroom (half the need again, plus a constant).
+        placement's buffers, which must never be written) and builds the
+        replica offset index. Later calls copy only when the batch's
+        additions and move targets would overflow a node segment or the
+        object region, sizing the copy for the whole batch plus headroom:
+        every segment gets half its need again plus a constant, and its
+        need is at least the mean load, so a node that repair emptied
+        keeps room to refill. A copy keeps each segment's order, so the
+        offsets stay valid and only grow with the object region.
         """
         n, r, b = self.n, self.r, self.b
         node_off, node_end, node_objs, obj_nodes = self.csr()
@@ -176,17 +192,30 @@ class Incidence:
         for row in added:
             for node in row:
                 extra[node] = extra.get(node, 0) + 1
+        for _obj_id, _old, new in moved:
+            extra[new] = extra.get(new, 0) + 1
         need_b = b + len(added)
-        if self._padded and need_b * r <= len(obj_nodes) and all(
+        if self._offsets is not None and need_b * r <= len(obj_nodes) and all(
             node_end[node] + more <= node_off[node + 1]
             for node, more in extra.items()
         ):
             return
+        offsets = self._offsets
+        if offsets is None:
+            offsets = array("i", bytes(4 * b * r))
+            for node in range(n):
+                lo = node_off[node]
+                for at in range(lo, node_end[node]):
+                    base = node_objs[at] * r
+                    column = obj_nodes[base:base + r].index(node)
+                    offsets[base + column] = at - lo
+        mean_load = need_b * r // n
         new_off = array("i", bytes(4 * (n + 1)))
         position = 0
         for node in range(n):
             new_off[node] = position
             need = node_end[node] - node_off[node] + extra.get(node, 0)
+            need = max(need, mean_load)
             position += need + (need >> 1) + 4
         new_off[n] = position
         new_objs = array("i", bytes(4 * position))
@@ -195,30 +224,84 @@ class Incidence:
             lo, hi, at = node_off[node], node_end[node], new_off[node]
             new_objs[at:at + hi - lo] = node_objs[lo:hi]
             new_end[node] = at + hi - lo
-        cap_b = need_b + (need_b >> 1) + 8
-        new_obj_nodes = array("i")
-        new_obj_nodes.frombytes(memoryview(obj_nodes).cast("B")[:4 * b * r])
-        new_obj_nodes.frombytes(bytes(4 * (cap_b - b) * r))
-        self._csr = (new_off, new_end, new_objs, new_obj_nodes)
-        self._padded = True
+        cap = (need_b + (need_b >> 1) + 8) * r
+        self._csr = (
+            new_off, new_end, new_objs, _grown(obj_nodes, b * r, cap),
+        )
+        self._offsets = _grown(offsets, b * r, cap)
+
+    def _unlink(self, replica: int) -> None:
+        """Drop one replica (``obj * r + column``) from its node segment.
+
+        The segment's tail entry takes the freed position, so the edit is
+        O(r): one offset lookup, one update of the tail's own offset.
+        """
+        node_off, node_end, node_objs, obj_nodes = self._csr
+        offsets, r = self._offsets, self.r
+        node = obj_nodes[replica]
+        lo = node_off[node]
+        tail = node_end[node] - 1
+        hole = lo + offsets[replica]
+        if hole != tail:
+            other = node_objs[tail]
+            node_objs[hole] = other
+            base = other * r
+            offsets[base + obj_nodes[base:base + r].index(node)] = hole - lo
+        node_end[node] = tail
+
+    def _move(self, obj_id: int, old: int, new: int) -> bool:
+        """Move one replica of ``obj_id`` from ``old`` to ``new``, in place.
+
+        Returns False and changes nothing unless ``old`` is in the row and
+        ``new`` is not. ``new``'s segment must have room (see
+        :meth:`_reserve`); the row is re-sorted by shifting neighbours,
+        and their offsets, over the vacated column.
+        """
+        node_off, node_end, node_objs, obj_nodes = self._csr
+        offsets, r = self._offsets, self.r
+        base = obj_id * r
+        row = obj_nodes[base:base + r]
+        if old not in row or new in row:
+            return False
+        at = base + row.index(old)
+        self._unlink(at)
+        end = node_end[new]
+        node_objs[end] = obj_id
+        node_end[new] = end + 1
+        while at > base and obj_nodes[at - 1] > new:
+            obj_nodes[at], offsets[at] = obj_nodes[at - 1], offsets[at - 1]
+            at -= 1
+        while at < base + r - 1 and obj_nodes[at + 1] < new:
+            obj_nodes[at], offsets[at] = obj_nodes[at + 1], offsets[at + 1]
+            at += 1
+        obj_nodes[at], offsets[at] = new, end - node_off[new]
+        return True
 
     def apply_delta(
         self,
         added: Sequence[Sequence[int]] = (),
         removed: Sequence[int] = (),
+        moved: Sequence[Tuple[int, int, int]] = (),
     ) -> Placement:
         """Absorb one churn batch; returns the resulting placement.
 
-        ``removed`` holds current object ids (distinct, any order);
-        ``added`` holds replica node sets (size ``r``, distinct in-range
-        nodes). The CSR is edited in O(changed replicas) words plus one
-        C-level scan of each touched node segment to locate the id being
-        deleted or relabeled. The returned :class:`Placement` is one copy
-        of the live object rows, built without re-validation (the delta
-        was validated here) and carrying the load profile read off the
-        CSR, so no later consumer pays an O(b r) rescan.
+        ``moved`` holds single-replica moves ``(id, old, new)``: current
+        object ``id`` trades its replica on node ``old`` for one on node
+        ``new`` and keeps its id (moves apply first, in order, so one
+        object may move more than once). ``removed`` holds current object
+        ids (distinct, any order); ``added`` holds replica node sets (size
+        ``r``, distinct in-range nodes). Every edit costs O(r) words: the
+        first delta builds the (object, replica) -> segment offset index,
+        so removing, relabeling or moving a replica swaps it with its node
+        segment's tail instead of searching the segment. A batch with an
+        invalid entry raises ValueError and leaves the same rows and
+        segment contents (moves already applied are undone). The returned
+        :class:`Placement` is one copy of the live object rows, built
+        without re-validation (the delta was validated here) and carrying
+        the load profile read off the CSR, so no later consumer pays an
+        O(b r) rescan.
         """
-        n, r = self.n, self.r
+        n, r, b = self.n, self.r, self.b
         added_rows: List[Tuple[int, ...]] = []
         for nodes in added:
             row = tuple(sorted(nodes))
@@ -237,37 +320,51 @@ class Incidence:
         if len(set(removed_ids)) != len(removed_ids):
             raise ValueError(f"duplicate removal ids in {sorted(removed)}")
         for obj_id in removed_ids:
-            if not 0 <= obj_id < self.b:
+            if not 0 <= obj_id < b:
                 raise ValueError(
-                    f"cannot remove object {obj_id}: ids span [0, {self.b})"
+                    f"cannot remove object {obj_id}: ids span [0, {b})"
                 )
-        if self.b - len(removed_ids) + len(added_rows) == 0:
+        if b - len(removed_ids) + len(added_rows) == 0:
             raise ValueError("delta would leave the placement empty")
+        moved = list(moved)
+        for obj_id, _old, new in moved:
+            if not (0 <= obj_id < b and 0 <= new < n):
+                raise ValueError(
+                    f"cannot move object {obj_id}'s replica to node {new}: "
+                    f"ids span [0, {b}), nodes [0, {n})"
+                )
 
-        self._reserve(added_rows)
+        self._reserve(added_rows, moved)
+        for done, (obj_id, old, new) in enumerate(moved):
+            if not self._move(obj_id, old, new):
+                error = ValueError(
+                    f"cannot move object {obj_id}'s replica from node {old} "
+                    f"to node {new}"
+                )
+                # Undo the moves before it: a rejected batch changes nothing.
+                for undo_id, undo_old, undo_new in reversed(moved[:done]):
+                    self._move(undo_id, undo_new, undo_old)
+                raise error
         node_off, node_end, node_objs, obj_nodes = self._csr
-        b = self.b
+        offsets = self._offsets
         for obj_id in removed_ids:
             base = obj_id * r
-            for node in obj_nodes[base:base + r]:
-                tail = node_end[node] - 1
-                node_objs[node_objs.index(obj_id, node_off[node], tail + 1)] = (
-                    node_objs[tail]
-                )
-                node_end[node] = tail
+            for at in range(base, base + r):
+                self._unlink(at)
             b -= 1
             if obj_id != b:
-                moved = obj_nodes[b * r:(b + 1) * r]
-                for node in moved:
-                    node_objs[
-                        node_objs.index(b, node_off[node], node_end[node])
-                    ] = obj_id
-                obj_nodes[base:base + r] = moved
+                last = b * r
+                for at in range(last, last + r):
+                    node_objs[node_off[obj_nodes[at]] + offsets[at]] = obj_id
+                obj_nodes[base:base + r] = obj_nodes[last:last + r]
+                offsets[base:base + r] = offsets[last:last + r]
         for row in added_rows:
-            obj_nodes[b * r:(b + 1) * r] = array("i", row)
-            for node in row:
+            base = b * r
+            obj_nodes[base:base + r] = array("i", row)
+            for at, node in enumerate(row, base):
                 end = node_end[node]
                 node_objs[end] = b
+                offsets[at] = end - node_off[node]
                 node_end[node] = end + 1
             b += 1
         self.b = b
@@ -284,6 +381,14 @@ class Incidence:
         self.placement = placement
         self._top_degree_prefix = None
         return placement
+
+
+def _grown(words: array, live: int, cap: int) -> array:
+    """A copy of ``words[:live]`` zero-padded to ``cap`` words."""
+    grown = array("i")
+    grown.frombytes(memoryview(words).cast("B")[:4 * live])
+    grown.frombytes(bytes(4 * (cap - live)))
+    return grown
 
 
 class _GainHits:

@@ -27,7 +27,6 @@ from repro.sim.repair import (
     LazyRepair,
     NoRepair,
     RepairPolicy,
-    choose_repair_target,
     make_repair_policy,
 )
 from repro.sim.report import SimReport, SimSample, StrikeRecord
@@ -53,7 +52,6 @@ __all__ = [
     "SimReport",
     "SimSample",
     "StrikeRecord",
-    "choose_repair_target",
     "make_repair_policy",
     "simulate",
 ]

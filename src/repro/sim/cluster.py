@@ -1,22 +1,41 @@
-"""The simulated cluster: one array-backed state for replicas and failures.
+"""The simulated cluster: replicas and failures, O(what changes) per operation.
 
 :class:`Cluster` is the single owner of the lifetime simulator's state:
 ``objects`` maps each object id to its sorted replica-node tuple
-(insertion-ordered), and per-node lists hold the hosted object ids, the
-replica load and the up/failed flag, all maintained in place on every
-mutation. Node ``i`` sits in rack ``i % racks``.
+(insertion-ordered), per-node lists hold the hosted object ids and the
+replica load, and a set holds the failed nodes. Node ``i`` sits in rack
+``i % racks``.
+
+Every mutation also keeps two derived views current, so no query rescans
+the population:
+
+* a count of failed replicas per object plus a histogram of those counts
+  over ``0..r``, which makes :meth:`Cluster.availability` O(r) for any
+  threshold ``s``;
+* the up nodes in load buckets (load -> ``bisect``-sorted node ids, plus
+  the sorted list of occupied loads), which makes
+  :meth:`Cluster.pick_repair_target` O(r): it walks the lowest buckets
+  and skips at most the ``r`` excluded nodes.
+
+A node failure or recovery costs O(its load); adding, removing or moving
+a replica costs O(r) plus the bucket edits.
 
 The warm attack engine is fed from the same state: :meth:`Cluster.engine`
 builds one :class:`~repro.core.batch.AttackEngine` from ``objects`` on
-first use, and from then on the cluster records which object ids change
-and applies them as one batched ``apply_delta`` per call, so a burst of
-churn between strikes costs a single O(changed replicas) delta.
+first use, and from then on the cluster records the changes and applies
+them as one batched ``apply_delta`` per call: replica moves as in-place
+moves (the object keeps its engine slot), departures and arrivals as
+row removals and appends. A burst of churn between strikes therefore
+costs one delta of O(r) words per changed replica.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, insort
+from typing import (
+    Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.core.batch import AttackEngine
 from repro.core.placement import Placement
@@ -43,14 +62,22 @@ class Cluster:
         self.objects: Dict[int, Tuple[int, ...]] = {}
         self._hosted: List[Set[int]] = [set() for _ in range(n)]
         self._loads: List[int] = [0] * n
-        self._up: List[bool] = [True] * n
+        self._failed: Set[int] = set()
+        # Failed replicas per object, and how many objects have each count.
+        self._down: Dict[int, int] = {}
+        self._down_hist: List[int] = [0]
+        # Up nodes by load: load -> sorted node ids, and the occupied loads.
+        self._buckets: Dict[int, List[int]] = {0: list(range(n))}
+        self._bucket_loads: List[int] = [0]
         # The attached engine, its slot -> object id table (mirroring the
-        # engine's swap-with-last compaction), and the ids changed since
-        # the last engine() call; recorded only while an engine is attached.
+        # engine's swap-with-last compaction), the ids added or removed
+        # since the last engine() call and the replica moves of slotted
+        # objects since then; recorded only while an engine is attached.
         self._engine: Optional[AttackEngine] = None
         self._slot_ids: List[int] = []
         self._slots: Dict[int, int] = {}
         self._changed: Dict[int, None] = {}
+        self._moves: List[Tuple[int, int, int]] = []
 
     @property
     def racks(self) -> int:
@@ -66,9 +93,18 @@ class Cluster:
             self._check_node(node)
         if len(set(nodes)) != len(nodes):
             raise ClusterError(f"object {obj_id} repeats a node: {list(nodes)}")
+        hosted, failed = self._hosted, self._failed
+        down = 0
         for node in nodes:
-            self._hosted[node].add(obj_id)
-            self._loads[node] += 1
+            hosted[node].add(obj_id)
+            self._shift_load(node, 1)
+            if node in failed:
+                down += 1
+        hist = self._down_hist
+        if len(hist) <= len(nodes):
+            hist.extend([0] * (len(nodes) + 1 - len(hist)))
+        hist[down] += 1
+        self._down[obj_id] = down
         self.objects[obj_id] = nodes
         if self._engine is not None:
             # A re-added id goes to the end, like any new row.
@@ -78,9 +114,11 @@ class Cluster:
     def remove_object(self, obj_id: int) -> None:
         if obj_id not in self.objects:
             raise ClusterError(f"object {obj_id} does not exist")
+        hosted = self._hosted
         for node in self.objects.pop(obj_id):
-            self._hosted[node].discard(obj_id)
-            self._loads[node] -= 1
+            hosted[node].discard(obj_id)
+            self._shift_load(node, -1)
+        self._down_hist[self._down.pop(obj_id)] -= 1
         if self._engine is not None:
             if obj_id in self._slots:
                 self._changed[obj_id] = None
@@ -91,7 +129,7 @@ class Cluster:
         """Move ``obj_id``'s replica from node ``old`` to node ``new``.
 
         The row is edited in place, so the object keeps its position in
-        ``objects``.
+        ``objects`` and its engine slot.
         """
         nodes = self.objects.get(obj_id)
         if nodes is None:
@@ -103,19 +141,73 @@ class Cluster:
             raise ClusterError(
                 f"object {obj_id} already has a replica on node {new}"
             )
-        self.objects[obj_id] = tuple(
-            sorted(new if node == old else node for node in nodes)
-        )
-        self._hosted[old].discard(obj_id)
-        self._loads[old] -= 1
-        self._hosted[new].add(obj_id)
-        self._loads[new] += 1
-        if self._engine is not None:
-            self._changed[obj_id] = None
+        row = list(nodes)
+        row[row.index(old)] = new
+        row.sort()
+        self.objects[obj_id] = tuple(row)
+        hosted = self._hosted
+        hosted[old].discard(obj_id)
+        hosted[new].add(obj_id)
+        self._shift_load(old, -1)
+        self._shift_load(new, 1)
+        failed = self._failed
+        lost = (new in failed) - (old in failed)
+        if lost:
+            down = self._down[obj_id]
+            hist = self._down_hist
+            hist[down] -= 1
+            hist[down + lost] += 1
+            self._down[obj_id] = down + lost
+        if obj_id in self._slots:
+            self._moves.append((obj_id, old, new))
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n:
             raise ClusterError(f"node {node} outside [0, {self.n})")
+
+    # -- load buckets ----------------------------------------------------------
+
+    def _shift_load(self, node: int, step: int) -> None:
+        load = self._loads[node]
+        self._loads[node] = load + step
+        if node not in self._failed:
+            self._rebucket(node, load, load + step)
+
+    def _rebucket(
+        self, node: int, old: Optional[int], new: Optional[int]
+    ) -> None:
+        """Move ``node`` between load buckets (None: no bucket, i.e. failed)."""
+        buckets = self._buckets
+        if old is not None:
+            nodes = buckets[old]
+            if len(nodes) == 1:
+                del buckets[old]
+                loads = self._bucket_loads
+                del loads[bisect_left(loads, old)]
+            else:
+                del nodes[bisect_left(nodes, node)]
+        if new is not None:
+            nodes = buckets.get(new)
+            if nodes is None:
+                buckets[new] = [node]
+                insort(self._bucket_loads, new)
+            else:
+                insort(nodes, node)
+
+    def pick_repair_target(self, exclude: Container[int]) -> Optional[int]:
+        """The node to host a rebuilt replica, or None when no candidate exists.
+
+        Deterministic: the least loaded up node outside ``exclude``, ties
+        to the lowest node id (so repair placement is a pure function of
+        cluster state and never draws randomness). Walks the buckets from
+        the lowest load, so it visits at most ``len(exclude) + 1`` nodes.
+        """
+        buckets = self._buckets
+        for load in self._bucket_loads:
+            for node in buckets[load]:
+                if node not in exclude:
+                    return node
+        return None
 
     # -- failures ------------------------------------------------------------
 
@@ -123,42 +215,53 @@ class Cluster:
         ids = list(node_ids)
         for node in ids:
             self._check_node(node)
-            if not self._up[node]:
+            if node in self._failed:
                 raise ClusterError(f"node {node} is already failed")
+        if len(set(ids)) != len(ids):
+            raise ClusterError(f"node ids repeat (a double fault): {ids}")
         for node in ids:
-            self._up[node] = False
+            self._failed.add(node)
+            self._rebucket(node, self._loads[node], None)
+            self._count_down(node, 1)
 
     def recover(self, node: int) -> None:
         self._check_node(node)
-        self._up[node] = True
+        if node not in self._failed:
+            return
+        self._failed.remove(node)
+        self._rebucket(node, None, self._loads[node])
+        self._count_down(node, -1)
+
+    def _count_down(self, node: int, step: int) -> None:
+        """Shift the failed-replica count of every object on ``node``."""
+        down, hist = self._down, self._down_hist
+        for obj_id in self._hosted[node]:
+            count = down[obj_id]
+            hist[count] -= 1
+            hist[count + step] += 1
+            down[obj_id] = count + step
 
     def failed_nodes(self) -> FrozenSet[int]:
-        return frozenset(node for node, up in enumerate(self._up) if not up)
+        return frozenset(self._failed)
 
     def is_up(self, node: int) -> bool:
-        return self._up[node]
+        return node not in self._failed
 
     def up_nodes(self) -> List[int]:
-        return [node for node, up in enumerate(self._up) if up]
-
-    def up_mask(self) -> List[bool]:
-        """The maintained per-node up flags (live state: do not mutate)."""
-        return self._up
+        failed = self._failed
+        return [node for node in range(self.n) if node not in failed]
 
     def rack_nodes(self, rack: int) -> List[int]:
         return list(range(rack, self.n, self._racks))
 
     def availability(self, s: int) -> float:
-        """The share of objects with fewer than ``s`` replicas on failed nodes."""
+        """The share of objects with fewer than ``s`` replicas on failed nodes.
+
+        O(r): a sum over the maintained failed-replica histogram.
+        """
         if not self.objects:
             return 1.0
-        up = self._up
-        live = sum(
-            1
-            for nodes in self.objects.values()
-            if sum(1 for node in nodes if not up[node]) < s
-        )
-        return live / len(self.objects)
+        return sum(self._down_hist[:max(s, 0)]) / len(self.objects)
 
     # -- introspection ---------------------------------------------------------
 
@@ -196,17 +299,18 @@ class Cluster:
         """The attack engine aligned with ``objects`` (None while empty).
 
         The first call builds the engine cold from ``objects`` in
-        insertion order. Later calls apply the ids changed since the
-        previous call as one ``apply_delta``: the vacated slots in
-        descending order, then the current rows of added and moved
-        objects, in the order they were added or first moved. An emptied
-        population drops the engine; the next call with objects builds a
-        new one.
+        insertion order. Later calls apply the changes since the previous
+        call as one ``apply_delta``: the replica moves of objects that
+        kept their slot, in the order they happened; the vacated slots in
+        descending order; then the current rows of added objects, in the
+        order they were added. An emptied population drops the engine;
+        the next call with objects builds a new one.
         """
         if not self.objects:
             self._engine = None
             self._slot_ids, self._slots = [], {}
             self._changed.clear()
+            self._moves.clear()
             return None
         if self._engine is None:
             self._slot_ids = list(self.objects)
@@ -218,36 +322,46 @@ class Cluster:
                     self.n, list(self.objects.values()), strategy="sim"
                 )
             )
-        elif self._changed:
+        elif self._changed or self._moves:
             self._flush()
         return self._engine
 
     def _flush(self) -> None:
-        slots = self._slots
+        slots, changed = self._slots, self._changed
+        # Moves of an object removed since the last flush are dropped with
+        # its slot; if the id came back, its current row goes out whole.
+        moved = [
+            (slots[obj_id], old, new)
+            for obj_id, old, new in self._moves
+            if obj_id not in changed
+        ]
         removed = sorted(
-            (slots[obj_id] for obj_id in self._changed if obj_id in slots),
+            (slots[obj_id] for obj_id in changed if obj_id in slots),
             reverse=True,
         )
-        added = [obj_id for obj_id in self._changed if obj_id in self.objects]
+        added = [obj_id for obj_id in changed if obj_id in self.objects]
         self._engine.apply_delta(
             added_objects=[self.objects[obj_id] for obj_id in added],
             removed_objects=removed,
+            moved_replicas=moved,
         )
         # Replay the engine's swap-with-last compaction on the slot table:
         # removals in descending slot order (the last slot's object moves
-        # into the freed slot), then additions appended in order.
+        # into the freed slot), then additions appended in order. Moves
+        # keep their slots.
         for slot in removed:
-            del self._slots[self._slot_ids[slot]]
+            del slots[self._slot_ids[slot]]
             last = len(self._slot_ids) - 1
             if slot != last:
-                moved = self._slot_ids[last]
-                self._slot_ids[slot] = moved
-                self._slots[moved] = slot
+                tail = self._slot_ids[last]
+                self._slot_ids[slot] = tail
+                slots[tail] = slot
             self._slot_ids.pop()
         for obj_id in added:
-            self._slots[obj_id] = len(self._slot_ids)
+            slots[obj_id] = len(self._slot_ids)
             self._slot_ids.append(obj_id)
-        self._changed.clear()
+        changed.clear()
+        self._moves.clear()
 
     def __repr__(self) -> str:
         return (

@@ -17,16 +17,20 @@ healthy nodes is a policy choice with a real trade-off:
   nodes do. Keeps the Lemma-3 certificate valid for the whole run, which
   is why it is the default for bound-tracking experiments.
 
-The policy decides *timing* only; the mechanics (target choice, cluster
-and engine updates) live in the simulator so policies stay trivially
-composable. Targets are chosen deterministically — least-loaded up node
-not already hosting the object, ties to the lowest id — so repair does
-not consume randomness.
+The policy decides *timing* only, so policies stay trivially composable.
+The mechanics live elsewhere: the simulator moves each lost replica with
+:meth:`Cluster.move_replica <repro.sim.cluster.Cluster.move_replica>`
+to the node :meth:`Cluster.pick_repair_target
+<repro.sim.cluster.Cluster.pick_repair_target>` names — the least-loaded
+up node not already hosting the object, ties to the lowest id, read off
+the cluster's load buckets in O(r) — so repair consumes no randomness,
+and the cluster forwards each move to the warm attack engine as an
+in-place replica move.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class RepairPolicy:
@@ -93,24 +97,3 @@ def make_repair_policy(name: str, grace: float = 4.0) -> RepairPolicy:
         return NoRepair()
     raise ValueError(f"unknown repair policy {name!r}; use eager, lazy or none")
 
-
-def choose_repair_target(
-    loads: Sequence[int],
-    up: Sequence[bool],
-    exclude: Sequence[int],
-) -> Optional[int]:
-    """The node to host a rebuilt replica, or None when no candidate exists.
-
-    Deterministic: least loaded among up nodes outside ``exclude``, ties
-    to the lowest node id (so repair placement is a pure function of
-    cluster state and never draws randomness).
-    """
-    excluded = set(exclude)
-    best: Optional[int] = None
-    best_load = -1
-    for node, load in enumerate(loads):
-        if not up[node] or node in excluded:
-            continue
-        if best is None or load < best_load:
-            best, best_load = node, load
-    return best

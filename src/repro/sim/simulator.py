@@ -57,11 +57,7 @@ from repro.sim.processes import (
     RandomFailureProcess,
     churn_trace,
 )
-from repro.sim.repair import (
-    RepairPolicy,
-    choose_repair_target,
-    make_repair_policy,
-)
+from repro.sim.repair import RepairPolicy, make_repair_policy
 from repro.sim.report import SimReport, SimSample, StrikeRecord
 from repro.util.rng import derive_rng
 
@@ -315,13 +311,10 @@ class LifetimeSimulator:
             # an older failure of a node that has since failed again (the
             # newer failure carries its own grace clock).
             return
-        # Both lists are the cluster's maintained state, so every move
-        # below is seen by the next target choice.
-        loads, up = cluster.loads(), cluster.up_mask()
+        # The cluster's load buckets see every move below, so each target
+        # choice is O(r) and accounts for the moves before it.
         for obj_id in sorted(cluster.hosted(node)):
-            target = choose_repair_target(
-                loads, up, exclude=cluster.objects[obj_id]
-            )
+            target = cluster.pick_repair_target(cluster.objects[obj_id])
             if target is None:
                 continue  # no healthy host available; stay degraded
             cluster.move_replica(obj_id, node, target)

@@ -1,7 +1,8 @@
 """Tests for the delta-aware attack engine and mutable incidence.
 
 The contract under test: an engine that absorbed any interleaved sequence
-of object arrivals/departures via ``apply_delta`` is indistinguishable —
+of object arrivals, departures and in-place replica moves via
+``apply_delta`` is indistinguishable —
 bit-for-bit, ``AttackResult`` equality including evaluation counts — from
 an engine built cold from the resulting placement, across every gain
 backing available in this environment.
@@ -64,6 +65,42 @@ def random_delta(rng, engine_b, n, r):
         if removable else []
     )
     return added, removed
+
+
+def assert_offsets_consistent(incidence):
+    """The replica offset index agrees with the node segments."""
+    node_off, node_end, node_objs, obj_nodes = incidence.csr()
+    offsets, r = incidence._offsets, incidence.r
+    for at in range(incidence.b * r):
+        node = obj_nodes[at]
+        offset = offsets[at]
+        assert 0 <= offset < node_end[node] - node_off[node]
+        assert node_objs[node_off[node] + offset] == at // r
+
+
+def random_moves(rng, model, n, count):
+    """Up to ``count`` valid moves ``(id, old, new)``, applied to ``model``.
+
+    Ids may repeat, so one object can move several times in a batch.
+    """
+    moves = []
+    for _ in range(count):
+        obj_id = rng.randrange(len(model))
+        row = model[obj_id]
+        old = rng.choice(row)
+        new = rng.choice([node for node in range(n) if node not in row])
+        row[row.index(old)] = new
+        moves.append((obj_id, old, new))
+    return moves
+
+
+def apply_to_model(model, added, removed):
+    """Swap-with-last removals in descending id order, then appends."""
+    for obj_id in sorted(removed, reverse=True):
+        last = model.pop()
+        if obj_id < len(model):
+            model[obj_id] = last
+    model.extend(list(row) for row in added)
 
 
 class TestDeltaIncidence:
@@ -145,9 +182,9 @@ class TestDeltaIncidence:
         grows = []
         reserve = Incidence._reserve
 
-        def counting_reserve(self, added):
+        def counting_reserve(self, added, moved):
             before = self._csr
-            reserve(self, added)
+            reserve(self, added, moved)
             grows.append(self._csr is not before)
 
         monkeypatch.setattr(Incidence, "_reserve", counting_reserve)
@@ -193,6 +230,78 @@ class TestDeltaIncidence:
             delta.apply_delta(removed=[0, 0])  # duplicate removal
         with pytest.raises(ValueError):
             delta.apply_delta(removed=[0, 1])  # would empty the placement
+
+    def test_move_validation(self):
+        placement = Placement.from_replica_sets(6, [[0, 1], [1, 2], [2, 3]])
+        delta = Incidence(placement)
+        for moved in (
+            [(3, 0, 4)],  # unknown id
+            [(0, 2, 4)],  # no replica on node 2
+            [(0, 0, 1)],  # node 1 already hosts a replica
+            [(0, 0, 6)],  # out of range
+            [(0, 0, 4), (0, 0, 5)],  # the first move took node 0 away
+        ):
+            with pytest.raises(ValueError):
+                delta.apply_delta(moved=moved)
+        assert csr_object_nodes(delta) == [(0, 1), (1, 2), (2, 3)]
+        # A chain of moves of one object in one batch is valid.
+        delta.apply_delta(moved=[(0, 0, 4), (0, 4, 5), (2, 2, 0)])
+        assert csr_object_nodes(delta) == [(1, 5), (1, 2), (0, 3)]
+        assert_offsets_consistent(delta)
+
+
+@pytest.mark.parametrize(
+    "backing", available_gain_backings(), ids=lambda backing: f"gain-{backing}"
+)
+class TestDeltaMoves:
+    """In-place replica moves interleaved with arrivals and departures.
+
+    After each batch the offset index agrees with the segments, every node
+    segment holds the cold incidence's ids (as a multiset; the order
+    differs), rows match an independent model, and attacks — evaluation
+    counts included — equal a cold engine's, so no result depends on the
+    order of ids inside a segment.
+    """
+
+    def test_moves_match_a_cold_engine(self, backing):
+        rng = random.Random(606)
+        n, r = 13, 3
+        placement = random_placement(n, r, 34, 12)
+        model = [list(row) for row in csr_object_nodes(Incidence(placement))]
+        engine = AttackEngine(placement, gain_backing=backing)
+        attacks = 0
+        for step in range(30):
+            moved = random_moves(rng, model, n, rng.randrange(0, 6))
+            added, removed = random_delta(rng, len(model), n, r)
+            if not (moved or added or removed):
+                continue
+            engine.apply_delta(
+                added_objects=added, removed_objects=removed,
+                moved_replicas=moved,
+            )
+            apply_to_model(model, added, removed)
+            incidence = engine.incidence
+            assert_offsets_consistent(incidence)
+            assert csr_object_nodes(incidence) == [
+                tuple(sorted(row)) for row in model
+            ]
+            cold = Incidence(engine.placement)
+            assert [sorted(ids) for ids in csr_node_objects(incidence)] == [
+                sorted(ids) for ids in csr_node_objects(cold)
+            ]
+            if step % 2:
+                cell = AttackCell(
+                    rng.choice((2, 3)), rng.choice((1, 2)),
+                    "exact" if step % 4 == 3 else "fast",
+                )
+                cold_engine = AttackEngine(
+                    engine.placement, gain_backing=backing
+                )
+                assert engine.attack(cell, seed=5) == cold_engine.attack(
+                    cell, seed=5
+                )
+                attacks += 1
+        assert attacks >= 10
 
 
 @pytest.mark.parametrize(

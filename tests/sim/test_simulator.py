@@ -12,7 +12,8 @@ from repro.sim import (
     make_repair_policy,
     simulate,
 )
-from repro.sim.repair import EagerRepair, LazyRepair, NoRepair, choose_repair_target
+from repro.sim.cluster import Cluster
+from repro.sim.repair import EagerRepair, LazyRepair, NoRepair
 
 
 def strike_tuples(report):
@@ -265,11 +266,21 @@ class TestRepairPolicies:
             LazyRepair(grace=-1.0)
 
     def test_choose_repair_target_is_deterministic(self):
-        loads = [5, 1, 1, 9, 0]
-        up = [True, True, True, True, False]
+        cluster = Cluster(5)
+        obj_id = 0
+        for node, load in enumerate([5, 1, 1, 9, 0]):
+            for _ in range(load):
+                cluster.add_object(obj_id, [node])
+                obj_id += 1
+        cluster.fail_nodes([4])
         # Node 4 is down, node 1 ties node 2 on load: lowest id wins.
-        assert choose_repair_target(loads, up, exclude=[]) == 1
-        assert choose_repair_target(loads, up, exclude=[1]) == 2
-        assert choose_repair_target(
-            loads, [False] * 5, exclude=[]
-        ) is None
+        assert cluster.pick_repair_target(()) == 1
+        assert cluster.pick_repair_target((1,)) == 2
+        assert cluster.pick_repair_target((1, 2)) == 0
+        # A move shifts both loads, and so the next choice.
+        cluster.move_replica(0, 0, 1)
+        assert cluster.pick_repair_target(()) == 2
+        cluster.fail_nodes([0, 1, 2, 3])
+        assert cluster.pick_repair_target(()) is None
+        cluster.recover(4)
+        assert cluster.pick_repair_target(()) == 4
