@@ -64,7 +64,6 @@ __all__ = [
     "SimReport",
     "SimpleStrategy",
     "Subsystem",
-    "SystemParams",
     "UnconstrainedRandomStrategy",
     "__version__",
     "audit_placement",

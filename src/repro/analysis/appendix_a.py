@@ -61,12 +61,6 @@ class AppendixAResult:
             )
         return table.render()
 
-    def random_win_fraction(self) -> float:
-        """Fraction of cells where Random's estimate beats the bound."""
-        wins = sum(1 for cell in self.cells if cell.margin < 0)
-        return wins / len(self.cells) if self.cells else 0.0
-
-
 def default_spec(
     systems: Tuple[Tuple[int, int], ...] = ((71, 3), (71, 5), (257, 3), (257, 5)),
     b_values: Tuple[int, ...] = (600, 2400, 9600, 38400),

@@ -12,9 +12,7 @@ Fig. 9a is n = 71 (k in [s, 7]); Fig. 9b is n = 257 (k in [s, 8]).
 
 The analytic tables run as the ``fig9`` experiment kernel (one shard per
 (r, s) table, sharing its ComboStrategy); ``fig9a``/``fig9b`` in the
-figure catalog are just two default specs over it. The empirical
-validation sweep (:func:`generate_empirical`) stays a direct batch-engine
-consumer — it is a contract check, not a paper figure.
+figure catalog are just two default specs over it.
 """
 
 from __future__ import annotations
@@ -22,19 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.common import (
-    PAPER_B_LADDER,
-    adversary_effort,
-    percent,
-)
-from repro.core.batch import AttackCell, batch_attack
+from repro.analysis.common import PAPER_B_LADDER, percent
 from repro.core.combo import ComboStrategy
 from repro.core.rand_analysis import pr_avail_rnd
 from repro.designs.catalog import Existence
 from repro.exp.registry import ExperimentKernel
 from repro.exp.spec import ExperimentSpec
-from repro.util.rng import spawn_seeds
-from repro.util.tables import TextTable, format_grid
+from repro.util.tables import format_grid
 
 
 @dataclass(frozen=True)
@@ -100,109 +92,6 @@ class Fig9Result:
 
     def render(self) -> str:
         return "\n\n".join(table.render() for table in self.tables)
-
-
-@dataclass(frozen=True)
-class Fig9EmpiricalCell:
-    b: int
-    k_plan: int
-    k_attack: int
-    lower_bound: int
-    measured: int  # upper bound on Avail under heuristic effort
-    pr_avail: int
-    exact: bool
-
-
-@dataclass(frozen=True)
-class Fig9Empirical:
-    """Measured availability of materialized Combo placements.
-
-    Validates the analytic table: on the diagonal (attacked at the k it
-    was planned for) a placement's measured availability must sit at or
-    above ``lbAvail_co`` — with a heuristic adversary the measurement is
-    an upper bound on the true worst case, so the comparison is sound at
-    any effort level. Off-diagonal cells show robustness to mis-planned k.
-    """
-
-    n: int
-    r: int
-    s: int
-    cells: Tuple[Fig9EmpiricalCell, ...]
-
-    def diagonal(self) -> Tuple[Fig9EmpiricalCell, ...]:
-        return tuple(c for c in self.cells if c.k_plan == c.k_attack)
-
-    def violations(self) -> Tuple[Fig9EmpiricalCell, ...]:
-        """Diagonal cells where measurement undercuts the guarantee (= bugs)."""
-        return tuple(c for c in self.diagonal() if c.measured < c.lower_bound)
-
-    def render(self) -> str:
-        table = TextTable(
-            ["b", "k_plan", "k_attack", "lbAvail_co", "measured", "prAvail",
-             "certified"],
-            title=(
-                f"Fig 9 empirical check (n={self.n}, r={self.r}, s={self.s}):"
-                " Combo guarantee vs batched worst-case attack"
-            ),
-        )
-        for cell in self.cells:
-            table.add_row(
-                [
-                    cell.b,
-                    cell.k_plan,
-                    cell.k_attack,
-                    cell.lower_bound,
-                    cell.measured,
-                    cell.pr_avail,
-                    "yes" if cell.exact else "upper-bd",
-                ]
-            )
-        return table.render()
-
-
-def generate_empirical(
-    n: int,
-    r: int,
-    s: int,
-    k_values: Tuple[int, ...],
-    b_values: Tuple[int, ...] = (600,),
-    tier: Existence = Existence.KNOWN,
-    effort: str = "",
-    seed: int = 2015,
-) -> Fig9Empirical:
-    """Materialize Combo placements and attack them through the batch engine.
-
-    For each planned ``k`` the placement is attacked at *every* k in
-    ``k_values`` in one batched pass (one engine per placement, chained
-    incumbents); the diagonal validates Fig. 9's lower bounds, the rest
-    measures sensitivity to planning for the wrong failure count. The
-    sweep is not a runner
-    experiment, so it runs serially in the calling process whatever
-    ``REPRO_WORKERS`` says.
-    """
-    effort = effort or adversary_effort()
-    strategy = ComboStrategy(n, r, s, tier=tier)
-    cells: List[Fig9EmpiricalCell] = []
-    for b in b_values:
-        for k_plan in k_values:
-            plan = strategy.plan(b, k_plan)
-            placement = strategy.place(b, k_plan, plan=plan)
-            grid = [AttackCell(k, s, effort) for k in k_values]
-            [cell_seed] = spawn_seeds(seed, 1, "fig9-empirical", b, k_plan)
-            attacks = batch_attack(placement, grid, seed=cell_seed)
-            for cell, attack in zip(grid, attacks):
-                cells.append(
-                    Fig9EmpiricalCell(
-                        b=b,
-                        k_plan=k_plan,
-                        k_attack=cell.k,
-                        lower_bound=plan.lower_bound,
-                        measured=b - attack.damage,
-                        pr_avail=pr_avail_rnd(n, cell.k, r, s, b),
-                        exact=attack.exact,
-                    )
-                )
-    return Fig9Empirical(n=n, r=r, s=s, cells=tuple(cells))
 
 
 def default_spec(

@@ -605,29 +605,34 @@ def _run_place(args) -> int:
         # Reject before doing the placement work, not after.
         print("--format npz needs --output", file=sys.stderr)
         return 2
-    if args.strategy == "random":
-        placement = RandomStrategy(args.n, args.r).place(
-            args.b, random.Random(args.seed)
-        )
-    elif args.strategy == "simple":
-        strategy = SimpleStrategy(args.n, args.r, args.x)
-        placement = strategy.place(args.b)
-        print(
-            f"# Simple(x={args.x}) lambda={strategy.minimal_lambda(args.b)}",
-            file=sys.stderr,
-        )
-    else:
-        s = args.s if args.s is not None else (args.r + 1) // 2
-        k = args.k if args.k is not None else s
-        strategy = ComboStrategy(
-            args.n, args.r, s, tier=Existence.CONSTRUCTIBLE
-        )
-        plan = strategy.plan(args.b, k)
-        placement = strategy.place(args.b, k, plan=plan)
-        print(
-            f"# Combo lambdas={plan.lambdas} lower_bound={plan.lower_bound}",
-            file=sys.stderr,
-        )
+    try:
+        if args.strategy == "random":
+            placement = RandomStrategy(args.n, args.r).place(
+                args.b, random.Random(args.seed)
+            )
+        elif args.strategy == "simple":
+            strategy = SimpleStrategy(args.n, args.r, args.x)
+            placement = strategy.place(args.b)
+            print(
+                f"# Simple(x={args.x}) lambda={strategy.minimal_lambda(args.b)}",
+                file=sys.stderr,
+            )
+        else:
+            s = args.s if args.s is not None else (args.r + 1) // 2
+            k = args.k if args.k is not None else s
+            strategy = ComboStrategy(
+                args.n, args.r, s, tier=Existence.CONSTRUCTIBLE
+            )
+            plan = strategy.plan(args.b, k)
+            placement = strategy.place(args.b, k, plan=plan)
+            print(
+                f"# Combo lambdas={plan.lambdas} lower_bound={plan.lower_bound}",
+                file=sys.stderr,
+            )
+    except ValueError as exc:
+        # Out-of-range --n/--r/--b/--x/--s/--k: user input, not internal state.
+        print(f"place: {exc}", file=sys.stderr)
+        return 2
     if chosen_format == "npz":
         from repro.core.artifact import save_npz
 
@@ -676,9 +681,13 @@ def _run_attack(args) -> int:
 
 
 def _run_bounds(args) -> int:
-    strategy = ComboStrategy(args.n, args.r, args.s)
-    plan = strategy.plan(args.b, args.k)
-    pr = pr_avail_rnd(args.n, args.k, args.r, args.s, args.b)
+    try:
+        plan = ComboStrategy(args.n, args.r, args.s).plan(args.b, args.k)
+        pr = pr_avail_rnd(args.n, args.k, args.r, args.s, args.b)
+    except ValueError as exc:
+        # Out-of-range --n/--r/--b/--s/--k: user input, not internal state.
+        print(f"bounds: {exc}", file=sys.stderr)
+        return 2
     print(f"Combo plan lambdas: {plan.lambdas} (objects: {plan.counts})")
     print(f"lbAvail_co (guaranteed):   {plan.lower_bound}")
     print(f"prAvail_rnd (Random, probable): {pr}")

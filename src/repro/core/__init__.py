@@ -30,7 +30,6 @@ _EXPORTS = {
     "save_placement": "artifact",
     "AvailabilityReport": "availability",
     "evaluate_availability": "availability",
-    "survivors_under": "availability",
     "AttackCell": "batch",
     "AttackEngine": "batch",
     "batch_attack": "batch",
@@ -51,7 +50,6 @@ _EXPORTS = {
     "Incidence": "kernels",
     "make_kernel": "kernels",
     "majority_threshold": "params",
-    "SystemParams": "params",
     "Placement": "placement",
     "PlacementError": "placement",
     "alpha": "rand_analysis",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.adversary import AttackResult
 from repro.core.batch import AttackCell, batch_attack
@@ -64,10 +64,3 @@ def evaluate_availability(
         available=placement.b - attack.damage,
         attack=attack,
     )
-
-
-def survivors_under(
-    placement: Placement, failed_nodes: Tuple[int, ...], s: int
-) -> int:
-    """Objects surviving one concrete failure set (no search)."""
-    return len(placement.surviving_objects(failed_nodes, s))

@@ -513,10 +513,6 @@ class GainKernel:
     def damage_of(self, hits: _GainHits) -> int:
         return hits.dead
 
-    def damage_for(self, nodes: Sequence[int]) -> int:
-        """One-shot damage of a concrete failure set."""
-        return self.damage_of(self.hits_for(nodes))
-
     def best_addition(self, hits: _GainHits, banned: Sequence[int]) -> Tuple[int, int]:
         """(node, resulting damage) maximizing damage after adding one node.
 
@@ -914,19 +910,12 @@ def make_kernel(
     Pass ``incidence`` to share one :class:`Incidence` across several
     kernels (different ``s``) over the same placement. ``gain_backing``
     pins the backing (default: ``REPRO_GAIN_BACKING``/auto).
-
-    This is the ``kernels.dispatch`` injection point. An injected error
-    propagates like a real one; the shard supervisor is the layer that
-    retries it.
     """
-    from repro import faults
-
     if incidence is None:
         incidence = Incidence(placement)
     elif incidence.placement is not placement:
         raise ValueError("incidence was built for a different placement")
     backing = resolve_gain_backing(gain_backing)
-    faults.inject("kernels.dispatch", backing=backing, s=s)
     with obs.span("kernels.dispatch", backing=backing, s=s):
         kernel = _GAIN_KERNELS[backing](incidence, s)
     obs.count("kernel.dispatch." + backing)

@@ -38,7 +38,7 @@ from array import array
 from collections import Counter, deque
 from itertools import accumulate, chain
 from operator import eq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.util import lazynumpy
 
@@ -432,20 +432,6 @@ class Placement:
             )
         return self._sets
 
-    def node_to_objects(self) -> List[List[int]]:
-        """Inverse map: for each node, the objects it hosts."""
-        node_off, node_objs = self.node_csr()
-        return [
-            list(node_objs[node_off[v]:node_off[v + 1]]) for v in range(self.n)
-        ]
-
-    def objects_on(self, node: int) -> List[int]:
-        """Ids of objects with a replica on ``node``."""
-        if not 0 <= node < self.n:
-            raise PlacementError(f"node {node} outside [0, {self.n})")
-        node_off, node_objs = self.node_csr()
-        return list(node_objs[node_off[node]:node_off[node + 1]])
-
     # -- digests -------------------------------------------------------------
 
     def fingerprint(self) -> str:
@@ -468,8 +454,11 @@ class Placement:
 
     # -- failure queries -----------------------------------------------------
 
-    def _hit_counts(self, failed_nodes: Iterable[int]):
-        """Per-object failed-replica counts via the cached incidence."""
+    def failed_objects(self, failed_nodes: Iterable[int], s: int) -> List[int]:
+        """Objects with at least ``s`` replicas on ``failed_nodes``.
+
+        Counts each object's failed replicas via the cached incidence.
+        """
         failed = {
             node for node in failed_nodes if 0 <= node < self.n
         }
@@ -478,50 +467,14 @@ class Placement:
             mask = np.zeros(self.n, dtype=bool)
             if failed:
                 mask[list(failed)] = True
-            return mask[self.replica_matrix()].sum(axis=1)
+            hits = mask[self.replica_matrix()].sum(axis=1)
+            return (hits >= s).nonzero()[0].tolist()
         counts = [0] * self._b
         node_off, node_objs = self.node_csr()
         for node in failed:
             for obj_id in node_objs[node_off[node]:node_off[node + 1]]:
                 counts[obj_id] += 1
-        return counts
-
-    def failed_objects(self, failed_nodes: Iterable[int], s: int) -> List[int]:
-        """Objects with at least ``s`` replicas on ``failed_nodes``."""
-        counts = self._hit_counts(failed_nodes)
-        if isinstance(counts, list):
-            return [obj_id for obj_id, c in enumerate(counts) if c >= s]
-        return (counts >= s).nonzero()[0].tolist()
-
-    def surviving_objects(self, failed_nodes: Iterable[int], s: int) -> List[int]:
-        """Objects with fewer than ``s`` replicas on ``failed_nodes``."""
-        counts = self._hit_counts(failed_nodes)
-        if isinstance(counts, list):
-            return [obj_id for obj_id, c in enumerate(counts) if c < s]
-        return (counts < s).nonzero()[0].tolist()
-
-    # -- combinators ---------------------------------------------------------
-
-    def restricted_to(self, object_ids: Sequence[int]) -> "Placement":
-        """The sub-placement of the given objects (ids are re-numbered)."""
-        ids = list(object_ids)
-        if not ids:
-            raise PlacementError("cannot restrict to zero objects")
-        flat, b, r = self.replica_array(), self._b, self._r
-        np = lazynumpy.for_bulk(len(ids))
-        if np is not None:
-            sub = _np_rows(np, flat, b, r)[ids]
-            return Placement.from_arrays(
-                self.n, sub, strategy=self.strategy, validate=False
-            )
-        out = array("i")
-        for i in ids:
-            if i < 0:
-                i += b
-            if not 0 <= i < b:
-                raise IndexError(f"object id {i} outside [0, {b})")
-            out.extend(flat[i * r:(i + 1) * r])
-        return Placement(n=self.n, rows=out, r=r, strategy=self.strategy)
+        return [obj_id for obj_id, c in enumerate(counts) if c >= s]
 
     def concatenated_with(self, other: "Placement") -> "Placement":
         """Both object populations on the same node set."""

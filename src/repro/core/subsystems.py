@@ -213,11 +213,6 @@ def best_chunk_decomposition(
     return [Chunk(nx=vs[i], mu=table.mus[i]) for i in best_combo]
 
 
-def ideal_capacity_numerator(n: int, t: int) -> int:
-    """``C(n, t)``: the Lemma-1 ideal, up to the shared ``1/C(r, t)`` factor."""
-    return binom(n, t)
-
-
 def capacity_gap(
     n: int,
     r: int,

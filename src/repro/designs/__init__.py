@@ -8,14 +8,12 @@ sporadic systems, packing assembly (copies + chunking), and an existence
 catalog with explicit provenance tiers.
 """
 
-from repro.designs.affine import affine_geometry_design, affine_plane
+from repro.designs.affine import affine_geometry_design
 from repro.designs.blocks import (
     Block,
     BlockDesign,
     DesignError,
-    design_block_count,
     divisibility_conditions_hold,
-    packing_capacity,
 )
 from repro.designs.catalog import (
     Existence,
@@ -29,7 +27,6 @@ from repro.designs.catalog import (
 from repro.designs.exact_cover import ExactCover, SearchBudgetExceeded
 from repro.designs.gf import GF, gf
 from repro.designs.group_orbit import (
-    orbit_design,
     orbit_of_block,
     pgammal2_generators,
     pgl2_generators,
@@ -38,16 +35,10 @@ from repro.designs.group_orbit import (
 )
 from repro.designs.packing import (
     chunked_packing_blocks,
-    copies_needed,
-    greedy_packing,
-    packing_blocks_from_design,
     sampled_distinct_subsets,
-    shuffled_design_blocks,
-    trivial_packing_blocks,
 )
 from repro.designs.projective import (
     projective_geometry_design,
-    projective_plane,
     projective_space_size,
 )
 from repro.designs.quadruple import (
@@ -59,20 +50,15 @@ from repro.designs.quadruple import (
 )
 from repro.designs.resolvable import (
     one_factorization,
-    one_factorization_design,
     pairs_design,
     partition_design,
 )
 from repro.designs.search import search_steiner_system
 from repro.designs.steiner_triple import steiner_triple_system, sts_exists
-from repro.designs.subline import inversive_plane, subline_design
+from repro.designs.subline import subline_design
 from repro.designs.transforms import (
     all_subsets_blocks,
-    complement_design,
     derived_design,
-    disjoint_union,
-    repeat_design,
-    residual_design,
     trivial_design_prefix,
 )
 from repro.designs.unital import hermitian_unital
@@ -86,45 +72,30 @@ __all__ = [
     "Existence",
     "SearchBudgetExceeded",
     "affine_geometry_design",
-    "affine_plane",
     "all_subsets_blocks",
     "boolean_sqs",
     "build",
     "chunked_packing_blocks",
-    "complement_design",
-    "copies_needed",
     "derived_design",
-    "design_block_count",
-    "disjoint_union",
     "divisibility_conditions_hold",
     "double_sqs",
     "existence",
     "gf",
-    "greedy_packing",
     "hermitian_unital",
-    "inversive_plane",
     "largest_order",
     "min_lambda",
     "one_factorization",
-    "one_factorization_design",
-    "orbit_design",
     "orbit_of_block",
-    "packing_blocks_from_design",
-    "packing_capacity",
     "pairs_design",
     "partition_design",
     "pgammal2_generators",
     "pgl2_generators",
     "projective_geometry_design",
-    "projective_plane",
     "projective_space_size",
     "psl2_generators",
-    "repeat_design",
-    "residual_design",
     "sampled_distinct_subsets",
     "search_orbit_steiner",
     "search_steiner_system",
-    "shuffled_design_blocks",
     "small_witt_design",
     "sqs_constructible",
     "sqs_exists",
@@ -134,5 +105,4 @@ __all__ = [
     "sts_exists",
     "subline_design",
     "trivial_design_prefix",
-    "trivial_packing_blocks",
 ]

@@ -69,8 +69,3 @@ def affine_geometry_design(d: int, q: int) -> BlockDesign:
                 seen_pairs.add(key)
                 blocks.append(tuple(sorted(line)))
     return BlockDesign.from_blocks(q**d, blocks, name=f"AG({d},{q}) lines")
-
-
-def affine_plane(q: int) -> BlockDesign:
-    """The affine plane of order ``q``: a ``2-(q^2, q, 1)`` design."""
-    return affine_geometry_design(2, q)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.util.combinatorics import binom
 
@@ -86,24 +86,12 @@ class BlockDesign:
         counts = self.coverage_counts(t)
         return max(counts.values()) if counts else 0
 
-    def is_packing(self, t: int, lam: int) -> bool:
-        """True iff this is a ``t-(v, r, lam)`` packing (Definition 2 with x = t-1)."""
-        return self.max_coverage(t) <= lam
-
     def is_design(self, t: int, lam: int) -> bool:
         """True iff every ``t``-subset of the point set is in exactly ``lam`` blocks."""
         counts = self.coverage_counts(t)
         if len(counts) != binom(self.v, t):
             return False
         return all(count == lam for count in counts.values())
-
-    def replication_counts(self) -> List[int]:
-        """Number of blocks through each point (load per node when placed)."""
-        per_point = [0] * self.v
-        for block in self.blocks:
-            for point in block:
-                per_point[point] += 1
-        return per_point
 
     def relabel(self, mapping: Sequence[int], v: int) -> "BlockDesign":
         """Map point ``i`` to ``mapping[i]`` into a space of ``v`` points."""
@@ -117,10 +105,6 @@ class BlockDesign:
             raise DesignError("mapping must be injective on design points")
         blocks = [tuple(sorted(mapping[p] for p in block)) for block in self.blocks]
         return BlockDesign.from_blocks(v, blocks, name=self.name)
-
-    def point_sets(self) -> List[FrozenSet[int]]:
-        """Blocks as frozensets (the historical set-facing view)."""
-        return [frozenset(block) for block in self.blocks]
 
     def rows_array(self):
         """Blocks flattened row-major into an int32 buffer (cached).
@@ -148,23 +132,6 @@ class BlockDesign:
         )
 
 
-def design_block_count(v: int, r: int, t: int, lam: int) -> int:
-    """Number of blocks of a ``t-(v, r, lam)`` design; raises if non-integral.
-
-    By double counting, a t-design has exactly ``lam * C(v,t) / C(r,t)``
-    blocks; integrality of this (and of the derived counts for every
-    ``i < t``) is the classical necessary condition for existence.
-    """
-    numerator = lam * binom(v, t)
-    denominator = binom(r, t)
-    if numerator % denominator:
-        raise DesignError(
-            f"no {t}-({v},{r},{lam}) design: block count "
-            f"{numerator}/{denominator} is not integral"
-        )
-    return numerator // denominator
-
-
 def divisibility_conditions_hold(v: int, r: int, t: int, lam: int) -> bool:
     """All of Fisher's divisibility conditions for a ``t-(v, r, lam)`` design.
 
@@ -177,16 +144,3 @@ def divisibility_conditions_hold(v: int, r: int, t: int, lam: int) -> bool:
         if denominator == 0 or numerator % denominator:
             return False
     return True
-
-
-def packing_capacity(v: int, r: int, t: int, lam: int) -> int:
-    """Lemma 1: max number of blocks in any ``t-(v, r, lam)`` packing.
-
-    ``b <= floor(lam * C(v, t) / C(r, t))``. This is the paper's bound with
-    ``t = x + 1``; it is necessary, not sufficient.
-    """
-    if not 1 <= t <= r <= v:
-        raise ValueError(f"need 1 <= t <= r <= v, got t={t}, r={r}, v={v}")
-    if lam < 1:
-        raise ValueError(f"lambda must be >= 1, got {lam}")
-    return (lam * binom(v, t)) // binom(r, t)

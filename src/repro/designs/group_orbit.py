@@ -27,11 +27,6 @@ from repro.util.combinatorics import binom
 Permutation = Tuple[int, ...]
 
 
-def projective_line_size(q: int) -> int:
-    """Number of points of PG(1, q); point ``q`` denotes infinity."""
-    return q + 1
-
-
 def _mobius_permutation(field: GF, a: int, b: int, c: int, d: int) -> Permutation:
     """Permutation of PG(1, q) induced by ``x -> (a x + b) / (c x + d)``.
 
@@ -105,25 +100,6 @@ def orbit_of_block(
                 seen.add(image)
                 frontier.append(image)
     return seen
-
-
-def orbit_design(
-    v: int,
-    base_block: Iterable[int],
-    generators: Sequence[Permutation],
-    t: int,
-    lam: int = 1,
-    name: str = "",
-) -> BlockDesign:
-    """Build the orbit of ``base_block`` and verify it is a ``t-(v,·,lam)`` design."""
-    orbit = orbit_of_block(base_block, generators)
-    design = BlockDesign.from_blocks(v, [tuple(sorted(b)) for b in orbit], name=name)
-    if not design.is_design(t, lam):
-        raise ValueError(
-            f"orbit of {sorted(base_block)} under the given group is not a "
-            f"{t}-({v},{design.block_size},{lam}) design"
-        )
-    return design
 
 
 def search_orbit_steiner(

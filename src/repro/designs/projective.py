@@ -73,8 +73,3 @@ def projective_geometry_design(d: int, q: int) -> BlockDesign:
                 blocks.append(tuple(sorted(line)))
     design = BlockDesign.from_blocks(v, blocks, name=f"PG({d},{q}) lines")
     return design
-
-
-def projective_plane(q: int) -> BlockDesign:
-    """The projective plane of order ``q``: a ``2-(q^2+q+1, q+1, 1)`` design."""
-    return projective_geometry_design(2, q)

@@ -40,26 +40,6 @@ def one_factorization(v: int) -> List[List[Edge]]:
     return rounds
 
 
-def is_one_factorization(v: int, rounds: List[List[Edge]]) -> bool:
-    """Validate: each round a perfect matching, all C(v,2) edges exactly once."""
-    seen = set()
-    for factor in rounds:
-        touched = set()
-        for a, b in factor:
-            if a == b or not (0 <= a < v and 0 <= b < v):
-                return False
-            if a in touched or b in touched:
-                return False
-            touched.update((a, b))
-            edge = (min(a, b), max(a, b))
-            if edge in seen:
-                return False
-            seen.add(edge)
-        if len(touched) != v:
-            return False
-    return len(seen) == v * (v - 1) // 2
-
-
 def partition_design(v: int, r: int) -> BlockDesign:
     """Partition ``v`` points into ``v / r`` blocks: a ``1-(v, r, 1)`` design.
 
@@ -81,15 +61,3 @@ def pairs_design(v: int) -> BlockDesign:
         raise ValueError(f"pairs design needs v >= 2, got {v}")
     blocks = [(a, b) for a in range(v) for b in range(a + 1, v)]
     return BlockDesign.from_blocks(v, blocks, name=f"K_{v} edges")
-
-
-def one_factorization_design(v: int) -> BlockDesign:
-    """The pairs design with blocks ordered round-by-round (resolution order).
-
-    Consuming blocks in this order keeps per-node load as even as possible
-    at every prefix — the property Random placement gets from its quota and
-    Simple(0, ·)/pairs placements get from resolvability.
-    """
-    rounds = one_factorization(v)
-    blocks = [edge for factor in rounds for edge in factor]
-    return BlockDesign.from_blocks(v, blocks, name=f"K_{v} edges [resolved]")

@@ -60,8 +60,3 @@ def subline_design(q: int, d: int) -> BlockDesign:
             f"subline orbit over PG(1,{big_q}) is not a 3-(v,{q + 1},1) design"
         )
     return design
-
-
-def inversive_plane(q: int) -> BlockDesign:
-    """The Miquelian inversive plane of order ``q``: S(3, q+1, q^2+1)."""
-    return subline_design(q, 2)

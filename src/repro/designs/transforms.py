@@ -1,11 +1,10 @@
-"""Design transformations: derived designs, copies, disjoint unions, complements.
+"""Design transformations: derived designs and the trivial design.
 
-These are the standard design-theory operations the paper leans on:
+The ``lambda``-fold copies of Observation 1 and the chunked unions of
+Observation 2 are assembled directly as packings in
+:mod:`repro.designs.packing`. This module holds the two transformations
+the catalog needs:
 
-* ``lambda``-fold **copies** realize Observation 1 (a Simple(x, λ) from λ/μ
-  copies of a Simple(x, μ));
-* **disjoint unions** realize Observation 2 (chunking the node set when no
-  single subsystem order fits);
 * **derived** designs turn S(5,6,12) into the S(4,5,11) the catalog lists;
 * the **trivial design** of all r-subsets covers the ``x + 1 = r`` case,
   where the paper notes the Steiner constraints are vacuously satisfied.
@@ -14,47 +13,9 @@ These are the standard design-theory operations the paper leans on:
 from __future__ import annotations
 
 from itertools import combinations, islice
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator
 
 from repro.designs.blocks import Block, BlockDesign, DesignError
-
-
-def repeat_design(design: BlockDesign, copies: int) -> BlockDesign:
-    """The ``copies``-fold multiset union: a t-(v, r, copies * lam) design."""
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    return BlockDesign(
-        v=design.v,
-        block_size=design.block_size,
-        blocks=design.blocks * copies,
-        name=f"{design.name} x{copies}" if design.name else "",
-    )
-
-
-def disjoint_union(designs: Sequence[BlockDesign]) -> BlockDesign:
-    """Union on disjoint point sets (chunking; Observation 2 of the paper).
-
-    Chunk ``i``'s points are shifted by the total size of chunks before it.
-    All chunks must share the block size. Coverage of any t-subset touching
-    two chunks is zero, so a union of t-(v_i, r, λ) packings is a
-    t-(Σ v_i, r, λ) packing.
-    """
-    if not designs:
-        raise ValueError("disjoint_union needs at least one design")
-    block_size = designs[0].block_size
-    blocks: List[Block] = []
-    offset = 0
-    for design in designs:
-        if design.block_size != block_size:
-            raise DesignError(
-                f"mixed block sizes {design.block_size} and {block_size}"
-            )
-        blocks.extend(
-            tuple(point + offset for point in block) for block in design.blocks
-        )
-        offset += design.v
-    names = ", ".join(d.name for d in designs if d.name)
-    return BlockDesign.from_blocks(offset, blocks, name=f"union[{names}]")
 
 
 def derived_design(design: BlockDesign, point: int) -> BlockDesign:
@@ -78,37 +39,6 @@ def derived_design(design: BlockDesign, point: int) -> BlockDesign:
         raise DesignError(f"no blocks through point {point}")
     return BlockDesign.from_blocks(
         design.v - 1, blocks, name=f"derived({design.name or 'design'}@{point})"
-    )
-
-
-def residual_design(design: BlockDesign, point: int) -> BlockDesign:
-    """Residual design at ``point``: the blocks avoiding it, points relabeled."""
-    if not 0 <= point < design.v:
-        raise ValueError(f"point {point} outside design on {design.v} points")
-
-    def relabel(p: int) -> int:
-        return p if p < point else p - 1
-
-    blocks = [
-        tuple(sorted(relabel(p) for p in block))
-        for block in design.blocks
-        if point not in block
-    ]
-    if not blocks:
-        raise DesignError(f"every block passes through point {point}")
-    return BlockDesign.from_blocks(
-        design.v - 1, blocks, name=f"residual({design.name or 'design'}@{point})"
-    )
-
-
-def complement_design(design: BlockDesign) -> BlockDesign:
-    """Replace every block by its complement in the point set."""
-    if design.block_size >= design.v:
-        raise DesignError("complement of spanning blocks would be empty")
-    full = set(range(design.v))
-    blocks = [tuple(sorted(full - set(block))) for block in design.blocks]
-    return BlockDesign.from_blocks(
-        design.v, blocks, name=f"complement({design.name or 'design'})"
     )
 
 

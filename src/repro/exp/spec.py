@@ -21,9 +21,8 @@ effort). Everything in a spec is JSON-native, so a spec
   builders and the runner.
 
 Cells — one parameter point each — are plain ``{axis: value}`` dicts
-produced by the kernel's expansion (defaulting to
-:func:`cartesian_cells`). :func:`cell_key` gives the canonical JSON
-identity of a cell, which the run store uses to pin stored lines to
+produced by the kernel's expansion. :func:`cell_key` gives the canonical
+JSON identity of a cell, which the run store uses to pin stored lines to
 expansion slots.
 """
 
@@ -33,7 +32,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 SPEC_FORMAT = "repro-experiment-spec"
 SPEC_VERSION = 1
@@ -119,9 +118,6 @@ class ExperimentSpec:
                 return values
         raise SpecError(f"spec {self.experiment!r} has no axis {name!r}")
 
-    def axis_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.axes)
-
     def constant(self, name: str, default: Any = _MISSING) -> Any:
         for constant_name, value in self.constants:
             if constant_name == name:
@@ -177,21 +173,6 @@ class ExperimentSpec:
 def cell_key(cell: Mapping[str, Any]) -> str:
     """Canonical JSON identity of one cell (used to pin stored lines)."""
     return json.dumps(dict(cell), sort_keys=True, separators=(",", ":"))
-
-
-def cartesian_cells(spec: ExperimentSpec) -> List[Dict[str, Any]]:
-    """Default expansion: full cartesian product, axes in name order.
-
-    Axis *names* iterate in sorted order (matching the canonical spec
-    form) and axis *values* in their declared order, so two equal specs
-    always expand to the same cell sequence.
-    """
-    cells: List[Dict[str, Any]] = [{}]
-    for name, values in spec.axes:
-        cells = [
-            {**cell, name: value} for cell in cells for value in values
-        ]
-    return cells
 
 
 def env_int(name: str, default: int, minimum: int) -> int:

@@ -11,15 +11,14 @@ The package has two halves:
   or raises an :class:`InjectedFault`.
 
 Sites threaded through the stack: ``store.commit`` (run-store appends),
-``runner.shard_start`` (shard workers), ``native.compile`` (the C
-accelerator build) and ``kernels.dispatch`` (gain-backing selection).
-One layer retries: the shard supervisor (and its serial replay) in
-:mod:`repro.exp.runner` re-runs a shard whose attempt failed, wherever
-in the shard the fault fired. The other consumers do what they would do
-on a real failure: a torn or failed store append ends the run and
-``--resume`` heals it from the committed prefix, and after a failed
-compile ``auto`` resolves to python. An injected fault therefore delays
-a run or ends it, but never corrupts it.
+``runner.shard_start`` (shard workers) and ``native.compile`` (the C
+accelerator build). One layer retries: the shard supervisor (and its
+serial replay) in :mod:`repro.exp.runner` re-runs a shard whose attempt
+failed. The other consumers do what they would do on a real failure: a
+torn or failed store append ends the run and ``--resume`` heals it from
+the committed prefix, and after a failed compile ``auto`` resolves to
+python. An injected fault therefore delays a run or ends it, but never
+corrupts it.
 """
 
 from repro.faults.injector import (
@@ -28,8 +27,6 @@ from repro.faults.injector import (
     active_plan,
     clear,
     configure,
-    fired_by_rule,
-    fired_total,
     inject,
     reset_counters,
 )
@@ -55,8 +52,6 @@ __all__ = [
     "active_plan",
     "clear",
     "configure",
-    "fired_by_rule",
-    "fired_total",
     "inject",
     "prob_plan",
     "reset_counters",

@@ -93,16 +93,6 @@ def active_plan() -> Optional[FaultPlan]:
     return _env_plan
 
 
-def fired_total() -> int:
-    """How many faults fired in this process since the last reset."""
-    return sum(_fired.values())
-
-
-def fired_by_rule() -> Dict[int, int]:
-    """Per-rule fire counts (rule index in the active plan's order)."""
-    return dict(_fired)
-
-
 def _decision(
     seed: int, rule_index: int, site: str, hit: int,
     context: Mapping[str, Any], label: str = "fire",

@@ -44,7 +44,6 @@ SITES: Tuple[str, ...] = (
     "store.commit",
     "runner.shard_start",
     "native.compile",
-    "kernels.dispatch",
 )
 
 #: The sites whose injected ``error`` is absorbed: the shard supervisor

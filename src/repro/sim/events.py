@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 
 class EventKind(Enum):
@@ -32,8 +31,7 @@ class EventKind(Enum):
     MEASURE = "measure"              # sample the time-series metrics
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled occurrence; payload fields are kind-specific.
 
     ``node`` targets NODE_REPAIR / REREPLICATE; ``epoch`` stamps a
@@ -44,6 +42,11 @@ class Event:
     and the victim draw happens at handling time, keeping queue contents
     placement-free (as the trace itself is, see
     :func:`~repro.sim.processes.churn_trace`).
+
+    A named tuple rather than a frozen dataclass: the simulator builds
+    one per scheduled event, and a tuple is built without a per-field
+    ``object.__setattr__``. Queue entries are ``(time, seq, event)`` with
+    a unique ``seq``, so events themselves are never compared.
     """
 
     kind: EventKind
@@ -86,10 +89,6 @@ class EventQueue:
         time, _seq, event = heapq.heappop(self._heap)
         self._now = time
         return time, event
-
-    def peek_time(self) -> Optional[float]:
-        """The next event's time, or None when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -8,18 +8,12 @@ as optional accelerators elsewhere.
 from repro.util.combinatorics import (
     binom,
     ceil_div,
-    falling_factorial,
-    k_subsets,
     lcm_many,
-    rank_subset,
-    unrank_subset,
 )
 from repro.util.intmath import (
     Rational,
-    floor_ratio,
     log_binom,
     log_binom_tail,
-    logsumexp,
 )
 from repro.util.rng import derive_rng, spawn_seeds
 from repro.util.tables import TextTable, format_grid
@@ -30,15 +24,9 @@ __all__ = [
     "binom",
     "ceil_div",
     "derive_rng",
-    "falling_factorial",
-    "floor_ratio",
     "format_grid",
-    "k_subsets",
     "lcm_many",
     "log_binom",
     "log_binom_tail",
-    "logsumexp",
-    "rank_subset",
     "spawn_seeds",
-    "unrank_subset",
 ]

@@ -10,8 +10,7 @@ choices are not). All public functions therefore work on ``int``.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Tuple
 
 
 def binom(n: int, k: int) -> int:
@@ -25,16 +24,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """``n * (n-1) * ... * (n-k+1)`` with the empty product equal to 1."""
-    if k < 0:
-        raise ValueError(f"falling_factorial undefined for k={k} < 0")
-    result = 1
-    for i in range(k):
-        result *= n - i
-    return result
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -56,49 +45,6 @@ def lcm_many(values: Iterable[int]) -> int:
     if not seen_any:
         raise ValueError("lcm_many requires at least one value")
     return result
-
-
-def k_subsets(items: Sequence[int], k: int) -> Iterator[Tuple[int, ...]]:
-    """All ``k``-subsets of ``items`` in lexicographic order.
-
-    Thin wrapper over :func:`itertools.combinations` that exists so call
-    sites read as design-theory statements (``for block in k_subsets(...)``).
-    """
-    return combinations(items, k)
-
-
-def rank_subset(subset: Sequence[int], n: int) -> int:
-    """Rank of a sorted ``k``-subset of ``range(n)`` in colex order.
-
-    Colex ranking is used to give every node subset a stable integer id so
-    adversary search can memoize visited failure sets compactly.
-    """
-    rank = 0
-    for position, element in enumerate(sorted(subset), start=1):
-        rank += binom(element, position)
-    return rank
-
-
-def unrank_subset(rank: int, n: int, k: int) -> Tuple[int, ...]:
-    """Inverse of :func:`rank_subset`: the colex-``rank`` ``k``-subset of ``range(n)``."""
-    if not 0 <= rank < binom(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    result = []
-    remaining = rank
-    for position in range(k, 0, -1):
-        # Largest element e with C(e, position) <= remaining.
-        element = position - 1
-        while binom(element + 1, position) <= remaining:
-            element += 1
-        result.append(element)
-        remaining -= binom(element, position)
-    return tuple(reversed(result))
-
-
-def pairs_within(block: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    """All unordered pairs inside a block (sorted within each pair)."""
-    ordered = sorted(block)
-    return combinations(ordered, 2)
 
 
 def is_prime(n: int) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,6 @@ class Rational:
     def ceil(self) -> int:
         return -((-self.numerator) // self.denominator)
 
-    def is_integral(self) -> bool:
-        return self.numerator % self.denominator == 0
-
     def __float__(self) -> float:
         return self.numerator / self.denominator
 
@@ -106,29 +103,11 @@ def _as_rational(value: "Rational | int") -> Rational:
     raise TypeError(f"cannot coerce {type(value).__name__} to Rational")
 
 
-def floor_ratio(numerator: int, denominator: int) -> int:
-    """Exact ``floor(numerator / denominator)`` for ``denominator > 0``."""
-    if denominator <= 0:
-        raise ValueError(f"floor_ratio requires positive denominator, got {denominator}")
-    return numerator // denominator
-
-
 def log_binom(n: int, k: int) -> float:
     """Natural log of ``C(n, k)``; ``-inf`` outside the valid range."""
     if k < 0 or n < 0 or k > n:
         return float("-inf")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def logsumexp(values: Iterable[float]) -> float:
-    """Stable ``log(sum(exp(v)))`` over an iterable of floats."""
-    items = [v for v in values if v != float("-inf")]
-    if not items:
-        return float("-inf")
-    peak = max(items)
-    if peak == float("inf"):
-        return float("inf")
-    return peak + math.log(sum(math.exp(v - peak) for v in items))
 
 
 #: Each walk stops once a term falls below this fraction of the running
@@ -203,26 +182,4 @@ def log_binom_tail(n: int, p: float, f: int) -> float:
     log_pmf, odds = _anchor(n, p, m)
     total = _walk_up(n, odds, m, n, 1.0)
     total = _walk_down(n, odds, m, f, total)
-    return log_pmf + math.log(total)
-
-
-def log_binom_head(n: int, p: float, f: int) -> float:
-    """``log P(Bin(n, p) <= f)`` — the complementary head sum.
-
-    Mirrors :func:`log_binom_tail`: anchored at ``m = min(f, mode)``, it
-    walks downward from ``m`` to 0 and, when ``f`` lies above the mode,
-    upward from ``m`` to ``f``.
-    """
-    if f >= n:
-        return 0.0
-    if f < 0:
-        return float("-inf")
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return float("-inf")
-    m = min(f, _mode(n, p))
-    log_pmf, odds = _anchor(n, p, m)
-    total = _walk_down(n, odds, m, 0, 1.0)
-    total = _walk_up(n, odds, m, f, total)
     return log_pmf + math.log(total)

@@ -73,21 +73,3 @@ def format_grid(
             )
         table.add_row([label, *row])
     return table.render()
-
-
-def format_series(
-    x_label: str,
-    x_values: Sequence[object],
-    series: Sequence[tuple],
-    title: Optional[str] = None,
-    precision: int = 4,
-) -> str:
-    """Render curve families (one x column, one column per named series)."""
-    table = TextTable([x_label, *[name for name, _ in series]], title=title)
-    for i, x in enumerate(x_values):
-        row: List[object] = [x]
-        for _, ys in series:
-            y = ys[i]
-            row.append(round(y, precision) if isinstance(y, float) else y)
-        table.add_row(row)
-    return table.render()

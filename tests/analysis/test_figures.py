@@ -129,20 +129,6 @@ class TestFig9:
                 assert cell.improvement_percent <= 100.0
         assert result.table_for(9, 9) is None
 
-    def test_empirical_check_respects_guarantee(self):
-        # Small-scale spot check through the batch engine: on the diagonal
-        # (attacked at the planned k) measured availability can never
-        # undercut lbAvail_co — heuristic measurement only overestimates.
-        result = fig9.generate_empirical(
-            13, 3, 2, k_values=(2, 3), b_values=(26,), effort="exact"
-        )
-        assert result.violations() == ()
-        assert len(result.cells) == 4  # 2 plans x 2 attack-k per b
-        for cell in result.diagonal():
-            assert cell.measured >= cell.lower_bound
-            assert cell.exact
-        assert "empirical" in result.render()
-
     def test_headline_anchor_combo_wins_r2(self):
         # Paper: for r = s = 2 Combo wins everywhere on the n = 71 table.
         result = run_experiment(

@@ -230,9 +230,9 @@ class TestMmapLoading:
         eager_kernel = make_kernel(eager, 2)
         mapped_kernel = make_kernel(mapped, 2)
         for nodes in ([0], [1, 4], [2, 3, 5]):
-            assert mapped_kernel.damage_for(nodes) == eager_kernel.damage_for(
-                nodes
-            )
+            assert mapped_kernel.damage_of(
+                mapped_kernel.hits_for(nodes)
+            ) == eager_kernel.damage_of(eager_kernel.hits_for(nodes))
 
     def test_boundary_loader_mmap_roundtrip(self, placement, tmp_path):
         path = self._saved(placement, tmp_path)

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.availability import evaluate_availability, survivors_under
+from repro.core.availability import evaluate_availability
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
 
@@ -28,11 +28,3 @@ class TestEvaluate:
         report = evaluate_availability(placement, 3, 2, effort="exact")
         assert report.available >= strategy.lower_bound(26, 3, 2)
 
-
-class TestSurvivors:
-    def test_counts(self):
-        placement = RandomStrategy(10, 3).place(20, random.Random(1))
-        total = survivors_under(placement, (0, 1, 2), 2) + len(
-            placement.failed_objects((0, 1, 2), 2)
-        )
-        assert total == 20

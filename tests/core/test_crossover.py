@@ -144,32 +144,10 @@ class TestPlacementBulkBranches:
 
         def query():
             placement = Placement.from_arrays(n, rows, validate=False)
-            return (
-                placement.failed_objects(failed, s),
-                placement.surviving_objects(failed, s),
-            )
+            return placement.failed_objects(failed, s)
 
         numpy_side, pure_side = on_both(query)
         assert numpy_side == pure_side
-
-    @settings(max_examples=60, deadline=None)
-    @given(valid_placements(), st.data())
-    def test_restriction(self, case, data):
-        n, r, rows = case
-        ids = data.draw(st.lists(st.integers(-len(rows) - 2, len(rows) + 1),
-                                 min_size=1, max_size=10))
-
-        def restrict():
-            placement = Placement.from_arrays(n, rows, validate=False)
-            sub = placement.restricted_to(ids)
-            return sub.replica_array().tobytes()
-
-        numpy_side, pure_side = on_both(lambda: outcome(restrict))
-        if isinstance(numpy_side, tuple):
-            # Both reject an out-of-range id; only the wording differs.
-            assert numpy_side[0] is pure_side[0] is IndexError
-        else:
-            assert numpy_side == pure_side
 
 
 class TestDesignRowBranches:
@@ -183,4 +161,3 @@ class TestDesignRowBranches:
         )
         assert numpy_side == pure_side
         assert len(pure_side) == num_blocks * design.block_size
-

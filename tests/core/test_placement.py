@@ -41,43 +41,13 @@ class TestQueries:
         assert p.loads() == [3, 1, 1, 1]
         assert p.max_load() == 3
 
-    def test_objects_on(self):
-        p = make(4, [(0, 1), (0, 2), (2, 3)])
-        assert p.objects_on(0) == [0, 1]
-        assert p.objects_on(3) == [2]
-        with pytest.raises(PlacementError):
-            p.objects_on(4)
-
-    def test_node_to_objects_matches_objects_on(self):
-        p = make(4, [(0, 1), (0, 2), (2, 3)])
-        table = p.node_to_objects()
-        for node in range(4):
-            assert table[node] == p.objects_on(node)
-
     def test_failed_objects_threshold(self):
         p = make(5, [(0, 1, 2), (2, 3, 4), (0, 3, 4)])
         assert p.failed_objects([0, 1], s=2) == [0]
         assert p.failed_objects([0, 1], s=1) == [0, 2]
-        assert p.surviving_objects([0, 1], s=2) == [1, 2]
-
-    def test_failed_plus_surviving_partition(self):
-        p = make(6, [(0, 1, 2), (3, 4, 5), (0, 3, 5)])
-        for s in (1, 2, 3):
-            failed = set(p.failed_objects([0, 3], s))
-            surviving = set(p.surviving_objects([0, 3], s))
-            assert failed | surviving == {0, 1, 2}
-            assert failed & surviving == set()
 
 
 class TestCombinators:
-    def test_restricted_to(self):
-        p = make(5, [(0, 1), (1, 2), (3, 4)])
-        sub = p.restricted_to([0, 2])
-        assert sub.b == 2
-        assert sub.replica_sets == (frozenset({0, 1}), frozenset({3, 4}))
-        with pytest.raises(PlacementError):
-            p.restricted_to([])
-
     def test_concatenated_with(self):
         a = make(5, [(0, 1)], strategy="A")
         b = make(5, [(2, 3)], strategy="B")
@@ -160,7 +130,6 @@ class TestArrayCore:
                 obj_id for obj_id, nodes in enumerate(p.replica_sets)
                 if node in nodes
             ]
-            assert segment == p.objects_on(node)
 
     def test_load_array_matches_profile(self):
         p = make(4, [(0, 1), (0, 2), (0, 3)])
@@ -199,21 +168,14 @@ class TestArrayCore:
                     if len(nodes & failed_set) >= s
                 ]
                 assert p.failed_objects(failed, s) == expect_failed
-                expect_surviving = [
-                    i for i, nodes in enumerate(p.replica_sets)
-                    if len(nodes & failed_set) < s
-                ]
-                assert p.surviving_objects(failed, s) == expect_surviving
 
     def test_failed_objects_ignores_out_of_range_nodes(self):
         p = make(4, [(0, 1), (2, 3)])
         assert p.failed_objects([0, 1, 9, -2], 2) == [0]
-        assert p.surviving_objects([9], 1) == [0, 1]
+        assert p.failed_objects([9], 1) == []
 
-    def test_restricted_and_concatenated_stay_canonical(self):
-        p = make(5, [(4, 0), (1, 2), (3, 4)])
-        sub = p.restricted_to([2, 0])
-        assert list(sub.replica_array()) == [3, 4, 0, 4]
-        both = sub.concatenated_with(make(5, [(2, 1)]))
+    def test_concatenated_stays_canonical(self):
+        p = make(5, [(4, 3), (4, 0)])
+        both = p.concatenated_with(make(5, [(2, 1)]))
         assert both.b == 3
         assert list(both.replica_array()) == [3, 4, 0, 4, 1, 2]

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.designs.affine import affine_geometry_design, affine_plane
+from repro.designs.affine import affine_geometry_design
 from repro.designs.projective import (
     projective_geometry_design,
-    projective_plane,
     projective_space_size,
 )
-from repro.designs.subline import inversive_plane, subline_design
+from repro.designs.subline import subline_design
 from repro.designs.unital import hermitian_unital
 from repro.util.combinatorics import binom
 
@@ -16,7 +15,7 @@ from repro.util.combinatorics import binom
 class TestAffine:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_affine_plane(self, q):
-        design = affine_plane(q)
+        design = affine_geometry_design(2, q)
         assert design.v == q * q
         assert design.block_size == q
         assert design.num_blocks == q * (q + 1)
@@ -40,14 +39,16 @@ class TestAffine:
             affine_geometry_design(1, 3)
 
     def test_point_loads_uniform(self):
-        design = affine_plane(4)
-        assert set(design.replication_counts()) == {5}  # q + 1 lines per point
+        design = affine_geometry_design(2, 4)
+        loads = design.coverage_counts(1)
+        assert len(loads) == 16
+        assert set(loads.values()) == {5}  # q + 1 lines per point
 
 
 class TestProjective:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_projective_plane(self, q):
-        design = projective_plane(q)
+        design = projective_geometry_design(2, q)
         assert design.v == q * q + q + 1
         assert design.block_size == q + 1
         assert design.num_blocks == design.v  # planes are symmetric designs
@@ -87,7 +88,7 @@ class TestUnital:
 
 class TestSubline:
     def test_inversive_plane_order_3(self):
-        design = inversive_plane(3)
+        design = subline_design(3, 2)
         assert design.v == 10
         assert design.block_size == 4
         assert design.is_design(3, 1)

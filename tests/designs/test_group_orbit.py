@@ -4,7 +4,6 @@ import pytest
 
 from repro.designs.group_orbit import (
     frobenius_permutation,
-    orbit_design,
     orbit_of_block,
     pgammal2_generators,
     pgl2_generators,
@@ -68,16 +67,6 @@ class TestOrbits:
         # One orbit = all C(6,3) triples of PG(1,5).
         orbit = orbit_of_block({0, 1, 5}, pgl2_generators(5))
         assert len(orbit) == 20
-
-    def test_orbit_design_validates(self):
-        with pytest.raises(ValueError):
-            # All triples under PGL(2,5) = trivial 3-(6,3,1)... which IS a
-            # design; use a wrong lambda to trip validation.
-            orbit_design(6, {0, 1, 5}, pgl2_generators(5), t=3, lam=2)
-
-    def test_orbit_design_accepts_valid(self):
-        design = orbit_design(6, {0, 1, 5}, pgl2_generators(5), t=3, lam=1)
-        assert design.num_blocks == 20
 
 
 class TestOrbitSearch:

@@ -1,20 +1,10 @@
-"""Tests for packing assembly: copies, chunking, trivial prefixes, greedy."""
-
-import random
+"""Tests for packing assembly: shuffled copies and chunking."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.designs.blocks import BlockDesign, DesignError, packing_capacity
+from repro.designs.blocks import BlockDesign, DesignError
 from repro.designs.catalog import build
-from repro.designs.packing import (
-    chunked_packing_blocks,
-    copies_needed,
-    greedy_packing,
-    packing_blocks_from_design,
-    trivial_packing_blocks,
-)
+from repro.designs.packing import chunked_packing_blocks, shuffled_design_rows
 from repro.designs.steiner_triple import steiner_triple_system
 
 
@@ -22,31 +12,30 @@ def coverage_multiplicity(v, blocks, t):
     return BlockDesign.from_blocks(v, blocks).max_coverage(t)
 
 
+def copied_blocks(design, num_blocks):
+    rows = shuffled_design_rows(design, num_blocks)
+    r = design.block_size
+    return [tuple(rows[i:i + r]) for i in range(0, len(rows), r)]
+
+
 class TestCopies:
     def test_prefix_of_copies(self):
         sts = steiner_triple_system(9)  # 12 blocks
-        blocks = packing_blocks_from_design(sts, 30)
+        blocks = copied_blocks(sts, 30)
         assert len(blocks) == 30
         # 30 blocks = 2 full copies + 6: multiplicity exactly 3 on some pair.
         assert coverage_multiplicity(9, blocks, 2) == 3
 
     def test_exact_multiple_stays_tight(self):
         sts = steiner_triple_system(9)
-        blocks = packing_blocks_from_design(sts, 24)
+        blocks = copied_blocks(sts, 24)
         assert coverage_multiplicity(9, blocks, 2) == 2
-
-    def test_copies_needed(self):
-        assert copies_needed(12, 24) == 2
-        assert copies_needed(12, 25) == 3
-        assert copies_needed(12, 1) == 1
-        with pytest.raises(ValueError):
-            copies_needed(0, 5)
 
     def test_zero_blocks(self):
         sts = steiner_triple_system(9)
-        assert packing_blocks_from_design(sts, 0) == []
+        assert copied_blocks(sts, 0) == []
         with pytest.raises(ValueError):
-            packing_blocks_from_design(sts, -1)
+            copied_blocks(sts, -1)
 
 
 class TestChunking:
@@ -85,56 +74,10 @@ class TestChunking:
         assert sides == {0, 1}  # both chunks represented early
 
 
-class TestTrivialPacking:
-    def test_prefix(self):
-        blocks = trivial_packing_blocks(6, 3, 10)
-        assert len(blocks) == 10
-        assert len(set(blocks)) == 10
-
-    def test_capacity_guard(self):
-        with pytest.raises(DesignError):
-            trivial_packing_blocks(5, 3, 11)
-
-
-class TestGreedyPacking:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(8, 16),
-        st.integers(2, 4),
-        st.data(),
-    )
-    def test_result_is_valid_packing(self, v, t_candidate, data):
-        r = data.draw(st.integers(max(2, t_candidate), min(5, v // 2)))
-        t = min(t_candidate, r)
-        lam = data.draw(st.integers(1, 2))
-        cap = packing_capacity(v, r, t, lam)
-        # Stay well below capacity: greedy choices dead-end near it.
-        num = data.draw(st.integers(1, max(1, min(cap // 3, 30))))
-        blocks = greedy_packing(v, r, t, lam, num, rng=random.Random(1))
-        assert len(blocks) == num
-        assert coverage_multiplicity(v, blocks, t) <= lam
-
-    def test_capacity_exceeded_rejected(self):
-        with pytest.raises(DesignError):
-            greedy_packing(7, 3, 2, 1, 8)  # STS(7) capacity is 7
-
-    def test_stall_detection(self):
-        # Capacity bound admits 2 blocks, but after one specific block the
-        # sampler can still finish; use a tiny reject budget to force stall
-        # detection on an (almost) full instance.
-        with pytest.raises(DesignError):
-            greedy_packing(6, 3, 2, 1, 4, rng=random.Random(0), max_rejects=1)
-
-    def test_compare_against_catalog_capacity(self):
-        # Greedy reaches a decent fraction of the Lemma-1 optimum on STS(9).
-        blocks = greedy_packing(9, 3, 2, 1, 8, rng=random.Random(3))
-        assert coverage_multiplicity(9, blocks, 2) == 1
-
-
 class TestAgainstCatalogDesigns:
     @pytest.mark.parametrize("v,r,t", [(13, 4, 2), (16, 4, 2), (10, 4, 3)])
     def test_catalog_designs_feed_packings(self, v, r, t):
         design = build(v, r, t)
         demand = design.num_blocks + 3
-        blocks = packing_blocks_from_design(design, demand)
+        blocks = copied_blocks(design, demand)
         assert coverage_multiplicity(v, blocks, t) == 2

@@ -1,52 +1,15 @@
-"""Tests for design transformations (derived, copies, unions, complements)."""
+"""Tests for design transformations (derived designs, trivial prefixes)."""
 
 import pytest
 
-from repro.designs.blocks import BlockDesign, DesignError
+from repro.designs.blocks import DesignError
 from repro.designs.quadruple import boolean_sqs
-from repro.designs.steiner_triple import steiner_triple_system
 from repro.designs.transforms import (
     all_subsets_blocks,
-    complement_design,
     derived_design,
-    disjoint_union,
-    repeat_design,
-    residual_design,
     trivial_design_prefix,
 )
 from repro.util.combinatorics import binom
-
-
-class TestRepeat:
-    def test_repeat_multiplies_lambda(self):
-        sts = steiner_triple_system(9)
-        doubled = repeat_design(sts, 2)
-        assert doubled.num_blocks == 2 * sts.num_blocks
-        assert doubled.is_design(2, 2)
-
-    def test_repeat_validates(self):
-        with pytest.raises(ValueError):
-            repeat_design(steiner_triple_system(7), 0)
-
-
-class TestDisjointUnion:
-    def test_union_is_packing_on_sum(self):
-        a = steiner_triple_system(9)
-        b = steiner_triple_system(7)
-        union = disjoint_union([a, b])
-        assert union.v == 16
-        assert union.num_blocks == a.num_blocks + b.num_blocks
-        # Pairs within chunks covered <= 1; crossing pairs covered 0.
-        assert union.is_packing(2, 1)
-        assert not union.is_design(2, 1)
-
-    def test_union_rejects_mixed_block_sizes(self):
-        with pytest.raises(DesignError):
-            disjoint_union([steiner_triple_system(7), boolean_sqs(2)])
-
-    def test_union_rejects_empty(self):
-        with pytest.raises(ValueError):
-            disjoint_union([])
 
 
 class TestDerivedResidual:
@@ -63,35 +26,12 @@ class TestDerivedResidual:
         for point in range(8):
             assert derived_design(sqs, point).is_design(2, 1)
 
-    def test_residual_counts(self):
-        sqs = boolean_sqs(3)
-        residual = residual_design(sqs, 0)
-        assert residual.v == 7
-        assert residual.block_size == 4
-        # residual of 3-(8,4,1): a 2-(7,4,lambda (v-k)/(k-t+1)) = 2-(7,4,2).
-        assert residual.is_design(2, 2)
-
     def test_point_validation(self):
         sqs = boolean_sqs(3)
         with pytest.raises(ValueError):
             derived_design(sqs, 8)
         with pytest.raises(ValueError):
-            residual_design(sqs, -1)
-
-
-class TestComplement:
-    def test_complement_of_fano(self):
-        fano = steiner_triple_system(7)
-        comp = complement_design(fano)
-        assert comp.block_size == 4
-        assert comp.num_blocks == 7
-        # Complement of a 2-(7,3,1) is a 2-(7,4,2).
-        assert comp.is_design(2, 2)
-
-    def test_complement_rejects_spanning(self):
-        spanning = BlockDesign.from_blocks(3, [(0, 1, 2)])
-        with pytest.raises(DesignError):
-            complement_design(spanning)
+            derived_design(sqs, -1)
 
 
 class TestTrivial:
@@ -104,7 +44,7 @@ class TestTrivial:
     def test_prefix_design(self):
         design = trivial_design_prefix(6, 3, 7)
         assert design.num_blocks == 7
-        assert design.is_packing(3, 1)
+        assert design.max_coverage(3) <= 1
 
     def test_prefix_overflow_rejected(self):
         with pytest.raises(DesignError):

@@ -9,7 +9,6 @@ import pytest
 from repro.exp.spec import (
     ExperimentSpec,
     SpecError,
-    cartesian_cells,
     cell_key,
 )
 
@@ -39,7 +38,7 @@ class TestIdentity:
         )
         assert forward == reversed_order
         assert forward.spec_hash() == reversed_order.spec_hash()
-        assert cartesian_cells(forward) == cartesian_cells(reversed_order)
+        assert forward.axes == reversed_order.axes
 
     def test_hash_is_stable_across_processes(self):
         import os
@@ -76,7 +75,7 @@ class TestIdentity:
         # canonicalized away.
         a = _spec(axes={"b": (600, 1200), "s": (2, 3)})
         b = _spec(axes={"b": (1200, 600), "s": (2, 3)})
-        assert cartesian_cells(a) != cartesian_cells(b)
+        assert a.axes != b.axes
         assert a.spec_hash() != b.spec_hash()
 
 
@@ -102,7 +101,6 @@ class TestRoundTrip:
     def test_accessors(self):
         spec = _spec()
         assert spec.axis("b") == (600, 1200)
-        assert spec.axis_names() == ("b", "s")
         assert spec.constant("n") == 71
         assert spec.constant("missing", 42) == 42
         with pytest.raises(SpecError):
@@ -136,10 +134,3 @@ class TestValidation:
 class TestCells:
     def test_cell_key_is_order_independent(self):
         assert cell_key({"b": 600, "s": 2}) == cell_key({"s": 2, "b": 600})
-
-    def test_cartesian_cells_iterate_sorted_axis_names(self):
-        spec = ExperimentSpec.build("fig2", axes={"s": (2, 3), "b": (600,)})
-        assert cartesian_cells(spec) == [
-            {"b": 600, "s": 2},
-            {"b": 600, "s": 3},
-        ]

@@ -1,4 +1,4 @@
-"""Injector semantics: determinism, matching, counters, torn actions."""
+"""Injector semantics: determinism, matching, torn actions."""
 
 import pytest
 
@@ -23,7 +23,6 @@ class TestDisabled:
     def test_no_plan_is_a_no_op(self):
         faults.configure(None)
         assert faults.inject("store.commit", length=10) is None
-        assert faults.fired_total() == 0
 
     def test_configure_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "prob:1.0")
@@ -41,87 +40,76 @@ class TestDisabled:
 class TestMatching:
     def test_when_matches_context_subset(self):
         plan = FaultPlan.build(
-            [{"site": "kernels.dispatch", "kind": "error", "when": {"k": 3}}]
+            [{"site": "store.commit", "kind": "error", "when": {"k": 3}}]
         )
         faults.configure(plan)
-        assert faults.inject("kernels.dispatch", k=2, attempt=0) is None
+        assert faults.inject("store.commit", k=2, attempt=0) is None
         with pytest.raises(InjectedFault):
-            faults.inject("kernels.dispatch", k=3, attempt=0)
+            faults.inject("store.commit", k=3, attempt=0)
 
     def test_missing_when_key_never_matches(self):
         plan = FaultPlan.build(
-            [{"site": "kernels.dispatch", "kind": "error", "when": {"rack": 1}}]
+            [{"site": "store.commit", "kind": "error", "when": {"rack": 1}}]
         )
         faults.configure(plan)
-        assert faults.inject("kernels.dispatch", k=3) is None
+        assert faults.inject("store.commit", k=3) is None
 
     def test_hit_pseudo_key_counts_site_visits(self):
         plan = FaultPlan.build(
-            [{"site": "kernels.dispatch", "kind": "error", "when": {"hit": 2}}]
+            [{"site": "store.commit", "kind": "error", "when": {"hit": 2}}]
         )
-        assert _fires(plan, "kernels.dispatch", 5, k=1) == [
+        assert _fires(plan, "store.commit", 5, k=1) == [
             False, False, True, False, False,
         ]
 
     def test_times_caps_firing(self):
         plan = FaultPlan.build(
-            [{"site": "kernels.dispatch", "kind": "error", "times": 2}]
+            [{"site": "store.commit", "kind": "error", "times": 2}]
         )
-        assert _fires(plan, "kernels.dispatch", 5, k=1) == [
+        assert _fires(plan, "store.commit", 5, k=1) == [
             True, True, False, False, False,
         ]
 
     def test_sites_are_independent(self):
         plan = prob_plan(1.0, sites=("store.commit",))
         faults.configure(plan)
-        assert faults.inject("kernels.dispatch", k=1) is None
+        assert faults.inject("runner.shard_start", start=0) is None
         with pytest.raises(InjectedFault):
             faults.inject("store.commit", length=5)
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan.build([
-            {"site": "kernels.dispatch", "kind": "error", "times": 1},
-            {"site": "kernels.dispatch", "kind": "torn"},
+            {"site": "store.commit", "kind": "error", "times": 1},
+            {"site": "store.commit", "kind": "torn"},
         ])
         faults.configure(plan)
         with pytest.raises(InjectedFault) as first:
-            faults.inject("kernels.dispatch", k=1)
-        second = faults.inject("kernels.dispatch", k=1)
-        assert first.value.site == "kernels.dispatch"
+            faults.inject("store.commit", k=1)
+        second = faults.inject("store.commit", k=1)
+        assert first.value.site == "store.commit"
         assert isinstance(second, TornWrite)
 
 
 class TestDeterminism:
     def test_same_plan_same_schedule(self):
-        plan = prob_plan(0.5, seed=7, sites=("kernels.dispatch",))
-        first = _fires(plan, "kernels.dispatch", 50, k=1)
-        second = _fires(plan, "kernels.dispatch", 50, k=1)
+        plan = prob_plan(0.5, seed=7, sites=("store.commit",))
+        first = _fires(plan, "store.commit", 50, k=1)
+        second = _fires(plan, "store.commit", 50, k=1)
         assert first == second
         assert any(first) and not all(first)
 
     def test_different_seed_different_schedule(self):
-        one = _fires(prob_plan(0.5, seed=1, sites=("kernels.dispatch",)),
-                     "kernels.dispatch", 50, k=1)
-        two = _fires(prob_plan(0.5, seed=2, sites=("kernels.dispatch",)),
-                     "kernels.dispatch", 50, k=1)
+        one = _fires(prob_plan(0.5, seed=1, sites=("store.commit",)),
+                     "store.commit", 50, k=1)
+        two = _fires(prob_plan(0.5, seed=2, sites=("store.commit",)),
+                     "store.commit", 50, k=1)
         assert one != two
 
     def test_context_changes_the_draw(self):
-        plan = prob_plan(0.5, seed=7, sites=("kernels.dispatch",))
-        one = _fires(plan, "kernels.dispatch", 50, k=1)
-        two = _fires(plan, "kernels.dispatch", 50, k=2)
+        plan = prob_plan(0.5, seed=7, sites=("store.commit",))
+        one = _fires(plan, "store.commit", 50, k=1)
+        two = _fires(plan, "store.commit", 50, k=2)
         assert one != two
-
-    def test_fired_counters_account_by_rule(self):
-        plan = FaultPlan.build([
-            {"site": "kernels.dispatch", "kind": "error", "when": {"hit": 0}},
-            {"site": "kernels.dispatch", "kind": "error", "when": {"hit": 2}},
-        ])
-        _fires(plan, "kernels.dispatch", 4, k=1)
-        assert faults.fired_by_rule() == {0: 1, 1: 1}
-        assert faults.fired_total() == 2
-        faults.reset_counters()
-        assert faults.fired_total() == 0
 
 
 class TestTornAction:

@@ -19,7 +19,7 @@ def _plan():
         [
             {"site": "store.commit", "kind": "torn",
              "when": {"index": 3, "hit": 3}, "times": 1},
-            {"site": "kernels.dispatch", "kind": "error", "prob": 0.25},
+            {"site": "runner.shard_start", "kind": "error", "prob": 0.25},
         ],
         seed=42,
     )

@@ -101,16 +101,16 @@ class TestCrashRetry:
             run_experiment(spec, workers=3, shard_retries=1)
 
 
-class TestDispatchError:
-    def test_dispatch_error_in_a_pool_shard_is_retried_by_the_supervisor(
+class TestShardStartError:
+    def test_shard_start_error_in_a_pool_shard_is_retried_by_the_supervisor(
         self, tmp_path, monkeypatch, capsys
     ):
-        # Each forked worker fires the rule on its first kernel build;
-        # dispatch itself retries nothing, so the error reaches the
+        # Each forked worker fires the rule on its first shard, before
+        # any of that shard's cells are done; the error reaches the
         # supervisor, which re-dispatches the shard and says so.
         spec = _spec()
         plan = FaultPlan.build([{
-            "site": "kernels.dispatch", "kind": "error", "times": 1,
+            "site": "runner.shard_start", "kind": "error", "times": 1,
         }])
         _chaos_env(plan, monkeypatch)
         store = RunStore(str(tmp_path / "chaos"))
@@ -123,7 +123,7 @@ class TestDispatchError:
         ]
         assert len(retry_lines) == run.retries
         assert all(
-            "InjectedFault: injected error fault at kernels.dispatch" in line
+            "InjectedFault: injected error fault at runner.shard_start" in line
             for line in retry_lines
         )
 

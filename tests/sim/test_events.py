@@ -42,13 +42,11 @@ class TestEventQueue:
         with pytest.raises(SimClockError):
             queue.push(float("inf"), ev())
 
-    def test_len_bool_peek(self):
+    def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue and len(queue) == 0
-        assert queue.peek_time() is None
         queue.push(4.0, ev())
         assert queue and len(queue) == 1
-        assert queue.peek_time() == 4.0
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):

@@ -162,6 +162,26 @@ class TestPlaceCommand:
         payload = json.loads(target.read_text())
         assert len(payload["replica_sets"]) == 26
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--strategy", "simple", "--b", "0"], "need b >= 1, got 0"),
+        (["--strategy", "random", "--r", "9"],
+         "need 1 <= r <= n, got r=9, n=7"),
+        (["--strategy", "combo", "--s", "5"],
+         "need 1 <= s <= r <= n, got s=5, r=3, n=7"),
+        (["--strategy", "combo", "--k", "9"],
+         "need s <= k < n, got s=2, k=9, n=7"),
+    ])
+    def test_out_of_range_values_exit_2_with_one_line(
+        self, capsys, flags, message
+    ):
+        # Later flags win, so each case overrides one value of a valid
+        # n=7, r=3, b=10 placement.
+        argv = ["place", "--n", "7", "--r", "3", "--b", "10", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"place: {message}\n"
+
 
 class TestAttackCommand:
     def test_roundtrip(self, tmp_path, capsys):
@@ -399,6 +419,19 @@ class TestBoundsCommand:
         assert "lbAvail_co" in out
         assert "prAvail_rnd" in out
         assert "winner: combo" in out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--s", "5", "--k", "2"], "need 1 <= s <= r <= n, got s=5, r=3, n=7"),
+        (["--s", "2", "--k", "7"], "need s <= k < n, got s=2, k=7, n=7"),
+    ])
+    def test_out_of_range_values_exit_2_with_one_line(
+        self, capsys, flags, message
+    ):
+        argv = ["bounds", "--n", "7", "--r", "3", "--b", "10", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bounds: {message}\n"
 
 
 class TestCatalogCommand:

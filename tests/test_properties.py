@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adversary import ExhaustiveAdversary
-from repro.core.bounds import lb_avail_combo, lb_avail_simple
+from repro.core.bounds import lb_avail_combo, lb_avail_simple, simple_capacity
 from repro.core.combo import ComboStrategy
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
@@ -152,7 +152,7 @@ def test_simple_capacity_lemma1_consistency(r, seed):
     lam = strategy.minimal_lambda(b)
     sub = strategy.subsystem
     cap = sub.capacity(lam)
-    assert b <= cap
+    assert b <= cap <= simple_capacity(n, r, x, lam)  # Lemma 1 on all n nodes
     # Eqn. 1 bracketing: one lambda step fewer would not fit.
     if lam > sub.mu:
         assert b > sub.capacity(lam - sub.mu)

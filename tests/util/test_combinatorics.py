@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from repro.util.combinatorics import (
     binom,
     ceil_div,
-    falling_factorial,
     is_prime,
-    k_subsets,
     lcm_many,
-    pairs_within,
     prime_power_decomposition,
-    rank_subset,
-    unrank_subset,
 )
 
 
@@ -46,22 +41,6 @@ class TestBinom:
         assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
-class TestFallingFactorial:
-    def test_basic(self):
-        assert falling_factorial(5, 0) == 1
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(5, 5) == 120
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            falling_factorial(3, -1)
-
-    @given(st.integers(0, 30), st.integers(0, 10))
-    def test_relates_to_binom(self, n, k):
-        if k <= n:
-            assert falling_factorial(n, k) == binom(n, k) * math.factorial(k)
-
-
 class TestCeilDiv:
     @given(st.integers(-1000, 1000), st.integers(1, 100))
     def test_matches_ceiling(self, a, b):
@@ -84,32 +63,6 @@ class TestLcm:
             lcm_many([])
         with pytest.raises(ValueError):
             lcm_many([2, 0])
-
-
-class TestSubsets:
-    def test_k_subsets_count(self):
-        items = list(range(6))
-        assert sum(1 for _ in k_subsets(items, 3)) == 20
-
-    def test_pairs_within(self):
-        assert list(pairs_within([3, 1, 2])) == [(1, 2), (1, 3), (2, 3)]
-
-    @given(st.integers(1, 12), st.data())
-    def test_rank_unrank_roundtrip(self, n, data):
-        k = data.draw(st.integers(1, n))
-        rank = data.draw(st.integers(0, binom(n, k) - 1))
-        subset = unrank_subset(rank, n, k)
-        assert len(subset) == k
-        assert all(0 <= e < n for e in subset)
-        assert rank_subset(subset, n) == rank
-
-    def test_unrank_out_of_range(self):
-        with pytest.raises(ValueError):
-            unrank_subset(binom(5, 2), 5, 2)
-
-    def test_colex_order_is_exhaustive(self):
-        seen = {unrank_subset(i, 5, 3) for i in range(binom(5, 3))}
-        assert len(seen) == 10
 
 
 class TestPrimes:

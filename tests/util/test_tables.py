@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import TextTable, format_grid, format_series
+from repro.util.tables import TextTable, format_grid
 
 
 class TestTextTable:
@@ -44,10 +44,3 @@ class TestFormatGrid:
         text = format_grid([600, 1200], [2, 3], [[75, 57], [80, 70]], corner="b\\k")
         assert "b\\k" in text
         assert "1200" in text
-
-
-class TestFormatSeries:
-    def test_basic(self):
-        text = format_series("k", [1, 2], [("curve", [0.5, 0.25])])
-        assert "curve" in text
-        assert "0.25" in text
